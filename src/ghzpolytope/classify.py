@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._mc_kernel_py import flip_pairs, fully_biseparable, genuine
 from .errors import InvalidArgumentError
 from .indices import (
     DENSE_MAX_QUBITS,
@@ -19,7 +20,8 @@ from .indices import (
     check_qubit_count,
     to_bits,
 )
-from .states import EPS_PSD, GhzDiagonalState, az_from_prob, density_from_prob
+from .states import EPS_PSD, GhzDiagonalState, density_from_prob
+from .states import az_from_prob  # noqa: F401  (module attribute perfbench/spans.py traces)
 
 # strict-inequality decisions; the criteria are exact linear forms of the
 # input, so the only error is input rounding
@@ -53,31 +55,38 @@ class ClassificationResult:
 
 def is_biseparable(state: GhzDiagonalState, eps: float = EPS_CLASS) -> tuple[bool, int | None]:
     """True iff p_i <= 1/2 for every i; witness is the first index above 1/2."""
-    over = np.flatnonzero(state.p > 0.5 + eps)
-    if over.size:
-        return False, int(over[0])
-    return True, None
+    over = np.flatnonzero(genuine(state.p, eps))
+    return (False, int(over[0])) if over.size else (True, None)
+
+
+def _concurrence(maxp) -> float:
+    return max(0.0, 2.0 * float(maxp) - 1.0)
 
 
 def gm_concurrence(state: GhzDiagonalState) -> float:
     """max{0, 2 max_i p_i - 1}: zero exactly on the biseparable polytope."""
-    return max(0.0, 2.0 * float(state.p.max()) - 1.0)
+    return _concurrence(state.p.max())
+
+
+def _fbi_decision(p: np.ndarray, eps: float) -> tuple[bool, tuple[int, int] | None, float]:
+    """Verdict, witness and margin |max |z| - min a| of the a/z test.  a_i and |z_i|
+    repeat each flip pair, so the first violating (i, j) has i, j < d/2; argmin
+    finds a mask's first False."""
+    diffs, sums = flip_pairs(p)
+    maxdiff, minsum = diffs.max(), sums.min()
+    margin = 0.5 * abs(float(maxdiff - minsum))
+    if fully_biseparable(maxdiff, minsum, eps):
+        return True, None, margin
+    i = int(np.argmin(fully_biseparable(maxdiff, sums, eps)))
+    return False, (i, int(np.argmin(fully_biseparable(diffs, sums[i], eps)))), margin
 
 
 def is_fully_biseparable(
     state: GhzDiagonalState, eps: float = EPS_CLASS
 ) -> tuple[bool, tuple[int, int] | None]:
     """True iff |z_j| <= a_i for all i, j; witness is the first violating (i, j)."""
-    a, z = az_from_prob(state)
-    absz = np.abs(z)
-    if absz.max() <= a.min() + eps:
-        return True, None
-    # lexicographically first violating pair (i from a, j from z)
-    for i in range(state.d):
-        bad = np.flatnonzero(absz > a[i] + eps)
-        if bad.size:
-            return False, (i, int(bad[0]))
-    raise AssertionError("unreachable: max |z| exceeded min a but no pair found")
+    fbi, witness, _ = _fbi_decision(state.p, eps)
+    return fbi, witness
 
 
 def partial_transpose(mat: np.ndarray, n: int, bipartition: Bipartition) -> np.ndarray:
@@ -101,14 +110,7 @@ def is_ppt_bipartition(state: GhzDiagonalState, bipartition: Bipartition) -> boo
 def is_ppt_all_bipartitions(state: GhzDiagonalState) -> bool:
     """Brute-force oracle: min eigenvalue of every canonical partial transpose."""
     check_qubit_count(state.n, DENSE_MAX_QUBITS)
-    if state.n == 1:
-        return True
-    mat = density_from_prob(state)
-    for bp in all_bipartitions(state.n):
-        pt = partial_transpose(mat, state.n, bp)
-        if float(np.linalg.eigvalsh(pt).min()) < -EPS_PSD:
-            return False
-    return True
+    return all(is_ppt_bipartition(state, bp) for bp in all_bipartitions(state.n))
 
 
 def classify(
@@ -117,28 +119,21 @@ def classify(
     boundary_eps: float = EPS_BOUNDARY,
 ) -> ClassificationResult:
     """Place the state in exactly one of the three regions of the simplex."""
+    maxp = state.p.max()
     bisep, wit_b = is_biseparable(state, eps)
-    fbi, wit_f = is_fully_biseparable(state, eps)
-    conc = gm_concurrence(state)
-
-    a, z = az_from_prob(state)
-    margin_b = abs(float(state.p.max()) - 0.5)
-    margin_f = abs(float(np.abs(z).max()) - float(a.min()))
-    boundary = margin_b <= boundary_eps or margin_f <= boundary_eps
+    fbi, wit_f, margin_f = _fbi_decision(state.p, eps)
+    boundary = abs(float(maxp) - 0.5) <= boundary_eps or margin_f <= boundary_eps
 
     if not bisep:
-        region = "genuine"
-        witness = (wit_b,)
+        region, witness = "genuine", (wit_b,)
     elif not fbi:
-        region = "bisep_not_fbi"
-        witness = wit_f
+        region, witness = "bisep_not_fbi", wit_f
     else:
-        region = "fully_biseparable"
-        witness = None
+        region, witness = "fully_biseparable", None
     return ClassificationResult(
         is_biseparable=bisep,
         is_fully_biseparable=fbi,
-        gm_concurrence=conc,
+        gm_concurrence=_concurrence(maxp),
         witness=witness,
         boundary=boundary,
         region=region,

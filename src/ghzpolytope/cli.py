@@ -33,8 +33,11 @@ EXIT_UNSUPPORTED_SIZE = 3
 _POLYTOPE_FAMILY = {"ghz": "GHZ", "bisep": "BISEP", "fbi": "FBI"}
 
 
-def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "0"))
+def _parse_int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidArgumentError(f"{what}: expected an integer, got {text!r}") from None
 
 
 def _parse_prob_vector(spec: str, n: int) -> GhzDiagonalState:
@@ -201,7 +204,7 @@ def _cmd_certify(args, out) -> int:
             if n_idx != args.n:
                 raise InvalidArgumentError(f"selection indices must have length n={args.n}")
             sigma.append(idx)
-        positions = frozenset(int(tok) for tok in args.bipartition.split(","))
+        positions = frozenset(_parse_int(t, "--bipartition") for t in args.bipartition.split(","))
         bp = Bipartition(args.n, positions)
         cert = cube_vertex_decomposition(args.n, sigma, bp)
     else:
@@ -330,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true", help="closed form only (default)")
     p.add_argument("--mc", action="store_true", help="add a Monte-Carlo estimate")
     p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)  # None: $GHZPOLYTOPE_SEED or 0
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_volume)
 
@@ -346,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--mc", action="store_true")
     p.add_argument("--samples", type=int, default=0, help="0 = auto per quantity")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)  # None: $GHZPOLYTOPE_SEED or 0
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_report)
@@ -356,9 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) is None:
+            args.seed = _parse_int(os.environ.get(SEED_ENV_VAR, "0"), SEED_ENV_VAR)
         return args.func(args, out)
     except UnsupportedSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)

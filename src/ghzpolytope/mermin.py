@@ -14,6 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
+from ._mc_kernel_py import mermin_gap, mermin_violated
 from .classify import EPS_BOUNDARY, EPS_CLASS
 from .errors import InvalidArgumentError, UnsupportedSizeError
 from .indices import check_qubit_count, dimension
@@ -61,8 +62,7 @@ def build_mermin_operator(n: int) -> MerminOperator:
 
 def mermin_expectation(state: GhzDiagonalState) -> float:
     """Closed form 2^(n-1) (p_0 - p_1...1)."""
-    d = state.d
-    return float(2 ** (state.n - 1) * (state.p[0] - state.p[d - 1]))
+    return float(2 ** (state.n - 1) * mermin_gap(state.p))
 
 
 def mermin_bound(n: int) -> float:
@@ -86,8 +86,8 @@ def mermin_threshold(n: int) -> float:
 def violates_mermin(state: GhzDiagonalState) -> tuple[bool, bool]:
     """Returns (violates, boundary): violation iff p_0 - p_1...1 > nu_n, strictly."""
     nu = mermin_threshold(state.n)
-    gap = float(state.p[0] - state.p[state.d - 1]) - nu
-    return gap > EPS_CLASS, abs(gap) <= EPS_BOUNDARY
+    gap = float(mermin_gap(state.p))
+    return mermin_violated(gap, nu, EPS_CLASS), abs(gap - nu) <= EPS_BOUNDARY
 
 
 def mermin_hyperplane_points(n: int) -> list[GhzDiagonalState]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedSizeError
 from .indices import check_qubit_count, dimension, to_bits
-from .states import GhzDiagonalState, density_from_prob
+from .states import GhzDiagonalState
 
 FAMILIES = ("GHZ", "BISEP", "FBI")
 
@@ -203,44 +203,11 @@ def simplex_height(n: int) -> float:
     return float(np.sqrt(d / (d - 1)))
 
 
-_HS_CONSTANT: float | None = None
-
-
-def _hs_proportionality_constant() -> float:
-    """Fit ||rho_p - rho_q||_HS / ||p - q||_2 on random pairs and pin it.
-
-    The GHZ eigenbasis is orthonormal, so some exact constant exists; we
-    measure it instead of deriving it, and assert it is stable.
-    """
-    global _HS_CONSTANT
-    if _HS_CONSTANT is None:
-        rng = np.random.default_rng(20260825)
-        ratios = []
-        for _ in range(16):
-            n = int(rng.integers(1, 4))
-            d = dimension(n)
-            p = rng.dirichlet(np.ones(d))
-            q = rng.dirichlet(np.ones(d))
-            frob = np.linalg.norm(
-                density_from_prob(GhzDiagonalState(n, p))
-                - density_from_prob(GhzDiagonalState(n, q))
-            )
-            ratios.append(frob / np.linalg.norm(p - q))
-        ratios = np.asarray(ratios)
-        if np.ptp(ratios) > 1e-12:
-            raise AssertionError(f"HS/p-space ratio not constant: {ratios}")
-        const = float(np.round(ratios.mean()))
-        if abs(const - ratios.mean()) > 1e-12:
-            raise AssertionError(f"HS/p-space ratio not a round constant: {ratios.mean()}")
-        _HS_CONSTANT = const
-    return _HS_CONSTANT
-
-
 def hs_distance(s1: GhzDiagonalState, s2: GhzDiagonalState) -> float:
-    """Hilbert-Schmidt (Frobenius) distance, computed in p-coordinates."""
+    """Hilbert-Schmidt distance: exactly ||p - q||_2, as the GHZ basis is orthonormal."""
     if s1.n != s2.n:
         raise InvalidArgumentError("states have different qubit counts")
-    return _hs_proportionality_constant() * float(np.linalg.norm(s1.p - s2.p))
+    return float(np.linalg.norm(s1.p - s2.p))
 
 
 def facet_distance(state: GhzDiagonalState, facet: Facet) -> float:
@@ -256,7 +223,7 @@ def facet_distance(state: GhzDiagonalState, facet: Facet) -> float:
     norm = np.linalg.norm(t)
     if norm == 0.0:
         raise InvalidArgumentError("facet normal is parallel to the simplex")
-    return _hs_proportionality_constant() * abs(facet.value(state)) / float(norm)
+    return abs(facet.value(state)) / float(norm)
 
 
 def inscribed_ball(family: str, n: int) -> Ball:

@@ -35,10 +35,10 @@ class GhzDiagonalState:
             raise InvalidArgumentError(
                 f"probability vector has length {p.size}, expected {d} for n={self.n}"
             )
-        neg = np.flatnonzero(p < -EPS_NORM)
-        if neg.size:
+        bad = np.flatnonzero(~np.isfinite(p) | (p < -EPS_NORM))
+        if bad.size:
             raise InvalidArgumentError(
-                f"negative probability {p[neg[0]]} at index {neg[0]}"
+                f"probability {p[bad[0]]} at index {bad[0]} is negative or not finite"
             )
         total = p.sum()
         if abs(total - 1.0) > NORM_SLACK:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ghzpolytope._mc_kernel_py import fully_biseparable, pair_reductions
 from ghzpolytope.classify import (
     classify,
     gm_concurrence,
@@ -11,7 +12,7 @@ from ghzpolytope.classify import (
 )
 from ghzpolytope.errors import UnsupportedSizeError
 from ghzpolytope.indices import Bipartition
-from ghzpolytope.polytopes import midpoint
+from ghzpolytope.polytopes import iter_facets_fbi, midpoint
 from ghzpolytope.states import GhzDiagonalState, density_from_prob
 
 
@@ -128,7 +129,7 @@ def test_fbi_matches_ppt_oracle(n):
         assert ok == is_ppt_all_bipartitions(s)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_fbi_matches_ppt_oracle_boundary_biased(n):
     # push mass onto few indices so both verdicts appear
     rng = np.random.default_rng(200 + n)
@@ -144,6 +145,33 @@ def test_fbi_matches_ppt_oracle_boundary_biased(n):
             continue
         ok, _ = is_fully_biseparable(s)
         assert ok == is_ppt_all_bipartitions(s)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_core_fbi_matches_facet_oracle(n):
+    # the row-wise core on a batch, against the d^2/2 facet inequalities and
+    # the single-state test; each row is moved towards the uniform state until
+    # it sits within a relative 1e-9..1e-2 of the FBI boundary, on either side
+    rng = np.random.default_rng(300 + n)
+    d = 2**n
+    m = 2000
+    raw = rng.dirichlet(np.full(d, 0.3), size=m)
+    flip = raw[:, ::-1]
+    excess = np.abs(raw - flip).max(axis=1) - (raw + flip).min(axis=1)
+    t_star = (2 / d) / (excess + 2 / d)  # maxdiff = minsum on the segment to the centre
+    jitter = np.exp(rng.uniform(np.log(1e-9), np.log(1e-2), m)) * rng.choice([-1, 1], m)
+    t = np.minimum(t_star * (1 + jitter), 1.0)[:, None]
+    rows = t * raw + (1 - t) / d
+
+    slack = rows @ np.array([f.coeffs for f in iter_facets_fbi(n)]).T
+    keep = np.abs(slack).min(axis=1) > 1e-11
+    oracle = (slack >= 0).all(axis=1)
+    assert keep.sum() > m // 2
+    assert 0 < oracle[keep].sum() < keep.sum()
+    core = fully_biseparable(*pair_reductions(rows))
+    np.testing.assert_array_equal(core[keep], oracle[keep])
+    for p, verdict in zip(rows[:300], core[:300]):
+        assert is_fully_biseparable(GhzDiagonalState(n, p), eps=0.0)[0] == verdict
 
 
 def test_region_assignment():

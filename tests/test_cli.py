@@ -173,3 +173,31 @@ def test_exit_code_unsupported_size():
     assert code == EXIT_UNSUPPORTED_SIZE
     code, _ = run(["report", "--n-max", "21"])
     assert code == EXIT_UNSUPPORTED_SIZE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--n", "2", "--p", "nan,0.5,0.25,0.25"],
+        ["mermin", "--n", "2", "--p", "0.5,0.5,nan,0"],
+        ["certify", "--n", "3", "--sigma", "000,001,010,011", "--bipartition", "1,x"],
+    ],
+)
+def test_invalid_input_is_one_error_line(argv, capsys):
+    code, text = run(argv)
+    assert code == EXIT_INVALID_INPUT
+    assert text == ""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_bad_seed_env_is_one_error_line(monkeypatch, capsys):
+    monkeypatch.setenv(SEED_ENV_VAR, "seven")
+    code, _ = run(["volume", "--n", "2", "--family", "genuine", "--mc", "--samples", "50000"])
+    assert code == EXIT_INVALID_INPUT
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and SEED_ENV_VAR in lines[0]
+    # commands that take no seed, or an explicit one, do not read the variable
+    assert run(["classify", "--n", "2", "--p", "0.25,0.25,0.25,0.25"])[0] == EXIT_OK
+    argv = ["volume", "--n", "2", "--family", "genuine", "--mc", "--samples", "50000", "--seed", "3"]
+    assert run(argv)[0] == EXIT_OK

@@ -134,3 +134,16 @@ def test_state_validation():
     # small off-normalization is renormalized
     s = GhzDiagonalState(2, np.array([0.25, 0.25, 0.25, 0.25 + 5e-7]))
     assert abs(s.p.sum() - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        [np.nan, 0.5, 0.25, 0.25],
+        [0.5, 0.5, 0.0, np.inf],
+        [0.5, 0.5, np.inf, -np.inf],
+    ],
+)
+def test_state_rejects_non_finite(p):
+    with pytest.raises(InvalidArgumentError, match="not finite"):
+        GhzDiagonalState(2, np.array(p))

@@ -5,6 +5,8 @@ import pytest
 
 from ghzpolytope import _mc_kernel_py
 from ghzpolytope.errors import InvalidArgumentError, UnsupportedSizeError
+from ghzpolytope.mermin import mermin_hyperplane_points, mermin_threshold
+from ghzpolytope.polytopes import extreme_points_bisep, extreme_points_fbi
 from ghzpolytope.volume import (
     BISEP_MINUS_FBI,
     FBI,
@@ -173,6 +175,65 @@ def test_kernels_agree_rowwise():
     for code in range(4):
         nu = 0.5
         assert _mc_kernel.count_hits(p, code, nu) == _mc_kernel_py.count_hits(p, code, nu)
+
+
+# Seeded hit counts of both kernels, for any thread count.  A change to a
+# region decision or to the sampler changes them.  50_000 samples in chunks
+# of 2^14 leave a partial last chunk of 848 rows.
+PINNED_MC_HITS = {
+    3: {GENUINE: 3029, BISEP_MINUS_FBI: 42293, FBI: 4678, MERMIN: 186},
+    4: {GENUINE: 26, BISEP_MINUS_FBI: 49860, FBI: 114, MERMIN: 2},
+    6: {GENUINE: 0, BISEP_MINUS_FBI: 50000, FBI: 0, MERMIN: 0},
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_MC_HITS))
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mc_hits_pinned(n, threads):
+    for family, expected in PINNED_MC_HITS[n].items():
+        for kernel in (None, _mc_kernel_py):
+            report = mc_relative_volume(
+                family, n, 50_000, seed=1000 + n, threads=threads, chunk_size=1 << 14, kernel=kernel
+            )
+            assert round(report.mc_estimate * report.samples) == expected, (family, kernel)
+
+
+# Uniform samples at n = 6 almost never land in the genuine, FBI or Mermin
+# regions, so the kernel is also pinned on rows pushed towards the vertices
+# (cubed and renormalized) and towards the centre (a ramp to the uniform state).
+# Family codes 0..3: genuine, bisep_minus_fbi, fbi, mermin.
+PINNED_ROW_HITS = {
+    3: [14720, 12126, 13154, 1575],
+    4: [9706, 20154, 10140, 567],
+    6: [1902, 30965, 7133, 165],
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_ROW_HITS))
+def test_count_hits_pinned_on_biased_rows(n):
+    d = 2**n
+    p = sample_simplex(np.random.Generator(np.random.Philox(2000 + n)), 20_000, d)
+    cubed = p * p * p
+    cubed /= cubed.sum(axis=1, keepdims=True)
+    t = np.linspace(0.0, 1.0, len(p))[:, None]
+    rows = np.concatenate([cubed, t * p + (1.0 - t) / d])
+    got = [_mc_kernel_py.count_hits(rows, code, mermin_threshold(n)) for code in range(4)]
+    assert got == PINNED_ROW_HITS[n]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_count_hits_ties_on_region_boundaries(n):
+    # exact ties: the biseparable vertices (max p = 1/2) are not genuine, the
+    # FBI vertices (maxdiff = minsum) are FBI, the Mermin hyperplane points
+    # (gap = nu) do not violate
+    bisep = np.array([s.p for s in extreme_points_bisep(n)])
+    fbi = np.array([s.p for s in extreme_points_fbi(n)])
+    mermin = np.array([s.p for s in mermin_hyperplane_points(n)])
+    nu = mermin_threshold(n)
+    for kernel in [_mc_kernel_py] + ([_mc_kernel] if HAVE_EXTENSION else []):
+        assert kernel.count_hits(bisep, _mc_kernel_py.FAMILY_GENUINE, nu) == 0
+        assert kernel.count_hits(fbi, _mc_kernel_py.FAMILY_FBI, nu) == len(fbi)
+        assert kernel.count_hits(mermin, _mc_kernel_py.FAMILY_MERMIN, nu) == 0
 
 
 def test_mc_guards():
