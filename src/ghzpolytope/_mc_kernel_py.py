@@ -3,6 +3,9 @@ for ``classify``, ``violates_mermin`` and the NumPy hit counter.
 
 The compiled ``_mc_kernel`` must stay decision-for-decision identical to
 :func:`count_hits`, so hit counts match bit-for-bit between backends.
+:func:`count_hits` folds its reductions one flip pair ``(i, d-1-i)`` at a
+time over all rows (:func:`pair_reductions`, :func:`max_prob`); the folds
+use only exact operations, so they equal the row-wise reductions.
 """
 
 from __future__ import annotations
@@ -25,9 +28,32 @@ def flip_pairs(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pair_reductions(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """max_i |p_i - p_~i| and min_i (p_i + p_~i); the full width only repeats the pairs."""
-    diffs, sums = flip_pairs(p)
-    return diffs.max(axis=-1), sums.min(axis=-1)
+    """max_i |p_i - p_~i| and min_i (p_i + p_~i); the full width only repeats the pairs.
+
+    Folded one pair at a time into ``(...)`` vectors: NumPy reduces a short
+    last axis row by row, but runs each column-wise step over all rows at
+    once.  max, min, abs, + and - are exact, so this equals
+    ``flip_pairs(p)[0].max(-1), flip_pairs(p)[1].min(-1)`` bit for bit.
+    """
+    d = p.shape[-1]
+    maxdiff = np.zeros(p.shape[:-1])
+    minsum = np.full(p.shape[:-1], np.inf)
+    t = np.empty(p.shape[:-1])
+    for i in range(d // 2):
+        lo, hi = p[..., i], p[..., d - 1 - i]
+        np.maximum(maxdiff, np.abs(np.subtract(lo, hi, out=t), out=t), out=maxdiff)
+        np.minimum(minsum, np.add(lo, hi, out=t), out=minsum)
+    return maxdiff, minsum
+
+
+def max_prob(p: np.ndarray) -> np.ndarray:
+    """max_i p_i, folded one flip pair at a time like :func:`pair_reductions`."""
+    d = p.shape[-1]
+    maxp = np.full(p.shape[:-1], -np.inf)
+    t = np.empty(p.shape[:-1])
+    for i in range(d // 2):
+        np.maximum(maxp, np.maximum(p[..., i], p[..., d - 1 - i], out=t), out=maxp)
+    return maxp
 
 
 def mermin_gap(p: np.ndarray) -> np.ndarray:
@@ -54,11 +80,11 @@ def mermin_violated(gap, nu: float, eps: float = 0.0):
 def count_hits(p: np.ndarray, family: int, nu: float) -> int:
     """Count rows of the (m, d) probability matrix falling in the region."""
     if family == FAMILY_GENUINE:
-        hits = genuine(p.max(axis=1))
+        hits = genuine(max_prob(p))
     elif family == FAMILY_FBI:
         hits = fully_biseparable(*pair_reductions(p))
     elif family == FAMILY_BISEP_MINUS_FBI:
-        hits = ~genuine(p.max(axis=1)) & ~fully_biseparable(*pair_reductions(p))
+        hits = ~genuine(max_prob(p)) & ~fully_biseparable(*pair_reductions(p))
     elif family == FAMILY_MERMIN:
         hits = mermin_violated(mermin_gap(p), nu)
     else:

@@ -32,6 +32,10 @@ EXIT_UNSUPPORTED_SIZE = 3
 
 _POLYTOPE_FAMILY = {"ghz": "GHZ", "bisep": "BISEP", "fbi": "FBI"}
 
+# F_n has d/2 + 2^(d/2) vertices: 2467 decimal digits at n = 14, 4933 at
+# n = 15, past Python's default 4300-digit limit on int -> str conversion.
+REPORT_MAX_QUBITS = 14
+
 
 def _parse_int(text: str, what: str) -> int:
     try:
@@ -105,6 +109,11 @@ def _cmd_mermin(args, out) -> int:
     return EXIT_OK
 
 
+def _check_limit(limit) -> None:
+    if limit is not None and limit < 0:
+        raise InvalidArgumentError(f"--limit must be >= 0, got {limit}")
+
+
 def _iter_vertices(family: str, n: int):
     if family == "ghz":
         return iter(polytopes.extreme_points_ghz(n))
@@ -116,6 +125,7 @@ def _iter_vertices(family: str, n: int):
 
 
 def _cmd_extremes(args, out) -> int:
+    _check_limit(args.limit)
     vertices = []
     for k, state in enumerate(_iter_vertices(args.family, args.n)):
         if args.limit is not None and k >= args.limit:
@@ -133,6 +143,7 @@ def _cmd_extremes(args, out) -> int:
 
 
 def _cmd_facets(args, out) -> int:
+    _check_limit(args.limit)
     if args.family == "ghz":
         facets = iter(polytopes.facets_ghz(args.n))
     elif args.family == "bisep":
@@ -262,8 +273,8 @@ def _report_row(n: int, mc: bool, samples: int, seed: int, threads: int) -> dict
 def _cmd_report(args, out) -> int:
     if args.n_min < 1 or args.n_max < args.n_min:
         raise InvalidArgumentError("need 1 <= n-min <= n-max")
-    if args.n_max > 20:
-        raise UnsupportedSizeError("report is capped at n = 20")
+    if args.n_max > REPORT_MAX_QUBITS:
+        raise UnsupportedSizeError(f"report is capped at n = {REPORT_MAX_QUBITS}")
     columns = list(REPORT_COLUMNS)
     if args.mc:
         for fam in volume.MC_FAMILIES:

@@ -3,7 +3,9 @@ seeded Monte-Carlo estimator that cross-checks each closed form.
 
 The Monte-Carlo hot loop lives in a compiled Cython kernel when available
 (``ghzpolytope._mc_kernel``) with a pure-NumPy fallback selected at import
-time; both produce identical hit counts for identical seeds.
+time; both produce identical hit counts for identical seeds.  Each chunk's
+samples are drawn and counted in cache-sized row blocks that reuse one
+buffer; the samples are those of a single draw per chunk.
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ _FAMILY_CODES = {
 MC_MAX_QUBITS = 6
 MC_MIN_SAMPLES = 10_000
 DEFAULT_CHUNK = 1 << 16
+# Each chunk is sampled and counted in blocks of at most this many bytes, so
+# a block stays in cache between the sampler and the counter.  Smaller
+# blocks run the counter's per-pair Python loop too often.
+_BLOCK_BYTES = 1 << 20
 RNG_ALGORITHM = "philox4x64"  # numpy.random.Philox, chunk streams spawned from the seed
 
 
@@ -180,9 +186,15 @@ RVR_LIMITS = {
 }
 
 
-def sample_simplex(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
-    """m points uniform on the (d-1)-simplex: normalized unit exponentials."""
-    e = rng.standard_exponential((m, d))
+def sample_simplex(
+    rng: np.random.Generator, m: int, d: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """m points uniform on the (d-1)-simplex: normalized unit exponentials.
+
+    ``out``, an (m, d) float64 array, receives the points in place of a new
+    array; the values drawn are the same either way.
+    """
+    e = rng.standard_exponential((m, d), out=out)
     e /= e.sum(axis=1, keepdims=True)
     return e
 
@@ -208,6 +220,9 @@ def mc_relative_volume(
     The sample range is split into fixed-size chunks; chunk streams are
     spawned from the seed, so the integer hit count (and hence the report)
     is identical for any ``threads`` value and for both kernel backends.
+    Each chunk is drawn from its stream in cache-sized row blocks, each
+    counted as soon as it is drawn; the samples are those of one draw per
+    chunk.
     """
     _check_family(family, MC_FAMILIES, n)
     check_qubit_count(n, MC_MAX_QUBITS)
@@ -225,8 +240,14 @@ def mc_relative_volume(
     def run_chunk(k: int) -> int:
         m = min(chunk_size, samples - k * chunk_size)
         rng = np.random.Generator(np.random.Philox(streams[k]))
-        p = sample_simplex(rng, m, d)
-        return kernel.count_hits(p, code, nu)
+        # consecutive draws continue the chunk's stream, and each row is
+        # normalised on its own, so blocking never changes a sample
+        buf = np.empty((min(m, _BLOCK_BYTES // (8 * d)), d))
+        hits = 0
+        for start in range(0, m, len(buf)):
+            b = min(len(buf), m - start)
+            hits += kernel.count_hits(sample_simplex(rng, b, d, buf[:b]), code, nu)
+        return hits
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -181,6 +181,8 @@ def test_exit_code_unsupported_size():
         ["classify", "--n", "2", "--p", "nan,0.5,0.25,0.25"],
         ["mermin", "--n", "2", "--p", "0.5,0.5,nan,0"],
         ["certify", "--n", "3", "--sigma", "000,001,010,011", "--bipartition", "1,x"],
+        ["extremes", "--n", "3", "--family", "fbi", "--limit", "-1"],
+        ["facets", "--n", "3", "--family", "bisep", "--limit", "-2"],
     ],
 )
 def test_invalid_input_is_one_error_line(argv, capsys):
@@ -189,6 +191,24 @@ def test_invalid_input_is_one_error_line(argv, capsys):
     assert text == ""
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_report_at_its_cap():
+    code, text = run(["report", "--n-min", "14", "--n-max", "14"])
+    assert code == EXIT_OK
+    header, row = text.splitlines()[1:]
+    row14 = dict(zip(header.split(","), row.split(",")))
+    assert int(row14["fbi_vertices"]) == 2**13 + 2 ** (2**13)
+
+
+@pytest.mark.parametrize("n_max", ["15", "16", "21"])
+def test_report_past_its_cap_is_one_error_line(n_max, capsys):
+    # F_15 has a 4933-digit vertex count; the cap is checked before any row
+    code, text = run(["report", "--n-min", "2", "--n-max", n_max])
+    assert code == EXIT_UNSUPPORTED_SIZE
+    assert text == ""
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: report is capped at n = 14"]
 
 
 def test_bad_seed_env_is_one_error_line(monkeypatch, capsys):

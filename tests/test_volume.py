@@ -8,6 +8,7 @@ from ghzpolytope.errors import InvalidArgumentError, UnsupportedSizeError
 from ghzpolytope.mermin import mermin_hyperplane_points, mermin_threshold
 from ghzpolytope.polytopes import extreme_points_bisep, extreme_points_fbi
 from ghzpolytope.volume import (
+    _BLOCK_BYTES,
     BISEP_MINUS_FBI,
     FBI,
     GENUINE,
@@ -234,6 +235,76 @@ def test_count_hits_ties_on_region_boundaries(n):
         assert kernel.count_hits(bisep, _mc_kernel_py.FAMILY_GENUINE, nu) == 0
         assert kernel.count_hits(fbi, _mc_kernel_py.FAMILY_FBI, nu) == len(fbi)
         assert kernel.count_hits(mermin, _mc_kernel_py.FAMILY_MERMIN, nu) == 0
+
+
+# ------------------------------------------------ blocked chunks, same bits
+
+
+def _philox(seed):
+    return np.random.Generator(np.random.Philox(seed))
+
+
+def assert_same_bits(a, b):
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("d", [4, 8, 16, 64])
+def test_sample_simplex_in_blocks_equals_one_draw(d):
+    rows = _BLOCK_BYTES // (8 * d)
+    for m in (3 * rows + 17, rows // 3):  # a ragged last block; a chunk under one block
+        whole = sample_simplex(_philox(d), m, d)
+        rng = _philox(d)
+        buf = np.empty((min(m, rows), d))
+        blocks = []
+        for start in range(0, m, len(buf)):
+            b = min(len(buf), m - start)
+            blocks.append(sample_simplex(rng, b, d, buf[:b]).copy())
+        assert_same_bits(np.concatenate(blocks), whole)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_pair_folds_equal_rowwise_reductions(n):
+    d = 2**n
+    p = sample_simplex(_philox(n), 5000, d)
+    rows = [p, p * p / (p * p).sum(axis=1, keepdims=True)]
+    if n <= 4:
+        rows += [np.array([s.p for s in extreme_points_bisep(n)])]
+        rows += [np.array([s.p for s in extreme_points_fbi(n)])]
+    for r in rows:
+        lo, hi = r[:, : d // 2], r[:, ::-1][:, : d // 2]
+        maxdiff, minsum = _mc_kernel_py.pair_reductions(r)
+        assert_same_bits(maxdiff, np.abs(lo - hi).max(-1))
+        assert_same_bits(minsum, (lo + hi).min(-1))
+        assert_same_bits(_mc_kernel_py.max_prob(r), r.max(-1))
+
+
+def _rowwise_hits(p, family, nu):
+    maxp = p.max(axis=1)
+    h = p.shape[1] // 2
+    maxdiff = np.abs(p[:, :h] - p[:, ::-1][:, :h]).max(axis=1)
+    minsum = (p[:, :h] + p[:, ::-1][:, :h]).min(axis=1)
+    hits = {
+        GENUINE: maxp > 0.5,
+        FBI: maxdiff <= minsum,
+        BISEP_MINUS_FBI: (maxp <= 0.5) & (maxdiff > minsum),
+        MERMIN: p[:, 0] - p[:, -1] > nu,
+    }[family]
+    return int(hits.sum())
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_mc_blocks_match_whole_chunk_oracle(n):
+    # a chunk of 3 blocks and 17 rows, the last chunk cut short
+    d = 2**n
+    chunk = 3 * (_BLOCK_BYTES // (8 * d)) + 17
+    samples = 2 * chunk + 5000
+    streams = np.random.SeedSequence(40 + n).spawn(3)
+    chunks = [sample_simplex(_philox(s), m, d) for s, m in zip(streams, (chunk, chunk, 5000))]
+    for family in MC_FAMILIES:
+        expected = sum(_rowwise_hits(p, family, mermin_threshold(n)) for p in chunks)
+        for threads in (1, 2):
+            report = mc_relative_volume(family, n, samples, seed=40 + n, threads=threads, chunk_size=chunk)
+            assert round(report.mc_estimate * samples) == expected, (family, threads)
 
 
 def test_mc_guards():
