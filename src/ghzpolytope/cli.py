@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -34,7 +35,15 @@ _POLYTOPE_FAMILY = {"ghz": "GHZ", "bisep": "BISEP", "fbi": "FBI"}
 
 # F_n has d/2 + 2^(d/2) vertices: 2467 decimal digits at n = 14, 4933 at
 # n = 15, past Python's default 4300-digit limit on int -> str conversion.
+# Neither `report` nor `extremes --family fbi` prints that count past it.
 REPORT_MAX_QUBITS = 14
+
+# `extremes` without --limit lists every vertex; these are the list caps
+_VERTEX_LIST_CAP = {
+    "ghz": polytopes.BISEP_VERTEX_CAP,
+    "bisep": polytopes.BISEP_VERTEX_CAP,
+    "fbi": polytopes.FBI_VERTEX_CAP,
+}
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -70,9 +79,36 @@ def _fmt(x: float) -> str:
     return format(x, ".17g")
 
 
+_encode_scalar = json.JSONEncoder().encode  # the C encoder, json's defaults
+
+
+def _json_text(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for str-keyed trees, byte for byte.
+
+    A list of exact ints and finite floats is joined in one pass with
+    ``repr``, which is what ``json`` writes for them; every other leaf
+    goes through the C encoder, since ``json`` leaves it unused once
+    ``indent`` is set.
+    """
+    inner = pad + "  "
+    if isinstance(obj, dict) and obj:
+        body = (
+            encode_basestring_ascii(key) + ": " + _json_text(value, inner)
+            for key, value in sorted(obj.items())
+        )
+        return "{" + inner + ("," + inner).join(body) + pad + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        if {int, float}.issuperset(map(type, obj)):
+            text = ("," + inner).join(map(repr, obj))
+            if "n" not in text:  # no nan, inf or -inf, which json spells otherwise
+                return "[" + inner + text + pad + "]"
+        body = ("," + inner).join(_json_text(x, inner) for x in obj)
+        return "[" + inner + body + pad + "]"
+    return _encode_scalar(obj)
+
+
 def _emit_json(payload: dict, out) -> None:
-    json.dump(payload, out, indent=2, sort_keys=True)
-    out.write("\n")
+    out.write(_json_text(payload) + "\n")
 
 
 def _config_dict(args: argparse.Namespace, **extra) -> dict:
@@ -126,6 +162,17 @@ def _iter_vertices(family: str, n: int):
 
 def _cmd_extremes(args, out) -> int:
     _check_limit(args.limit)
+    check_qubit_count(args.n)
+    cap = _VERTEX_LIST_CAP[args.family]
+    if args.limit is None and args.n > cap:
+        raise UnsupportedSizeError(
+            f"extremes --family {args.family} lists every vertex only up to n = {cap}; "
+            "pass --limit to stream fewer"
+        )
+    if args.family == "fbi" and args.n > REPORT_MAX_QUBITS:
+        raise UnsupportedSizeError(
+            f"the F_n vertex count has over 4300 digits past n = {REPORT_MAX_QUBITS}"
+        )
     vertices = []
     for k, state in enumerate(_iter_vertices(args.family, args.n)):
         if args.limit is not None and k >= args.limit:

@@ -2,7 +2,10 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ghzpolytope import cli
 from ghzpolytope.cli import (
     EXIT_INVALID_INPUT,
     EXIT_OK,
@@ -221,3 +224,105 @@ def test_bad_seed_env_is_one_error_line(monkeypatch, capsys):
     assert run(["classify", "--n", "2", "--p", "0.25,0.25,0.25,0.25"])[0] == EXIT_OK
     argv = ["volume", "--n", "2", "--family", "genuine", "--mc", "--samples", "50000", "--seed", "3"]
     assert run(argv)[0] == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # F_15's vertex count has 4933 digits, past Python's int -> str limit
+        ["extremes", "--family", "fbi", "--n", "15", "--limit", "1"],
+        ["extremes", "--family", "fbi", "--n", "16", "--limit", "1"],
+        # without --limit, past the list caps: 2^32, 2^31 and 256 vertices
+        ["extremes", "--family", "fbi", "--n", "6"],
+        ["extremes", "--family", "bisep", "--n", "16"],
+        ["extremes", "--family", "bisep", "--n", "9"],
+        ["extremes", "--family", "ghz", "--n", "9"],
+    ],
+)
+def test_extremes_past_a_cap_is_one_error_line(argv, capsys):
+    code, text = run(argv)
+    assert code == EXIT_UNSUPPORTED_SIZE
+    assert text == ""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    if "--limit" not in argv:
+        assert "--limit" in lines[0]
+
+
+def test_extremes_fbi_count_at_its_cap():
+    payload = run_json(["extremes", "--family", "fbi", "--n", "14", "--limit", "1"])
+    assert payload["count"] == 2**13 + 2 ** (2**13)
+    assert len(payload["vertices"]) == 1
+
+
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**4000), max_value=10**4000),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, float("nan"), float("inf"), -float("inf")]),
+    st.text(),
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.lists(st.one_of(st.integers(), st.floats())),
+        st.lists(st.one_of(st.integers(), st.floats(), st.booleans(), st.none())),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False)).map(tuple),
+        st.dictionaries(st.text(), children),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_trees)
+def test_json_text_is_json_dumps(tree):
+    assert cli._json_text(tree) == json.dumps(tree, indent=2, sort_keys=True)
+
+
+JSON_SUBCOMMANDS = {
+    "classify": ["classify", "--n", "3", "--p", "0.6,0,0,0,0,0,0,0.4"],
+    "mermin": ["mermin", "--n", "3", "--p", "1,0,0,0,0,0,0,0"],
+    "extremes": ["extremes", "--n", "3", "--family", "fbi"],
+    "extremes-limit": ["extremes", "--n", "4", "--family", "bisep", "--limit", "7"],
+    "facets": ["facets", "--n", "4", "--family", "fbi"],
+    "facets-limit": ["facets", "--n", "3", "--family", "ghz", "--limit", "0"],
+    "ball": ["ball", "--n", "3", "--family", "bisep"],
+    "volume": ["volume", "--n", "3", "--family", "mermin"],
+    "volume-mc": ["volume", "--n", "3", "--family", "genuine", "--mc", "--samples", "20000", "--seed", "4"],
+    "certify-pair": ["certify", "--n", "3", "--pair", "000,011"],
+    "certify-sigma": ["certify", "--n", "3", "--sigma", "000,001,011,101", "--bipartition", "1"],
+    "report-json": ["report", "--n-min", "2", "--n-max", "4", "--mc", "--samples", "20000",
+                    "--seed", "3", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("argv", JSON_SUBCOMMANDS.values(), ids=JSON_SUBCOMMANDS.keys())
+def test_json_output_is_json_dump_of_its_payload(argv, monkeypatch):
+    payloads = []
+    emit = cli._emit_json
+
+    def recording_emit(payload, out):
+        payloads.append(payload)
+        emit(payload, out)
+
+    monkeypatch.setattr(cli, "_emit_json", recording_emit)
+    code, text = run(argv)
+    assert code == EXIT_OK and len(payloads) == 1
+    assert text == json.dumps(payloads[0], indent=2, sort_keys=True) + "\n"
+
+
+def test_report_csv_carries_the_json_rows():
+    argv = ["report", "--n-min", "2", "--n-max", "4", "--mc", "--samples", "20000", "--seed", "3"]
+    _, csv_text = run(argv)
+    payload = run_json(argv + ["--format", "json"])
+    config = dict(payload["config"], format="csv")
+    expected = ["# config: " + json.dumps(config, sort_keys=True), ",".join(payload["columns"])]
+    for row in payload["rows"]:
+        cells = (row.get(col, "") for col in payload["columns"])
+        expected.append(",".join(format(c, ".17g") if isinstance(c, float) else str(c) for c in cells))
+    assert csv_text == "\n".join(expected) + "\n"
