@@ -9,7 +9,9 @@ invalid input and 3 on unsupported sizes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -22,7 +24,7 @@ from .classify import EPS_BOUNDARY, EPS_CLASS
 from .classify import classify as _classify_state
 from .decompose import certify_midpoint, cube_vertex_decomposition
 from .errors import GhzPolytopeError, InvalidArgumentError, UnsupportedSizeError
-from .indices import Bipartition, check_qubit_count, dimension, from_bits
+from .indices import DENSE_MAX_QUBITS, Bipartition, check_qubit_count, dimension, from_bits
 from .states import GhzDiagonalState
 
 SEED_ENV_VAR = "GHZPOLYTOPE_SEED"
@@ -43,6 +45,14 @@ _VERTEX_LIST_CAP = {
     "ghz": polytopes.BISEP_VERTEX_CAP,
     "bisep": polytopes.BISEP_VERTEX_CAP,
     "fbi": polytopes.FBI_VERTEX_CAP,
+}
+
+# `facets` without --limit lists every facet: ghz and bisep facets are dense
+# rows of d floats, so their list is a d x d block or two
+_FACET_LIST_CAP = {
+    "ghz": DENSE_MAX_QUBITS,
+    "bisep": DENSE_MAX_QUBITS,
+    "fbi": polytopes.FBI_FACET_CAP,
 }
 
 
@@ -85,10 +95,11 @@ _encode_scalar = json.JSONEncoder().encode  # the C encoder, json's defaults
 def _json_text(obj, pad: str = "\n") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` for str-keyed trees, byte for byte.
 
-    A list of exact ints and finite floats is joined in one pass with
-    ``repr``, which is what ``json`` writes for them; every other leaf
-    goes through the C encoder, since ``json`` leaves it unused once
-    ``indent`` is set.
+    Exact ints and finite exact floats are written with ``repr`` (a flat
+    list of them in one pass) and exact strs with
+    ``encode_basestring_ascii``, which is what ``json`` writes for them;
+    every other leaf goes through the C encoder, since ``json`` leaves it
+    unused once ``indent`` is set.
     """
     inner = pad + "  "
     if isinstance(obj, dict) and obj:
@@ -104,6 +115,11 @@ def _json_text(obj, pad: str = "\n") -> str:
                 return "[" + inner + text + pad + "]"
         body = ("," + inner).join(_json_text(x, inner) for x in obj)
         return "[" + inner + body + pad + "]"
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int or (kind is float and math.isfinite(obj)):
+        return repr(obj)
     return _encode_scalar(obj)
 
 
@@ -152,7 +168,7 @@ def _check_limit(limit) -> None:
 
 def _iter_vertices(family: str, n: int):
     if family == "ghz":
-        return iter(polytopes.extreme_points_ghz(n))
+        return (GhzDiagonalState.vertex(n, i) for i in range(dimension(n)))
     if family == "bisep":
         return polytopes.iter_extreme_points_bisep(n)
     if family == "fbi":
@@ -189,16 +205,27 @@ def _cmd_extremes(args, out) -> int:
     return EXIT_OK
 
 
+def _iter_facets(family: str, n: int):
+    if family == "ghz":
+        return polytopes.iter_facets_ghz(n)
+    if family == "bisep":
+        return polytopes.iter_facets_bisep(n)
+    if family == "fbi":
+        return polytopes.iter_facets_fbi(n)
+    raise InvalidArgumentError(f"unknown family {family!r}")
+
+
 def _cmd_facets(args, out) -> int:
     _check_limit(args.limit)
-    if args.family == "ghz":
-        facets = iter(polytopes.facets_ghz(args.n))
-    elif args.family == "bisep":
-        facets = iter(polytopes.facets_bisep(args.n))
-    else:
-        facets = polytopes.iter_facets_fbi(args.n)
+    check_qubit_count(args.n)
+    cap = _FACET_LIST_CAP[args.family]
+    if args.limit is None and args.n > cap:
+        raise UnsupportedSizeError(
+            f"facets --family {args.family} lists every facet only up to n = {cap}; "
+            "pass --limit to stream fewer"
+        )
     rows = []
-    for k, f in enumerate(facets):
+    for k, f in enumerate(_iter_facets(args.family, args.n)):
         if args.limit is not None and k >= args.limit:
             break
         rows.append({"label": f.label, "coeffs": f.coeffs.tolist(), "offset": f.offset})
@@ -348,6 +375,7 @@ def _cmd_report(args, out) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built on the first main() call, then reused
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ghzpolytope",

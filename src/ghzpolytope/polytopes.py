@@ -64,34 +64,50 @@ def _unit(d: int, i: int) -> np.ndarray:
     return e
 
 
-def facets_ghz(n: int) -> list[Facet]:
-    """d facets p_i >= 0."""
+def iter_facets_ghz(n: int) -> Iterator[Facet]:
     check_qubit_count(n)
     d = dimension(n)
-    return [Facet("GHZ", f"p_{to_bits(i, n)}>=0", _unit(d, i)) for i in range(d)]
+    for i in range(d):
+        yield Facet("GHZ", f"p_{to_bits(i, n)}>=0", _unit(d, i))
+
+
+def facets_ghz(n: int) -> list[Facet]:
+    """d facets p_i >= 0."""
+    return list(iter_facets_ghz(n))
+
+
+def iter_facets_bisep(n: int) -> Iterator[Facet]:
+    check_qubit_count(n)
+    d = dimension(n)
+    for i in range(d):
+        yield Facet("BISEP", f"p_{to_bits(i, n)}<=1/2", -_unit(d, i), -0.5)
+    for i in range(d):
+        yield Facet("BISEP", f"p_{to_bits(i, n)}>=0", _unit(d, i))
 
 
 def facets_bisep(n: int) -> list[Facet]:
     """2d facets: p_i <= 1/2 (truncation) and p_i >= 0 (inherited)."""
-    check_qubit_count(n)
-    d = dimension(n)
-    out = []
-    for i in range(d):
-        out.append(Facet("BISEP", f"p_{to_bits(i, n)}<=1/2", -_unit(d, i), -0.5))
-    for i in range(d):
-        out.append(Facet("BISEP", f"p_{to_bits(i, n)}>=0", _unit(d, i)))
-    return out
+    return list(iter_facets_bisep(n))
 
 
 def iter_facets_fbi(n: int) -> Iterator[Facet]:
-    """d^2/2 facets p_i + p_~i - p_j + p_~j >= 0 over (pair {i,~i}, index j)."""
+    """d^2/2 facets p_i + p_~i - p_j + p_~j >= 0 over (pair {i,~i}, index j).
+
+    Each row is built in place; its entries are small integers, so they
+    equal the sum of unit vectors exactly and none is -0.0.
+    """
     check_qubit_count(n)
     d = dimension(n)
+    bits = [format(k, f"0{n}b") for k in range(d)]
     for i in range(d // 2):
+        pair = f"p_{bits[i]}+p_{bits[d - 1 - i]}>=p_"
         for j in range(d):
-            c = _unit(d, i) + _unit(d, d - 1 - i) - _unit(d, j) + _unit(d, d - 1 - j)
-            label = f"p_{to_bits(i, n)}+p_{to_bits(d - 1 - i, n)}>=p_{to_bits(j, n)}-p_{to_bits(d - 1 - j, n)}"
-            yield Facet("FBI", label, c)
+            c = np.zeros(d)
+            c[i] += 1.0
+            c[d - 1 - i] += 1.0
+            c[j] -= 1.0
+            c[d - 1 - j] += 1.0
+            yield Facet("FBI", f"{pair}{bits[j]}-p_{bits[d - 1 - j]}", c)
 
 
 def facets_fbi(n: int) -> list[Facet]:
@@ -243,9 +259,9 @@ def min_center_facet_distance(family: str, n: int) -> float:
     """
     center = GhzDiagonalState.uniform(n)
     if family == "GHZ":
-        facets = facets_ghz(n)
+        facets = iter_facets_ghz(n)
     elif family == "BISEP":
-        facets = facets_bisep(n)
+        facets = iter_facets_bisep(n)
     elif family == "FBI":
         facets = iter_facets_fbi(n)
     else:

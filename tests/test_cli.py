@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -247,6 +251,78 @@ def test_extremes_past_a_cap_is_one_error_line(argv, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     if "--limit" not in argv:
         assert "--limit" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # without --limit, past the list caps: 512, 1024 and 2^17 facet rows
+        ["facets", "--family", "ghz", "--n", "9"],
+        ["facets", "--family", "bisep", "--n", "9"],
+        ["facets", "--family", "fbi", "--n", "9"],
+        ["facets", "--family", "bisep", "--n", "16"],
+        ["facets", "--family", "fbi", "--n", "16"],
+    ],
+)
+def test_facets_past_a_cap_is_one_error_line(argv, capsys):
+    code, text = run(argv)
+    assert code == EXIT_UNSUPPORTED_SIZE
+    assert text == ""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "--limit" in lines[0]
+
+
+@pytest.mark.parametrize("family", ["ghz", "bisep", "fbi"])
+def test_facets_stream_past_the_cap_with_a_limit(family):
+    payload = run_json(["facets", "--family", family, "--n", "16", "--limit", "1"])
+    assert payload["count"] == {"ghz": 2**16, "bisep": 2**17, "fbi": 2**31}[family]
+    (row,) = payload["facets"]
+    assert len(row["coeffs"]) == 2**16
+
+
+@pytest.mark.parametrize("n, limit", [(9, 1), (16, 2)])
+def test_extremes_ghz_streams_past_the_list_cap(n, limit):
+    payload = run_json(["extremes", "--family", "ghz", "--n", str(n), "--limit", str(limit)])
+    assert payload["count"] == 2**n
+    expected = np.eye(limit, 2**n).tolist()
+    assert payload["vertices"] == expected
+
+
+def run_alone(argv, seed):
+    """Exit code, stdout and stderr of ``argv`` in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    env[SEED_ENV_VAR] = seed
+    proc = subprocess.run(
+        [sys.executable, "-m", "ghzpolytope.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_calls_in_one_process_match_calls_alone(monkeypatch, capsys):
+    # one parser serves every main() call in a process; no call may see another's
+    sequence = [
+        (["facets", "--family", "bisep", "--n", "3", "--limit", "3"], "0"),
+        (["facets", "--family", "bisep", "--n", "3"], "0"),
+        (["classify", "--n", "x", "--p", "1"], "0"),
+        (["classify", "--n", "2", "--p", "0.4,0.3,0.2,0.1"], "0"),
+        (["volume", "--n", "2", "--family", "fbi", "--mc", "--samples", "20000"], "5"),
+        (["volume", "--n", "2", "--family", "fbi", "--mc", "--samples", "20000"], "6"),
+    ]
+    outputs = []
+    for argv, seed in sequence:
+        monkeypatch.setenv(SEED_ENV_VAR, seed)
+        try:
+            code, text = run(argv)
+        except SystemExit as exc:
+            code, text = exc.code, ""
+        outputs.append((code, text, capsys.readouterr().err))
+    assert [code for code, _, _ in outputs] == [EXIT_OK, EXIT_OK, 2, EXIT_OK, EXIT_OK, EXIT_OK]
+    assert len(json.loads(outputs[0][1])["facets"]) == 3
+    assert len(json.loads(outputs[1][1])["facets"]) == 16
+    assert outputs[4][1] != outputs[5][1]
+    for (argv, seed), got in zip(sequence, outputs):
+        assert got == run_alone(argv, seed), argv
 
 
 def test_extremes_fbi_count_at_its_cap():

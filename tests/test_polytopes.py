@@ -17,6 +17,9 @@ from ghzpolytope.polytopes import (
     hs_distance,
     inscribed_ball,
     iter_extreme_points_bisep,
+    iter_facets_bisep,
+    iter_facets_fbi,
+    iter_facets_ghz,
     iter_selections,
     midpoint,
     min_center_facet_distance,
@@ -113,6 +116,38 @@ def test_facet_counts():
         assert len(facets_ghz(n)) == d == facet_count("GHZ", n)
         assert len(facets_bisep(n)) == 2 * d == facet_count("BISEP", n)
         assert len(facets_fbi(n)) == d * d // 2 == facet_count("FBI", n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_fbi_facet_rows_match_unit_vector_oracle(n):
+    d = 2**n
+    eye = np.eye(d)
+    bits = [format(k, f"0{n}b") for k in range(d)]
+    facets = iter_facets_fbi(n)
+    for i in range(d // 2):
+        for j in range(d):
+            f = next(facets)
+            oracle = eye[i] + eye[d - 1 - i] - eye[j] + eye[d - 1 - j]
+            # bit for bit, so a -0.0 where the oracle has 0.0 fails too
+            assert f.coeffs.tobytes() == oracle.tobytes()
+            assert f.label == f"p_{bits[i]}+p_{bits[d - 1 - i]}>=p_{bits[j]}-p_{bits[d - 1 - j]}"
+            assert (f.family, f.offset) == ("FBI", 0.0)
+    assert next(facets, None) is None
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_ghz_and_bisep_facet_iterators_match_unit_vectors(n):
+    d = 2**n
+    eye = np.eye(d)
+    bits = [format(k, f"0{n}b") for k in range(d)]
+    ghz = list(iter_facets_ghz(n))
+    assert [f.label for f in ghz] == [f"p_{b}>=0" for b in bits]
+    assert all(f.coeffs.tobytes() == eye[i].tobytes() and f.offset == 0.0 for i, f in enumerate(ghz))
+    bisep = list(iter_facets_bisep(n))
+    assert [f.label for f in bisep] == [f"p_{b}<=1/2" for b in bits] + [f"p_{b}>=0" for b in bits]
+    rows = np.concatenate([-eye, eye])
+    assert all(f.coeffs.tobytes() == row.tobytes() for f, row in zip(bisep, rows))
+    assert [f.offset for f in bisep] == [-0.5] * d + [0.0] * d
 
 
 def test_bisep_vertices_satisfy_facets():
