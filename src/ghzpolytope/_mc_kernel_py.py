@@ -1,8 +1,8 @@
 """The region inequalities over ``(..., d)`` probability rows, written once
 for ``classify``, ``violates_mermin`` and the NumPy hit counter.
 
-The compiled ``_mc_kernel`` must stay decision-for-decision identical to
-:func:`count_hits`, so hit counts match bit-for-bit between backends.
+The C kernel (``_mc_kernel.c``) must stay decision-for-decision identical
+to :func:`count_hits`, so hit counts match bit-for-bit between backends.
 :func:`count_hits` folds its reductions one flip pair ``(i, d-1-i)`` at a
 time over all rows (:func:`pair_reductions`, :func:`max_prob`); the folds
 use only exact operations, so they equal the row-wise reductions.

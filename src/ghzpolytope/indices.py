@@ -70,11 +70,6 @@ def positions_to_mask(positions, n: int) -> int:
     return mask
 
 
-def mask_to_positions(mask: int, n: int) -> frozenset[int]:
-    """Inverse of :func:`positions_to_mask`."""
-    return frozenset(k for k in range(1, n + 1) if mask & (1 << (n - k)))
-
-
 def flip_subset(i: int, n: int, positions) -> int:
     """Complement the bits at the given 1-based positions."""
     if not 0 <= i < (1 << n):

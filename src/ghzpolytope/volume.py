@@ -1,11 +1,15 @@
 """Closed-form volumes, relative volumes, relative volume radii, and the
 seeded Monte-Carlo estimator that cross-checks each closed form.
 
-The Monte-Carlo hot loop lives in a compiled Cython kernel when available
-(``ghzpolytope._mc_kernel``) with a pure-NumPy fallback selected at import
-time; both produce identical hit counts for identical seeds.  Each chunk's
-samples are drawn and counted in cache-sized row blocks that reuse one
-buffer; the samples are those of a single draw per chunk.
+The estimator splits its samples into chunks, each drawn from its own
+Philox stream in cache-sized row blocks that reuse one buffer; the samples
+are those of a single draw per chunk.  Where a C compiler is present,
+``ghzpolytope._mc_kernel`` builds a C kernel once into the package's
+``__pycache__`` that draws, normalises and counts each chunk in one pass
+without holding the GIL.  Otherwise, or if that kernel does not reproduce
+NumPy's rows bit for bit, the NumPy path (``sample_simplex``, then
+``_mc_kernel_py.count_hits``) runs.  Both give identical hit counts for
+identical seeds.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .mermin import mermin_threshold
 
 try:
     from . import _mc_kernel as _default_kernel
-except ImportError:  # extension not built; the fallback is always available
+except ImportError:  # no compiler, or a kernel that fails its check against NumPy
     from . import _mc_kernel_py as _default_kernel
 from . import _mc_kernel_py
 
@@ -222,7 +226,8 @@ def mc_relative_volume(
     is identical for any ``threads`` value and for both kernel backends.
     Each chunk is drawn from its stream in cache-sized row blocks, each
     counted as soon as it is drawn; the samples are those of one draw per
-    chunk.
+    chunk.  A kernel with ``chunk_hits`` (the C one) does all of a chunk in
+    one call; ``kernel=_mc_kernel_py`` runs the NumPy reference loop.
     """
     _check_family(family, MC_FAMILIES, n)
     check_qubit_count(n, MC_MAX_QUBITS)
@@ -237,12 +242,17 @@ def mc_relative_volume(
     n_chunks = (samples + chunk_size - 1) // chunk_size
     streams = np.random.SeedSequence(seed).spawn(n_chunks)
 
+    fused = getattr(kernel, "chunk_hits", None)
+
     def run_chunk(k: int) -> int:
         m = min(chunk_size, samples - k * chunk_size)
-        rng = np.random.Generator(np.random.Philox(streams[k]))
+        bitgen = np.random.Philox(streams[k])
         # consecutive draws continue the chunk's stream, and each row is
         # normalised on its own, so blocking never changes a sample
         buf = np.empty((min(m, _BLOCK_BYTES // (8 * d)), d))
+        if fused is not None:
+            return fused(bitgen, m, buf, code, nu)
+        rng = np.random.Generator(bitgen)
         hits = 0
         for start in range(0, m, len(buf)):
             b = min(len(buf), m - start)

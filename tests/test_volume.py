@@ -1,4 +1,10 @@
+import json
 import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,3 +324,88 @@ def test_backend_reported():
     report = mc_relative_volume(FBI, 2, samples=20_000, seed=1)
     assert report.backend == KERNEL_BACKEND
     assert report.rng == "philox4x64"
+
+
+# ------------------------------------------- the C kernel and its loader
+
+KERNEL_SOURCE = Path(_mc_kernel_py.__file__).with_name("_mc_kernel.c")
+needs_c = pytest.mark.skipif(not HAVE_EXTENSION, reason="C kernel not built")
+
+
+@needs_c
+@pytest.mark.parametrize("d", [4, 8, 16, 32, 64])
+def test_fused_rows_equal_sample_simplex(d):
+    rows = _BLOCK_BYTES // (8 * d)
+    nu = 0.5
+    for m in (3 * rows + 17, rows // 3):  # a ragged last block; a chunk under one block
+        whole = sample_simplex(_philox(d), m, d)
+        for family in range(4):
+            expected = _mc_kernel_py.count_hits(whole, family, nu)
+            one = np.empty((m, d))  # one block: every row
+            assert _mc_kernel.chunk_hits(np.random.Philox(d), m, one, family, nu) == expected
+            assert_same_bits(one, whole)
+            buf = np.empty((min(m, rows), d))  # the blocks of a chunk: the last block's rows
+            assert _mc_kernel.chunk_hits(np.random.Philox(d), m, buf, family, nu) == expected
+            last = m % len(buf) or len(buf)
+            assert_same_bits(buf[:last], whole[-last:])
+
+
+@needs_c
+@pytest.mark.parametrize("n", [3, 4])
+def test_c_count_hits_equals_numpy_on_ties(n):
+    # the B_n and F_n vertices and the Mermin hyperplane points sit exactly
+    # on the region boundaries, where a <, <= or > swap changes the count
+    rows = [
+        np.array([s.p for s in extreme_points_bisep(n)]),
+        np.array([s.p for s in extreme_points_fbi(n)]),
+        np.array([s.p for s in mermin_hyperplane_points(n)]),
+    ]
+    nu = mermin_threshold(n)
+    for p in rows:
+        for family in range(4):
+            assert _mc_kernel.count_hits(p, family, nu) == _mc_kernel_py.count_hits(p, family, nu)
+
+
+def _mutated_source(tmp_path):
+    # divide by multiplying with the reciprocal: the rows differ in the last bit
+    text = KERNEL_SOURCE.read_text()
+    assert "row[j] /= s;" in text
+    path = tmp_path / "_mc_kernel.c"
+    path.write_text(text.replace("row[j] /= s;", "row[j] *= 1.0 / s;"))
+    return path
+
+
+@needs_c
+def test_loader_failures_raise_import_error(tmp_path):
+    with pytest.raises(ImportError, match="cannot build"):  # no compiler
+        _mc_kernel.load(cache_dir=tmp_path / "a", cc=str(tmp_path / "no-such-cc"))
+    broken = tmp_path / "broken.c"
+    broken.write_text(KERNEL_SOURCE.read_text() + "\nthis is not C\n")
+    with pytest.raises(ImportError, match="cannot compile"):
+        _mc_kernel.load(source=broken, cache_dir=tmp_path / "b")
+    (tmp_path / "file").write_text("")
+    with pytest.raises(ImportError, match="cannot build"):  # no directory to write to
+        _mc_kernel.load(cache_dir=tmp_path / "file" / "cache")
+    with pytest.raises(ImportError, match="rows differ"):
+        _mc_kernel.load(source=_mutated_source(tmp_path), cache_dir=tmp_path / "c")
+    assert not list((tmp_path / "b").iterdir())  # no partial library left behind
+    assert _mc_kernel.load(cache_dir=tmp_path / "d") is not None
+
+
+def test_failed_kernel_check_keeps_numpy_path(tmp_path):
+    # a package copy whose C kernel fails its check against NumPy imports
+    # with the NumPy backend and gives the same pinned counts
+    package = tmp_path / "ghzpolytope"
+    shutil.copytree(KERNEL_SOURCE.parent, package, ignore=shutil.ignore_patterns("__pycache__"))
+    _mutated_source(package)
+    script = (
+        "import ghzpolytope, json;"
+        "from ghzpolytope.volume import mc_relative_volume as mc;"
+        "r = [mc(f, 3, 50_000, seed=1003, chunk_size=1 << 14) for f in ('genuine', 'fbi')];"
+        "print(json.dumps([ghzpolytope.KERNEL_BACKEND] + [round(x.mc_estimate * 50_000) for x in r]))"
+    )
+    done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(tmp_path)}, check=True)
+    assert json.loads(done.stdout) == ["python", PINNED_MC_HITS[3][GENUINE], PINNED_MC_HITS[3][FBI]]
+    if HAVE_EXTENSION:  # it compiled, then failed its check
+        assert list((package / "__pycache__").glob("_mc_kernel-*.so"))
