@@ -70,6 +70,7 @@ from .volume import (
     VolumeReport,
     hull_volume,
     mc_relative_volume,
+    mc_relative_volumes,
     rel_vol_exact,
     rvr,
     sample_simplex,

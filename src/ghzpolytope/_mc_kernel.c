@@ -40,19 +40,21 @@ static double row_sum(const double *a, int64_t n)
     return row_sum(a, n2) + row_sum(a + n2, n - n2);
 }
 
-/* Rows of the (m, d) matrix p in the region: family 0 genuine, 1 biseparable
- * but not fully, 2 fully biseparable, 3 Mermin-violating.  Each test is the
- * eps = 0 form of the predicate in _mc_kernel_py, over the flip pairs
- * (i, d-1-i). */
-int64_t count_hits(const double *p, int64_t m, int64_t d, int family, double nu)
+/* Add to hits[0..2] the rows of the (m, d) matrix p that are genuine,
+ * biseparable but not fully, and fully biseparable, if `pairs`; add to
+ * hits[3] the Mermin-violating rows, if `mermin`.  Each test is the eps = 0
+ * form of the predicate in _mc_kernel_py; the first three share one fold
+ * over the flip pairs (i, d-1-i). */
+static inline void count_rows(const double *p, int64_t m, int64_t d, int pairs, int mermin,
+                              double nu, int64_t *hits)
 {
-    int64_t hits = 0;
+    int64_t genuine = 0, middle = 0, fully = 0, violating = 0;
     for (int64_t r = 0; r < m; r++) {
         const double *row = p + r * d;
-        if (family == 3) {
-            hits += (row[0] - row[d - 1]) - nu > 0.0;
+        if (mermin)
+            violating += (row[0] - row[d - 1]) - nu > 0.0;
+        if (!pairs)
             continue;
-        }
         double maxp = -INFINITY, maxdiff = 0.0, minsum = INFINITY;
         for (int64_t i = 0; i < d / 2; i++) {
             double lo = row[i], hi = row[d - 1 - i];
@@ -61,19 +63,38 @@ int64_t count_hits(const double *p, int64_t m, int64_t d, int family, double nu)
             maxdiff = diff > maxdiff ? diff : maxdiff;
             minsum = sum < minsum ? sum : minsum;
         }
-        int genuine = maxp > 0.5, fully = maxdiff <= minsum;
-        hits += family == 0 ? genuine : family == 2 ? fully : !genuine && !fully;
+        int g = maxp > 0.5, f = maxdiff <= minsum;
+        genuine += g;
+        fully += f;
+        middle += !g && !f;
     }
-    return hits;
+    hits[0] += genuine;
+    hits[1] += middle;
+    hits[2] += fully;
+    hits[3] += violating;
+}
+
+/* Add to hits[k] the rows of p in region k for each bit 1 << k set in mask
+ * (0 genuine, 1 biseparable but not fully, 2 fully biseparable, 3 Mermin);
+ * the counts of regions not in mask are unspecified.  Each call below
+ * inlines its own copy of the row loop, so no mask bit is tested per row. */
+void count_hits(const double *p, int64_t m, int64_t d, int mask, double nu, int64_t *hits)
+{
+    if (!(mask & 7))
+        count_rows(p, m, d, 0, 1, nu, hits);
+    else if (mask & 8)
+        count_rows(p, m, d, 1, 1, nu, hits);
+    else
+        count_rows(p, m, d, 1, 0, nu, hits);
 }
 
 /* Draw m rows from the chunk's bit generator in blocks of `rows` rows
- * through buf (rows x d), normalise each row, count the hits of each block.
- * On return buf holds the last block's normalised rows. */
-int64_t chunk_hits(bitgen_t *bitgen, int64_t m, int64_t d, double *buf, int64_t rows,
-                   int family, double nu)
+ * through buf (rows x d), normalise each row, and add each block's counts of
+ * the regions in mask to hits.  On return buf holds the last block's
+ * normalised rows. */
+void chunk_counts(bitgen_t *bitgen, int64_t m, int64_t d, double *buf, int64_t rows,
+                  int mask, double nu, int64_t *hits)
 {
-    int64_t hits = 0;
     for (int64_t start = 0; start < m; start += rows) {
         int64_t b = m - start < rows ? m - start : rows;
         random_standard_exponential_fill(bitgen, b * d, buf);
@@ -82,7 +103,6 @@ int64_t chunk_hits(bitgen_t *bitgen, int64_t m, int64_t d, double *buf, int64_t 
             for (int64_t j = 0; j < d; j++)
                 row[j] /= s;
         }
-        hits += count_hits(buf, b, d, family, nu);
+        count_hits(buf, b, d, mask, nu, hits);
     }
-    return hits;
 }

@@ -21,13 +21,24 @@ from pathlib import Path
 
 import numpy as np
 
-from ._mc_kernel_py import FAMILY_FBI, FAMILY_GENUINE, FAMILY_MERMIN
+from ._mc_kernel_py import FAMILY_GENUINE, FAMILY_MERMIN
 from ._mc_kernel_py import count_hits as _numpy_count_hits
 
 BACKEND = "c"
 
 _HERE = Path(__file__).resolve().parent
 _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
+_HITS = _I64 * (FAMILY_MERMIN + 1)  # one counter per family code
+
+
+def _mask(families) -> int:
+    """The kernel's bit mask of family codes: bit k asks for family k."""
+    mask = 0
+    for family in families:
+        if not FAMILY_GENUINE <= family <= FAMILY_MERMIN:
+            raise ValueError(f"unknown family code {family}")
+        mask |= 1 << family
+    return mask
 
 
 def _build(source: Path, cache_dir: Path, cc: str) -> Path:
@@ -63,16 +74,16 @@ def _self_check(lib: ctypes.CDLL) -> None:
     its draw or its summation order."""
     m, rows = 35, 16  # two full blocks and a ragged one of 3 rows
     for d in (4, 64):
-        buf, bitgen = np.empty((rows, d)), np.random.Philox(d)  # both alive during the call
-        hits = lib.chunk_hits(bitgen.ctypes.bit_generator, m, d, buf.ctypes.data, rows,
-                              FAMILY_FBI, 0.0)
+        buf, bitgen, hits = np.empty((rows, d)), np.random.Philox(d), _HITS()  # alive in the call
+        lib.chunk_counts(bitgen.ctypes.bit_generator, m, d, buf.ctypes.data, rows,
+                         _mask(range(len(hits))), 0.0, hits)
         e = np.random.Generator(np.random.Philox(d)).standard_exponential((m, d))
         e /= e.sum(axis=1, keepdims=True)
         last = m % rows
         if not np.array_equal(buf[:last].view(np.uint64), e[-last:].view(np.uint64)):
             raise ImportError(f"C kernel rows differ from NumPy's at d = {d}")
-        if hits != _numpy_count_hits(e, FAMILY_FBI, 0.0):
-            raise ImportError(f"C kernel hit count differs from NumPy's at d = {d}")
+        if list(hits) != [_numpy_count_hits(e, code, 0.0) for code in range(len(hits))]:
+            raise ImportError(f"C kernel hit counts differ from NumPy's at d = {d}")
 
 
 def load(source: Path = _HERE / "_mc_kernel.c", cache_dir: Path = _HERE / "__pycache__",
@@ -82,10 +93,11 @@ def load(source: Path = _HERE / "_mc_kernel.c", cache_dir: Path = _HERE / "__pyc
         lib = ctypes.CDLL(str(_build(Path(source), Path(cache_dir), cc)))
     except OSError as exc:
         raise ImportError(f"cannot build or load the C kernel: {exc}") from exc
-    lib.count_hits.argtypes = [_PTR, _I64, _I64, ctypes.c_int, ctypes.c_double]
-    lib.count_hits.restype = _I64
-    lib.chunk_hits.argtypes = [_PTR, _I64, _I64, _PTR, _I64, ctypes.c_int, ctypes.c_double]
-    lib.chunk_hits.restype = _I64
+    lib.count_hits.argtypes = [_PTR, _I64, _I64, ctypes.c_int, ctypes.c_double, _HITS]
+    lib.count_hits.restype = None
+    lib.chunk_counts.argtypes = [_PTR, _I64, _I64, _PTR, _I64, ctypes.c_int, ctypes.c_double,
+                                 _HITS]
+    lib.chunk_counts.restype = None
     _self_check(lib)
     return lib
 
@@ -93,30 +105,36 @@ def load(source: Path = _HERE / "_mc_kernel.c", cache_dir: Path = _HERE / "__pyc
 _lib = load()
 
 
-def _check_family(family: int) -> None:
-    if not FAMILY_GENUINE <= family <= FAMILY_MERMIN:
-        raise ValueError(f"unknown family code {family}")
-
-
 def count_hits(p: np.ndarray, family: int, nu: float) -> int:
     """Count rows of the (m, d) probability matrix falling in the region."""
-    _check_family(family)
+    mask = _mask((family,))
     p = np.ascontiguousarray(p, dtype=np.float64)
     if p.ndim != 2:
         raise ValueError(f"need an (m, d) matrix, got shape {p.shape}")
-    return _lib.count_hits(p.ctypes.data, p.shape[0], p.shape[1], family, nu)
+    hits = _HITS()
+    _lib.count_hits(p.ctypes.data, p.shape[0], p.shape[1], mask, nu, hits)
+    return hits[family]
 
 
-def chunk_hits(bitgen: np.random.BitGenerator, m: int, buf: np.ndarray, family: int,
-               nu: float) -> int:
-    """Hits among m points uniform on the simplex drawn from ``bitgen``.
+def chunk_counts(bitgen: np.random.BitGenerator, m: int, buf: np.ndarray, families,
+                 nu: float) -> tuple[int, ...]:
+    """Hits of each family code in ``families`` among the same m points uniform
+    on the simplex, drawn once from ``bitgen``.
 
     The points are ``sample_simplex``'s, drawn in blocks through ``buf``, a
     C-contiguous (rows, d) float64 array that holds the last block's
     normalised rows on return.
     """
-    _check_family(family)
+    mask = _mask(families)
     if buf.ndim != 2 or buf.dtype != np.float64 or not buf.flags.c_contiguous or not len(buf):
         raise ValueError("buf must be a non-empty C-contiguous (rows, d) float64 array")
-    return _lib.chunk_hits(bitgen.ctypes.bit_generator, m, buf.shape[1], buf.ctypes.data,
-                           buf.shape[0], family, nu)
+    hits = _HITS()
+    _lib.chunk_counts(bitgen.ctypes.bit_generator, m, buf.shape[1], buf.ctypes.data,
+                      buf.shape[0], mask, nu, hits)
+    return tuple(hits[family] for family in families)
+
+
+def chunk_hits(bitgen: np.random.BitGenerator, m: int, buf: np.ndarray, family: int,
+               nu: float) -> int:
+    """Hits of one family code among m points drawn as :func:`chunk_counts` draws them."""
+    return chunk_counts(bitgen, m, buf, (family,), nu)[0]

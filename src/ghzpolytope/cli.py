@@ -327,26 +327,30 @@ def _report_row(n: int, mc: bool, samples: int, seed: int, threads: int) -> dict
         row[f"rel_{fam}"] = volume.rel_vol_exact(fam, n)
         row[f"rvr_{fam}"] = volume.rvr(fam, n)
     row["ball_radius"] = polytopes.inscribed_ball("GHZ", n).radius
-    row["nu"] = _mermin_mod.mermin_threshold(n) if n >= 2 else ""
-    row["mu"] = _mermin_mod.mermin_bound(n) if n >= 2 else ""
+    row["nu"] = _mermin_mod.mermin_threshold(n)
+    row["mu"] = _mermin_mod.mermin_bound(n)
     row["dist_hm_fbi"] = _mermin_mod.dist_mermin_to_fbi(n) if n >= 3 else ""
     row["bisep_vertices"] = polytopes.vertex_count("BISEP", n)
     row["bisep_facets"] = polytopes.facet_count("BISEP", n)
     row["fbi_vertices"] = polytopes.vertex_count("FBI", n)
     row["fbi_facets"] = polytopes.facet_count("FBI", n)
     if mc and n <= volume.MC_MAX_QUBITS:
+        # families with the same sample count share one draw of the points
+        by_count: dict[int, list[str]] = {}
         for fam in volume.MC_FAMILIES:
             count = samples if samples else volume.recommended_samples(row[f"rel_{fam}"])
-            rep = volume.mc_relative_volume(fam, n, count, seed=seed, threads=threads)
-            row[f"mc_{fam}"] = rep.mc_estimate
-            row[f"mc_{fam}_stderr"] = rep.mc_stderr
-            row[f"mc_{fam}_samples"] = rep.samples
+            by_count.setdefault(count, []).append(fam)
+        for count, families in by_count.items():
+            for rep in volume.mc_relative_volumes(families, n, count, seed=seed, threads=threads):
+                row[f"mc_{rep.family}"] = rep.mc_estimate
+                row[f"mc_{rep.family}_stderr"] = rep.mc_stderr
+                row[f"mc_{rep.family}_samples"] = rep.samples
     return row
 
 
 def _cmd_report(args, out) -> int:
-    if args.n_min < 1 or args.n_max < args.n_min:
-        raise InvalidArgumentError("need 1 <= n-min <= n-max")
+    if args.n_min < 2 or args.n_max < args.n_min:
+        raise InvalidArgumentError("need 2 <= n-min <= n-max")
     if args.n_max > REPORT_MAX_QUBITS:
         raise UnsupportedSizeError(f"report is capped at n = {REPORT_MAX_QUBITS}")
     columns = list(REPORT_COLUMNS)

@@ -3,13 +3,17 @@ seeded Monte-Carlo estimator that cross-checks each closed form.
 
 The estimator splits its samples into chunks, each drawn from its own
 Philox stream in cache-sized row blocks that reuse one buffer; the samples
-are those of a single draw per chunk.  Where a C compiler is present,
-``ghzpolytope._mc_kernel`` builds a C kernel once into the package's
-``__pycache__`` that draws, normalises and counts each chunk in one pass
-without holding the GIL.  Otherwise, or if that kernel does not reproduce
-NumPy's rows bit for bit, the NumPy path (``sample_simplex``, then
-``_mc_kernel_py.count_hits``) runs.  Both give identical hit counts for
-identical seeds.
+are those of a single draw per chunk.  ``mc_relative_volumes`` estimates
+several families from one such draw, counting each family on every block,
+so their hit counts are those of separate seeded estimates and the three
+regions genuine, bisep_minus_fbi and fbi partition the samples;
+``mc_relative_volume`` is its one-family case.  Where a C compiler is
+present, ``ghzpolytope._mc_kernel`` builds a C kernel once into the
+package's ``__pycache__`` that draws, normalises and counts each chunk in
+one pass without holding the GIL.  Otherwise, or if that kernel does not
+reproduce NumPy's rows bit for bit, the NumPy path (``sample_simplex``,
+then ``_mc_kernel_py.count_hits`` per family) runs.  Both give identical
+hit counts for identical seeds.
 """
 
 from __future__ import annotations
@@ -219,61 +223,88 @@ def mc_relative_volume(
     chunk_size: int = DEFAULT_CHUNK,
     kernel=None,
 ) -> VolumeReport:
-    """Monte-Carlo relative volume with chunked, thread-count-independent RNG.
+    """Monte-Carlo relative volume of one family: see :func:`mc_relative_volumes`."""
+    return mc_relative_volumes((family,), n, samples, seed, threads, chunk_size, kernel)[0]
+
+
+def mc_relative_volumes(
+    families,
+    n: int,
+    samples: int,
+    seed: int,
+    threads: int = 1,
+    chunk_size: int = DEFAULT_CHUNK,
+    kernel=None,
+) -> tuple[VolumeReport, ...]:
+    """Monte-Carlo relative volumes of ``families``, one report each, all
+    counted on the same points.
 
     The sample range is split into fixed-size chunks; chunk streams are
-    spawned from the seed, so the integer hit count (and hence the report)
-    is identical for any ``threads`` value and for both kernel backends.
-    Each chunk is drawn from its stream in cache-sized row blocks, each
-    counted as soon as it is drawn; the samples are those of one draw per
-    chunk.  A kernel with ``chunk_hits`` (the C one) does all of a chunk in
-    one call; ``kernel=_mc_kernel_py`` runs the NumPy reference loop.
+    spawned from the seed, so the integer hit counts (and hence the reports)
+    are identical for any ``threads`` value, for both kernel backends and
+    for any choice of the other families.  Each chunk is drawn once from its
+    stream in cache-sized row blocks, and every family is counted on each
+    block as soon as it is drawn; the samples are those of one draw per
+    chunk.  A kernel with ``chunk_counts`` (the C one) does all of a chunk
+    in one call; ``kernel=_mc_kernel_py`` runs the NumPy reference loop.
     """
-    _check_family(family, MC_FAMILIES, n)
+    families = tuple(families)
+    if not families:
+        raise InvalidArgumentError("need at least one family")
+    for family in families:
+        _check_family(family, MC_FAMILIES, n)
     check_qubit_count(n, MC_MAX_QUBITS)
     if samples < MC_MIN_SAMPLES:
         raise InvalidArgumentError(f"need at least {MC_MIN_SAMPLES} samples, got {samples}")
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
+    if threads < 1:
+        raise InvalidArgumentError(f"threads must be >= 1, got {threads}")
     if kernel is None:
         kernel = _default_kernel
     d = dimension(n)
-    code = _FAMILY_CODES[family]
-    nu = mermin_threshold(n) if n >= 2 else math.inf
+    codes = tuple(_FAMILY_CODES[family] for family in families)
+    nu = mermin_threshold(n)
 
     n_chunks = (samples + chunk_size - 1) // chunk_size
     streams = np.random.SeedSequence(seed).spawn(n_chunks)
 
-    fused = getattr(kernel, "chunk_hits", None)
+    fused = getattr(kernel, "chunk_counts", None)
 
-    def run_chunk(k: int) -> int:
+    def run_chunk(k: int) -> tuple[int, ...]:
         m = min(chunk_size, samples - k * chunk_size)
         bitgen = np.random.Philox(streams[k])
         # consecutive draws continue the chunk's stream, and each row is
         # normalised on its own, so blocking never changes a sample
         buf = np.empty((min(m, _BLOCK_BYTES // (8 * d)), d))
         if fused is not None:
-            return fused(bitgen, m, buf, code, nu)
+            return fused(bitgen, m, buf, codes, nu)
         rng = np.random.Generator(bitgen)
-        hits = 0
+        hits = [0] * len(codes)
         for start in range(0, m, len(buf)):
             b = min(len(buf), m - start)
-            hits += kernel.count_hits(sample_simplex(rng, b, d, buf[:b]), code, nu)
-        return hits
+            p = sample_simplex(rng, b, d, buf[:b])
+            for j, code in enumerate(codes):
+                hits[j] += kernel.count_hits(p, code, nu)
+        return tuple(hits)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = sum(pool.map(run_chunk, range(n_chunks)))
+            per_chunk = list(pool.map(run_chunk, range(n_chunks)))
     else:
-        hits = sum(run_chunk(k) for k in range(n_chunks))
+        per_chunk = [run_chunk(k) for k in range(n_chunks)]
 
-    est = hits / samples
-    stderr = math.sqrt(est * (1.0 - est) / samples)
-    return VolumeReport(
-        n=n,
-        family=family,
-        exact=rel_vol_exact(family, n),
-        mc_estimate=est,
-        mc_stderr=stderr,
-        samples=samples,
-        seed=seed,
-        backend=kernel.BACKEND,
-    )
+    reports = []
+    for family, hits in zip(families, map(sum, zip(*per_chunk))):
+        est = hits / samples
+        reports.append(VolumeReport(
+            n=n,
+            family=family,
+            exact=rel_vol_exact(family, n),
+            mc_estimate=est,
+            mc_stderr=math.sqrt(est * (1.0 - est) / samples),
+            samples=samples,
+            seed=seed,
+            backend=kernel.BACKEND,
+        ))
+    return tuple(reports)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzpolytope import cli
+from ghzpolytope import cli, volume
 from ghzpolytope.cli import (
     EXIT_INVALID_INPUT,
     EXIT_OK,
@@ -402,3 +402,61 @@ def test_report_csv_carries_the_json_rows():
         cells = (row.get(col, "") for col in payload["columns"])
         expected.append(",".join(format(c, ".17g") if isinstance(c, float) else str(c) for c in cells))
     assert csv_text == "\n".join(expected) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, seed_env",
+    [
+        (["volume", "--n", "3", "--family", "fbi", "--mc", "--seed", "-1"], None),
+        (["report", "--n-min", "2", "--n-max", "3", "--mc"], "-3"),
+        (["volume", "--n", "3", "--family", "fbi", "--mc", "--threads", "0"], None),
+        (["report", "--n-min", "2", "--n-max", "3", "--mc", "--threads", "-2"], None),
+    ],
+    ids=["volume-seed", "report-seed-env", "volume-threads", "report-threads"],
+)
+def test_bad_mc_seed_or_threads_is_one_error_line(argv, seed_env, monkeypatch, capsys):
+    if seed_env is not None:
+        monkeypatch.setenv(SEED_ENV_VAR, seed_env)
+    code, text = run(argv)
+    assert code == EXIT_INVALID_INPUT
+    assert text == ""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("n_min, n_max", [("1", "3"), ("0", "2"), ("4", "3")])
+def test_report_n_range_is_one_error_line(n_min, n_max, capsys):
+    code, text = run(["report", "--n-min", n_min, "--n-max", n_max])
+    assert code == EXIT_INVALID_INPUT
+    assert text == ""
+    assert capsys.readouterr().err.splitlines() == ["error: need 2 <= n-min <= n-max"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("extra", [[], ["--samples", "20000", "--threads", "2"]])
+def test_report_mc_equals_per_family_estimates(fmt, extra, monkeypatch):
+    argv = ["report", "--n-min", "2", "--n-max", "6", "--mc", "--seed", "8", "--format", fmt] + extra
+    _, shared = run(argv)
+    one_draw = volume.mc_relative_volumes
+
+    def one_draw_per_family(families, *args, **kwargs):
+        return tuple(one_draw((family,), *args, **kwargs)[0] for family in families)
+
+    monkeypatch.setattr(volume, "mc_relative_volumes", one_draw_per_family)
+    _, per_family = run(argv)
+    assert shared == per_family
+
+
+def test_report_mc_draws_each_chunk_once(monkeypatch):
+    # one 10000-sample chunk per n for all four families, not one per family
+    drawn = []
+    philox = np.random.Philox
+
+    def counting_philox(seed):
+        drawn.append(seed)
+        return philox(seed)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    code, _ = run(["report", "--n-min", "2", "--n-max", "6", "--mc"])
+    assert code == EXIT_OK
+    assert len(drawn) == 5

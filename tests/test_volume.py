@@ -24,6 +24,7 @@ from ghzpolytope.volume import (
     RVR_LIMITS,
     hull_volume,
     mc_relative_volume,
+    mc_relative_volumes,
     rel_vol_exact,
     rvr,
     sample_simplex,
@@ -409,3 +410,56 @@ def test_failed_kernel_check_keeps_numpy_path(tmp_path):
     assert json.loads(done.stdout) == ["python", PINNED_MC_HITS[3][GENUINE], PINNED_MC_HITS[3][FBI]]
     if HAVE_EXTENSION:  # it compiled, then failed its check
         assert list((package / "__pycache__").glob("_mc_kernel-*.so"))
+
+
+# ------------------------------------- several families on one draw of points
+
+FAMILY_SETS = {"mermin": (MERMIN,), "fbi": (FBI,), "all": MC_FAMILIES}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("families", FAMILY_SETS.values(), ids=FAMILY_SETS.keys())
+def test_mc_relative_volumes_equal_per_family_calls(n, families):
+    # a chunk of 3 blocks and 17 rows, the last chunk cut short
+    chunk = 3 * (_BLOCK_BYTES // (8 * 2**n)) + 17
+    samples = 2 * chunk + 5000
+    hits = {}
+    for kernel in (None, _mc_kernel_py):
+        kwargs = dict(seed=60 + n, chunk_size=chunk, kernel=kernel)
+        single = tuple(mc_relative_volume(f, n, samples, threads=1, **kwargs) for f in families)
+        for threads in (1, 2):
+            assert mc_relative_volumes(families, n, samples, threads=threads, **kwargs) == single
+        hits[kernel] = [round(r.mc_estimate * samples) for r in single]
+    assert hits[None] == hits[_mc_kernel_py]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_trisection_hits_partition_the_samples(n):
+    samples = 30_000
+    for kernel in (None, _mc_kernel_py):
+        reports = mc_relative_volumes((GENUINE, BISEP_MINUS_FBI, FBI), n, samples, seed=n,
+                                      chunk_size=1 << 13, kernel=kernel)
+        assert sum(round(r.mc_estimate * samples) for r in reports) == samples
+
+
+@needs_c
+@pytest.mark.parametrize("d", [4, 8, 16, 64])
+def test_chunk_counts_equal_numpy_counts(d):
+    # every row loop the counter inlines: pair families, Mermin, both
+    m, nu = 3 * (_BLOCK_BYTES // (8 * d)) + 17, 0.05
+    whole = sample_simplex(_philox(d), m, d)
+    for codes in [(0, 1, 2, 3), (3,), (2,), (0, 3), (3, 1)]:
+        buf = np.empty((_BLOCK_BYTES // (8 * d), d))
+        got = _mc_kernel.chunk_counts(np.random.Philox(d), m, buf, codes, nu)
+        assert got == tuple(_mc_kernel_py.count_hits(whole, code, nu) for code in codes)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(seed=-1), dict(threads=0), dict(threads=-2), dict(families=())],
+    ids=["seed", "threads0", "threads-2", "no-family"],
+)
+def test_mc_relative_volumes_rejects_bad_arguments(kwargs):
+    args = dict(families=(FBI,), n=3, samples=20_000, seed=1) | kwargs
+    with pytest.raises(InvalidArgumentError):
+        mc_relative_volumes(**args)
