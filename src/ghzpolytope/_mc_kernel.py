@@ -2,13 +2,21 @@
 
 On first import, ``_mc_kernel.c`` is compiled with ``cc`` against NumPy's
 own C random library (``numpy/random/lib/libnpyrandom.a``) into this
-package's ``__pycache__``, under a name keyed by the source, the NumPy
-version and the platform; later imports load that file.  Before use, the
-kernel's normalised rows are checked bit for bit against NumPy's
-draw-and-divide.  Any failure (no compiler, an unwritable directory, a
-missing library, a mismatch) raises ImportError, and ``volume`` keeps the
-NumPy path in ``_mc_kernel_py``.  Calls go through ctypes, which releases
-the GIL, so chunks on a thread pool run in parallel.
+package's ``__pycache__``, under a name keyed by the source, the compile
+command, the NumPy version and the platform; later imports load that file.
+
+The kernel runs the chunk's Philox4x64-10 stream itself, from the state
+that ``bitgen.state`` gives, and writes the advanced state back, so the bit
+generator goes on exactly as NumPy's would.  It takes the ziggurat's fast
+path inline and hands the rare other draws (about 1 %) to NumPy's
+``random_standard_exponential``.  NumPy keeps the ziggurat's tables
+private, so at load the kernel reads them back by probing that routine
+(256 x 54 calls).  It is then checked bit for bit against NumPy's
+draw-and-divide, its hit counts and the bit generator's final state.  Any
+failure (no compiler, an unwritable directory, a missing library, a failed
+probe, a mismatch) raises ImportError, and ``volume`` keeps the NumPy path
+in ``_mc_kernel_py``.  Calls go through ctypes, which releases the GIL, so
+chunks on a thread pool run in parallel.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ BACKEND = "c"
 _HERE = Path(__file__).resolve().parent
 _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
 _HITS = _I64 * (FAMILY_MERMIN + 1)  # one counter per family code
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def _mask(families) -> int:
@@ -43,7 +52,9 @@ def _mask(families) -> int:
 
 def _build(source: Path, cache_dir: Path, cc: str) -> Path:
     """Path of the compiled kernel in ``cache_dir``, compiling it if absent."""
-    tag = f"{np.__version__} {sysconfig.get_platform()}".encode()
+    cmd = [cc, *_CFLAGS, f"-I{np.get_include()}", str(source),
+           f"-L{Path(np.__file__).parent / 'random' / 'lib'}", "-lnpyrandom", "-lm", "-o"]
+    tag = f"{np.__version__} {sysconfig.get_platform()} {' '.join(cmd)}".encode()
     key = zlib.crc32(source.read_bytes() + tag)  # hashlib costs ms to import
     lib = cache_dir / f"_mc_kernel-{key:08x}.so"
     if lib.exists():
@@ -54,11 +65,8 @@ def _build(source: Path, cache_dir: Path, cc: str) -> Path:
     cache_dir.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=lib.stem, suffix=".tmp", dir=cache_dir)
     os.close(fd)
-    cmd = [cc, "-O2", "-ffp-contract=off", "-shared", "-fPIC", f"-I{np.get_include()}",
-           str(source), f"-L{Path(np.__file__).parent / 'random' / 'lib'}", "-lnpyrandom",
-           "-lm", "-o", tmp]
     try:
-        done = subprocess.run(cmd, capture_output=True, text=True)
+        done = subprocess.run(cmd + [tmp], capture_output=True, text=True)
         if done.returncode != 0:
             raise ImportError(f"cannot compile {source.name}: {done.stderr.strip()}")
         os.replace(tmp, lib)  # atomic: a concurrent import sees no partial file
@@ -68,22 +76,46 @@ def _build(source: Path, cache_dir: Path, cc: str) -> Path:
     return lib
 
 
+def _run(lib: ctypes.CDLL, bitgen: np.random.BitGenerator, m: int, buf: np.ndarray,
+         mask: int, nu: float) -> ctypes.Array:
+    """The kernel's hit counters for m points drawn from ``bitgen`` through
+    ``buf``; ``bitgen`` is left in the state its own draw would leave."""
+    state = bitgen.state
+    if state["bit_generator"] != "Philox" or state["has_uint32"]:
+        raise ValueError("need a Philox bit generator with no buffered 32-bit value")
+    philox, buffer = state["state"], state["buffer"]
+    pos, hits = ctypes.c_int(state["buffer_pos"]), _HITS()
+    lib.chunk_counts(philox["key"].ctypes.data, philox["counter"].ctypes.data,
+                     buffer.ctypes.data, ctypes.byref(pos), m, buf.shape[1], buf.ctypes.data,
+                     buf.shape[0], mask, nu, hits)
+    state["buffer_pos"] = pos.value
+    bitgen.state = state
+    return hits
+
+
 def _self_check(lib: ctypes.CDLL) -> None:
     """Raise ImportError unless the kernel draws NumPy's normalised rows bit for
-    bit and counts them as the NumPy path does: a NumPy release could change
-    its draw or its summation order."""
+    bit, counts them as the NumPy path does and leaves the bit generator where
+    NumPy's draw leaves it: a NumPy release could change its draw or its
+    summation order."""
     m, rows = 35, 16  # two full blocks and a ragged one of 3 rows
-    for d in (4, 64):
-        buf, bitgen, hits = np.empty((rows, d)), np.random.Philox(d), _HITS()  # alive in the call
-        lib.chunk_counts(bitgen.ctypes.bit_generator, m, d, buf.ctypes.data, rows,
-                         _mask(range(len(hits))), 0.0, hits)
-        e = np.random.Generator(np.random.Philox(d)).standard_exponential((m, d))
+    # d = 64 starts mid-buffer, and its 2240 values leave the ziggurat's fast
+    # path often enough to take 56 more raw draws
+    for d, skip in ((4, 0), (64, 3)):
+        bitgen, twin = np.random.Philox(d), np.random.Philox(d)
+        bitgen.random_raw(skip)
+        twin.random_raw(skip)
+        buf = np.empty((rows, d))
+        hits = _run(lib, bitgen, m, buf, _mask(range(FAMILY_MERMIN + 1)), 0.0)
+        e = np.random.Generator(twin).standard_exponential((m, d))
         e /= e.sum(axis=1, keepdims=True)
         last = m % rows
         if not np.array_equal(buf[:last].view(np.uint64), e[-last:].view(np.uint64)):
             raise ImportError(f"C kernel rows differ from NumPy's at d = {d}")
         if list(hits) != [_numpy_count_hits(e, code, 0.0) for code in range(len(hits))]:
             raise ImportError(f"C kernel hit counts differ from NumPy's at d = {d}")
+        if not np.array_equal(bitgen.random_raw(8), twin.random_raw(8)):
+            raise ImportError(f"C kernel leaves the bit generator off NumPy's state at d = {d}")
 
 
 def load(source: Path = _HERE / "_mc_kernel.c", cache_dir: Path = _HERE / "__pycache__",
@@ -95,9 +127,13 @@ def load(source: Path = _HERE / "_mc_kernel.c", cache_dir: Path = _HERE / "__pyc
         raise ImportError(f"cannot build or load the C kernel: {exc}") from exc
     lib.count_hits.argtypes = [_PTR, _I64, _I64, ctypes.c_int, ctypes.c_double, _HITS]
     lib.count_hits.restype = None
-    lib.chunk_counts.argtypes = [_PTR, _I64, _I64, _PTR, _I64, ctypes.c_int, ctypes.c_double,
-                                 _HITS]
+    lib.chunk_counts.argtypes = [_PTR, _PTR, _PTR, ctypes.POINTER(ctypes.c_int), _I64, _I64,
+                                 _PTR, _I64, ctypes.c_int, ctypes.c_double, _HITS]
     lib.chunk_counts.restype = None
+    lib.read_tables.argtypes = []
+    lib.read_tables.restype = ctypes.c_int
+    if lib.read_tables() != 0:
+        raise ImportError("cannot read the ziggurat tables back from NumPy's exponential")
     _self_check(lib)
     return lib
 
@@ -119,18 +155,17 @@ def count_hits(p: np.ndarray, family: int, nu: float) -> int:
 def chunk_counts(bitgen: np.random.BitGenerator, m: int, buf: np.ndarray, families,
                  nu: float) -> tuple[int, ...]:
     """Hits of each family code in ``families`` among the same m points uniform
-    on the simplex, drawn once from ``bitgen``.
+    on the simplex, drawn once from ``bitgen``, a Philox bit generator.
 
     The points are ``sample_simplex``'s, drawn in blocks through ``buf``, a
     C-contiguous (rows, d) float64 array that holds the last block's
-    normalised rows on return.
+    normalised rows on return; ``bitgen`` then continues as it would after
+    NumPy's draw.
     """
     mask = _mask(families)
     if buf.ndim != 2 or buf.dtype != np.float64 or not buf.flags.c_contiguous or not len(buf):
         raise ValueError("buf must be a non-empty C-contiguous (rows, d) float64 array")
-    hits = _HITS()
-    _lib.chunk_counts(bitgen.ctypes.bit_generator, m, buf.shape[1], buf.ctypes.data,
-                      buf.shape[0], mask, nu, hits)
+    hits = _run(_lib, bitgen, m, buf, mask, nu)
     return tuple(hits[family] for family in families)
 
 

@@ -453,6 +453,11 @@ def main(argv=None, out=None) -> int:
     try:
         if getattr(args, "seed", 0) is None:
             args.seed = _parse_int(os.environ.get(SEED_ENV_VAR, "0"), SEED_ENV_VAR)
+        # checked here too, so that a run without --mc does not echo them
+        if getattr(args, "seed", 0) < 0:
+            raise InvalidArgumentError(f"seed must be >= 0, got {args.seed}")
+        if getattr(args, "threads", 1) < 1:
+            raise InvalidArgumentError(f"threads must be >= 1, got {args.threads}")
         return args.func(args, out)
     except UnsupportedSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -58,9 +58,10 @@ class Ball:
     radius: float
 
 
-def _unit(d: int, i: int) -> np.ndarray:
+def _unit(d: int, i: int, value: float = 1.0) -> np.ndarray:
+    """``value`` times the i-th unit vector, with +0.0 (never -0.0) elsewhere."""
     e = np.zeros(d)
-    e[i] = 1.0
+    e[i] = value
     return e
 
 
@@ -80,7 +81,7 @@ def iter_facets_bisep(n: int) -> Iterator[Facet]:
     check_qubit_count(n)
     d = dimension(n)
     for i in range(d):
-        yield Facet("BISEP", f"p_{to_bits(i, n)}<=1/2", -_unit(d, i), -0.5)
+        yield Facet("BISEP", f"p_{to_bits(i, n)}<=1/2", _unit(d, i, -1.0), -0.5)
     for i in range(d):
         yield Facet("BISEP", f"p_{to_bits(i, n)}>=0", _unit(d, i))
 

@@ -10,10 +10,12 @@ regions genuine, bisep_minus_fbi and fbi partition the samples;
 ``mc_relative_volume`` is its one-family case.  Where a C compiler is
 present, ``ghzpolytope._mc_kernel`` builds a C kernel once into the
 package's ``__pycache__`` that draws, normalises and counts each chunk in
-one pass without holding the GIL.  Otherwise, or if that kernel does not
-reproduce NumPy's rows bit for bit, the NumPy path (``sample_simplex``,
-then ``_mc_kernel_py.count_hits`` per family) runs.  Both give identical
-hit counts for identical seeds.
+one pass without holding the GIL; it runs the chunk's Philox stream and
+the ziggurat's fast path itself and leaves only the rare other draws to
+NumPy's C routine.  Otherwise, or if that kernel does not reproduce
+NumPy's rows and bit-generator state bit for bit, the NumPy path
+(``sample_simplex``, then ``_mc_kernel_py.count_hits`` per family) runs.
+Both give identical hit counts for identical seeds.
 """
 
 from __future__ import annotations

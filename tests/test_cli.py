@@ -71,6 +71,15 @@ def test_extremes_counts_and_limit():
     assert len(limited["vertices"]) == 3
 
 
+def test_bisep_facets_print_no_negative_zero():
+    code, text = run(["facets", "--family", "bisep", "--n", "2"])
+    assert code == EXIT_OK
+    rows = json.loads(text)["facets"]
+    assert [r["coeffs"] for r in rows[:4]] == [[-1.0 if j == i else 0.0 for j in range(4)]
+                                              for i in range(4)]
+    assert "-0.0" not in text
+
+
 def test_facets_counts_and_limit():
     payload = run_json(["facets", "--n", "2", "--family", "fbi"])
     assert payload["count"] == 8
@@ -190,6 +199,10 @@ def test_exit_code_unsupported_size():
         ["certify", "--n", "3", "--sigma", "000,001,010,011", "--bipartition", "1,x"],
         ["extremes", "--n", "3", "--family", "fbi", "--limit", "-1"],
         ["facets", "--n", "3", "--family", "bisep", "--limit", "-2"],
+        # rejected without --mc too, not echoed in the output's config
+        ["report", "--threads", "0"],
+        ["report", "--seed", "-1"],
+        ["volume", "--n", "3", "--family", "fbi", "--threads", "0"],
     ],
 )
 def test_invalid_input_is_one_error_line(argv, capsys):

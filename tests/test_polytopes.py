@@ -145,9 +145,25 @@ def test_ghz_and_bisep_facet_iterators_match_unit_vectors(n):
     assert all(f.coeffs.tobytes() == eye[i].tobytes() and f.offset == 0.0 for i, f in enumerate(ghz))
     bisep = list(iter_facets_bisep(n))
     assert [f.label for f in bisep] == [f"p_{b}<=1/2" for b in bits] + [f"p_{b}>=0" for b in bits]
-    rows = np.concatenate([-eye, eye])
+    rows = np.concatenate([0.0 - eye, eye])  # +0.0 off the diagonal, as the FBI rows
     assert all(f.coeffs.tobytes() == row.tobytes() for f, row in zip(bisep, rows))
     assert [f.offset for f in bisep] == [-0.5] * d + [0.0] * d
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_bisep_facet_rows_match_unit_vector_oracle(n):
+    d = 2**n
+    bits = [format(k, f"0{n}b") for k in range(d)]
+    facets = iter_facets_bisep(n)
+    for sign, relation, offset in ((-1.0, "<=1/2", -0.5), (1.0, ">=0", 0.0)):
+        for i in range(d):
+            f = next(facets)
+            oracle = np.zeros(d)
+            oracle[i] = sign
+            # bit for bit, so a -0.0 where the oracle has 0.0 fails too
+            assert f.coeffs.tobytes() == oracle.tobytes()
+            assert (f.family, f.label, f.offset) == ("BISEP", f"p_{bits[i]}{relation}", offset)
+    assert next(facets, None) is None
 
 
 def test_bisep_vertices_satisfy_facets():

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -463,3 +464,149 @@ def test_mc_relative_volumes_rejects_bad_arguments(kwargs):
     args = dict(families=(FBI,), n=3, samples=20_000, seed=1) | kwargs
     with pytest.raises(InvalidArgumentError):
         mc_relative_volumes(**args)
+
+
+# ------------------------------------ the kernel's own Philox and ziggurat
+
+NPYRANDOM = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+
+
+@pytest.mark.skipif(shutil.which("cc") is None or not NPYRANDOM.exists(),
+                    reason="no cc on PATH or no libnpyrandom.a")
+def test_c_kernel_is_in_use_where_it_can_be_built():
+    # a kernel that fails its load-time check falls back to NumPy, and the C
+    # tests above then skip; this test does not
+    if KERNEL_BACKEND != "c":
+        try:
+            importlib.import_module("ghzpolytope._mc_kernel")
+        except ImportError as exc:
+            pytest.fail(f"the C kernel does not load: {exc}")
+    assert KERNEL_BACKEND == "c"
+
+
+def _raws_drawn(bitgen, draw):
+    """How many 64-bit values ``draw()`` takes from the Philox ``bitgen``."""
+    def position(state):
+        return 4 * int(state["state"]["counter"][0]) + state["buffer_pos"]
+
+    before = position(bitgen.state)
+    draw()
+    return position(bitgen.state) - before
+
+
+def _philox_then(values, seed=7):
+    """A Philox whose next draws are ``values`` (at most 4), then its stream."""
+    bitgen = np.random.Philox(seed)
+    state = bitgen.state
+    state["buffer"][4 - len(values):] = values
+    state["buffer_pos"] = 4 - len(values)
+    bitgen.state = state
+    return bitgen
+
+
+@needs_c
+def test_long_stream_equals_sample_simplex():
+    # 2^22 values: every ziggurat layer, and thousands of draws off its fast path
+    m, d, nu = 1 << 16, 64, 0.05
+    twin = np.random.Philox(d)
+    raws = twin.random_raw(m * d)
+    assert len(np.unique((raws >> np.uint64(3)) & np.uint64(255))) == 256
+    twin = np.random.Philox(d)
+    whole = np.empty((m, d))
+    assert _raws_drawn(twin, lambda: sample_simplex(np.random.Generator(twin), m, d, whole)) \
+        >= m * d + 10_000
+    bitgen = np.random.Philox(d)
+    buf = np.empty((_BLOCK_BYTES // (8 * d), d))
+    got = _mc_kernel.chunk_counts(bitgen, m, buf, range(4), nu)
+    assert_same_bits(buf, whole[-len(buf):])
+    assert got == tuple(_mc_kernel_py.count_hits(whole, code, nu) for code in range(4))
+    np.testing.assert_array_equal(bitgen.random_raw(8), twin.random_raw(8))
+
+
+CARRY = np.array([2**64 - 2, 2**64 - 1, 0, 0], dtype=np.uint64)
+
+
+@needs_c
+@pytest.mark.parametrize("start", ["fresh", "raw1", "raw2", "raw3", "carry"])
+@pytest.mark.parametrize("d", [4, 64])
+def test_chunk_counts_leaves_numpys_bit_generator_state(start, d):
+    def philox():
+        bitgen = np.random.Philox(11)
+        if start.startswith("raw"):
+            bitgen.random_raw(int(start[-1]))  # buffer_pos 1, 2, 3
+        elif start == "carry":  # the counter carries into its third word
+            state = bitgen.state
+            state["state"]["counter"] = CARRY
+            bitgen.state = state
+        return bitgen
+
+    m, bitgen, twin = 300, philox(), philox()
+    buf = np.empty((64, d))
+    got = _mc_kernel.chunk_counts(bitgen, m, buf, range(4), 0.05)
+    whole = sample_simplex(np.random.Generator(twin), m, d)
+    assert_same_bits(buf[:m % 64], whole[-(m % 64):])
+    assert got == tuple(_mc_kernel_py.count_hits(whole, code, 0.05) for code in range(4))
+    if start == "carry":
+        assert twin.state["state"]["counter"][2] == 1
+    np.testing.assert_array_equal(bitgen.random_raw(8), twin.random_raw(8))
+
+
+def _numpy_fast_path_end(idx):
+    """The least ri in [0, 2^53] that NumPy's exponential does not return from
+    its first draw in layer idx, found with NumPy alone."""
+    def one_draw(ri):
+        bitgen = _philox_then([ri << 11 | idx << 3])
+        return _raws_drawn(bitgen, np.random.Generator(bitgen).standard_exponential) == 1
+
+    lo, hi = 0, 1 << 53
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (mid + 1, hi) if one_draw(mid) else (lo, mid)
+    return lo
+
+
+@needs_c
+@pytest.mark.parametrize("idx", [0, 1, 2, 3, 128, 254, 255])
+def test_fast_path_boundaries_equal_numpys(idx):
+    # a draw exactly at the end of a layer's fast path leaves it (layer 1 has
+    # no fast path at all), one below it stays
+    end = _numpy_fast_path_end(idx)
+    assert (end == 0) == (idx == 1)
+    for ri in {max(end - 1, 0), end, min(end + 1, (1 << 53) - 1)}:
+        u = ri << 11 | idx << 3
+        bitgen, twin = _philox_then([u]), _philox_then([u])
+        buf = np.empty((2, 4))
+        _mc_kernel.chunk_counts(bitgen, 2, buf, (3,), 0.0)
+        assert_same_bits(buf, sample_simplex(np.random.Generator(twin), 2, 4))
+        np.testing.assert_array_equal(bitgen.random_raw(8), twin.random_raw(8))
+
+
+@needs_c
+def test_self_check_streams_leave_the_fast_path():
+    # _mc_kernel._self_check draws 35 rows at d = 64 after 3 raw values
+    bitgen = np.random.Philox(64)
+    bitgen.random_raw(3)
+    assert _raws_drawn(bitgen, lambda: np.random.Generator(bitgen).standard_exponential((35, 64))) \
+        > 35 * 64
+
+
+@needs_c
+def test_chunk_counts_needs_a_philox_with_no_buffered_uint32():
+    buf = np.empty((8, 4))
+    with pytest.raises(ValueError, match="Philox"):
+        _mc_kernel.chunk_counts(np.random.PCG64(1), 8, buf, (2,), 0.0)
+    bitgen = np.random.Philox(1)
+    np.random.Generator(bitgen).integers(0, 10, dtype=np.uint32)  # buffers a 32-bit half
+    assert bitgen.state["has_uint32"]
+    with pytest.raises(ValueError, match="Philox"):
+        _mc_kernel.chunk_counts(bitgen, 8, buf, (2,), 0.0)
+
+
+@needs_c
+def test_build_keys_on_the_compile_command(tmp_path, monkeypatch):
+    first = _mc_kernel._build(KERNEL_SOURCE, tmp_path, "cc")
+    assert _mc_kernel._build(KERNEL_SOURCE, tmp_path, "cc") == first
+    monkeypatch.setattr(_mc_kernel, "_CFLAGS", _mc_kernel._CFLAGS + ("-DUNUSED_MACRO",))
+    second = _mc_kernel._build(KERNEL_SOURCE, tmp_path, "cc")
+    assert second != first
+    assert sorted(tmp_path.iterdir()) == sorted([first, second])
