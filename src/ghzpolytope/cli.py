@@ -98,8 +98,9 @@ def _json_text(obj, pad: str = "\n") -> str:
     Exact ints and finite exact floats are written with ``repr`` (a flat
     list of them in one pass) and exact strs with
     ``encode_basestring_ascii``, which is what ``json`` writes for them;
-    every other leaf goes through the C encoder, since ``json`` leaves it
-    unused once ``indent`` is set.
+    a facet or vertex listing writes itself a block at a time; every other
+    leaf goes through the C encoder, since ``json`` leaves it unused once
+    ``indent`` is set.
     """
     inner = pad + "  "
     if isinstance(obj, dict) and obj:
@@ -108,19 +109,133 @@ def _json_text(obj, pad: str = "\n") -> str:
             for key, value in sorted(obj.items())
         )
         return "{" + inner + ("," + inner).join(body) + pad + "}"
-    if isinstance(obj, (list, tuple)) and obj:
-        if {int, float}.issuperset(map(type, obj)):
-            text = ("," + inner).join(map(repr, obj))
-            if "n" not in text:  # no nan, inf or -inf, which json spells otherwise
-                return "[" + inner + text + pad + "]"
-        body = ("," + inner).join(_json_text(x, inner) for x in obj)
-        return "[" + inner + body + pad + "]"
+    if isinstance(obj, (list, tuple)):
+        if isinstance(obj, _Listing):
+            return obj.json_text(pad)
+        if obj:
+            if {int, float}.issuperset(map(type, obj)):
+                text = ("," + inner).join(map(repr, obj))
+                if "n" not in text:  # no nan, inf or -inf, which json spells otherwise
+                    return "[" + inner + text + pad + "]"
+            body = ("," + inner).join(_json_text(x, inner) for x in obj)
+            return "[" + inner + body + pad + "]"
     kind = type(obj)
     if kind is str:
         return encode_basestring_ascii(obj)
     if kind is int or (kind is float and math.isfinite(obj)):
         return repr(obj)
     return _encode_scalar(obj)
+
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _number_rows(block: np.ndarray, sep: str) -> list[str]:
+    """json's text of each row of a 2-D float64 block, its numbers joined by ``sep``.
+
+    One scan of the bit patterns finds the entries that are not +0.0, so a
+    -0.0 is not taken for zero. Those are written with ``repr`` (json's own
+    spelling if not finite) and every other entry is ``"0.0"``.
+    """
+    flat = np.ascontiguousarray(block, dtype=np.float64).reshape(-1)
+    texts = ["0.0"] * flat.size
+    nonzero = np.flatnonzero(flat.view(np.uint64))
+    values = flat[nonzero]
+    numbers = map(repr, values.tolist())
+    if not np.isfinite(values).all():
+        numbers = (_JSON_NONFINITE.get(text, text) for text in numbers)
+    for k, text in zip(nonzero.tolist(), numbers):
+        texts[k] = text
+    d = block.shape[1]
+    return [sep.join(texts[k:k + d]) for k in range(0, flat.size, d)]
+
+
+class _Listing(list):
+    """The rows of a vertex or facet listing, held as the enumerator's blocks.
+
+    ``_json_text`` writes each block's numbers in one pass, a block at a
+    time. Anything else that iterates it (``json.dumps`` included) sees a
+    plain list of its rows. ``blocks()`` starts the blocks afresh.
+    """
+
+    def __init__(self, blocks, count: int, limit):
+        super().__init__()
+        self.blocks = blocks
+        self.rows = count if limit is None else min(count, limit)
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def json_text(self, pad: str) -> str:
+        """``_json_text`` of the rows at indent ``pad``, joined once: each
+        row's numbers, then the text that closes it and opens the next row."""
+        inner = pad + "  "
+        opener = self.opener(inner)
+        link = "," + inner + opener
+        parts = ["[" + inner + opener]
+        for block in self.blocks():
+            numbers, closers = self.block_rows(block, inner)
+            pieces = [None] * (2 * len(numbers))
+            pieces[0::2] = numbers
+            pieces[1::2] = [closer + link for closer in closers]
+            parts += pieces
+        if len(parts) == 1:
+            return "[]"
+        parts[-1] = parts[-1][: -len(link)] + pad + "]"  # the last row opens none
+        return "".join(parts)
+
+
+class _VertexRows(_Listing):
+    """Vertex blocks; each row is a list of its d coordinates."""
+
+    def __iter__(self):
+        for block in self.blocks():
+            yield from block
+
+    @staticmethod
+    def opener(inner: str) -> str:
+        return "[" + inner + "  "
+
+    @staticmethod
+    def block_rows(block: np.ndarray, inner: str):
+        return _number_rows(block, "," + inner + "  "), [inner + "]"] * len(block)
+
+
+class _FacetRows(_Listing):
+    """Facet blocks; each row is a ``coeffs``/``label``/``offset`` object."""
+
+    def __iter__(self):
+        for block in self.blocks():
+            for coeffs, label, offset in zip(block.coeffs, block.labels, block.offsets.tolist()):
+                yield {"coeffs": coeffs, "label": label, "offset": offset}
+
+    @staticmethod
+    def opener(inner: str) -> str:
+        keys = inner + "  "
+        return "{" + keys + '"coeffs": [' + keys + "  "
+
+    @staticmethod
+    def block_rows(block: polytopes.FacetBlock, inner: str):
+        keys = inner + "  "
+        labels = map(encode_basestring_ascii, block.labels)
+        offsets = _number_rows(block.offsets[:, None], "")
+        closers = [
+            f'{keys}],{keys}"label": {label},{keys}"offset": {offset}{inner}}}'
+            for label, offset in zip(labels, offsets)
+        ]
+        return _number_rows(block.coeffs, "," + keys + "  "), closers
+
+
+_VERTEX_BLOCKS = {
+    "ghz": polytopes.vertex_blocks_ghz,
+    "bisep": polytopes.vertex_blocks_bisep,
+    "fbi": polytopes.vertex_blocks_fbi,
+}
+_FACET_BLOCKS = {
+    "ghz": polytopes.facet_blocks_ghz,
+    "bisep": polytopes.facet_blocks_bisep,
+    "fbi": polytopes.facet_blocks_fbi,
+}
 
 
 def _emit_json(payload: dict, out) -> None:
@@ -166,16 +281,6 @@ def _check_limit(limit) -> None:
         raise InvalidArgumentError(f"--limit must be >= 0, got {limit}")
 
 
-def _iter_vertices(family: str, n: int):
-    if family == "ghz":
-        return (GhzDiagonalState.vertex(n, i) for i in range(dimension(n)))
-    if family == "bisep":
-        return polytopes.iter_extreme_points_bisep(n)
-    if family == "fbi":
-        return polytopes.iter_extreme_points_fbi(n)
-    raise InvalidArgumentError(f"unknown family {family!r}")
-
-
 def _cmd_extremes(args, out) -> int:
     _check_limit(args.limit)
     check_qubit_count(args.n)
@@ -189,30 +294,17 @@ def _cmd_extremes(args, out) -> int:
         raise UnsupportedSizeError(
             f"the F_n vertex count has over 4300 digits past n = {REPORT_MAX_QUBITS}"
         )
-    vertices = []
-    for k, state in enumerate(_iter_vertices(args.family, args.n)):
-        if args.limit is not None and k >= args.limit:
-            break
-        vertices.append(state.p.tolist())
+    count = polytopes.vertex_count(_POLYTOPE_FAMILY[args.family], args.n)
+    blocks = functools.partial(_VERTEX_BLOCKS[args.family], args.n, args.limit)
     payload = {
         "config": _config_dict(args),
         "family": args.family,
         "n": args.n,
-        "count": polytopes.vertex_count(_POLYTOPE_FAMILY[args.family], args.n),
-        "vertices": vertices,
+        "count": count,
+        "vertices": _VertexRows(blocks, count, args.limit),
     }
     _emit_json(payload, out)
     return EXIT_OK
-
-
-def _iter_facets(family: str, n: int):
-    if family == "ghz":
-        return polytopes.iter_facets_ghz(n)
-    if family == "bisep":
-        return polytopes.iter_facets_bisep(n)
-    if family == "fbi":
-        return polytopes.iter_facets_fbi(n)
-    raise InvalidArgumentError(f"unknown family {family!r}")
 
 
 def _cmd_facets(args, out) -> int:
@@ -224,17 +316,14 @@ def _cmd_facets(args, out) -> int:
             f"facets --family {args.family} lists every facet only up to n = {cap}; "
             "pass --limit to stream fewer"
         )
-    rows = []
-    for k, f in enumerate(_iter_facets(args.family, args.n)):
-        if args.limit is not None and k >= args.limit:
-            break
-        rows.append({"label": f.label, "coeffs": f.coeffs.tolist(), "offset": f.offset})
+    count = polytopes.facet_count(_POLYTOPE_FAMILY[args.family], args.n)
+    blocks = functools.partial(_FACET_BLOCKS[args.family], args.n, args.limit)
     payload = {
         "config": _config_dict(args),
         "family": args.family,
         "n": args.n,
-        "count": polytopes.facet_count(_POLYTOPE_FAMILY[args.family], args.n),
-        "facets": rows,
+        "count": count,
+        "facets": _FacetRows(blocks, count, args.limit),
     }
     _emit_json(payload, out)
     return EXIT_OK
@@ -379,9 +468,17 @@ def _cmd_report(args, out) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a usage error instead of printing usage and exiting, so that
+    ``main`` reports it as one ``error:`` line with exit 2; ``-h`` still exits."""
+
+    def error(self, message):
+        raise InvalidArgumentError(message)
+
+
 @functools.cache  # built on the first main() call, then reused
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ghzpolytope",
         description="Polytope geometry of n-qubit GHZ-diagonal states",
     )
@@ -449,8 +546,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "seed", 0) is None:
             args.seed = _parse_int(os.environ.get(SEED_ENV_VAR, "0"), SEED_ENV_VAR)
         # checked here too, so that a run without --mc does not echo them

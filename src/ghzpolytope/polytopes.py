@@ -10,12 +10,11 @@ ambient constraint, not a facet.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError, UnsupportedSizeError
+from .errors import InvalidArgumentError
 from .indices import check_qubit_count, dimension, to_bits
 from .states import GhzDiagonalState
 
@@ -58,18 +57,108 @@ class Ball:
     radius: float
 
 
-def _unit(d: int, i: int, value: float = 1.0) -> np.ndarray:
-    """``value`` times the i-th unit vector, with +0.0 (never -0.0) elsewhere."""
-    e = np.zeros(d)
-    e[i] = value
-    return e
+# A block holds at most this many bytes of float64 rows (one row if a row
+# alone is larger), so a listing keeps one block in memory however large d is
+_BLOCK_BYTES = 1 << 20
+
+
+class FacetBlock(NamedTuple):
+    """Consecutive facets ``coeffs[r] . p >= offsets[r]``, named ``labels[r]``."""
+
+    labels: list[str]
+    offsets: np.ndarray
+    coeffs: np.ndarray
+
+
+def _row_ranges(total: int, d: int, stop: int | None) -> Iterator[tuple[int, int]]:
+    """``(start, end)`` of each block of the first ``stop`` of ``total`` rows.
+
+    Blocks hold a power of two rows, so every start is a multiple of the
+    block size. Python ints, as F_n has 2^(d/2) cube vertices.
+    """
+    step = 1 << max(0, (_BLOCK_BYTES // (8 * d)).bit_length() - 1)
+    end = total if stop is None else min(total, stop)
+    for start in range(0, end, step):
+        yield start, min(start + step, end)
+
+
+def _labels(n: int, *parts) -> list[str]:
+    """One label per row: str parts as they are, index arrays as n-bit strings."""
+    m = next(len(part) for part in parts if not isinstance(part, str))
+    shifts = np.arange(n - 1, -1, -1)
+    columns = [
+        np.broadcast_to(np.frombuffer(part.encode(), np.uint8), (m, len(part)))
+        if isinstance(part, str)
+        else (part[:, None] >> shifts & 1).astype(np.uint8) + ord("0")
+        for part in parts
+    ]
+    chars = np.ascontiguousarray(np.hstack(columns))
+    return chars.view(f"S{chars.shape[1]}").ravel().astype(str).tolist()
+
+
+def _rows_with(d: int, m: int, value: float, *columns: np.ndarray) -> np.ndarray:
+    """An (m, d) block of +0.0 with ``value`` at ``columns[c][r]`` in row r."""
+    rows = np.zeros((m, d))
+    r = np.arange(m)
+    for column in columns:
+        rows[r, column] = value
+    return rows
+
+
+def facet_blocks_ghz(n: int, stop: int | None = None) -> Iterator[FacetBlock]:
+    """The d facets p_i >= 0 in blocks; only the first ``stop`` if given."""
+    check_qubit_count(n)
+    d = dimension(n)
+    for start, end in _row_ranges(d, d, stop):
+        i = np.arange(start, end)
+        labels = _labels(n, "p_", i, ">=0")
+        yield FacetBlock(labels, np.zeros(end - start), _rows_with(d, end - start, 1.0, i))
+
+
+def facet_blocks_bisep(n: int, stop: int | None = None) -> Iterator[FacetBlock]:
+    """The d facets p_i <= 1/2, then the d facets p_i >= 0, in blocks."""
+    check_qubit_count(n)
+    d = dimension(n)
+    for half, (sign, relation, offset) in enumerate(((-1.0, "<=1/2", -0.5), (1.0, ">=0", 0.0))):
+        half_stop = None if stop is None else max(0, stop - half * d)
+        for start, end in _row_ranges(d, d, half_stop):
+            i = np.arange(start, end)
+            yield FacetBlock(
+                _labels(n, "p_", i, relation),
+                np.full(end - start, offset),
+                _rows_with(d, end - start, sign, i),
+            )
+
+
+def facet_blocks_fbi(n: int, stop: int | None = None) -> Iterator[FacetBlock]:
+    """The d^2/2 facets p_i + p_~i - p_j + p_~j >= 0 over (pair {i,~i}, index j).
+
+    Each row adds the four unit vectors in that order, so its entries are
+    small integers equal to the unit-vector sum, and none is -0.0.
+    """
+    check_qubit_count(n)
+    d = dimension(n)
+    for start, end in _row_ranges(d * d // 2, d, stop):
+        k = np.arange(start, end)
+        i, j = k // d, k % d
+        coeffs = np.zeros((end - start, d))
+        r = np.arange(end - start)
+        coeffs[r, i] += 1.0
+        coeffs[r, d - 1 - i] += 1.0
+        coeffs[r, j] -= 1.0
+        coeffs[r, d - 1 - j] += 1.0
+        labels = _labels(n, "p_", i, "+p_", d - 1 - i, ">=p_", j, "-p_", d - 1 - j)
+        yield FacetBlock(labels, np.zeros(end - start), coeffs)
+
+
+def _facet_rows(family: str, blocks: Iterator[FacetBlock]) -> Iterator[Facet]:
+    for block in blocks:
+        for label, offset, coeffs in zip(block.labels, block.offsets.tolist(), block.coeffs):
+            yield Facet(family, label, coeffs, offset)
 
 
 def iter_facets_ghz(n: int) -> Iterator[Facet]:
-    check_qubit_count(n)
-    d = dimension(n)
-    for i in range(d):
-        yield Facet("GHZ", f"p_{to_bits(i, n)}>=0", _unit(d, i))
+    return _facet_rows("GHZ", facet_blocks_ghz(n))
 
 
 def facets_ghz(n: int) -> list[Facet]:
@@ -78,12 +167,7 @@ def facets_ghz(n: int) -> list[Facet]:
 
 
 def iter_facets_bisep(n: int) -> Iterator[Facet]:
-    check_qubit_count(n)
-    d = dimension(n)
-    for i in range(d):
-        yield Facet("BISEP", f"p_{to_bits(i, n)}<=1/2", _unit(d, i, -1.0), -0.5)
-    for i in range(d):
-        yield Facet("BISEP", f"p_{to_bits(i, n)}>=0", _unit(d, i))
+    return _facet_rows("BISEP", facet_blocks_bisep(n))
 
 
 def facets_bisep(n: int) -> list[Facet]:
@@ -92,23 +176,8 @@ def facets_bisep(n: int) -> list[Facet]:
 
 
 def iter_facets_fbi(n: int) -> Iterator[Facet]:
-    """d^2/2 facets p_i + p_~i - p_j + p_~j >= 0 over (pair {i,~i}, index j).
-
-    Each row is built in place; its entries are small integers, so they
-    equal the sum of unit vectors exactly and none is -0.0.
-    """
-    check_qubit_count(n)
-    d = dimension(n)
-    bits = [format(k, f"0{n}b") for k in range(d)]
-    for i in range(d // 2):
-        pair = f"p_{bits[i]}+p_{bits[d - 1 - i]}>=p_"
-        for j in range(d):
-            c = np.zeros(d)
-            c[i] += 1.0
-            c[d - 1 - i] += 1.0
-            c[j] -= 1.0
-            c[d - 1 - j] += 1.0
-            yield Facet("FBI", f"{pair}{bits[j]}-p_{bits[d - 1 - j]}", c)
+    """d^2/2 facets p_i + p_~i - p_j + p_~j >= 0 over (pair {i,~i}, index j)."""
+    return _facet_rows("FBI", facet_blocks_fbi(n))
 
 
 def facets_fbi(n: int) -> list[Facet]:
@@ -116,13 +185,63 @@ def facets_fbi(n: int) -> list[Facet]:
     return list(iter_facets_fbi(n))
 
 
-def extreme_points_ghz(n: int) -> list[GhzDiagonalState]:
-    """The d vertices: pure GHZ projectors."""
+def vertex_blocks_ghz(n: int, stop: int | None = None) -> Iterator[np.ndarray]:
+    """The d pure GHZ projectors, unit rows, in blocks."""
     check_qubit_count(n)
     d = dimension(n)
-    if n > BISEP_VERTEX_CAP:
-        raise UnsupportedSizeError(f"n={n} exceeds the vertex enumeration cap")
-    return [GhzDiagonalState.vertex(n, i) for i in range(d)]
+    for start, end in _row_ranges(d, d, stop):
+        yield _rows_with(d, end - start, 1.0, np.arange(start, end))
+
+
+def vertex_blocks_bisep(n: int, stop: int | None = None) -> Iterator[np.ndarray]:
+    """The d(d-1)/2 edge midpoints, lexicographic pair order, in blocks."""
+    check_qubit_count(n)
+    d = dimension(n)
+    first = np.arange(d)
+    first = first * (d - 1) - first * (first - 1) // 2  # the row of pair (i, i + 1)
+    for start, end in _row_ranges(d * (d - 1) // 2, d, stop):
+        k = np.arange(start, end)
+        i = np.searchsorted(first, k, side="right") - 1
+        yield _rows_with(d, end - start, 0.5, i, k - first[i] + i + 1)
+
+
+def vertex_blocks_fbi(n: int, stop: int | None = None) -> Iterator[np.ndarray]:
+    """The d/2 diagonal midpoints, then the 2^(d/2) cube vertices, in blocks.
+
+    Cube vertex s takes index ~i from pair i where bit i of s is set, and i
+    where it is not (the order of :func:`iter_selections`).
+    """
+    check_qubit_count(n)
+    d = dimension(n)
+    half = d // 2
+    pair = np.arange(half)
+    for start, end in _row_ranges(half, d, stop):
+        i = np.arange(start, end)
+        yield _rows_with(d, end - start, 0.5, i, d - 1 - i)
+    cube_stop = None if stop is None else max(0, stop - half)
+    for start, end in _row_ranges(1 << half, d, cube_stop):
+        # start is a multiple of the block size 2^low, so the low bits of s
+        # count through the block and the high bits are those of start
+        low = min(half, (end - start - 1).bit_length())
+        high = (start >> low).to_bytes((half - low + 7) // 8, "little")
+        bits = np.empty((end - start, half), dtype=bool)
+        bits[:, :low] = np.arange(end - start)[:, None] >> np.arange(low) & 1
+        bits[:, low:] = np.unpackbits(np.frombuffer(high, np.uint8), bitorder="little")[: half - low]
+        rows = np.zeros((end - start, d))
+        rows[np.arange(end - start)[:, None], np.where(bits, d - 1 - pair, pair)] = 2.0 / d
+        yield rows
+
+
+def _vertex_rows(n: int, blocks: Iterator[np.ndarray]) -> Iterator[GhzDiagonalState]:
+    for block in blocks:
+        for p in block:
+            yield GhzDiagonalState(n, p)
+
+
+def extreme_points_ghz(n: int) -> list[GhzDiagonalState]:
+    """The d vertices: pure GHZ projectors."""
+    check_qubit_count(n, BISEP_VERTEX_CAP)
+    return list(_vertex_rows(n, vertex_blocks_ghz(n)))
 
 
 def midpoint(n: int, i: int, j: int) -> GhzDiagonalState:
@@ -137,10 +256,7 @@ def midpoint(n: int, i: int, j: int) -> GhzDiagonalState:
 
 
 def iter_extreme_points_bisep(n: int) -> Iterator[GhzDiagonalState]:
-    check_qubit_count(n)
-    d = dimension(n)
-    for i, j in combinations(range(d), 2):
-        yield midpoint(n, i, j)
+    return _vertex_rows(n, vertex_blocks_bisep(n))
 
 
 def extreme_points_bisep(n: int) -> list[GhzDiagonalState]:
@@ -178,12 +294,7 @@ def iter_selections(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def iter_extreme_points_fbi(n: int) -> Iterator[GhzDiagonalState]:
-    check_qubit_count(n)
-    d = dimension(n)
-    for i in range(d // 2):
-        yield midpoint(n, i, d - 1 - i)
-    for sigma in iter_selections(n):
-        yield cube_vertex(n, sigma)
+    return _vertex_rows(n, vertex_blocks_fbi(n))
 
 
 def extreme_points_fbi(n: int) -> list[GhzDiagonalState]:

@@ -1,15 +1,18 @@
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzpolytope import cli, volume
+from ghzpolytope import cli, polytopes, volume
+from ghzpolytope.classify import EPS_BOUNDARY, EPS_CLASS
 from ghzpolytope.cli import (
     EXIT_INVALID_INPUT,
     EXIT_OK,
@@ -203,6 +206,13 @@ def test_exit_code_unsupported_size():
         ["report", "--threads", "0"],
         ["report", "--seed", "-1"],
         ["volume", "--n", "3", "--family", "fbi", "--threads", "0"],
+        # argparse usage errors: no usage text, no SystemExit
+        ["frobnicate"],
+        [],
+        ["facets", "--family", "xyz", "--n", "3"],
+        ["classify", "--n", "x", "--p", "1"],
+        ["facets", "--family", "fbi"],
+        ["ball", "--family", "ghz", "--n", "3", "--limit", "2"],
     ],
 )
 def test_invalid_input_is_one_error_line(argv, capsys):
@@ -211,6 +221,13 @@ def test_invalid_input_is_one_error_line(argv, capsys):
     assert text == ""
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["facets", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ghzpolytope facets")
 
 
 def test_report_at_its_cap():
@@ -402,7 +419,7 @@ def test_json_output_is_json_dump_of_its_payload(argv, monkeypatch):
     monkeypatch.setattr(cli, "_emit_json", recording_emit)
     code, text = run(argv)
     assert code == EXIT_OK and len(payloads) == 1
-    assert text == json.dumps(payloads[0], indent=2, sort_keys=True) + "\n"
+    assert text == json.dumps(payloads[0], indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
 
 
 def test_report_csv_carries_the_json_rows():
@@ -473,3 +490,175 @@ def test_report_mc_draws_each_chunk_once(monkeypatch):
     code, _ = run(["report", "--n-min", "2", "--n-max", "6", "--mc"])
     assert code == EXIT_OK
     assert len(drawn) == 5
+
+
+# ------------------------------------------------- listings against an oracle
+
+
+def oracle_facets(family, n, limit):
+    """(label, offset, coeffs) rows of a facet listing, from sums of np.eye rows."""
+    d = 2**n
+    bits = [format(k, f"0{n}b") for k in range(d)]
+
+    def e(i):
+        return np.eye(1, d, i)[0]
+
+    if family == "ghz":
+        rows = ((f"p_{bits[i]}>=0", 0.0, e(i)) for i in range(d))
+    elif family == "bisep":
+        rows = itertools.chain(
+            ((f"p_{bits[i]}<=1/2", -0.5, 0.0 - e(i)) for i in range(d)),  # +0.0 off i
+            ((f"p_{bits[i]}>=0", 0.0, e(i)) for i in range(d)),
+        )
+    else:
+        rows = (
+            (f"p_{bits[i]}+p_{bits[d - 1 - i]}>=p_{bits[j]}-p_{bits[d - 1 - j]}", 0.0,
+             e(i) + e(d - 1 - i) - e(j) + e(d - 1 - j))
+            for i in range(d // 2) for j in range(d)
+        )
+    return [{"coeffs": c.tolist(), "label": label, "offset": offset}
+            for label, offset, c in itertools.islice(rows, limit)]
+
+
+def oracle_vertices(family, n, limit):
+    """Vertex rows of a listing: unit rows, edge midpoints and cube vertices by index."""
+    d = 2**n
+
+    def point(indices, value):
+        p = [0.0] * d
+        for i in indices:
+            p[i] = value
+        return p
+
+    if family == "ghz":
+        rows = (point([i], 1.0) for i in range(d))
+    elif family == "bisep":
+        rows = (point(pair, 0.5) for pair in itertools.combinations(range(d), 2))
+    else:
+        cube = (
+            point([d - 1 - i if s >> i & 1 else i for i in range(d // 2)], 2 / d)
+            for s in range(2 ** (d // 2))
+        )
+        rows = itertools.chain((point([i, d - 1 - i], 0.5) for i in range(d // 2)), cube)
+    return list(itertools.islice(rows, limit))
+
+
+LISTING_COUNT = {
+    ("facets", "ghz"): lambda d: d,
+    ("facets", "bisep"): lambda d: 2 * d,
+    ("facets", "fbi"): lambda d: d * d // 2,
+    ("extremes", "ghz"): lambda d: d,
+    ("extremes", "bisep"): lambda d: d * (d - 1) // 2,
+    ("extremes", "fbi"): lambda d: d // 2 + 2 ** (d // 2),
+}
+LIST_CAP = {("extremes", "fbi"): 5}  # without --limit; 8 for the others
+
+LISTING_CASES = [
+    (sub, family, n, limit)
+    for sub, family in LISTING_COUNT
+    for n in range(1, 7)
+    for limit in (None, 0, 1, 3, "past")
+    if not (limit == "past" and n > LIST_CAP.get((sub, family), 8))  # F_6: 2^32 vertices
+] + [
+    (sub, family, n, limit)
+    for sub, family in LISTING_COUNT
+    for n in (7, 8)
+    for limit in (1, 3, 2**n // 2 + 3)  # fbi vertices: past the d/2 midpoints
+] + [
+    (sub, family, 16, 3)  # 2 rows of 2^16 floats to a block: crosses a block
+    for sub, family in LISTING_COUNT
+    if (sub, family) != ("extremes", "fbi")  # F_16's count is past the digit limit
+]
+
+
+@pytest.mark.parametrize("sub, family, n, limit", LISTING_CASES)
+def test_listing_is_json_dump_of_the_oracle(sub, family, n, limit):
+    count = LISTING_COUNT[sub, family](2**n)
+    if limit == "past":
+        limit = count + 5
+    argv = [sub, "--family", family, "--n", str(n)]
+    if limit is not None:
+        argv += ["--limit", str(limit)]
+    code, text = run(argv)
+    if limit is None and n > LIST_CAP.get((sub, family), 8):
+        assert (code, text) == (EXIT_UNSUPPORTED_SIZE, "")
+        return
+    assert code == EXIT_OK
+    config = {"subcommand": sub, "eps_class": EPS_CLASS, "eps_boundary": EPS_BOUNDARY,
+              "n": n, "family": family, "limit": limit}
+    rows = (oracle_facets if sub == "facets" else oracle_vertices)(family, n, limit)
+    key = "facets" if sub == "facets" else "vertices"
+    payload = {"config": config, "family": family, "n": n, "count": count, key: rows}
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    same = text == expected  # not in the assert: pytest would diff megabytes of text
+    assert same, next(
+        f"line {k}: {got!r} != {want!r}"
+        for k, (got, want) in enumerate(itertools.zip_longest(text.split("\n"), expected.split("\n")))
+        if got != want
+    )
+
+
+listing_numbers = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16,
+                     1e-05, 1.5, float("inf"), -float("inf"), float("nan")]),
+)
+
+
+@st.composite
+def split_matrices(draw):
+    """A float64 matrix of 1-5 rows and 1-70 columns, and its rows cut into blocks."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 70))
+    values = draw(st.lists(listing_numbers, min_size=rows * cols, max_size=rows * cols))
+    matrix = np.array(values, dtype=np.float64).reshape(rows, cols)
+    cuts = draw(st.lists(st.integers(0, rows), max_size=3).map(sorted))
+    return matrix, cuts
+
+
+@settings(max_examples=100, deadline=None)
+@given(split_matrices())
+def test_listing_rows_are_json_text_of_tolist(split):
+    matrix, cuts = split
+    for text, row in zip(cli._number_rows(matrix, ",\n  "), matrix):
+        assert "[\n  " + text + "\n]" == json.dumps(row.tolist(), indent=2)
+
+    def blocks():
+        return iter(np.split(matrix, cuts))
+
+    vertices = cli._VertexRows(blocks, len(matrix), None)
+    assert cli._json_text({"v": vertices}) == json.dumps({"v": matrix.tolist()}, indent=2)
+    labels = [f"row {r}" for r in range(len(matrix))]
+    offsets = matrix[:, 0].copy()
+
+    def facet_blocks():
+        for part in np.split(np.arange(len(matrix)), cuts):
+            yield polytopes.FacetBlock([labels[r] for r in part], offsets[part], matrix[part])
+
+    facets = cli._FacetRows(facet_blocks, len(matrix), None)
+    oracle = [{"coeffs": row.tolist(), "label": label, "offset": offset}
+              for row, label, offset in zip(matrix, labels, offsets.tolist())]
+    assert cli._json_text({"f": facets}) == json.dumps({"f": oracle}, indent=2)
+    empty = cli._VertexRows(lambda: iter(()), len(matrix), 0)
+    assert cli._json_text({"v": empty}) == json.dumps({"v": []}, indent=2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["facets", "--family", "ghz", "--n", "16", "--limit", "2"],
+        ["facets", "--family", "bisep", "--n", "16", "--limit", "2"],
+        ["facets", "--family", "fbi", "--n", "16", "--limit", "2"],
+        ["extremes", "--family", "ghz", "--n", "16", "--limit", "2"],
+        ["extremes", "--family", "bisep", "--n", "16", "--limit", "2"],
+    ],
+)
+def test_listing_at_n16_streams_in_bounded_memory(argv):
+    # two rows of 2^16 floats print about 1.7 MB; a block of d rows would be 32 GB
+    tracemalloc.start()
+    try:
+        code, text = run(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK and len(json.loads(text)["facets" if argv[0] == "facets" else "vertices"]) == 2
+    assert peak < 16 * 2**20

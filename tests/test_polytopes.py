@@ -1,10 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from ghzpolytope.classify import is_biseparable, is_fully_biseparable
 from ghzpolytope.errors import UnsupportedSizeError
+from ghzpolytope import polytopes
 from ghzpolytope.polytopes import (
     Ball,
+    FacetBlock,
     cube_vertex,
     extreme_points_bisep,
     extreme_points_fbi,
@@ -17,6 +21,7 @@ from ghzpolytope.polytopes import (
     hs_distance,
     inscribed_ball,
     iter_extreme_points_bisep,
+    iter_extreme_points_fbi,
     iter_facets_bisep,
     iter_facets_fbi,
     iter_facets_ghz,
@@ -105,6 +110,65 @@ def test_selections_valid():
         assert len(members) == 4
         for i in members:
             assert 7 - i not in members
+
+
+def test_fbi_cube_vertices_past_the_first_block_match_cube_vertex():
+    # n = 9: 256 rows to a block, so the cube's second block sets a high bit
+    # of the selection, and a stop inside it cuts that block short
+    n, d = 9, 512
+    rows = [s.p for s in itertools.islice(iter_extreme_points_fbi(n), 700)]
+    cube = [cube_vertex(n, sigma).p for sigma in itertools.islice(iter_selections(n), 700 - d // 2)]
+    assert [p.tobytes() for p in rows[d // 2:]] == [p.tobytes() for p in cube]
+    blocks = list(polytopes.vertex_blocks_fbi(n, stop=700))
+    assert [len(b) for b in blocks] == [256, 256, 188]
+    assert np.concatenate(blocks).tobytes() == np.array(rows).tobytes()
+
+
+BLOCKS = {
+    ("GHZ", "facets"): polytopes.facet_blocks_ghz,
+    ("BISEP", "facets"): polytopes.facet_blocks_bisep,
+    ("FBI", "facets"): polytopes.facet_blocks_fbi,
+    ("GHZ", "vertices"): polytopes.vertex_blocks_ghz,
+    ("BISEP", "vertices"): polytopes.vertex_blocks_bisep,
+    ("FBI", "vertices"): polytopes.vertex_blocks_fbi,
+}
+
+
+@pytest.mark.parametrize("family, kind", BLOCKS)
+@pytest.mark.parametrize("n, stop", [(1, None), (3, None), (3, 0), (3, 5), (8, None), (9, 700), (16, 5)])
+def test_blocks_are_capped_in_bytes_and_stop_after_stop_rows(family, kind, n, stop):
+    if stop is None and n == 8 and (family, kind) == ("FBI", "vertices"):
+        stop = 3000  # F_8 has 2^128 + 128 vertices
+    d = 2**n
+    count = (facet_count if kind == "facets" else vertex_count)(family, n)
+    blocks = [b.coeffs if kind == "facets" else b for b in BLOCKS[family, kind](n, stop)]
+    assert sum(len(b) for b in blocks) == (count if stop is None else min(count, stop))
+    for b in blocks:
+        assert b.dtype == np.float64 and b.flags.c_contiguous and b.shape[1] == d
+        assert 0 < len(b) and b.nbytes <= max(polytopes._BLOCK_BYTES, 8 * d)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_library_rows_are_the_block_rows(n):
+    for family, listing in (
+        ("GHZ", iter_facets_ghz),
+        ("BISEP", iter_facets_bisep),
+        ("FBI", iter_facets_fbi),
+    ):
+        facets = list(listing(n))
+        blocks = list(BLOCKS[family, "facets"](n))
+        assert all(isinstance(b, FacetBlock) for b in blocks)
+        assert [f.label for f in facets] == [label for b in blocks for label in b.labels]
+        assert [f.offset for f in facets] == [o for b in blocks for o in b.offsets.tolist()]
+        assert np.array([f.coeffs for f in facets]).tobytes() == np.concatenate([b.coeffs for b in blocks]).tobytes()
+        assert all(f.family == family for f in facets)
+    for family, listing in (
+        ("GHZ", extreme_points_ghz),
+        ("BISEP", iter_extreme_points_bisep),
+        ("FBI", iter_extreme_points_fbi),
+    ):
+        rows = np.array([s.p for s in listing(n)])
+        assert rows.tobytes() == np.concatenate(list(BLOCKS[family, "vertices"](n))).tobytes()
 
 
 # ---------------------------------------------------------------- facets
