@@ -24,7 +24,14 @@ from .classify import EPS_BOUNDARY, EPS_CLASS
 from .classify import classify as _classify_state
 from .decompose import certify_midpoint, cube_vertex_decomposition
 from .errors import GhzPolytopeError, InvalidArgumentError, UnsupportedSizeError
-from .indices import DENSE_MAX_QUBITS, Bipartition, check_qubit_count, dimension, from_bits
+from .indices import (
+    MC_MAX_QUBITS,
+    REPORT_MAX_QUBITS,
+    Bipartition,
+    check_qubit_count,
+    dimension,
+    from_bits,
+)
 from .states import GhzDiagonalState
 
 SEED_ENV_VAR = "GHZPOLYTOPE_SEED"
@@ -34,26 +41,6 @@ EXIT_INVALID_INPUT = 2
 EXIT_UNSUPPORTED_SIZE = 3
 
 _POLYTOPE_FAMILY = {"ghz": "GHZ", "bisep": "BISEP", "fbi": "FBI"}
-
-# F_n has d/2 + 2^(d/2) vertices: 2467 decimal digits at n = 14, 4933 at
-# n = 15, past Python's default 4300-digit limit on int -> str conversion.
-# Neither `report` nor `extremes --family fbi` prints that count past it.
-REPORT_MAX_QUBITS = 14
-
-# `extremes` without --limit lists every vertex; these are the list caps
-_VERTEX_LIST_CAP = {
-    "ghz": polytopes.BISEP_VERTEX_CAP,
-    "bisep": polytopes.BISEP_VERTEX_CAP,
-    "fbi": polytopes.FBI_VERTEX_CAP,
-}
-
-# `facets` without --limit lists every facet: ghz and bisep facets are dense
-# rows of d floats, so their list is a d x d block or two
-_FACET_LIST_CAP = {
-    "ghz": DENSE_MAX_QUBITS,
-    "bisep": DENSE_MAX_QUBITS,
-    "fbi": polytopes.FBI_FACET_CAP,
-}
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -226,15 +213,10 @@ class _FacetRows(_Listing):
         return _number_rows(block.coeffs, "," + keys + "  "), closers
 
 
-_VERTEX_BLOCKS = {
-    "ghz": polytopes.vertex_blocks_ghz,
-    "bisep": polytopes.vertex_blocks_bisep,
-    "fbi": polytopes.vertex_blocks_fbi,
-}
-_FACET_BLOCKS = {
-    "ghz": polytopes.facet_blocks_ghz,
-    "bisep": polytopes.facet_blocks_bisep,
-    "fbi": polytopes.facet_blocks_fbi,
+# each listing command's payload key, rows, block enumerator and row count
+_LISTINGS = {
+    "extremes": ("vertices", _VertexRows, polytopes.vertex_blocks, polytopes.vertex_count),
+    "facets": ("facets", _FacetRows, polytopes.facet_blocks, polytopes.facet_count),
 }
 
 
@@ -276,54 +258,29 @@ def _cmd_mermin(args, out) -> int:
     return EXIT_OK
 
 
-def _check_limit(limit) -> None:
-    if limit is not None and limit < 0:
-        raise InvalidArgumentError(f"--limit must be >= 0, got {limit}")
-
-
-def _cmd_extremes(args, out) -> int:
-    _check_limit(args.limit)
+def _cmd_listing(args, out) -> int:
+    """`extremes` and `facets`: every vertex or facet row, or the first --limit."""
+    if args.limit is not None and args.limit < 0:
+        raise InvalidArgumentError(f"--limit must be >= 0, got {args.limit}")
     check_qubit_count(args.n)
-    cap = _VERTEX_LIST_CAP[args.family]
-    if args.limit is None and args.n > cap:
-        raise UnsupportedSizeError(
-            f"extremes --family {args.family} lists every vertex only up to n = {cap}; "
-            "pass --limit to stream fewer"
-        )
-    if args.family == "fbi" and args.n > REPORT_MAX_QUBITS:
+    key, rows, family_blocks, row_count = _LISTINGS[args.command]
+    family = _POLYTOPE_FAMILY[args.family]
+    if key == "vertices" and family == "FBI" and args.n > REPORT_MAX_QUBITS:
         raise UnsupportedSizeError(
             f"the F_n vertex count has over 4300 digits past n = {REPORT_MAX_QUBITS}"
         )
-    count = polytopes.vertex_count(_POLYTOPE_FAMILY[args.family], args.n)
-    blocks = functools.partial(_VERTEX_BLOCKS[args.family], args.n, args.limit)
+    blocks = functools.partial(family_blocks, family, args.n, args.limit)
+    try:
+        blocks()  # checks the full-list cap before any row is built
+    except UnsupportedSizeError as exc:
+        raise UnsupportedSizeError(f"{exc}; pass --limit to stream fewer") from None
+    count = row_count(family, args.n)
     payload = {
         "config": _config_dict(args),
         "family": args.family,
         "n": args.n,
         "count": count,
-        "vertices": _VertexRows(blocks, count, args.limit),
-    }
-    _emit_json(payload, out)
-    return EXIT_OK
-
-
-def _cmd_facets(args, out) -> int:
-    _check_limit(args.limit)
-    check_qubit_count(args.n)
-    cap = _FACET_LIST_CAP[args.family]
-    if args.limit is None and args.n > cap:
-        raise UnsupportedSizeError(
-            f"facets --family {args.family} lists every facet only up to n = {cap}; "
-            "pass --limit to stream fewer"
-        )
-    count = polytopes.facet_count(_POLYTOPE_FAMILY[args.family], args.n)
-    blocks = functools.partial(_FACET_BLOCKS[args.family], args.n, args.limit)
-    payload = {
-        "config": _config_dict(args),
-        "family": args.family,
-        "n": args.n,
-        "count": count,
-        "facets": _FacetRows(blocks, count, args.limit),
+        key: rows(blocks, count, args.limit),
     }
     _emit_json(payload, out)
     return EXIT_OK
@@ -423,7 +380,7 @@ def _report_row(n: int, mc: bool, samples: int, seed: int, threads: int) -> dict
     row["bisep_facets"] = polytopes.facet_count("BISEP", n)
     row["fbi_vertices"] = polytopes.vertex_count("FBI", n)
     row["fbi_facets"] = polytopes.facet_count("FBI", n)
-    if mc and n <= volume.MC_MAX_QUBITS:
+    if mc and n <= MC_MAX_QUBITS:
         # families with the same sample count share one draw of the points
         by_count: dict[int, list[str]] = {}
         for fam in volume.MC_FAMILIES:
@@ -501,13 +458,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_n(p)
     p.add_argument("--family", choices=sorted(_POLYTOPE_FAMILY), required=True)
     p.add_argument("--limit", type=int, default=None, help="stream at most this many")
-    p.set_defaults(func=_cmd_extremes)
+    p.set_defaults(func=_cmd_listing)
 
     p = sub.add_parser("facets", help="facet enumeration")
     add_n(p)
     p.add_argument("--family", choices=sorted(_POLYTOPE_FAMILY), required=True)
     p.add_argument("--limit", type=int, default=None)
-    p.set_defaults(func=_cmd_facets)
+    p.set_defaults(func=_cmd_listing)
 
     p = sub.add_parser("ball", help="largest inscribed ball")
     add_n(p)

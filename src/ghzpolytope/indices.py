@@ -10,18 +10,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, UnsupportedSizeError
 
-# Enumeration-level operations are capped here; dense-matrix code paths
-# carry the tighter DENSE_MAX_QUBITS cap because they build d x d matrices.
+# The qubit caps, the largest n each kind of operation accepts; every size
+# check in the package reads one of these.
+# Indices, states and streamed listings: one float64 row of 2^16 is 512 KiB.
 MAX_QUBITS = 16
+# d x d matrices and full lists of d-float rows: F_8's 2^15 facet rows are 64 MiB.
 DENSE_MAX_QUBITS = 8
+# The full vertex list of F_n: 2^16 + 16 rows at n = 5, 2^32 + 32 at n = 6.
+FBI_VERTEX_MAX_QUBITS = 5
+# Monte Carlo: a uniform sample lands in F_n with probability 1.8e-13 at n = 6.
+MC_MAX_QUBITS = 6
+# Printing F_n's vertex count: 4933 digits at n = 15, past Python's 4300-digit int -> str limit.
+REPORT_MAX_QUBITS = 14
+# Closed-form volumes and relative volume radii: the range their tests cover.
+CLOSED_FORM_MAX_QUBITS = 20
 
 
 def check_qubit_count(n: int, max_n: int = MAX_QUBITS) -> None:
     """Raise unless ``1 <= n <= max_n``."""
-    from .errors import UnsupportedSizeError
-
     if not isinstance(n, int) or n < 1:
         raise InvalidArgumentError(f"qubit count must be a positive int, got {n!r}")
     if n > max_n:

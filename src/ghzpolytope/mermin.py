@@ -16,14 +16,12 @@ import numpy as np
 
 from ._mc_kernel_py import mermin_gap, mermin_violated
 from .classify import EPS_BOUNDARY, EPS_CLASS
-from .errors import InvalidArgumentError, UnsupportedSizeError
-from .indices import check_qubit_count, dimension
+from .errors import InvalidArgumentError
+from .indices import DENSE_MAX_QUBITS, check_qubit_count, dimension
 from .states import GhzDiagonalState
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-
-MERMIN_MATRIX_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -42,8 +40,7 @@ def build_mermin_operator(n: int) -> MerminOperator:
     """Sum over even-size Y-subsets with sign (-1)^(|Y|/2)."""
     if n < 2:
         raise InvalidArgumentError("the Mermin operator needs at least 2 qubits")
-    if n > MERMIN_MATRIX_CAP:
-        raise UnsupportedSizeError(f"n={n} exceeds the dense matrix cap {MERMIN_MATRIX_CAP}")
+    check_qubit_count(n, DENSE_MAX_QUBITS)
     d = dimension(n)
     total = np.zeros((d, d), dtype=complex)
     term_count = 0

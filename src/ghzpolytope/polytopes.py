@@ -14,16 +14,17 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-from .indices import check_qubit_count, dimension, to_bits
+from .errors import InvalidArgumentError, UnsupportedSizeError
+from .indices import (
+    DENSE_MAX_QUBITS,
+    FBI_VERTEX_MAX_QUBITS,
+    check_qubit_count,
+    dimension,
+    to_bits,
+)
 from .states import GhzDiagonalState
 
 FAMILIES = ("GHZ", "BISEP", "FBI")
-
-# full-list enumeration caps; streaming iterators work above them
-BISEP_VERTEX_CAP = 8
-FBI_VERTEX_CAP = 5
-FBI_FACET_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,7 @@ def iter_facets_ghz(n: int) -> Iterator[Facet]:
 
 def facets_ghz(n: int) -> list[Facet]:
     """d facets p_i >= 0."""
-    return list(iter_facets_ghz(n))
+    return list(_facet_rows("GHZ", facet_blocks("GHZ", n)))
 
 
 def iter_facets_bisep(n: int) -> Iterator[Facet]:
@@ -172,7 +173,7 @@ def iter_facets_bisep(n: int) -> Iterator[Facet]:
 
 def facets_bisep(n: int) -> list[Facet]:
     """2d facets: p_i <= 1/2 (truncation) and p_i >= 0 (inherited)."""
-    return list(iter_facets_bisep(n))
+    return list(_facet_rows("BISEP", facet_blocks("BISEP", n)))
 
 
 def iter_facets_fbi(n: int) -> Iterator[Facet]:
@@ -181,8 +182,7 @@ def iter_facets_fbi(n: int) -> Iterator[Facet]:
 
 
 def facets_fbi(n: int) -> list[Facet]:
-    check_qubit_count(n, FBI_FACET_CAP)
-    return list(iter_facets_fbi(n))
+    return list(_facet_rows("FBI", facet_blocks("FBI", n)))
 
 
 def vertex_blocks_ghz(n: int, stop: int | None = None) -> Iterator[np.ndarray]:
@@ -238,10 +238,45 @@ def _vertex_rows(n: int, blocks: Iterator[np.ndarray]) -> Iterator[GhzDiagonalSt
             yield GhzDiagonalState(n, p)
 
 
+# The block enumerator of each family's facets and vertices, and the largest
+# n whose full list is built
+_ENUMERATORS = {
+    ("facets", "GHZ"): (facet_blocks_ghz, DENSE_MAX_QUBITS),
+    ("facets", "BISEP"): (facet_blocks_bisep, DENSE_MAX_QUBITS),
+    ("facets", "FBI"): (facet_blocks_fbi, DENSE_MAX_QUBITS),
+    ("vertices", "GHZ"): (vertex_blocks_ghz, DENSE_MAX_QUBITS),
+    ("vertices", "BISEP"): (vertex_blocks_bisep, DENSE_MAX_QUBITS),
+    ("vertices", "FBI"): (vertex_blocks_fbi, FBI_VERTEX_MAX_QUBITS),
+}
+
+
+def _blocks(kind: str, family: str, n: int, stop: int | None):
+    if (kind, family) not in _ENUMERATORS:
+        raise InvalidArgumentError(f"unknown family {family!r}")
+    enumerator, cap = _ENUMERATORS[kind, family]
+    check_qubit_count(n)
+    if stop is None and n > cap:
+        raise UnsupportedSizeError(f"{family} {kind} are listed in full only up to n = {cap}")
+    return enumerator(n, stop)
+
+
+def facet_blocks(family: str, n: int, stop: int | None = None) -> Iterator[FacetBlock]:
+    """``facet_blocks_<family>(n, stop)``. Without ``stop`` it raises
+    :class:`UnsupportedSizeError` past the family's full-list cap, before
+    it builds any row."""
+    return _blocks("facets", family, n, stop)
+
+
+def vertex_blocks(family: str, n: int, stop: int | None = None) -> Iterator[np.ndarray]:
+    """``vertex_blocks_<family>(n, stop)``. Without ``stop`` it raises
+    :class:`UnsupportedSizeError` past the family's full-list cap, before
+    it builds any row."""
+    return _blocks("vertices", family, n, stop)
+
+
 def extreme_points_ghz(n: int) -> list[GhzDiagonalState]:
     """The d vertices: pure GHZ projectors."""
-    check_qubit_count(n, BISEP_VERTEX_CAP)
-    return list(_vertex_rows(n, vertex_blocks_ghz(n)))
+    return list(_vertex_rows(n, vertex_blocks("GHZ", n)))
 
 
 def midpoint(n: int, i: int, j: int) -> GhzDiagonalState:
@@ -261,8 +296,7 @@ def iter_extreme_points_bisep(n: int) -> Iterator[GhzDiagonalState]:
 
 def extreme_points_bisep(n: int) -> list[GhzDiagonalState]:
     """All d(d-1)/2 edge midpoints, lexicographic pair order."""
-    check_qubit_count(n, BISEP_VERTEX_CAP)
-    return list(iter_extreme_points_bisep(n))
+    return list(_vertex_rows(n, vertex_blocks("BISEP", n)))
 
 
 def cube_vertex(n: int, sigma) -> GhzDiagonalState:
@@ -299,8 +333,7 @@ def iter_extreme_points_fbi(n: int) -> Iterator[GhzDiagonalState]:
 
 def extreme_points_fbi(n: int) -> list[GhzDiagonalState]:
     """d/2 diagonal midpoints followed by the 2^(d/2) cube vertices."""
-    check_qubit_count(n, FBI_VERTEX_CAP)
-    return list(iter_extreme_points_fbi(n))
+    return list(_vertex_rows(n, vertex_blocks("FBI", n)))
 
 
 def vertex_count(family: str, n: int) -> int:
@@ -370,12 +403,6 @@ def min_center_facet_distance(family: str, n: int) -> float:
     Verification companion to :func:`inscribed_ball`.
     """
     center = GhzDiagonalState.uniform(n)
-    if family == "GHZ":
-        facets = iter_facets_ghz(n)
-    elif family == "BISEP":
-        facets = iter_facets_bisep(n)
-    elif family == "FBI":
-        facets = iter_facets_fbi(n)
-    else:
-        raise InvalidArgumentError(f"unknown family {family!r}")
+    # a stop streams every facet, past the full-list cap
+    facets = _facet_rows(family, facet_blocks(family, n, stop=facet_count(family, n)))
     return min(facet_distance(center, f) for f in facets)

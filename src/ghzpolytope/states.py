@@ -40,7 +40,8 @@ class GhzDiagonalState:
             raise InvalidArgumentError(
                 f"probability {p[bad[0]]} at index {bad[0]} is negative or not finite"
             )
-        total = p.sum()
+        with np.errstate(over="ignore"):  # finite entries can sum to inf, rejected below
+            total = p.sum()
         if abs(total - 1.0) > NORM_SLACK:
             raise InvalidArgumentError(
                 f"probabilities sum to {total}, off normalization by more than {NORM_SLACK}"

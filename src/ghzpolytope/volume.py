@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, UnsupportedSizeError
-from .indices import check_qubit_count, dimension
+from .errors import InvalidArgumentError
+from .indices import CLOSED_FORM_MAX_QUBITS, MC_MAX_QUBITS, check_qubit_count, dimension
 from .mermin import mermin_threshold
 
 try:
@@ -54,7 +54,6 @@ _FAMILY_CODES = {
     MERMIN: _mc_kernel_py.FAMILY_MERMIN,
 }
 
-MC_MAX_QUBITS = 6
 MC_MIN_SAMPLES = 10_000
 DEFAULT_CHUNK = 1 << 16
 # Each chunk is sampled and counted in blocks of at most this many bytes, so
@@ -138,7 +137,7 @@ def rel_vol_exact(family: str, n: int) -> float:
     without rounding residue; log-gamma takes over for large n.
     """
     _check_family(family, ALL_FAMILIES, n)
-    check_qubit_count(n, 20)
+    check_qubit_count(n, CLOSED_FORM_MAX_QUBITS)
     d = dimension(n)
     if family == GHZ:
         return 1.0
@@ -161,7 +160,7 @@ def rel_vol_exact(family: str, n: int) -> float:
 def vol_exact(family: str, n: int) -> float:
     """Absolute Hilbert-Schmidt volume (underflows to 0 for large n)."""
     _check_family(family, ALL_FAMILIES, n)
-    check_qubit_count(n, 20)
+    check_qubit_count(n, CLOSED_FORM_MAX_QUBITS)
     d = dimension(n)
     log_ghz = 0.5 * math.log(d) - math.lgamma(d)
     if family == BISEP_MINUS_FBI:
@@ -175,7 +174,7 @@ def vol_exact(family: str, n: int) -> float:
 def rvr(family: str, n: int) -> float:
     """Relative volume radius (relative volume)^(1/(d-1)), log-space inside."""
     _check_family(family, MC_FAMILIES, n)
-    check_qubit_count(n, 20)
+    check_qubit_count(n, CLOSED_FORM_MAX_QUBITS)
     d = dimension(n)
     if family == BISEP_MINUS_FBI:
         small = math.exp(_log_rel_vol(GENUINE, n)) + math.exp(_log_rel_vol(FBI, n))

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import itertools
 import json
@@ -8,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghzpolytope import cli, polytopes, volume
@@ -281,6 +282,15 @@ def test_extremes_past_a_cap_is_one_error_line(argv, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     if "--limit" not in argv:
         assert "--limit" in lines[0]
+
+
+@pytest.mark.parametrize("n", ["15", "16"])
+def test_extremes_fbi_past_the_digit_cap_does_not_ask_for_limit(n, capsys):
+    # --limit would not help: the vertex count alone cannot be printed
+    code, text = run(["extremes", "--family", "fbi", "--n", n])
+    assert (code, text) == (EXIT_UNSUPPORTED_SIZE, "")
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the F_n vertex count has over 4300 digits past n = 14"]
 
 
 @pytest.mark.parametrize(
@@ -662,3 +672,69 @@ def test_listing_at_n16_streams_in_bounded_memory(argv):
         tracemalloc.stop()
     assert code == EXIT_OK and len(json.loads(text)["facets" if argv[0] == "facets" else "vertices"]) == 2
     assert peak < 16 * 2**20
+
+
+# ------------------------------------------------------------- argv fuzz
+
+fuzz_numbers = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e999", "1.7976931348623157e+308", "-0.0", "0.125",
+                     "abc", "", " ", "0x1", "1/8"]),
+)
+fuzz_bits = st.one_of(st.text("01", min_size=1, max_size=6), st.sampled_from(["", "012", "ab"]))
+
+
+@st.composite
+def fuzz_argv(draw):
+    """One argv of any subcommand, kept cheap: full listings only at n <= 6,
+    Monte Carlo on 10000 samples. Small n and well-formed values are drawn
+    often enough that every subcommand also runs."""
+    sub = draw(st.sampled_from(["classify", "mermin", "extremes", "facets", "ball", "volume",
+                                "certify", "report", "bogus"]))
+    n = draw(st.one_of(st.integers(1, 4), st.integers(-1, 40)))
+    argv = [sub] + (["--n", str(n)] if sub != "report" else [])
+    if sub in ("classify", "mermin"):
+        size = 2**n if 1 <= n <= 4 and draw(st.booleans()) else draw(st.integers(1, 20))
+        p = [repr(1 / size)] * size
+        for k in draw(st.lists(st.integers(0, size - 1), max_size=2)):
+            p[k] = draw(fuzz_numbers)
+        argv += ["--p", ",".join(p)]
+    elif sub in ("extremes", "facets", "ball"):
+        argv += ["--family", draw(st.sampled_from(["ghz", "bisep", "fbi", "xyz"]))]
+        if sub != "ball" and (n > 6 or draw(st.booleans())):
+            argv += ["--limit", str(draw(st.integers(-2, 50 if n <= 10 else 2)))]
+    elif sub == "volume":
+        argv += ["--family", draw(st.sampled_from(sorted(volume.ALL_FAMILIES) + ["xyz"]))]
+        if draw(st.booleans()):
+            argv += ["--mc", "--samples", "10000", "--seed", str(draw(st.integers(-1, 9))),
+                     "--threads", str(draw(st.integers(0, 2)))]
+    elif sub == "certify":
+        bits = st.text("01", min_size=max(n, 1), max_size=max(n, 1))
+        garbled = st.lists(st.one_of(bits, fuzz_bits), min_size=1, max_size=8)
+        if draw(st.booleans()):
+            pair = st.lists(bits, min_size=2, max_size=2, unique=True)
+            argv += ["--pair", ",".join(draw(st.one_of(pair, garbled)))]
+        else:
+            argv += ["--sigma", ",".join(draw(garbled)),
+                     "--bipartition", draw(st.sampled_from(["1", "1,2", "2", "0", "x", "1,x"]))]
+    elif sub == "report":
+        argv += ["--n-min", str(draw(st.integers(-1, 8))), "--n-max", str(n),
+                 "--format", draw(st.sampled_from(["csv", "json"]))]
+        if draw(st.booleans()):
+            argv += ["--mc", "--samples", "10000"]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_argv())
+@example(["classify", "--n", "1", "--p", "1.7976931348623157e+308,1.7976931348623157e+308"])
+def test_any_argv_exits_0_2_or_3_with_one_error_line(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, text = run(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (EXIT_OK, EXIT_INVALID_INPUT, EXIT_UNSUPPORTED_SIZE), (argv, lines)
+    if code == EXIT_OK:
+        assert lines == [] and text.endswith("\n"), argv
+    else:
+        assert text == "" and len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)

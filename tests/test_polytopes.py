@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ghzpolytope.classify import is_biseparable, is_fully_biseparable
-from ghzpolytope.errors import UnsupportedSizeError
+from ghzpolytope.errors import InvalidArgumentError, UnsupportedSizeError
+from ghzpolytope.indices import DENSE_MAX_QUBITS, FBI_VERTEX_MAX_QUBITS, MAX_QUBITS
 from ghzpolytope import polytopes
 from ghzpolytope.polytopes import (
     Ball,
@@ -98,10 +99,17 @@ def test_vertex_caps():
         extreme_points_fbi(6)
     with pytest.raises(UnsupportedSizeError):
         extreme_points_bisep(9)
+    # full facet lists stop at the same n for every family: a d x d block at n = 9
+    # would be 2 MiB for ghz, and 32 GiB at n = 16
+    for facets in (facets_ghz, facets_bisep, facets_fbi):
+        with pytest.raises(UnsupportedSizeError):
+            facets(9)
     # streaming still works above the cap
     it = iter_extreme_points_bisep(9)
     first = next(it)
     assert first.p[0] == 0.5
+    facet = next(iter_facets_ghz(9))
+    assert facet.label == "p_000000000>=0" and facet.coeffs[0] == 1.0
 
 
 def test_selections_valid():
@@ -146,6 +154,39 @@ def test_blocks_are_capped_in_bytes_and_stop_after_stop_rows(family, kind, n, st
     for b in blocks:
         assert b.dtype == np.float64 and b.flags.c_contiguous and b.shape[1] == d
         assert 0 < len(b) and b.nbytes <= max(polytopes._BLOCK_BYTES, 8 * d)
+
+
+LIST_CAPS = {
+    ("GHZ", "facets"): DENSE_MAX_QUBITS,
+    ("BISEP", "facets"): DENSE_MAX_QUBITS,
+    ("FBI", "facets"): DENSE_MAX_QUBITS,
+    ("GHZ", "vertices"): DENSE_MAX_QUBITS,
+    ("BISEP", "vertices"): DENSE_MAX_QUBITS,
+    ("FBI", "vertices"): FBI_VERTEX_MAX_QUBITS,
+}
+
+
+@pytest.mark.parametrize("family, kind", BLOCKS)
+def test_family_dispatch_is_the_family_enumerator_up_to_its_list_cap(family, kind, monkeypatch):
+    dispatch = polytopes.facet_blocks if kind == "facets" else polytopes.vertex_blocks
+
+    def rows(blocks):
+        return np.concatenate([b.coeffs if kind == "facets" else b for b in blocks]).tobytes()
+
+    cap = LIST_CAPS[family, kind]
+    for n, stop in ((1, None), (3, None), (3, 5), (cap + 1, 3), (MAX_QUBITS, 2)):
+        assert rows(dispatch(family, n, stop)) == rows(BLOCKS[family, kind](n, stop))
+    # past the cap the full list raises at the call, before any row is built
+    monkeypatch.setattr(polytopes, "_rows_with", None)
+    monkeypatch.setattr(np, "zeros", None)
+    with pytest.raises(UnsupportedSizeError, match=f"up to n = {cap}"):
+        dispatch(family, cap + 1)
+    with pytest.raises(UnsupportedSizeError):
+        dispatch(family, MAX_QUBITS + 1, 1)
+    with pytest.raises(InvalidArgumentError):
+        dispatch(family, 0, 1)
+    with pytest.raises(InvalidArgumentError):
+        dispatch(family.lower(), 3)
 
 
 @pytest.mark.parametrize("n", range(1, 5))

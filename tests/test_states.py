@@ -147,3 +147,10 @@ def test_state_validation():
 def test_state_rejects_non_finite(p):
     with pytest.raises(InvalidArgumentError, match="not finite"):
         GhzDiagonalState(2, np.array(p))
+
+
+def test_state_rejects_finite_entries_that_sum_past_the_largest_float():
+    # the sum overflows to inf; tier-1 turns any overflow warning into an error
+    big = np.finfo(float).max
+    with pytest.raises(InvalidArgumentError, match="sum to inf"):
+        GhzDiagonalState(1, np.array([big, big]))
