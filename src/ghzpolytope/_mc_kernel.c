@@ -3,13 +3,34 @@
  * NumPy path (volume.sample_simplex, then _mc_kernel_py.count_hits).
  *
  * The chunk's Philox4x64-10 stream and the ziggurat's fast path run inline;
- * the rare draws off the fast path go to NumPy's own routine.  Built by
- * _mc_kernel.py against NumPy's C random library.  Compile without
+ * the rare draws off the fast path go to NumPy's own routine.  The stream
+ * runs in one of two routines, chosen at run time from the CPU's flags:
+ *   - scalar: one Philox block of four values at a time, as NumPy steps it;
+ *   - wide (AVX-512F and AVX-512DQ): eight consecutive blocks side by side
+ *     into a buffer of 32 values kept in stream order and tracked by the
+ *     counter of its last block; the fast path reads it eight values at a
+ *     time, and the draws replayed through NumPy's routine take their extra
+ *     values from it too.
+ * Both hand out the same values, and both write back NumPy's state at the
+ * end of a chunk: the counter of the block that holds the last value read,
+ * that block's four values and the position after that value.  Rows are
+ * summed and divided eight values at a time where d allows it, on the
+ * routine's vector unit, in row_sum's order.
+ *
+ * Built by _mc_kernel.py against NumPy's C random library.  Compile without
  * -ffast-math and without FMA contraction: every sum below must be added in
  * the order written. */
 #include <stdint.h>
 #include <math.h>
 #include "numpy/random/bitgen.h"
+
+/* The wide routine needs GCC's or Clang's x86-64 target attributes. */
+#if defined(__x86_64__) && defined(__GNUC__)
+#define WIDE_ROUTINE 1
+#include <immintrin.h>
+#else
+#define WIDE_ROUTINE 0
+#endif
 
 /* From numpy/random/distributions.h, which includes Python.h; the routine
  * behind Generator.standard_exponential. */
@@ -76,14 +97,15 @@ static inline uint64_t philox_next(philox_t *s)
 static uint64_t ke[256];
 static double we[256];
 
-/* A bit generator that hands out `first`, then the rest of a stream: Philox
- * if `philox` is set, else zeros.  `calls` counts the values handed out.
- * random_standard_exponential draws only through next_uint64 and
+/* A bit generator that hands out `first`, then the rest of a stream through
+ * next(stream), or zeros if next is NULL.  `calls` counts the values handed
+ * out.  random_standard_exponential draws only through next_uint64 and
  * next_double. */
 typedef struct {
     uint64_t first;
     int calls;
-    philox_t *philox;
+    uint64_t (*next)(void *);
+    void *stream;
 } replay_t;
 
 static uint64_t replay_next_uint64(void *st)
@@ -91,7 +113,7 @@ static uint64_t replay_next_uint64(void *st)
     replay_t *s = st;
     if (s->calls++ == 0)
         return s->first;
-    return s->philox ? philox_next(s->philox) : 0;
+    return s->next ? s->next(s->stream) : 0;
 }
 
 /* NumPy's next_double for Philox: the top 53 bits over 2^53. */
@@ -100,13 +122,19 @@ static double replay_next_double(void *st)
     return (replay_next_uint64(st) >> 11) * (1.0 / 9007199254740992.0);
 }
 
-static double replay_exponential(uint64_t first, philox_t *philox, int *calls)
+static double replay_exponential(uint64_t first, uint64_t (*next)(void *), void *stream,
+                                 int *calls)
 {
-    replay_t s = {first, 0, philox};
+    replay_t s = {first, 0, next, stream};
     bitgen_t bitgen = {&s, replay_next_uint64, NULL, replay_next_double, NULL};
     double x = random_standard_exponential(&bitgen);
     *calls = s.calls;
     return x;
+}
+
+static uint64_t philox_next_raw(void *s)
+{
+    return philox_next(s);
 }
 
 /* Fill ke and we from NumPy's routine: we[idx] is its value for ri = 1, and
@@ -116,11 +144,11 @@ int read_tables(void)
 {
     for (uint64_t idx = 0; idx < 256; idx++) {
         int calls;
-        we[idx] = replay_exponential(1 << 11 | idx << 3, NULL, &calls);
+        we[idx] = replay_exponential(1 << 11 | idx << 3, NULL, NULL, &calls);
         uint64_t lo = 0, hi = (uint64_t)1 << 53;
         while (lo < hi) {
             uint64_t mid = lo + (hi - lo) / 2;
-            replay_exponential(mid << 11 | idx << 3, NULL, &calls);
+            replay_exponential(mid << 11 | idx << 3, NULL, NULL, &calls);
             if (calls > 1)
                 hi = mid;
             else
@@ -129,7 +157,7 @@ int read_tables(void)
         ke[idx] = lo;
         if (!(we[idx] > 0.0 && we[idx] < 1.0))
             return -1;
-        if (lo > 0 && (replay_exponential((lo - 1) << 11 | idx << 3, NULL, &calls)
+        if (lo > 0 && (replay_exponential((lo - 1) << 11 | idx << 3, NULL, NULL, &calls)
                        != (lo - 1) * we[idx] || calls != 1))
             return -1;
     }
@@ -137,8 +165,9 @@ int read_tables(void)
 }
 
 /* n of NumPy's standard exponentials from the Philox stream s. */
-static void fill_exponentials(philox_t *s, int64_t n, double *out)
+static void fill_exponentials(void *stream, int64_t n, double *out)
 {
+    philox_t *s = stream;
     for (int64_t i = 0; i < n; i++) {
         uint64_t u = philox_next(s), ri = u >> 11;
         unsigned idx = (u >> 3) & 255;
@@ -146,7 +175,7 @@ static void fill_exponentials(philox_t *s, int64_t n, double *out)
             out[i] = ri * we[idx];
         } else {  /* about 1 %: NumPy redoes the first step, then the tail or wedge */
             int calls;
-            out[i] = replay_exponential(u, s, &calls);
+            out[i] = replay_exponential(u, philox_next_raw, s, &calls);
         }
     }
 }
@@ -176,6 +205,218 @@ static double row_sum(const double *a, int64_t n)
     int64_t n2 = n / 2;
     n2 -= n2 % 8;
     return row_sum(a, n2) + row_sum(a + n2, n - n2);
+}
+
+/* Eight doubles at any 8-byte alignment: GCC and Clang compile arithmetic
+ * on it to the widest vector unit of the function it is in. */
+typedef double v8df __attribute__((vector_size(64), aligned(8)));
+
+/* Divide each of the b rows of buf (b x d) by its row_sum.  Where d is a
+ * multiple of 8 up to 128, row_sum adds the row's blocks of eight lane by
+ * lane, then the eight lanes as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
+ * (r6 + r7)), so the row is summed and divided eight values at a time. */
+static inline __attribute__((always_inline)) void normalise_rows(double *buf, int64_t b,
+                                                                 int64_t d)
+{
+    int by_eight = d % 8 == 0 && d >= 8 && d <= 128;
+    for (int64_t r = 0; r < b; r++) {
+        double *row = buf + r * d;
+        if (!by_eight) {
+            double s = row_sum(row, d);
+            for (int64_t j = 0; j < d; j++)
+                row[j] /= s;
+            continue;
+        }
+        v8df sum = *(const v8df *)row;
+        for (int64_t j = 8; j < d; j += 8)
+            sum += *(const v8df *)(row + j);
+        double s = ((sum[0] + sum[1]) + (sum[2] + sum[3])) + ((sum[4] + sum[5]) + (sum[6] + sum[7]));
+        for (int64_t j = 0; j < d; j += 8)
+            *(v8df *)(row + j) /= s;
+    }
+}
+
+#if WIDE_ROUTINE
+/* The wide routine's stream: buf holds eight consecutive blocks in stream
+ * order, last the counter of the eighth, pos the next value to hand out (32:
+ * none left); round_keys are the keys PHILOX_ROUND uses in each round. */
+typedef struct {
+    uint64_t buf[32] __attribute__((aligned(64)));
+    uint64_t round_keys[10][2], last[4];
+    int pos;
+} philox8_t;
+
+/* Take over the scalar state s: its block becomes buf's eighth. */
+static void philox8_load(philox8_t *w, const philox_t *s)
+{
+    for (int i = 0; i < 4; i++) {
+        w->last[i] = s->counter[i];
+        w->buf[28 + i] = s->out[i];
+    }
+    uint64_t k0 = s->key[0], k1 = s->key[1];
+    for (int round = 0; round < 10; round++) {
+        w->round_keys[round][0] = k0;
+        w->round_keys[round][1] = k1;
+        k0 += 0x9E3779B97F4A7C15ULL;
+        k1 += 0xBB67AE8584CAA73BULL;
+    }
+    w->pos = 28 + s->pos;
+}
+
+/* NumPy's state after w's reads, into s: the block that holds the last value
+ * read (at least one value must have been read since philox8_load). */
+static void philox8_store(const philox8_t *w, philox_t *s)
+{
+    int block = (w->pos - 1) / 4;
+    uint64_t back = 7 - block, low = w->last[0];
+    for (int i = 0; i < 4; i++) {
+        s->counter[i] = w->last[i];
+        s->out[i] = w->buf[4 * block + i];
+    }
+    s->counter[0] -= back;  /* the 256-bit counter less back, with borrow */
+    if (low < back && s->counter[1]-- == 0 && s->counter[2]-- == 0)
+        s->counter[3]--;
+    s->pos = w->pos - 4 * block;
+}
+
+#define WIDE __attribute__((target("avx512f,avx512dq")))
+
+/* Each lane's high 32 bits moved to its low half, the high half zeroed:
+ * x >> 32 as a shuffle, which leaves the multiplier's port to the multiplies. */
+#define HIGH32(x) _mm512_maskz_shuffle_epi32(0x5555, x, _MM_PERM_CDAB)
+
+/* The 128-bit products a * b in each lane, high halves in *hi and low halves
+ * returned, from the 32-bit halves alo, ahi of a and four 32 x 32 -> 64-bit
+ * multiplies; no sum below overflows. */
+WIDE static inline __m512i mul128(__m512i alo, __m512i ahi, __m512i b, __m512i *hi)
+{
+    __m512i bhi = _mm512_shuffle_epi32(b, _MM_PERM_CDAB);  /* b >> 32 where vpmuludq reads */
+    __m512i ll = _mm512_mul_epu32(alo, b), hl = _mm512_mul_epu32(ahi, b);
+    __m512i lh = _mm512_mul_epu32(alo, bhi), hh = _mm512_mul_epu32(ahi, bhi);
+    __m512i mid = _mm512_add_epi64(hl, HIGH32(ll));
+    __m512i mid2 = _mm512_add_epi64(lh, _mm512_maskz_mov_epi32(0x5555, mid));
+    *hi = _mm512_add_epi64(_mm512_add_epi64(hh, HIGH32(mid)), HIGH32(mid2));
+    /* the low half: ll's low 32 bits under mid2's */
+    return _mm512_mask_shuffle_epi32(ll, 0xAAAA, mid2, _MM_PERM_CDAB);
+}
+
+/* Refill buf with the eight blocks after last: lane j of x0..x3 runs the
+ * block of counter last + j + 1, as PHILOX_ROUND runs one block. */
+WIDE static void philox8_refill(philox8_t *s)
+{
+    const __m512i one = _mm512_set1_epi64(1), zero = _mm512_setzero_si512();
+    const __m512i step = _mm512_setr_epi64(1, 2, 3, 4, 5, 6, 7, 8);
+    const __m512i m0lo = _mm512_set1_epi64(0xE14C6C93), m0hi = _mm512_set1_epi64(0xD2E7470E);
+    const __m512i m1lo = _mm512_set1_epi64(0x95121157), m1hi = _mm512_set1_epi64(0xCA5A8263);
+    /* the counters, carried lane by lane */
+    __m512i x0 = _mm512_add_epi64(_mm512_set1_epi64(s->last[0]), step);
+    __mmask8 carry = _mm512_cmplt_epu64_mask(x0, step);
+    __m512i x1 = _mm512_set1_epi64(s->last[1]);
+    x1 = _mm512_mask_add_epi64(x1, carry, x1, one);
+    carry = _mm512_mask_cmpeq_epu64_mask(carry, x1, zero);
+    __m512i x2 = _mm512_set1_epi64(s->last[2]);
+    x2 = _mm512_mask_add_epi64(x2, carry, x2, one);
+    carry = _mm512_mask_cmpeq_epu64_mask(carry, x2, zero);
+    __m512i x3 = _mm512_set1_epi64(s->last[3]);
+    x3 = _mm512_mask_add_epi64(x3, carry, x3, one);
+    for (int round = 0; round < 10; round++) {
+        __m512i hi0, lo0 = mul128(m0lo, m0hi, x0, &hi0);
+        __m512i hi1, lo1 = mul128(m1lo, m1hi, x2, &hi1);
+        x0 = _mm512_ternarylogic_epi64(hi1, x1, _mm512_set1_epi64(s->round_keys[round][0]), 0x96);
+        x1 = lo1;
+        x2 = _mm512_ternarylogic_epi64(hi0, x3, _mm512_set1_epi64(s->round_keys[round][1]), 0x96);
+        x3 = lo0;
+    }
+    /* lanes to stream order: pair x0 with x1 and x2 with x3, block by block,
+     * then the pairs of two blocks at a time */
+    const __m512i pair_lo = _mm512_setr_epi64(0, 8, 1, 9, 2, 10, 3, 11);
+    const __m512i pair_hi = _mm512_setr_epi64(4, 12, 5, 13, 6, 14, 7, 15);
+    const __m512i quad_lo = _mm512_setr_epi64(0, 1, 8, 9, 2, 3, 10, 11);
+    const __m512i quad_hi = _mm512_setr_epi64(4, 5, 12, 13, 6, 7, 14, 15);
+    __m512i a = _mm512_permutex2var_epi64(x0, pair_lo, x1), b = _mm512_permutex2var_epi64(x2, pair_lo, x3);
+    __m512i c = _mm512_permutex2var_epi64(x0, pair_hi, x1), e = _mm512_permutex2var_epi64(x2, pair_hi, x3);
+    _mm512_store_si512(s->buf, _mm512_permutex2var_epi64(a, quad_lo, b));
+    _mm512_store_si512(s->buf + 8, _mm512_permutex2var_epi64(a, quad_hi, b));
+    _mm512_store_si512(s->buf + 16, _mm512_permutex2var_epi64(c, quad_lo, e));
+    _mm512_store_si512(s->buf + 24, _mm512_permutex2var_epi64(c, quad_hi, e));
+    s->pos = 0;
+    s->last[0] += 8;
+    if (s->last[0] < 8 && ++s->last[1] == 0 && ++s->last[2] == 0)
+        ++s->last[3];
+}
+
+WIDE static uint64_t philox8_next(void *stream)
+{
+    philox8_t *s = stream;
+    if (s->pos == 32)
+        philox8_refill(s);
+    return s->buf[s->pos++];
+}
+
+/* fill_exponentials, eight values at a time: the lanes up to the first one
+ * off the fast path are stored, that one is replayed through NumPy's
+ * routine, and the next group starts after it. */
+WIDE static void fill_exponentials8(void *stream, int64_t n, double *out)
+{
+    philox8_t *s = stream;
+    const __m512i layer = _mm512_set1_epi64(255);
+    for (int64_t i = 0; i < n;) {
+        if (s->pos == 32)
+            philox8_refill(s);
+        int64_t k = n - i < 8 ? n - i : 8;
+        k = k < 32 - s->pos ? k : 32 - s->pos;
+        __mmask8 lanes = (__mmask8)((1u << k) - 1);
+        __m512i u = _mm512_maskz_loadu_epi64(lanes, s->buf + s->pos);
+        __m512i ri = _mm512_srli_epi64(u, 11);
+        __m512i idx = _mm512_and_si512(_mm512_srli_epi64(u, 3), layer);
+        /* gathered into zeros: a gather merges into its destination, and an
+         * old one would chain each group to the last */
+        __m512i kes = _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), lanes, idx, ke, 8);
+        __m512d wes = _mm512_mask_i64gather_pd(_mm512_setzero_pd(), lanes, idx, we, 8);
+        __mmask8 fast = _mm512_mask_cmplt_epu64_mask(lanes, ri, kes);
+        __m512d x = _mm512_mul_pd(_mm512_cvtepu64_pd(ri), wes);
+        if (fast == lanes) {
+            _mm512_mask_storeu_pd(out + i, lanes, x);
+            i += k;
+            s->pos += k;
+            continue;
+        }
+        int first_slow = __builtin_ctz(~fast & lanes), calls;
+        _mm512_mask_storeu_pd(out + i, (__mmask8)((1u << first_slow) - 1), x);
+        i += first_slow;
+        s->pos += first_slow;
+        uint64_t v = s->buf[s->pos++];
+        out[i++] = replay_exponential(v, philox8_next, s, &calls);
+    }
+}
+
+/* normalise_rows on eight lanes of AVX-512. */
+WIDE static void normalise_rows8(double *buf, int64_t b, int64_t d)
+{
+    normalise_rows(buf, b, d);
+}
+#endif
+
+/* Bit 0: the CPU has AVX-512F, bit 1: AVX-512DQ; the wide routine needs both. */
+int cpu_wide_flags(void)
+{
+#if WIDE_ROUTINE
+    __builtin_cpu_init();
+    return (__builtin_cpu_supports("avx512f") != 0) | (__builtin_cpu_supports("avx512dq") != 0) << 1;
+#else
+    return 0;
+#endif
+}
+
+/* 1 while chunk_counts runs the wide routine.  set_philox_routine(1) picks it
+ * where the CPU has both flags, set_philox_routine(0) forces the scalar one
+ * (for tests); either returns the routine now in use. */
+static int philox_wide;
+
+int set_philox_routine(int wide)
+{
+    philox_wide = wide && cpu_wide_flags() == 3;
+    return philox_wide;
 }
 
 /* Add to hits[0..2] the rows of the (m, d) matrix p that are genuine,
@@ -226,6 +467,22 @@ void count_hits(const double *p, int64_t m, int64_t d, int mask, double nu, int6
         count_rows(p, m, d, 1, 0, nu, hits);
 }
 
+/* Draw m rows with fill from stream in blocks of `rows` rows through buf
+ * (rows x d), normalise each row with normalise, and add each block's counts
+ * of the regions in mask to hits. */
+static inline __attribute__((always_inline)) void draw_and_count(void (*fill)(void *, int64_t, double *),
+                           void (*normalise)(double *, int64_t, int64_t), void *stream,
+                           int64_t m, int64_t d, double *buf, int64_t rows, int mask, double nu,
+                           int64_t *hits)
+{
+    for (int64_t start = 0; start < m; start += rows) {
+        int64_t b = m - start < rows ? m - start : rows;
+        fill(stream, b * d, buf);
+        normalise(buf, b, d);
+        count_hits(buf, b, d, mask, nu, hits);
+    }
+}
+
 /* Draw m rows from the Philox stream (key, counter, buffer, *pos), NumPy's
  * state of the chunk's bit generator, in blocks of `rows` rows through buf
  * (rows x d), normalise each row, and add each block's counts of the regions
@@ -239,16 +496,15 @@ void chunk_counts(const uint64_t *key, uint64_t *counter, uint64_t *buffer, int 
                   {counter[0], counter[1], counter[2], counter[3]},
                   {buffer[0], buffer[1], buffer[2], buffer[3]},
                   *pos};
-    for (int64_t start = 0; start < m; start += rows) {
-        int64_t b = m - start < rows ? m - start : rows;
-        fill_exponentials(&philox, b * d, buf);
-        for (int64_t r = 0; r < b; r++) {
-            double *row = buf + r * d, s = row_sum(row, d);
-            for (int64_t j = 0; j < d; j++)
-                row[j] /= s;
-        }
-        count_hits(buf, b, d, mask, nu, hits);
-    }
+#if WIDE_ROUTINE
+    if (philox_wide && m > 0 && d > 0) {
+        philox8_t wide;
+        philox8_load(&wide, &philox);
+        draw_and_count(fill_exponentials8, normalise_rows8, &wide, m, d, buf, rows, mask, nu, hits);
+        philox8_store(&wide, &philox);
+    } else
+#endif
+        draw_and_count(fill_exponentials, normalise_rows, &philox, m, d, buf, rows, mask, nu, hits);
     for (int i = 0; i < 4; i++) {
         counter[i] = philox.counter[i];
         buffer[i] = philox.out[i];

@@ -11,12 +11,25 @@ generator goes on exactly as NumPy's would.  It takes the ziggurat's fast
 path inline and hands the rare other draws (about 1 %) to NumPy's
 ``random_standard_exponential``.  NumPy keeps the ziggurat's tables
 private, so at load the kernel reads them back by probing that routine
-(256 x 54 calls).  It is then checked bit for bit against NumPy's
-draw-and-divide, its hit counts and the bit generator's final state.  Any
-failure (no compiler, an unwritable directory, a missing library, a failed
-probe, a mismatch) raises ImportError, and ``volume`` keeps the NumPy path
-in ``_mc_kernel_py``.  Calls go through ctypes, which releases the GIL, so
-chunks on a thread pool run in parallel.
+(256 x 54 calls).
+
+The stream runs in one of two routines, picked at load from the CPU's
+flags (``PHILOX_ROUTINE``).  ``"scalar"`` steps Philox one block of four
+values at a time, as NumPy does.  ``"avx512"``, on a CPU with AVX-512F and
+AVX-512DQ, computes eight consecutive blocks side by side into a buffer of
+32 values in stream order, tracked by the counter of its last block; the
+fast path reads that buffer eight values at a time, and the draws replayed
+through NumPy's routine take their extra values from it too.  At the end of
+a chunk it writes back what NumPy's own state would hold: the counter of
+the block that holds the last value read, that block's four values and the
+position after that value.  The two routines draw the same values.
+
+Each routine the CPU can run is checked at load bit for bit against
+NumPy's draw-and-divide, its hit counts and the bit generator's final
+state.  Any failure (no compiler, an unwritable directory, a missing
+library, a failed probe, a mismatch) raises ImportError, and ``volume``
+keeps the NumPy path in ``_mc_kernel_py``.  Calls go through ctypes, which
+releases the GIL, so chunks on a thread pool run in parallel.
 """
 
 from __future__ import annotations
@@ -38,6 +51,8 @@ _HERE = Path(__file__).resolve().parent
 _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
 _HITS = _I64 * (FAMILY_MERMIN + 1)  # one counter per family code
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+ROUTINES = ("scalar", "avx512")  # set_philox_routine's codes 0 and 1
+WIDE_CPU_FLAGS = ("avx512f", "avx512dq")  # bits 0 and 1 of cpu_wide_flags()
 
 
 def _mask(families) -> int:
@@ -93,29 +108,40 @@ def _run(lib: ctypes.CDLL, bitgen: np.random.BitGenerator, m: int, buf: np.ndarr
     return hits
 
 
+def _set_routine(lib: ctypes.CDLL, routine: str) -> str:
+    """Make ``lib`` run ``routine`` if the CPU can, else the scalar one; the
+    routine now in use.  Only the loader and tests switch routines."""
+    return ROUTINES[lib.set_philox_routine(ROUTINES.index(routine))]
+
+
 def _self_check(lib: ctypes.CDLL) -> None:
     """Raise ImportError unless the kernel draws NumPy's normalised rows bit for
     bit, counts them as the NumPy path does and leaves the bit generator where
-    NumPy's draw leaves it: a NumPy release could change its draw or its
-    summation order."""
+    NumPy's draw leaves it, on every routine the CPU can run: a NumPy release
+    could change its draw or its summation order."""
     m, rows = 35, 16  # two full blocks and a ragged one of 3 rows
-    # d = 64 starts mid-buffer, and its 2240 values leave the ziggurat's fast
-    # path often enough to take 56 more raw draws
-    for d, skip in ((4, 0), (64, 3)):
-        bitgen, twin = np.random.Philox(d), np.random.Philox(d)
-        bitgen.random_raw(skip)
-        twin.random_raw(skip)
-        buf = np.empty((rows, d))
-        hits = _run(lib, bitgen, m, buf, _mask(range(FAMILY_MERMIN + 1)), 0.0)
-        e = np.random.Generator(twin).standard_exponential((m, d))
-        e /= e.sum(axis=1, keepdims=True)
-        last = m % rows
-        if not np.array_equal(buf[:last].view(np.uint64), e[-last:].view(np.uint64)):
-            raise ImportError(f"C kernel rows differ from NumPy's at d = {d}")
-        if list(hits) != [_numpy_count_hits(e, code, 0.0) for code in range(len(hits))]:
-            raise ImportError(f"C kernel hit counts differ from NumPy's at d = {d}")
-        if not np.array_equal(bitgen.random_raw(8), twin.random_raw(8)):
-            raise ImportError(f"C kernel leaves the bit generator off NumPy's state at d = {d}")
+    for routine in reversed(ROUTINES):
+        if _set_routine(lib, routine) != routine:
+            continue
+        # d = 64 starts mid-buffer, and its 2240 values leave the ziggurat's
+        # fast path often enough to take 56 more raw draws
+        for d, skip in ((4, 0), (64, 3)):
+            where = f"at d = {d} ({routine} routine)"
+            bitgen, twin = np.random.Philox(d), np.random.Philox(d)
+            bitgen.random_raw(skip)
+            twin.random_raw(skip)
+            buf = np.empty((rows, d))
+            hits = _run(lib, bitgen, m, buf, _mask(range(FAMILY_MERMIN + 1)), 0.0)
+            e = np.random.Generator(twin).standard_exponential((m, d))
+            e /= e.sum(axis=1, keepdims=True)
+            last = m % rows
+            if not np.array_equal(buf[:last].view(np.uint64), e[-last:].view(np.uint64)):
+                raise ImportError(f"C kernel rows differ from NumPy's {where}")
+            if list(hits) != [_numpy_count_hits(e, code, 0.0) for code in range(len(hits))]:
+                raise ImportError(f"C kernel hit counts differ from NumPy's {where}")
+            if not np.array_equal(bitgen.random_raw(8), twin.random_raw(8)):
+                raise ImportError(f"C kernel leaves the bit generator off NumPy's state {where}")
+    _set_routine(lib, ROUTINES[-1])
 
 
 def load(source: Path = _HERE / "_mc_kernel.c", cache_dir: Path = _HERE / "__pycache__",
@@ -132,6 +158,10 @@ def load(source: Path = _HERE / "_mc_kernel.c", cache_dir: Path = _HERE / "__pyc
     lib.chunk_counts.restype = None
     lib.read_tables.argtypes = []
     lib.read_tables.restype = ctypes.c_int
+    lib.cpu_wide_flags.argtypes = []
+    lib.cpu_wide_flags.restype = ctypes.c_int
+    lib.set_philox_routine.argtypes = [ctypes.c_int]
+    lib.set_philox_routine.restype = ctypes.c_int
     if lib.read_tables() != 0:
         raise ImportError("cannot read the ziggurat tables back from NumPy's exponential")
     _self_check(lib)
@@ -139,6 +169,10 @@ def load(source: Path = _HERE / "_mc_kernel.c", cache_dir: Path = _HERE / "__pyc
 
 
 _lib = load()
+# the CPU flags the "avx512" routine needs that this CPU lacks
+MISSING_WIDE_FLAGS = tuple(flag for bit, flag in enumerate(WIDE_CPU_FLAGS)
+                           if not _lib.cpu_wide_flags() >> bit & 1)
+PHILOX_ROUTINE = _set_routine(_lib, ROUTINES[-1])  # the routine chunk_counts runs
 
 
 def count_hits(p: np.ndarray, family: int, nu: float) -> int:

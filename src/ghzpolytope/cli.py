@@ -3,7 +3,7 @@
 Every run echoes its full effective configuration (including the
 defaulted seed and tolerances) in the output header, emits JSON by
 default (CSV for `report`), and uses exit status 0 on success, 2 on
-invalid input and 3 on unsupported sizes.
+invalid input, 3 on unsupported sizes and 130 when interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ SEED_ENV_VAR = "GHZPOLYTOPE_SEED"
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_UNSUPPORTED_SIZE = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports Ctrl-C
 
 _POLYTOPE_FAMILY = {"ghz": "GHZ", "bisep": "BISEP", "fbi": "FBI"}
 
@@ -508,10 +509,8 @@ def main(argv=None, out=None) -> int:
         if getattr(args, "seed", 0) is None:
             args.seed = _parse_int(os.environ.get(SEED_ENV_VAR, "0"), SEED_ENV_VAR)
         # checked here too, so that a run without --mc does not echo them
-        if getattr(args, "seed", 0) < 0:
-            raise InvalidArgumentError(f"seed must be >= 0, got {args.seed}")
-        if getattr(args, "threads", 1) < 1:
-            raise InvalidArgumentError(f"threads must be >= 1, got {args.threads}")
+        volume.check_mc_settings(getattr(args, "seed", 0), getattr(args, "threads", 1),
+                                 getattr(args, "samples", 0))
         return args.func(args, out)
     except UnsupportedSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -519,6 +518,9 @@ def main(argv=None, out=None) -> int:
     except (GhzPolytopeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -26,8 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-from .indices import CLOSED_FORM_MAX_QUBITS, MC_MAX_QUBITS, check_qubit_count, dimension
+from .errors import InvalidArgumentError, UnsupportedSizeError
+from .indices import (
+    CLOSED_FORM_MAX_QUBITS,
+    MC_MAX_QUBITS,
+    MC_MAX_SAMPLES,
+    MC_MAX_THREADS,
+    check_qubit_count,
+    dimension,
+)
 from .mermin import mermin_threshold
 
 try:
@@ -215,6 +222,19 @@ def recommended_samples(exact: float, floor: int = MC_MIN_SAMPLES, cap: int = 2_
     return min(cap, max(floor, needed))
 
 
+def check_mc_settings(seed: int, threads: int, samples: int = 0) -> None:
+    """Raise unless ``seed >= 0``, ``1 <= threads <= MC_MAX_THREADS`` and
+    ``samples <= MC_MAX_SAMPLES``; past a cap, UnsupportedSizeError."""
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
+    if threads < 1:
+        raise InvalidArgumentError(f"threads must be >= 1, got {threads}")
+    if threads > MC_MAX_THREADS:
+        raise UnsupportedSizeError(f"thread count {threads} exceeds the cap {MC_MAX_THREADS}")
+    if samples > MC_MAX_SAMPLES:
+        raise UnsupportedSizeError(f"sample count {samples} exceeds the cap {MC_MAX_SAMPLES}")
+
+
 def mc_relative_volume(
     family: str,
     n: int,
@@ -257,10 +277,7 @@ def mc_relative_volumes(
     check_qubit_count(n, MC_MAX_QUBITS)
     if samples < MC_MIN_SAMPLES:
         raise InvalidArgumentError(f"need at least {MC_MIN_SAMPLES} samples, got {samples}")
-    if seed < 0:
-        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
-    if threads < 1:
-        raise InvalidArgumentError(f"threads must be >= 1, got {threads}")
+    check_mc_settings(seed, threads, samples)
     if kernel is None:
         kernel = _default_kernel
     d = dimension(n)
@@ -268,13 +285,12 @@ def mc_relative_volumes(
     nu = mermin_threshold(n)
 
     n_chunks = (samples + chunk_size - 1) // chunk_size
-    streams = np.random.SeedSequence(seed).spawn(n_chunks)
-
     fused = getattr(kernel, "chunk_counts", None)
 
     def run_chunk(k: int) -> tuple[int, ...]:
         m = min(chunk_size, samples - k * chunk_size)
-        bitgen = np.random.Philox(streams[k])
+        # SeedSequence(seed).spawn(n_chunks)[k], derived when the chunk runs
+        bitgen = np.random.Philox(np.random.SeedSequence(seed, spawn_key=(k,)))
         # consecutive draws continue the chunk's stream, and each row is
         # normalised on its own, so blocking never changes a sample
         buf = np.empty((min(m, _BLOCK_BYTES // (8 * d)), d))
@@ -289,8 +305,9 @@ def mc_relative_volumes(
                 hits[j] += kernel.count_hits(p, code, nu)
         return tuple(hits)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, n_chunks)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             per_chunk = list(pool.map(run_chunk, range(n_chunks)))
     else:
         per_chunk = [run_chunk(k) for k in range(n_chunks)]

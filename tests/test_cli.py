@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from ghzpolytope import cli, polytopes, volume
 from ghzpolytope.classify import EPS_BOUNDARY, EPS_CLASS
 from ghzpolytope.cli import (
+    EXIT_INTERRUPTED,
     EXIT_INVALID_INPUT,
     EXIT_OK,
     EXIT_UNSUPPORTED_SIZE,
@@ -464,6 +466,39 @@ def test_bad_mc_seed_or_threads_is_one_error_line(argv, seed_env, monkeypatch, c
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["volume", "--n", "3", "--family", "fbi", "--mc", "--samples", str(2**32 + 1)],
+        ["volume", "--n", "3", "--family", "fbi", "--samples", str(10**18)],
+        ["report", "--n-min", "2", "--n-max", "3", "--mc", "--threads", "257"],
+        ["volume", "--n", "3", "--family", "fbi", "--threads", str(10**6)],
+    ],
+    ids=["volume-samples", "volume-samples-no-mc", "report-threads", "volume-threads-no-mc"],
+)
+def test_mc_input_past_a_cap_is_one_error_line_before_any_work(argv, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("made a stream or a thread past a cap")
+
+    monkeypatch.setattr(np.random, "SeedSequence", fail)
+    monkeypatch.setattr(volume, "ThreadPoolExecutor", fail)
+    code, text = run(argv)
+    assert code == EXIT_UNSUPPORTED_SIZE
+    assert text == ""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "exceeds the cap" in lines[0]
+
+
+def test_ctrl_c_exits_130_with_one_error_line(monkeypatch, capsys):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(volume, "mc_relative_volume", interrupted)
+    code, text = run(["volume", "--n", "3", "--family", "fbi", "--mc", "--samples", "20000"])
+    assert (code, text) == (EXIT_INTERRUPTED, "")
+    assert capsys.readouterr().err.splitlines() == ["error: interrupted"]
+
+
 @pytest.mark.parametrize("n_min, n_max", [("1", "3"), ("0", "2"), ("4", "3")])
 def test_report_n_range_is_one_error_line(n_min, n_max, capsys):
     code, text = run(["report", "--n-min", n_min, "--n-max", n_max])
@@ -682,6 +717,11 @@ fuzz_numbers = st.one_of(
                      "abc", "", " ", "0x1", "1/8"]),
 )
 fuzz_bits = st.one_of(st.text("01", min_size=1, max_size=6), st.sampled_from(["", "012", "ab"]))
+# a quick Monte-Carlo run, too few samples, or past the cap; any thread count,
+# since one chunk of 10000 samples runs on the calling thread
+fuzz_samples = st.one_of(st.just(10_000), st.integers(1, 9_999),
+                         st.integers(volume.MC_MAX_SAMPLES + 1, 10**18))
+fuzz_threads = st.integers(0, 10**6)
 
 
 @st.composite
@@ -706,8 +746,8 @@ def fuzz_argv(draw):
     elif sub == "volume":
         argv += ["--family", draw(st.sampled_from(sorted(volume.ALL_FAMILIES) + ["xyz"]))]
         if draw(st.booleans()):
-            argv += ["--mc", "--samples", "10000", "--seed", str(draw(st.integers(-1, 9))),
-                     "--threads", str(draw(st.integers(0, 2)))]
+            argv += ["--mc", "--samples", str(draw(fuzz_samples)),
+                     "--seed", str(draw(st.integers(-1, 9))), "--threads", str(draw(fuzz_threads))]
     elif sub == "certify":
         bits = st.text("01", min_size=max(n, 1), max_size=max(n, 1))
         garbled = st.lists(st.one_of(bits, fuzz_bits), min_size=1, max_size=8)
@@ -721,7 +761,8 @@ def fuzz_argv(draw):
         argv += ["--n-min", str(draw(st.integers(-1, 8))), "--n-max", str(n),
                  "--format", draw(st.sampled_from(["csv", "json"]))]
         if draw(st.booleans()):
-            argv += ["--mc", "--samples", "10000"]
+            argv += ["--mc", "--samples", str(draw(fuzz_samples)),
+                     "--threads", str(draw(fuzz_threads))]
     return argv
 
 
@@ -729,9 +770,20 @@ def fuzz_argv(draw):
 @given(fuzz_argv())
 @example(["classify", "--n", "1", "--p", "1.7976931348623157e+308,1.7976931348623157e+308"])
 def test_any_argv_exits_0_2_or_3_with_one_error_line(argv):
+    # no argv starts a thread pool, and one past a Monte-Carlo cap makes no stream
+    values = dict(zip(argv, argv[1:]))
+    over_cap = (int(values.get("--samples", 0)) > volume.MC_MAX_SAMPLES
+                or int(values.get("--threads", 1)) > volume.MC_MAX_THREADS)
     err = io.StringIO()
-    with contextlib.redirect_stderr(err):
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(contextlib.redirect_stderr(err))
+        stack.enter_context(mock.patch.object(volume, "ThreadPoolExecutor",
+                                              side_effect=AssertionError("a thread pool")))
+        if over_cap:
+            stack.enter_context(mock.patch.object(np.random, "SeedSequence",
+                                                  side_effect=AssertionError("a stream")))
         code, text = run(argv)
+    assert not (over_cap and code == EXIT_OK), argv
     lines = err.getvalue().splitlines()
     assert code in (EXIT_OK, EXIT_INVALID_INPUT, EXIT_UNSUPPORTED_SIZE), (argv, lines)
     if code == EXIT_OK:

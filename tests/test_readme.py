@@ -24,10 +24,12 @@ def test_readme_states_every_size_cap_of_the_indices_table():
     bullets = [" ".join(b.split()) for b in section("Size caps").split("\n- ")[1:]]
     stated = {}
     for bullet in bullets:
-        match = re.match(r"`(\w+)` stops .*? at n = (\d+)\b", bullet)
+        # "at n = 16", "at 256 threads", "at 2^32 samples"
+        match = re.match(r"`(\w+)` stops .*? at (?:n = )?(\d+)(?:\^(\d+))?\b", bullet)
         assert match, bullet
-        stated[match[1]] = int(match[2])
-    table = {name: value for name, value in vars(indices).items() if name.endswith("MAX_QUBITS")}
+        stated[match[1]] = int(match[2]) ** int(match[3] or 1)
+    table = {name: value for name, value in vars(indices).items()
+             if name.endswith("MAX_QUBITS") or name.startswith("MC_MAX_")}
     assert stated == table
 
 

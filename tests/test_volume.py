@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import json
 import math
@@ -10,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ghzpolytope import _mc_kernel_py
+from ghzpolytope import _mc_kernel_py, volume
 from ghzpolytope.errors import InvalidArgumentError, UnsupportedSizeError
+from ghzpolytope.indices import MC_MAX_SAMPLES, MC_MAX_THREADS
 from ghzpolytope.mermin import mermin_hyperplane_points, mermin_threshold
 from ghzpolytope.polytopes import extreme_points_bisep, extreme_points_fbi
 from ghzpolytope.volume import (
@@ -322,6 +324,38 @@ def test_mc_guards():
         mc_relative_volume(GENUINE, 7, samples=20_000, seed=1)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [dict(samples=MC_MAX_SAMPLES + 1), dict(samples=10**18), dict(threads=MC_MAX_THREADS + 1),
+     dict(threads=10**6)],
+    ids=["samples-cap", "samples-1e18", "threads-cap", "threads-1e6"],
+)
+def test_mc_caps_refuse_before_any_stream_or_thread(kwargs, monkeypatch):
+    def fail(*args, **kw):
+        raise AssertionError("made a stream or a thread past a cap")
+
+    monkeypatch.setattr(np.random, "SeedSequence", fail)
+    monkeypatch.setattr(volume, "ThreadPoolExecutor", fail)
+    args = dict(families=(FBI,), n=3, samples=20_000, seed=1) | kwargs
+    with pytest.raises(UnsupportedSizeError, match="exceeds the cap"):
+        mc_relative_volumes(**args)
+
+
+def test_mc_pool_has_at_most_one_thread_per_chunk(monkeypatch):
+    workers = []
+    pool = volume.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        workers.append(max_workers)
+        return pool(max_workers)
+
+    monkeypatch.setattr(volume, "ThreadPoolExecutor", recording_pool)
+    one = mc_relative_volume(FBI, 3, 20_000, seed=5, chunk_size=8_000)
+    assert mc_relative_volume(FBI, 3, 20_000, seed=5, threads=MC_MAX_THREADS, chunk_size=8_000) == one
+    mc_relative_volume(FBI, 3, 10_000, seed=5, threads=2, chunk_size=20_000)
+    assert workers == [3]  # three chunks; the one-chunk run started no pool
+
+
 def test_backend_reported():
     report = mc_relative_volume(FBI, 2, samples=20_000, seed=1)
     assert report.backend == KERNEL_BACKEND
@@ -332,6 +366,23 @@ def test_backend_reported():
 
 KERNEL_SOURCE = Path(_mc_kernel_py.__file__).with_name("_mc_kernel.c")
 needs_c = pytest.mark.skipif(not HAVE_EXTENSION, reason="C kernel not built")
+# the tests below that take a routine run on "scalar"; their *_avx512 twins
+# run them on the wide routine where the CPU has its flags
+needs_wide = pytest.mark.skipif(
+    not HAVE_EXTENSION or bool(_mc_kernel.MISSING_WIDE_FLAGS),
+    reason="C kernel not built" if not HAVE_EXTENSION
+    else f"CPU lacks {', '.join(_mc_kernel.MISSING_WIDE_FLAGS)} for the avx512 routine",
+)
+
+
+@contextlib.contextmanager
+def philox_routine(routine):
+    """Run the C kernel's Philox stream on ``routine`` inside the block."""
+    assert _mc_kernel._set_routine(_mc_kernel._lib, routine) == routine
+    try:
+        yield
+    finally:
+        _mc_kernel._set_routine(_mc_kernel._lib, _mc_kernel.PHILOX_ROUTINE)
 
 
 @needs_c
@@ -445,14 +496,21 @@ def test_trisection_hits_partition_the_samples(n):
 
 @needs_c
 @pytest.mark.parametrize("d", [4, 8, 16, 64])
-def test_chunk_counts_equal_numpy_counts(d):
+def test_chunk_counts_equal_numpy_counts(d, routine="scalar"):
     # every row loop the counter inlines: pair families, Mermin, both
     m, nu = 3 * (_BLOCK_BYTES // (8 * d)) + 17, 0.05
     whole = sample_simplex(_philox(d), m, d)
     for codes in [(0, 1, 2, 3), (3,), (2,), (0, 3), (3, 1)]:
         buf = np.empty((_BLOCK_BYTES // (8 * d), d))
-        got = _mc_kernel.chunk_counts(np.random.Philox(d), m, buf, codes, nu)
+        with philox_routine(routine):
+            got = _mc_kernel.chunk_counts(np.random.Philox(d), m, buf, codes, nu)
         assert got == tuple(_mc_kernel_py.count_hits(whole, code, nu) for code in codes)
+
+
+@needs_wide
+@pytest.mark.parametrize("d", [4, 8, 16, 64])
+def test_chunk_counts_equal_numpy_counts_avx512(d):
+    test_chunk_counts_equal_numpy_counts(d, "avx512")
 
 
 @pytest.mark.parametrize(
@@ -494,6 +552,15 @@ def _raws_drawn(bitgen, draw):
     return position(bitgen.state) - before
 
 
+def assert_same_state(bitgen, twin):
+    """Both Philox bit generators hold the same state, field by field."""
+    state, expected = bitgen.state, twin.state
+    np.testing.assert_array_equal(state["state"]["counter"], expected["state"]["counter"])
+    np.testing.assert_array_equal(state["buffer"], expected["buffer"])
+    assert state["buffer_pos"] == expected["buffer_pos"]
+    np.testing.assert_array_equal(bitgen.random_raw(8), twin.random_raw(8))
+
+
 def _philox_then(values, seed=7):
     """A Philox whose next draws are ``values`` (at most 4), then its stream."""
     bitgen = np.random.Philox(seed)
@@ -505,7 +572,7 @@ def _philox_then(values, seed=7):
 
 
 @needs_c
-def test_long_stream_equals_sample_simplex():
+def test_long_stream_equals_sample_simplex(routine="scalar"):
     # 2^22 values: every ziggurat layer, and thousands of draws off its fast path
     m, d, nu = 1 << 16, 64, 0.05
     twin = np.random.Philox(d)
@@ -517,38 +584,103 @@ def test_long_stream_equals_sample_simplex():
         >= m * d + 10_000
     bitgen = np.random.Philox(d)
     buf = np.empty((_BLOCK_BYTES // (8 * d), d))
-    got = _mc_kernel.chunk_counts(bitgen, m, buf, range(4), nu)
+    with philox_routine(routine):
+        got = _mc_kernel.chunk_counts(bitgen, m, buf, range(4), nu)
     assert_same_bits(buf, whole[-len(buf):])
     assert got == tuple(_mc_kernel_py.count_hits(whole, code, nu) for code in range(4))
     np.testing.assert_array_equal(bitgen.random_raw(8), twin.random_raw(8))
 
 
+@needs_wide
+def test_long_stream_equals_sample_simplex_avx512():
+    test_long_stream_equals_sample_simplex("avx512")
+
+
 CARRY = np.array([2**64 - 2, 2**64 - 1, 0, 0], dtype=np.uint64)
+# one raw draw short of c0 = 2^64 - 5, c1 = 2^64 - 1: the low word wraps, and
+# carries into the third, inside the next group of eight blocks
+WRAP = np.array([2**64 - 6, 2**64 - 1, 0, 0], dtype=np.uint64)
+STARTS = ["fresh", "raw1", "raw2", "raw3", "carry", "wrap1", "wrap3"]
 
 
 @needs_c
-@pytest.mark.parametrize("start", ["fresh", "raw1", "raw2", "raw3", "carry"])
+@pytest.mark.parametrize("start", STARTS)
 @pytest.mark.parametrize("d", [4, 64])
-def test_chunk_counts_leaves_numpys_bit_generator_state(start, d):
+def test_chunk_counts_leaves_numpys_bit_generator_state(start, d, routine="scalar"):
     def philox():
         bitgen = np.random.Philox(11)
-        if start.startswith("raw"):
-            bitgen.random_raw(int(start[-1]))  # buffer_pos 1, 2, 3
-        elif start == "carry":  # the counter carries into its third word
+        if start in ("carry", "wrap1", "wrap3"):  # the counter carries into its third word
             state = bitgen.state
-            state["state"]["counter"] = CARRY
+            state["state"]["counter"] = CARRY if start == "carry" else WRAP
             bitgen.state = state
+        if start[-1].isdigit():
+            bitgen.random_raw(int(start[-1]))  # buffer_pos 1, 2, 3
         return bitgen
 
     m, bitgen, twin = 300, philox(), philox()
+    if start.startswith("wrap"):
+        assert list(twin.state["state"]["counter"][:2]) == [2**64 - 5, 2**64 - 1]
     buf = np.empty((64, d))
-    got = _mc_kernel.chunk_counts(bitgen, m, buf, range(4), 0.05)
+    with philox_routine(routine):
+        got = _mc_kernel.chunk_counts(bitgen, m, buf, range(4), 0.05)
     whole = sample_simplex(np.random.Generator(twin), m, d)
     assert_same_bits(buf[:m % 64], whole[-(m % 64):])
     assert got == tuple(_mc_kernel_py.count_hits(whole, code, 0.05) for code in range(4))
-    if start == "carry":
+    if start in ("carry", "wrap1", "wrap3"):
         assert twin.state["state"]["counter"][2] == 1
-    np.testing.assert_array_equal(bitgen.random_raw(8), twin.random_raw(8))
+    assert_same_state(bitgen, twin)
+
+
+@needs_wide
+@pytest.mark.parametrize("start", STARTS)
+@pytest.mark.parametrize("d", [4, 64])
+def test_chunk_counts_leaves_numpys_bit_generator_state_avx512(start, d):
+    test_chunk_counts_leaves_numpys_bit_generator_state(start, d, "avx512")
+
+
+@needs_c
+@pytest.mark.parametrize("pos", [1, 3, 4])
+def test_chunk_ending_just_before_a_counter_wrap_leaves_numpys_state(pos, routine="scalar"):
+    # one row of 4 values from c0 = 2^64 - 5 ends in a block whose counter
+    # lies below the wrap, which the wide routine's buffer has passed
+    def philox():
+        bitgen = np.random.Philox(11)
+        state = bitgen.state
+        state["state"]["counter"] = WRAP
+        bitgen.state = state
+        bitgen.random_raw(pos)  # c0 = 2^64 - 5, at buffer_pos 1, 3 or 4
+        return bitgen
+
+    bitgen, twin = philox(), philox()
+    buf = np.empty((1, 4))
+    with philox_routine(routine):
+        got = _mc_kernel.chunk_counts(bitgen, 1, buf, range(4), 0.05)
+    row = sample_simplex(np.random.Generator(twin), 1, 4)
+    assert_same_bits(buf, row)
+    assert got == tuple(_mc_kernel_py.count_hits(row, code, 0.05) for code in range(4))
+    assert twin.state["state"]["counter"][1] == 2**64 - 1
+    assert_same_state(bitgen, twin)
+
+
+@needs_wide
+@pytest.mark.parametrize("pos", [1, 3, 4])
+def test_chunk_ending_just_before_a_counter_wrap_leaves_numpys_state_avx512(pos):
+    test_chunk_ending_just_before_a_counter_wrap_leaves_numpys_state(pos, "avx512")
+
+
+@needs_c
+def test_philox_routine_follows_the_cpu_flags():
+    wide = not _mc_kernel.MISSING_WIDE_FLAGS
+    assert _mc_kernel.PHILOX_ROUTINE == ("avx512" if wide else "scalar")
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.exists() and "flags" in cpuinfo.read_text():
+        flags = set(next(line for line in cpuinfo.read_text().splitlines()
+                         if line.startswith("flags")).split(":", 1)[1].split())
+        assert wide == ({"avx512f", "avx512dq"} <= flags)
+    # the scalar routine can always be forced, and the wide one only with its flags
+    with philox_routine("scalar"):
+        assert _mc_kernel._set_routine(_mc_kernel._lib, "avx512") == _mc_kernel.PHILOX_ROUTINE
+    assert _mc_kernel._set_routine(_mc_kernel._lib, "avx512") == _mc_kernel.PHILOX_ROUTINE
 
 
 def _numpy_fast_path_end(idx):
