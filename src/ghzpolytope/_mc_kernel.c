@@ -173,7 +173,7 @@ static void fill_exponentials(void *stream, int64_t n, double *out)
         unsigned idx = (u >> 3) & 255;
         if (ri < ke[idx]) {
             out[i] = ri * we[idx];
-        } else {  /* about 1 %: NumPy redoes the first step, then the tail or wedge */
+        } else {  /* about 2 %: NumPy redoes the first step, then the tail or wedge */
             int calls;
             out[i] = replay_exponential(u, philox_next_raw, s, &calls);
         }

@@ -8,7 +8,7 @@ command, the NumPy version and the platform; later imports load that file.
 The kernel runs the chunk's Philox4x64-10 stream itself, from the state
 that ``bitgen.state`` gives, and writes the advanced state back, so the bit
 generator goes on exactly as NumPy's would.  It takes the ziggurat's fast
-path inline and hands the rare other draws (about 1 %) to NumPy's
+path inline and hands the rare other draws (about 2 %) to NumPy's
 ``random_standard_exponential``.  NumPy keeps the ziggurat's tables
 private, so at load the kernel reads them back by probing that routine
 (256 x 54 calls).

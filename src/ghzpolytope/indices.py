@@ -29,7 +29,7 @@ REPORT_MAX_QUBITS = 14
 CLOSED_FORM_MAX_QUBITS = 20
 # Monte-Carlo samples: 2^32 are 65,536 chunks and about half an hour on one core at n = 6.
 MC_MAX_SAMPLES = 2**32
-# Monte-Carlo threads: each is an OS thread with a 1 MiB row block, and no host here has 256 cores.
+# Monte-Carlo threads: each is an OS thread with a 1 MiB row block, and threads past the cores add only that.
 MC_MAX_THREADS = 256
 
 
