@@ -3,19 +3,20 @@
  * NumPy path (volume.sample_simplex, then _mc_kernel_py.count_hits).
  *
  * The chunk's Philox4x64-10 stream and the ziggurat's fast path run inline;
- * the rare draws off the fast path go to NumPy's own routine.  The stream
- * runs in one of two routines, chosen at run time from the CPU's flags:
- *   - scalar: one Philox block of four values at a time, as NumPy steps it;
- *   - wide (AVX-512F and AVX-512DQ): eight consecutive blocks side by side
- *     into a buffer of 32 values kept in stream order and tracked by the
- *     counter of its last block; the fast path reads it eight values at a
- *     time, and the draws replayed through NumPy's routine take their extra
- *     values from it too.
- * Both hand out the same values, and both write back NumPy's state at the
- * end of a chunk: the counter of the block that holds the last value read,
- * that block's four values and the position after that value.  Rows are
- * summed and divided eight values at a time where d allows it, on the
- * routine's vector unit, in row_sum's order.
+ * the rare draws off the fast path go to NumPy's own routine.  The stream is
+ * one buffer of 32 values, eight consecutive blocks in stream order tracked
+ * by the counter of the last, loaded from NumPy's state at the start of a
+ * chunk and written back at its end: the counter of the block that holds the
+ * last value read, that block's four values and the position after that
+ * value.  One of two routines, chosen at run time from the CPU's flags,
+ * refills it and reads it:
+ *   - scalar: the eight blocks one after another, one value at a time;
+ *   - wide (AVX-512F and AVX-512DQ): the eight blocks side by side, and the
+ *     fast path eight values at a time.
+ * The draws replayed through NumPy's routine take their extra values from
+ * the buffer too, so both routines hand out the same values.  Rows are d =
+ * 2^n wide, 2 <= n <= 6, and are summed in NumPy's order: left to right at
+ * d = 4, eight values at a time above it.
  *
  * Built by _mc_kernel.py against NumPy's C random library.  Compile without
  * -ffast-math and without FMA contraction: every sum below must be added in
@@ -36,13 +37,59 @@
  * behind Generator.standard_exponential. */
 extern double random_standard_exponential(bitgen_t *state);
 
-/* Philox4x64-10 (Salmon et al., SC'11), stepped as NumPy's philox_next steps
- * it: out holds the last block of four values, pos the next one to hand out
- * (4: none left). */
+/* Philox4x64-10 (Salmon et al., SC'11), eight blocks at a time: buf holds
+ * eight consecutive blocks in stream order, last the counter of the eighth,
+ * pos the next value to hand out (32: none left); round_keys are the keys
+ * PHILOX_ROUND uses in each round. */
 typedef struct {
-    uint64_t key[2], counter[4], out[4];
+    uint64_t buf[32] __attribute__((aligned(64)));
+    uint64_t round_keys[10][2], last[4];
     int pos;
-} philox_t;
+} philox8_t;
+
+/* Take over NumPy's state (key, counter, buffer, pos): its block becomes
+ * buf's eighth. */
+static void philox8_load(philox8_t *w, const uint64_t *key, const uint64_t *counter,
+                         const uint64_t *buffer, int pos)
+{
+    for (int i = 0; i < 4; i++) {
+        w->last[i] = counter[i];
+        w->buf[28 + i] = buffer[i];
+    }
+    uint64_t k0 = key[0], k1 = key[1];
+    for (int round = 0; round < 10; round++) {
+        w->round_keys[round][0] = k0;
+        w->round_keys[round][1] = k1;
+        k0 += 0x9E3779B97F4A7C15ULL;
+        k1 += 0xBB67AE8584CAA73BULL;
+    }
+    w->pos = 28 + pos;
+}
+
+/* NumPy's state after w's reads, into (counter, buffer, *pos): the block that
+ * holds the last value read (at least one value must have been read since
+ * philox8_load). */
+static void philox8_store(const philox8_t *w, uint64_t *counter, uint64_t *buffer, int *pos)
+{
+    int block = (w->pos - 1) / 4;
+    uint64_t back = 7 - block, low = w->last[0];
+    for (int i = 0; i < 4; i++) {
+        counter[i] = w->last[i];
+        buffer[i] = w->buf[4 * block + i];
+    }
+    counter[0] -= back;  /* the 256-bit counter less back, with borrow */
+    if (low < back && counter[1]-- == 0 && counter[2]-- == 0)
+        counter[3]--;
+    *pos = w->pos - 4 * block;
+}
+
+/* Add n to the 256-bit counter c, with carry. */
+static inline void counter_add(uint64_t *c, uint64_t n)
+{
+    c[0] += n;
+    if (c[0] < n && ++c[1] == 0 && ++c[2] == 0)
+        ++c[3];
+}
 
 /* One Philox round on x0..x3 with key (k0, k1), then the Weyl key bump. */
 #define PHILOX_ROUND(x0, x1, x2, x3, k0, k1)                                  \
@@ -57,37 +104,39 @@ typedef struct {
         k1 += 0xBB67AE8584CAA73BULL;                                          \
     } while (0)
 
-/* Bump the 256-bit counter, then encrypt it into out: ten rounds, written
- * out so that -O2 keeps them unrolled. */
-static void philox_block(philox_t *s)
+/* Refill buf with the eight blocks after last, one after another: each bumps
+ * the counter and encrypts it in ten rounds, written out so that -O2 keeps
+ * them unrolled. */
+static void philox8_refill_scalar(philox8_t *s)
 {
-    if (++s->counter[0] == 0 && ++s->counter[1] == 0 && ++s->counter[2] == 0)
-        ++s->counter[3];
-    uint64_t x0 = s->counter[0], x1 = s->counter[1], x2 = s->counter[2], x3 = s->counter[3];
-    uint64_t k0 = s->key[0], k1 = s->key[1];
-    PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
-    PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
-    PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
-    PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
-    PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
-    PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
-    PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
-    PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
-    PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
-    PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
-    s->out[0] = x0;
-    s->out[1] = x1;
-    s->out[2] = x2;
-    s->out[3] = x3;
+    for (int block = 0; block < 8; block++) {
+        counter_add(s->last, 1);
+        uint64_t x0 = s->last[0], x1 = s->last[1], x2 = s->last[2], x3 = s->last[3];
+        uint64_t k0 = s->round_keys[0][0], k1 = s->round_keys[0][1];
+        PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
+        PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
+        PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
+        PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
+        PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
+        PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
+        PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
+        PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
+        PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
+        PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
+        s->buf[4 * block] = x0;
+        s->buf[4 * block + 1] = x1;
+        s->buf[4 * block + 2] = x2;
+        s->buf[4 * block + 3] = x3;
+    }
+    s->pos = 0;
 }
 
-static inline uint64_t philox_next(philox_t *s)
+static uint64_t philox8_next_scalar(void *stream)
 {
-    if (s->pos == 4) {
-        philox_block(s);
-        s->pos = 0;
-    }
-    return s->out[s->pos++];
+    philox8_t *s = stream;
+    if (s->pos == 32)
+        philox8_refill_scalar(s);
+    return s->buf[s->pos++];
 }
 
 /* The ziggurat's fast-path tables (Marsaglia & Tsang, JSS 2000): a draw u
@@ -132,11 +181,6 @@ static double replay_exponential(uint64_t first, uint64_t (*next)(void *), void 
     return x;
 }
 
-static uint64_t philox_next_raw(void *s)
-{
-    return philox_next(s);
-}
-
 /* Fill ke and we from NumPy's routine: we[idx] is its value for ri = 1, and
  * ke[idx] the least ri in [0, 2^53] that takes more than one draw.  Return 0,
  * or -1 if the values found do not behave as a ziggurat's fast path. */
@@ -164,66 +208,50 @@ int read_tables(void)
     return 0;
 }
 
-/* n of NumPy's standard exponentials from the Philox stream s. */
+/* n of NumPy's standard exponentials from the Philox stream, a philox8_t.
+ * The read position is kept in a register, and in the stream only while a
+ * draw is replayed. */
 static void fill_exponentials(void *stream, int64_t n, double *out)
 {
-    philox_t *s = stream;
+    philox8_t *s = stream;
+    int pos = s->pos;
     for (int64_t i = 0; i < n; i++) {
-        uint64_t u = philox_next(s), ri = u >> 11;
+        if (pos == 32) {
+            philox8_refill_scalar(s);
+            pos = 0;
+        }
+        uint64_t u = s->buf[pos++], ri = u >> 11;
         unsigned idx = (u >> 3) & 255;
         if (ri < ke[idx]) {
             out[i] = ri * we[idx];
         } else {  /* about 2 %: NumPy redoes the first step, then the tail or wedge */
             int calls;
-            out[i] = replay_exponential(u, philox_next_raw, s, &calls);
+            s->pos = pos;
+            out[i] = replay_exponential(u, philox8_next_scalar, stream, &calls);
+            pos = s->pos;
         }
     }
-}
-
-/* NumPy's pairwise sum (pairwise_sum_DOUBLE), the order of e.sum(axis=1). */
-static double row_sum(const double *a, int64_t n)
-{
-    if (n < 8) {
-        double res = 0.0;
-        for (int64_t i = 0; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    if (n <= 128) {
-        double r[8];
-        int64_t i, j;
-        for (j = 0; j < 8; j++)
-            r[j] = a[j];
-        for (i = 8; i < n - (n % 8); i += 8)
-            for (j = 0; j < 8; j++)
-                r[j] += a[i + j];
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            res += a[i];
-        return res;
-    }
-    int64_t n2 = n / 2;
-    n2 -= n2 % 8;
-    return row_sum(a, n2) + row_sum(a + n2, n - n2);
+    s->pos = pos;
 }
 
 /* Eight doubles at any 8-byte alignment: GCC and Clang compile arithmetic
  * on it to the widest vector unit of the function it is in. */
 typedef double v8df __attribute__((vector_size(64), aligned(8)));
 
-/* Divide each of the b rows of buf (b x d) by its row_sum.  Where d is a
- * multiple of 8 up to 128, row_sum adds the row's blocks of eight lane by
- * lane, then the eight lanes as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) +
- * (r6 + r7)), so the row is summed and divided eight values at a time. */
+/* Divide each of the b rows of buf (b x d) by its sum, added as NumPy's
+ * pairwise sum (pairwise_sum_DOUBLE, the order of e.sum(axis=1)) adds it at
+ * d = 2^n, 2 <= n <= 6: left to right at d = 4; at d = 8..64 the row's
+ * blocks of eight lane by lane, then the eight lanes as ((r0 + r1) +
+ * (r2 + r3)) + ((r4 + r5) + (r6 + r7)), so the row is summed and divided
+ * eight values at a time. */
 static inline __attribute__((always_inline)) void normalise_rows(double *buf, int64_t b,
                                                                  int64_t d)
 {
-    int by_eight = d % 8 == 0 && d >= 8 && d <= 128;
     for (int64_t r = 0; r < b; r++) {
         double *row = buf + r * d;
-        if (!by_eight) {
-            double s = row_sum(row, d);
-            for (int64_t j = 0; j < d; j++)
+        if (d == 4) {
+            double s = ((row[0] + row[1]) + row[2]) + row[3];
+            for (int j = 0; j < 4; j++)
                 row[j] /= s;
             continue;
         }
@@ -237,48 +265,6 @@ static inline __attribute__((always_inline)) void normalise_rows(double *buf, in
 }
 
 #if WIDE_ROUTINE
-/* The wide routine's stream: buf holds eight consecutive blocks in stream
- * order, last the counter of the eighth, pos the next value to hand out (32:
- * none left); round_keys are the keys PHILOX_ROUND uses in each round. */
-typedef struct {
-    uint64_t buf[32] __attribute__((aligned(64)));
-    uint64_t round_keys[10][2], last[4];
-    int pos;
-} philox8_t;
-
-/* Take over the scalar state s: its block becomes buf's eighth. */
-static void philox8_load(philox8_t *w, const philox_t *s)
-{
-    for (int i = 0; i < 4; i++) {
-        w->last[i] = s->counter[i];
-        w->buf[28 + i] = s->out[i];
-    }
-    uint64_t k0 = s->key[0], k1 = s->key[1];
-    for (int round = 0; round < 10; round++) {
-        w->round_keys[round][0] = k0;
-        w->round_keys[round][1] = k1;
-        k0 += 0x9E3779B97F4A7C15ULL;
-        k1 += 0xBB67AE8584CAA73BULL;
-    }
-    w->pos = 28 + s->pos;
-}
-
-/* NumPy's state after w's reads, into s: the block that holds the last value
- * read (at least one value must have been read since philox8_load). */
-static void philox8_store(const philox8_t *w, philox_t *s)
-{
-    int block = (w->pos - 1) / 4;
-    uint64_t back = 7 - block, low = w->last[0];
-    for (int i = 0; i < 4; i++) {
-        s->counter[i] = w->last[i];
-        s->out[i] = w->buf[4 * block + i];
-    }
-    s->counter[0] -= back;  /* the 256-bit counter less back, with borrow */
-    if (low < back && s->counter[1]-- == 0 && s->counter[2]-- == 0)
-        s->counter[3]--;
-    s->pos = w->pos - 4 * block;
-}
-
 #define WIDE __attribute__((target("avx512f,avx512dq")))
 
 /* Each lane's high 32 bits moved to its low half, the high half zeroed:
@@ -300,9 +286,9 @@ WIDE static inline __m512i mul128(__m512i alo, __m512i ahi, __m512i b, __m512i *
     return _mm512_mask_shuffle_epi32(ll, 0xAAAA, mid2, _MM_PERM_CDAB);
 }
 
-/* Refill buf with the eight blocks after last: lane j of x0..x3 runs the
- * block of counter last + j + 1, as PHILOX_ROUND runs one block. */
-WIDE static void philox8_refill(philox8_t *s)
+/* philox8_refill_scalar, the eight blocks side by side: lane j of x0..x3
+ * runs the block of counter last + j + 1, as PHILOX_ROUND runs one block. */
+WIDE static void philox8_refill_wide(philox8_t *s)
 {
     const __m512i one = _mm512_set1_epi64(1), zero = _mm512_setzero_si512();
     const __m512i step = _mm512_setr_epi64(1, 2, 3, 4, 5, 6, 7, 8);
@@ -340,16 +326,14 @@ WIDE static void philox8_refill(philox8_t *s)
     _mm512_store_si512(s->buf + 16, _mm512_permutex2var_epi64(c, quad_lo, e));
     _mm512_store_si512(s->buf + 24, _mm512_permutex2var_epi64(c, quad_hi, e));
     s->pos = 0;
-    s->last[0] += 8;
-    if (s->last[0] < 8 && ++s->last[1] == 0 && ++s->last[2] == 0)
-        ++s->last[3];
+    counter_add(s->last, 8);
 }
 
-WIDE static uint64_t philox8_next(void *stream)
+WIDE static uint64_t philox8_next_wide(void *stream)
 {
     philox8_t *s = stream;
     if (s->pos == 32)
-        philox8_refill(s);
+        philox8_refill_wide(s);
     return s->buf[s->pos++];
 }
 
@@ -362,7 +346,7 @@ WIDE static void fill_exponentials8(void *stream, int64_t n, double *out)
     const __m512i layer = _mm512_set1_epi64(255);
     for (int64_t i = 0; i < n;) {
         if (s->pos == 32)
-            philox8_refill(s);
+            philox8_refill_wide(s);
         int64_t k = n - i < 8 ? n - i : 8;
         k = k < 32 - s->pos ? k : 32 - s->pos;
         __mmask8 lanes = (__mmask8)((1u << k) - 1);
@@ -386,7 +370,7 @@ WIDE static void fill_exponentials8(void *stream, int64_t n, double *out)
         i += first_slow;
         s->pos += first_slow;
         uint64_t v = s->buf[s->pos++];
-        out[i++] = replay_exponential(v, philox8_next, s, &calls);
+        out[i++] = replay_exponential(v, philox8_next_wide, s, &calls);
     }
 }
 
@@ -485,29 +469,24 @@ static inline __attribute__((always_inline)) void draw_and_count(void (*fill)(vo
 
 /* Draw m rows from the Philox stream (key, counter, buffer, *pos), NumPy's
  * state of the chunk's bit generator, in blocks of `rows` rows through buf
- * (rows x d), normalise each row, and add each block's counts of the regions
- * in mask to hits.  On return buf holds the last block's normalised rows and
- * counter, buffer and *pos the advanced state. */
+ * (rows x d, d = 2^n with 2 <= n <= 6), normalise each row, and add each
+ * block's counts of the regions in mask to hits.  On return buf holds the
+ * last block's normalised rows and counter, buffer and *pos the advanced
+ * state. */
 void chunk_counts(const uint64_t *key, uint64_t *counter, uint64_t *buffer, int *pos,
                   int64_t m, int64_t d, double *buf, int64_t rows, int mask, double nu,
                   int64_t *hits)
 {
-    philox_t philox = {{key[0], key[1]},
-                  {counter[0], counter[1], counter[2], counter[3]},
-                  {buffer[0], buffer[1], buffer[2], buffer[3]},
-                  *pos};
+    if (m <= 0)
+        return;  /* philox8_store needs a value read */
+    philox8_t philox;
+    philox8_load(&philox, key, counter, buffer, *pos);
 #if WIDE_ROUTINE
-    if (philox_wide && m > 0 && d > 0) {
-        philox8_t wide;
-        philox8_load(&wide, &philox);
-        draw_and_count(fill_exponentials8, normalise_rows8, &wide, m, d, buf, rows, mask, nu, hits);
-        philox8_store(&wide, &philox);
-    } else
+    if (philox_wide)
+        draw_and_count(fill_exponentials8, normalise_rows8, &philox, m, d, buf, rows, mask, nu,
+                       hits);
+    else
 #endif
         draw_and_count(fill_exponentials, normalise_rows, &philox, m, d, buf, rows, mask, nu, hits);
-    for (int i = 0; i < 4; i++) {
-        counter[i] = philox.counter[i];
-        buffer[i] = philox.out[i];
-    }
-    *pos = philox.pos;
+    philox8_store(&philox, counter, buffer, pos);
 }

@@ -13,16 +13,20 @@ path inline and hands the rare other draws (about 2 %) to NumPy's
 private, so at load the kernel reads them back by probing that routine
 (256 x 54 calls).
 
-The stream runs in one of two routines, picked at load from the CPU's
-flags (``PHILOX_ROUTINE``).  ``"scalar"`` steps Philox one block of four
-values at a time, as NumPy does.  ``"avx512"``, on a CPU with AVX-512F and
-AVX-512DQ, computes eight consecutive blocks side by side into a buffer of
-32 values in stream order, tracked by the counter of its last block; the
-fast path reads that buffer eight values at a time, and the draws replayed
-through NumPy's routine take their extra values from it too.  At the end of
-a chunk it writes back what NumPy's own state would hold: the counter of
-the block that holds the last value read, that block's four values and the
-position after that value.  The two routines draw the same values.
+The stream is one buffer of 32 values: eight consecutive Philox blocks in
+stream order, tracked by the counter of the last.  It is loaded from
+NumPy's state at the start of a chunk, and at its end the kernel writes
+back what NumPy's own state would hold: the counter of the block that
+holds the last value read, that block's four values and the position
+after that value.  One of two routines, picked at load from the CPU's
+flags (``PHILOX_ROUTINE``), refills and reads the buffer.  ``"scalar"``
+computes the eight blocks one after another and reads one value at a
+time.  ``"avx512"``, on a CPU with AVX-512F and AVX-512DQ, computes them
+side by side and runs the fast path eight values at a time.  The draws
+replayed through NumPy's routine take their extra values from the buffer
+too, so the two routines draw the same values.  The kernel sums rows in
+NumPy's order only at the widths the estimator draws, d = 2^n with
+2 <= n <= ``MC_MAX_QUBITS``, and :func:`chunk_counts` refuses any other.
 
 Each routine the CPU can run is checked at load bit for bit against
 NumPy's draw-and-divide, its hit counts and the bit generator's final
@@ -42,8 +46,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._mc_kernel_py import FAMILY_GENUINE, FAMILY_MERMIN
+from ._mc_kernel_py import FAMILY_GENUINE, FAMILY_MERMIN, check_rows
 from ._mc_kernel_py import count_hits as _numpy_count_hits
+from .indices import MC_MAX_QUBITS
 
 BACKEND = "c"
 
@@ -53,6 +58,7 @@ _HITS = _I64 * (FAMILY_MERMIN + 1)  # one counter per family code
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 ROUTINES = ("scalar", "avx512")  # set_philox_routine's codes 0 and 1
 WIDE_CPU_FLAGS = ("avx512f", "avx512dq")  # bits 0 and 1 of cpu_wide_flags()
+ROW_WIDTHS = tuple(1 << n for n in range(2, MC_MAX_QUBITS + 1))  # the widths chunk_counts draws
 
 
 def _mask(families) -> int:
@@ -179,8 +185,7 @@ def count_hits(p: np.ndarray, family: int, nu: float) -> int:
     """Count rows of the (m, d) probability matrix falling in the region."""
     mask = _mask((family,))
     p = np.ascontiguousarray(p, dtype=np.float64)
-    if p.ndim != 2:
-        raise ValueError(f"need an (m, d) matrix, got shape {p.shape}")
+    check_rows(p)
     hits = _HITS()
     _lib.count_hits(p.ctypes.data, p.shape[0], p.shape[1], mask, nu, hits)
     return hits[family]
@@ -194,16 +199,13 @@ def chunk_counts(bitgen: np.random.BitGenerator, m: int, buf: np.ndarray, famili
     The points are ``sample_simplex``'s, drawn in blocks through ``buf``, a
     C-contiguous (rows, d) float64 array that holds the last block's
     normalised rows on return; ``bitgen`` then continues as it would after
-    NumPy's draw.
+    NumPy's draw.  d must be one of ``ROW_WIDTHS``.
     """
     mask = _mask(families)
     if buf.ndim != 2 or buf.dtype != np.float64 or not buf.flags.c_contiguous or not len(buf):
         raise ValueError("buf must be a non-empty C-contiguous (rows, d) float64 array")
+    if buf.shape[1] not in ROW_WIDTHS:
+        raise ValueError(f"row width must be one of {ROW_WIDTHS}, got {buf.shape[1]}")
     hits = _run(_lib, bitgen, m, buf, mask, nu)
     return tuple(hits[family] for family in families)
 
-
-def chunk_hits(bitgen: np.random.BitGenerator, m: int, buf: np.ndarray, family: int,
-               nu: float) -> int:
-    """Hits of one family code among m points drawn as :func:`chunk_counts` draws them."""
-    return chunk_counts(bitgen, m, buf, (family,), nu)[0]

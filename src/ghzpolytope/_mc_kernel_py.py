@@ -77,8 +77,15 @@ def mermin_violated(gap, nu: float, eps: float = 0.0):
     return gap - nu > eps
 
 
+def check_rows(p: np.ndarray) -> None:
+    """Raise ValueError unless ``p`` is an (m, d) matrix of rows with a flip pair, d >= 2."""
+    if p.ndim != 2 or p.shape[1] < 2:
+        raise ValueError(f"need an (m, d) matrix with d >= 2, got shape {p.shape}")
+
+
 def count_hits(p: np.ndarray, family: int, nu: float) -> int:
     """Count rows of the (m, d) probability matrix falling in the region."""
+    check_rows(p)
     if family == FAMILY_GENUINE:
         hits = genuine(max_prob(p))
     elif family == FAMILY_FBI:

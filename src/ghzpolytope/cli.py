@@ -508,9 +508,12 @@ def main(argv=None, out=None) -> int:
         args = build_parser().parse_args(argv)
         if getattr(args, "seed", 0) is None:
             args.seed = _parse_int(os.environ.get(SEED_ENV_VAR, "0"), SEED_ENV_VAR)
-        # checked here too, so that a run without --mc does not echo them
-        volume.check_mc_settings(getattr(args, "seed", 0), getattr(args, "threads", 1),
-                                 getattr(args, "samples", 0))
+        # checked here too, so that a run without --mc does not echo them;
+        # report's --samples 0 asks recommended_samples for each count
+        samples = getattr(args, "samples", None)
+        if args.func is _cmd_report and samples == 0:
+            samples = None
+        volume.check_mc_settings(getattr(args, "seed", 0), getattr(args, "threads", 1), samples)
         return args.func(args, out)
     except UnsupportedSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -62,6 +62,7 @@ _FAMILY_CODES = {
 }
 
 MC_MIN_SAMPLES = 10_000
+MC_AUTO_MAX_SAMPLES = 2_000_000  # the largest count recommended_samples gives
 DEFAULT_CHUNK = 1 << 16
 # Each chunk is sampled and counted in blocks of at most this many bytes, so
 # a block stays in cache between the sampler and the counter.  Smaller
@@ -215,23 +216,27 @@ def sample_simplex(
     return e
 
 
-def recommended_samples(exact: float, floor: int = MC_MIN_SAMPLES, cap: int = 2_000_000) -> int:
-    """Sample count so the binomial standard error is <= max(0.002, exact/20)."""
+def recommended_samples(exact: float) -> int:
+    """Sample count so the binomial standard error is <= max(0.002, exact/20),
+    within ``[MC_MIN_SAMPLES, MC_AUTO_MAX_SAMPLES]``."""
     target = max(0.002, exact / 20.0)
     needed = int(math.ceil(exact * (1.0 - exact) / (target * target))) + 1
-    return min(cap, max(floor, needed))
+    return min(MC_AUTO_MAX_SAMPLES, max(MC_MIN_SAMPLES, needed))
 
 
-def check_mc_settings(seed: int, threads: int, samples: int = 0) -> None:
-    """Raise unless ``seed >= 0``, ``1 <= threads <= MC_MAX_THREADS`` and
-    ``samples <= MC_MAX_SAMPLES``; past a cap, UnsupportedSizeError."""
+def check_mc_settings(seed: int, threads: int, samples: int | None = None) -> None:
+    """Raise unless ``seed >= 0``, ``1 <= threads <= MC_MAX_THREADS`` and, if
+    given, ``MC_MIN_SAMPLES <= samples <= MC_MAX_SAMPLES``; past a cap,
+    UnsupportedSizeError."""
+    if samples is not None and samples < MC_MIN_SAMPLES:
+        raise InvalidArgumentError(f"need at least {MC_MIN_SAMPLES} samples, got {samples}")
     if seed < 0:
         raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     if threads < 1:
         raise InvalidArgumentError(f"threads must be >= 1, got {threads}")
     if threads > MC_MAX_THREADS:
         raise UnsupportedSizeError(f"thread count {threads} exceeds the cap {MC_MAX_THREADS}")
-    if samples > MC_MAX_SAMPLES:
+    if samples is not None and samples > MC_MAX_SAMPLES:
         raise UnsupportedSizeError(f"sample count {samples} exceeds the cap {MC_MAX_SAMPLES}")
 
 
@@ -275,8 +280,6 @@ def mc_relative_volumes(
     for family in families:
         _check_family(family, MC_FAMILIES, n)
     check_qubit_count(n, MC_MAX_QUBITS)
-    if samples < MC_MIN_SAMPLES:
-        raise InvalidArgumentError(f"need at least {MC_MIN_SAMPLES} samples, got {samples}")
     check_mc_settings(seed, threads, samples)
     if kernel is None:
         kernel = _default_kernel

@@ -209,6 +209,8 @@ def test_exit_code_unsupported_size():
         ["report", "--threads", "0"],
         ["report", "--seed", "-1"],
         ["volume", "--n", "3", "--family", "fbi", "--threads", "0"],
+        ["volume", "--n", "3", "--family", "fbi", "--samples", "-5"],
+        ["report", "--n-max", "3", "--samples", "5"],
         # argparse usage errors: no usage text, no SystemExit
         ["frobnicate"],
         [],

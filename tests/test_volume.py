@@ -395,10 +395,10 @@ def test_fused_rows_equal_sample_simplex(d):
         for family in range(4):
             expected = _mc_kernel_py.count_hits(whole, family, nu)
             one = np.empty((m, d))  # one block: every row
-            assert _mc_kernel.chunk_hits(np.random.Philox(d), m, one, family, nu) == expected
+            assert _mc_kernel.chunk_counts(np.random.Philox(d), m, one, (family,), nu)[0] == expected
             assert_same_bits(one, whole)
             buf = np.empty((min(m, rows), d))  # the blocks of a chunk: the last block's rows
-            assert _mc_kernel.chunk_hits(np.random.Philox(d), m, buf, family, nu) == expected
+            assert _mc_kernel.chunk_counts(np.random.Philox(d), m, buf, (family,), nu)[0] == expected
             last = m % len(buf) or len(buf)
             assert_same_bits(buf[:last], whole[-last:])
 
@@ -732,6 +732,27 @@ def test_chunk_counts_needs_a_philox_with_no_buffered_uint32():
     assert bitgen.state["has_uint32"]
     with pytest.raises(ValueError, match="Philox"):
         _mc_kernel.chunk_counts(bitgen, 8, buf, (2,), 0.0)
+
+
+@pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_c)])
+@pytest.mark.parametrize("d", [0, 1])
+def test_count_hits_refuses_rows_narrower_than_two(backend, d):
+    # a row of width 0 has no last entry for the Mermin gap to read
+    kernel = _mc_kernel_py if backend == "python" else _mc_kernel
+    message = rf"need an \(m, d\) matrix with d >= 2, got shape \(5, {d}\)"
+    for family in range(4):
+        with pytest.raises(ValueError, match=message):
+            kernel.count_hits(np.empty((5, d)), family, 0.0)
+
+
+@needs_c
+@pytest.mark.parametrize("d", [2, 12, 128])
+def test_chunk_counts_refuses_widths_the_estimator_never_draws(d):
+    # only d = 2^n with 2 <= n <= MC_MAX_QUBITS; the stream is left untouched
+    bitgen, twin = np.random.Philox(1), np.random.Philox(1)
+    with pytest.raises(ValueError, match="row width"):
+        _mc_kernel.chunk_counts(bitgen, 8, np.empty((8, d)), (2,), 0.0)
+    assert_same_state(bitgen, twin)
 
 
 @needs_c
