@@ -105,7 +105,10 @@ def _run(lib: ctypes.CDLL, bitgen: np.random.BitGenerator, m: int, buf: np.ndarr
     if state["bit_generator"] != "Philox" or state["has_uint32"]:
         raise ValueError("need a Philox bit generator with no buffered 32-bit value")
     philox, buffer = state["state"], state["buffer"]
-    pos, hits = ctypes.c_int(state["buffer_pos"]), _HITS()
+    if state["buffer_pos"] < 0:
+        raise ValueError(f"need a Philox buffer_pos >= 0, got {state['buffer_pos']}")
+    # NumPy's draw takes any position past its 4-value buffer as a spent buffer
+    pos, hits = ctypes.c_int(min(state["buffer_pos"], 4)), _HITS()
     lib.chunk_counts(philox["key"].ctypes.data, philox["counter"].ctypes.data,
                      buffer.ctypes.data, ctypes.byref(pos), m, buf.shape[1], buf.ctypes.data,
                      buf.shape[0], mask, nu, hits)

@@ -4,6 +4,10 @@ Every run echoes its full effective configuration (including the
 defaulted seed and tolerances) in the output header, emits JSON by
 default (CSV for `report`), and uses exit status 0 on success, 2 on
 invalid input, 3 on unsupported sizes and 130 when interrupted (Ctrl-C).
+
+`extremes` and `facets` write their rows a block at a time, after every
+check has passed, so an interrupted listing, or one whose reader closes
+early, leaves truncated output and exits 130 or 2.
 """
 
 from __future__ import annotations
@@ -86,9 +90,8 @@ def _json_text(obj, pad: str = "\n") -> str:
     Exact ints and finite exact floats are written with ``repr`` (a flat
     list of them in one pass) and exact strs with
     ``encode_basestring_ascii``, which is what ``json`` writes for them;
-    a facet or vertex listing writes itself a block at a time; every other
-    leaf goes through the C encoder, since ``json`` leaves it unused once
-    ``indent`` is set.
+    every other leaf goes through the C encoder, since ``json`` leaves it
+    unused once ``indent`` is set.
     """
     inner = pad + "  "
     if isinstance(obj, dict) and obj:
@@ -98,8 +101,6 @@ def _json_text(obj, pad: str = "\n") -> str:
         )
         return "{" + inner + ("," + inner).join(body) + pad + "}"
     if isinstance(obj, (list, tuple)):
-        if isinstance(obj, _Listing):
-            return obj.json_text(pad)
         if obj:
             if {int, float}.issuperset(map(type, obj)):
                 text = ("," + inner).join(map(repr, obj))
@@ -138,91 +139,66 @@ def _number_rows(block: np.ndarray, sep: str) -> list[str]:
     return [sep.join(texts[k:k + d]) for k in range(0, flat.size, d)]
 
 
-class _Listing(list):
-    """The rows of a vertex or facet listing, held as the enumerator's blocks.
+def _vertex_rows(block: np.ndarray, inner: str) -> list[str]:
+    """json's text of each vertex row of ``block`` at indent ``inner``: its d coordinates."""
+    keys = inner + "  "
+    return ["[" + keys + text + inner + "]" for text in _number_rows(block, "," + keys)]
 
-    ``_json_text`` writes each block's numbers in one pass, a block at a
-    time. Anything else that iterates it (``json.dumps`` included) sees a
-    plain list of its rows. ``blocks()`` starts the blocks afresh.
-    """
 
-    def __init__(self, blocks, count: int, limit):
-        super().__init__()
+def _facet_rows(block: polytopes.FacetBlock, inner: str) -> list[str]:
+    """json's text of each facet of ``block`` at indent ``inner``: a
+    ``coeffs``/``label``/``offset`` object."""
+    keys = inner + "  "
+    coeffs = _number_rows(block.coeffs, "," + keys + "  ")
+    labels = map(encode_basestring_ascii, block.labels)
+    offsets = _number_rows(block.offsets[:, None], "")
+    return [
+        f'{{{keys}"coeffs": [{keys}  {c}{keys}],{keys}"label": {label},'
+        f'{keys}"offset": {offset}{inner}}}'
+        for c, label, offset in zip(coeffs, labels, offsets)
+    ]
+
+
+class _Listing:
+    """A vertex or facet listing: ``blocks()`` starts the enumerator's blocks
+    afresh, and ``rows(block, inner)`` gives json's text of each row."""
+
+    def __init__(self, blocks, rows):
         self.blocks = blocks
-        self.rows = count if limit is None else min(count, limit)
-
-    def __len__(self) -> int:
-        return self.rows
-
-    def json_text(self, pad: str) -> str:
-        """``_json_text`` of the rows at indent ``pad``, joined once: each
-        row's numbers, then the text that closes it and opens the next row."""
-        inner = pad + "  "
-        opener = self.opener(inner)
-        link = "," + inner + opener
-        parts = ["[" + inner + opener]
-        for block in self.blocks():
-            numbers, closers = self.block_rows(block, inner)
-            pieces = [None] * (2 * len(numbers))
-            pieces[0::2] = numbers
-            pieces[1::2] = [closer + link for closer in closers]
-            parts += pieces
-        if len(parts) == 1:
-            return "[]"
-        parts[-1] = parts[-1][: -len(link)] + pad + "]"  # the last row opens none
-        return "".join(parts)
+        self.rows = rows
 
 
-class _VertexRows(_Listing):
-    """Vertex blocks; each row is a list of its d coordinates."""
-
-    def __iter__(self):
-        for block in self.blocks():
-            yield from block
-
-    @staticmethod
-    def opener(inner: str) -> str:
-        return "[" + inner + "  "
-
-    @staticmethod
-    def block_rows(block: np.ndarray, inner: str):
-        return _number_rows(block, "," + inner + "  "), [inner + "]"] * len(block)
-
-
-class _FacetRows(_Listing):
-    """Facet blocks; each row is a ``coeffs``/``label``/``offset`` object."""
-
-    def __iter__(self):
-        for block in self.blocks():
-            for coeffs, label, offset in zip(block.coeffs, block.labels, block.offsets.tolist()):
-                yield {"coeffs": coeffs, "label": label, "offset": offset}
-
-    @staticmethod
-    def opener(inner: str) -> str:
-        keys = inner + "  "
-        return "{" + keys + '"coeffs": [' + keys + "  "
-
-    @staticmethod
-    def block_rows(block: polytopes.FacetBlock, inner: str):
-        keys = inner + "  "
-        labels = map(encode_basestring_ascii, block.labels)
-        offsets = _number_rows(block.offsets[:, None], "")
-        closers = [
-            f'{keys}],{keys}"label": {label},{keys}"offset": {offset}{inner}}}'
-            for label, offset in zip(labels, offsets)
-        ]
-        return _number_rows(block.coeffs, "," + keys + "  "), closers
-
-
-# each listing command's payload key, rows, block enumerator and row count
+# each listing command's payload key, row text, block enumerator and row count
 _LISTINGS = {
-    "extremes": ("vertices", _VertexRows, polytopes.vertex_blocks, polytopes.vertex_count),
-    "facets": ("facets", _FacetRows, polytopes.facet_blocks, polytopes.facet_count),
+    "extremes": ("vertices", _vertex_rows, polytopes.vertex_blocks, polytopes.vertex_count),
+    "facets": ("facets", _facet_rows, polytopes.facet_blocks, polytopes.facet_count),
 }
 
 
 def _emit_json(payload: dict, out) -> None:
-    out.write(_json_text(payload) + "\n")
+    """Write ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline to
+    ``out``, for a non-empty payload.
+
+    A ``_Listing`` value goes out a block at a time: each block's rows in
+    one write, with the text held since the last write in front of them.
+    """
+    text, sep, pad, inner = "", "{", "\n  ", "\n    "
+    for key, value in sorted(payload.items()):
+        text += sep + pad + encode_basestring_ascii(key) + ": "
+        sep = ","
+        if not isinstance(value, _Listing):
+            text += _json_text(value, pad)
+            continue
+        opener = "["
+        for block in value.blocks():
+            rows = value.rows(block, inner)
+            if rows:
+                rows[0] = text + opener + inner + rows[0]
+                out.write(("," + inner).join(rows))
+                text, opener = "", ","
+            del rows  # before the next block is built
+        text += "[]" if opener == "[" else pad + "]"
+    out.write(text + "\n}\n")
 
 
 def _config_dict(args: argparse.Namespace, **extra) -> dict:
@@ -275,13 +251,12 @@ def _cmd_listing(args, out) -> int:
         blocks()  # checks the full-list cap before any row is built
     except UnsupportedSizeError as exc:
         raise UnsupportedSizeError(f"{exc}; pass --limit to stream fewer") from None
-    count = row_count(family, args.n)
     payload = {
         "config": _config_dict(args),
         "family": args.family,
         "n": args.n,
-        "count": count,
-        key: rows(blocks, count, args.limit),
+        "count": row_count(family, args.n),
+        key: _Listing(blocks, rows),
     }
     _emit_json(payload, out)
     return EXIT_OK
@@ -475,7 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("volume", help="closed-form and Monte-Carlo volumes")
     add_n(p)
     p.add_argument("--family", choices=sorted(volume.MC_FAMILIES + (volume.GHZ,)), required=True)
-    p.add_argument("--exact", action="store_true", help="closed form only (default)")
     p.add_argument("--mc", action="store_true", help="add a Monte-Carlo estimate")
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=None)  # None: $GHZPOLYTOPE_SEED or 0

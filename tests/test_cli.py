@@ -210,6 +210,7 @@ def test_exit_code_unsupported_size():
         ["report", "--seed", "-1"],
         ["volume", "--n", "3", "--family", "fbi", "--threads", "0"],
         ["volume", "--n", "3", "--family", "fbi", "--samples", "-5"],
+        ["volume", "--n", "3", "--family", "fbi", "--exact"],
         ["report", "--n-max", "3", "--samples", "5"],
         # argparse usage errors: no usage text, no SystemExit
         ["frobnicate"],
@@ -433,7 +434,19 @@ def test_json_output_is_json_dump_of_its_payload(argv, monkeypatch):
     monkeypatch.setattr(cli, "_emit_json", recording_emit)
     code, text = run(argv)
     assert code == EXIT_OK and len(payloads) == 1
-    assert text == json.dumps(payloads[0], indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
+    assert text == json.dumps(payloads[0], indent=2, sort_keys=True, default=listing_rows) + "\n"
+
+
+def listing_rows(obj):
+    """A listing's rows as plain lists and dicts, as json.dumps' ``default``."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    blocks = obj.blocks()
+    if obj.rows is cli._vertex_rows:
+        return [row for block in blocks for row in block.tolist()]
+    return [{"coeffs": coeffs, "label": label, "offset": offset}
+            for block in blocks
+            for coeffs, label, offset in zip(block.coeffs, block.labels, block.offsets.tolist())]
 
 
 def test_report_csv_carries_the_json_rows():
@@ -669,11 +682,17 @@ def test_listing_rows_are_json_text_of_tolist(split):
     for text, row in zip(cli._number_rows(matrix, ",\n  "), matrix):
         assert "[\n  " + text + "\n]" == json.dumps(row.tolist(), indent=2)
 
+    def emitted(payload):
+        buf = io.StringIO()
+        cli._emit_json(payload, buf)
+        return buf.getvalue()
+
     def blocks():
         return iter(np.split(matrix, cuts))
 
-    vertices = cli._VertexRows(blocks, len(matrix), None)
-    assert cli._json_text({"v": vertices}) == json.dumps({"v": matrix.tolist()}, indent=2)
+    vertices = cli._Listing(blocks, cli._vertex_rows)
+    assert emitted({"v": vertices, "n": 3}) == json.dumps(
+        {"v": matrix.tolist(), "n": 3}, indent=2, sort_keys=True) + "\n"
     labels = [f"row {r}" for r in range(len(matrix))]
     offsets = matrix[:, 0].copy()
 
@@ -681,12 +700,14 @@ def test_listing_rows_are_json_text_of_tolist(split):
         for part in np.split(np.arange(len(matrix)), cuts):
             yield polytopes.FacetBlock([labels[r] for r in part], offsets[part], matrix[part])
 
-    facets = cli._FacetRows(facet_blocks, len(matrix), None)
+    facets = cli._Listing(facet_blocks, cli._facet_rows)
     oracle = [{"coeffs": row.tolist(), "label": label, "offset": offset}
               for row, label, offset in zip(matrix, labels, offsets.tolist())]
-    assert cli._json_text({"f": facets}) == json.dumps({"f": oracle}, indent=2)
-    empty = cli._VertexRows(lambda: iter(()), len(matrix), 0)
-    assert cli._json_text({"v": empty}) == json.dumps({"v": []}, indent=2)
+    assert emitted({"f": facets, "g": [0.5, None]}) == json.dumps(
+        {"f": oracle, "g": [0.5, None]}, indent=2, sort_keys=True) + "\n"
+    empty = cli._Listing(lambda: iter(()), cli._vertex_rows)
+    assert emitted({"a": 1, "v": empty}) == json.dumps(
+        {"a": 1, "v": []}, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize(
@@ -709,6 +730,42 @@ def test_listing_at_n16_streams_in_bounded_memory(argv):
         tracemalloc.stop()
     assert code == EXIT_OK and len(json.loads(text)["facets" if argv[0] == "facets" else "vertices"]) == 2
     assert peak < 16 * 2**20
+
+
+class CountingSink:
+    """A text sink that keeps only how many writes and characters it was given;
+    ``fail_at`` makes that write raise BrokenPipeError, as a closed pipe does."""
+
+    def __init__(self, fail_at=None):
+        self.writes = self.chars = 0
+        self.fail_at = fail_at
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.chars += len(text)
+
+
+def test_listing_is_written_a_block_at_a_time():
+    # 13.9 MiB of rows; held whole, as one string, they would peak past it
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        code = main(["facets", "--family", "fbi", "--n", "7"], out=sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK and sink.writes > 1
+    assert peak < sink.chars / 2
+
+
+def test_reader_closing_mid_listing_is_one_error_line(capsys):
+    sink = CountingSink(fail_at=2)
+    code = main(["facets", "--family", "fbi", "--n", "7"], out=sink)
+    assert code == EXIT_INVALID_INPUT and sink.writes == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == ["error: [Errno 32] Broken pipe"]
 
 
 # ------------------------------------------------------------- argv fuzz

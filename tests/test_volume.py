@@ -669,6 +669,38 @@ def test_chunk_ending_just_before_a_counter_wrap_leaves_numpys_state_avx512(pos)
 
 
 @needs_c
+@pytest.mark.parametrize("d", [4, 64])
+def test_chunk_counts_takes_a_buffer_pos_past_the_buffer_as_spent(d, routine="scalar"):
+    # NumPy accepts any int as buffer_pos and draws a fresh block past 3
+    def philox(pos):
+        bitgen = np.random.Philox(13)
+        bitgen.random_raw(2)
+        state = bitgen.state
+        state["buffer_pos"] = pos
+        bitgen.state = state
+        return bitgen
+
+    m, buf = 100, np.empty((64, d))
+    for pos in (5, 33, 1000):
+        bitgen, twin = philox(pos), philox(pos)
+        with philox_routine(routine):
+            got = _mc_kernel.chunk_counts(bitgen, m, buf, range(4), 0.05)
+        whole = sample_simplex(np.random.Generator(twin), m, d)
+        assert_same_bits(buf[:m % 64], whole[-(m % 64):])
+        assert got == tuple(_mc_kernel_py.count_hits(whole, code, 0.05) for code in range(4))
+        np.testing.assert_array_equal(bitgen.random_raw(8), twin.random_raw(8))
+    bitgen = philox(-1)
+    with philox_routine(routine), pytest.raises(ValueError, match="buffer_pos"):
+        _mc_kernel.chunk_counts(bitgen, m, buf, range(4), 0.05)
+
+
+@needs_wide
+@pytest.mark.parametrize("d", [4, 64])
+def test_chunk_counts_takes_a_buffer_pos_past_the_buffer_as_spent_avx512(d):
+    test_chunk_counts_takes_a_buffer_pos_past_the_buffer_as_spent(d, "avx512")
+
+
+@needs_c
 def test_philox_routine_follows_the_cpu_flags():
     wide = not _mc_kernel.MISSING_WIDE_FLAGS
     assert _mc_kernel.PHILOX_ROUTINE == ("avx512" if wide else "scalar")
