@@ -1,6 +1,6 @@
 /* Monte-Carlo kernel: draws, normalises and counts a chunk of points uniform
  * on the (d-1)-simplex in one pass, with the samples and decisions of the
- * NumPy path (volume.sample_simplex, then _mc_kernel_py.count_hits).
+ * NumPy kernel (_mc_kernel_py.chunk_counts).
  *
  * The chunk's Philox4x64-10 stream and the ziggurat's fast path run inline;
  * the rare draws off the fast path go to NumPy's own routine.  The stream is

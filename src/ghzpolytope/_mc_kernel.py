@@ -29,11 +29,12 @@ NumPy's order only at the widths the estimator draws, d = 2^n with
 2 <= n <= ``MC_MAX_QUBITS``, and :func:`chunk_counts` refuses any other.
 
 Each routine the CPU can run is checked at load bit for bit against
-NumPy's draw-and-divide, its hit counts and the bit generator's final
-state.  Any failure (no compiler, an unwritable directory, a missing
-library, a failed probe, a mismatch) raises ImportError, and ``volume``
-keeps the NumPy path in ``_mc_kernel_py``.  Calls go through ctypes, which
-releases the GIL, so chunks on a thread pool run in parallel.
+``_mc_kernel_py.chunk_counts``, the NumPy kernel, on a twin stream: rows,
+hit counts and the bit generator's next draws.  Any failure (no compiler,
+an unwritable directory, a missing library, a failed probe, a mismatch)
+raises ImportError, and ``volume`` keeps the NumPy kernel.  Calls go
+through ctypes, which releases the GIL, so chunks on a thread pool run in
+parallel.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from ._mc_kernel_py import FAMILY_GENUINE, FAMILY_MERMIN, check_rows
-from ._mc_kernel_py import count_hits as _numpy_count_hits
+from ._mc_kernel_py import chunk_counts as _numpy_chunk_counts
 from .indices import MC_MAX_QUBITS
 
 BACKEND = "c"
@@ -124,11 +125,12 @@ def _set_routine(lib: ctypes.CDLL, routine: str) -> str:
 
 
 def _self_check(lib: ctypes.CDLL) -> None:
-    """Raise ImportError unless the kernel draws NumPy's normalised rows bit for
-    bit, counts them as the NumPy path does and leaves the bit generator where
-    NumPy's draw leaves it, on every routine the CPU can run: a NumPy release
-    could change its draw or its summation order."""
+    """Raise ImportError unless the kernel writes the NumPy kernel's rows bit
+    for bit, gives its hit counts and leaves the bit generator where it does,
+    on every routine the CPU can run: a NumPy release could change its draw
+    or its summation order."""
     m, rows = 35, 16  # two full blocks and a ragged one of 3 rows
+    families = tuple(range(FAMILY_MERMIN + 1))
     for routine in reversed(ROUTINES):
         if _set_routine(lib, routine) != routine:
             continue
@@ -139,14 +141,12 @@ def _self_check(lib: ctypes.CDLL) -> None:
             bitgen, twin = np.random.Philox(d), np.random.Philox(d)
             bitgen.random_raw(skip)
             twin.random_raw(skip)
-            buf = np.empty((rows, d))
-            hits = _run(lib, bitgen, m, buf, _mask(range(FAMILY_MERMIN + 1)), 0.0)
-            e = np.random.Generator(twin).standard_exponential((m, d))
-            e /= e.sum(axis=1, keepdims=True)
-            last = m % rows
-            if not np.array_equal(buf[:last].view(np.uint64), e[-last:].view(np.uint64)):
+            buf, ref = np.empty((rows, d)), np.empty((rows, d))  # m > rows: all rows written
+            hits = _run(lib, bitgen, m, buf, _mask(families), 0.0)
+            expected = _numpy_chunk_counts(twin, m, ref, families, 0.0)
+            if not np.array_equal(buf.view(np.uint64), ref.view(np.uint64)):
                 raise ImportError(f"C kernel rows differ from NumPy's {where}")
-            if list(hits) != [_numpy_count_hits(e, code, 0.0) for code in range(len(hits))]:
+            if tuple(hits) != expected:
                 raise ImportError(f"C kernel hit counts differ from NumPy's {where}")
             if not np.array_equal(bitgen.random_raw(8), twin.random_raw(8)):
                 raise ImportError(f"C kernel leaves the bit generator off NumPy's state {where}")
@@ -196,13 +196,11 @@ def count_hits(p: np.ndarray, family: int, nu: float) -> int:
 
 def chunk_counts(bitgen: np.random.BitGenerator, m: int, buf: np.ndarray, families,
                  nu: float) -> tuple[int, ...]:
-    """Hits of each family code in ``families`` among the same m points uniform
-    on the simplex, drawn once from ``bitgen``, a Philox bit generator.
+    """``_mc_kernel_py.chunk_counts`` in one pass: the same hits, the same rows
+    left in ``buf`` and the same state left in ``bitgen``.
 
-    The points are ``sample_simplex``'s, drawn in blocks through ``buf``, a
-    C-contiguous (rows, d) float64 array that holds the last block's
-    normalised rows on return; ``bitgen`` then continues as it would after
-    NumPy's draw.  d must be one of ``ROW_WIDTHS``.
+    ``bitgen`` must be a Philox bit generator, ``buf`` a C-contiguous
+    (rows, d) float64 array and d one of ``ROW_WIDTHS``.
     """
     mask = _mask(families)
     if buf.ndim != 2 or buf.dtype != np.float64 or not buf.flags.c_contiguous or not len(buf):

@@ -1,8 +1,9 @@
 """The region inequalities over ``(..., d)`` probability rows, written once
-for ``classify``, ``violates_mermin`` and the NumPy hit counter.
+for ``classify``, ``violates_mermin`` and the NumPy Monte-Carlo kernel.
 
-The C kernel (``_mc_kernel.c``) must stay decision-for-decision identical
-to :func:`count_hits`, so hit counts match bit-for-bit between backends.
+The C kernel (``_mc_kernel.c``) takes the arguments of :func:`chunk_counts`
+and must stay decision-for-decision identical to it, so hit counts match
+bit-for-bit between backends.
 :func:`count_hits` folds its reductions one flip pair ``(i, d-1-i)`` at a
 time over all rows (:func:`pair_reductions`, :func:`max_prob`); the folds
 use only exact operations, so they equal the row-wise reductions.
@@ -97,3 +98,31 @@ def count_hits(p: np.ndarray, family: int, nu: float) -> int:
     else:
         raise ValueError(f"unknown family code {family}")
     return int(np.count_nonzero(hits))
+
+
+def sample_simplex(
+    rng: np.random.Generator, m: int, d: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """m points uniform on the (d-1)-simplex: normalized unit exponentials.
+
+    ``out``, an (m, d) float64 array, receives the points in place of a new
+    array; the values drawn are the same either way.
+    """
+    e = rng.standard_exponential((m, d), out=out)
+    e /= e.sum(axis=1, keepdims=True)
+    return e
+
+
+def chunk_counts(bitgen: np.random.BitGenerator, m: int, buf: np.ndarray, families,
+                 nu: float) -> tuple[int, ...]:
+    """Hits of each family code in ``families`` among m points drawn once from
+    ``bitgen`` by :func:`sample_simplex`, a block at a time through ``buf``, a
+    (rows, d) float64 array that holds the last block's rows on return."""
+    rng = np.random.Generator(bitgen)
+    hits = [0] * len(families)
+    for start in range(0, m, len(buf)):
+        b = min(len(buf), m - start)
+        p = sample_simplex(rng, b, buf.shape[1], buf[:b])
+        for j, family in enumerate(families):
+            hits[j] += count_hits(p, family, nu)
+    return tuple(hits)

@@ -113,16 +113,12 @@ def is_ppt_all_bipartitions(state: GhzDiagonalState) -> bool:
     return all(is_ppt_bipartition(state, bp) for bp in all_bipartitions(state.n))
 
 
-def classify(
-    state: GhzDiagonalState,
-    eps: float = EPS_CLASS,
-    boundary_eps: float = EPS_BOUNDARY,
-) -> ClassificationResult:
+def classify(state: GhzDiagonalState, eps: float = EPS_CLASS) -> ClassificationResult:
     """Place the state in exactly one of the three regions of the simplex."""
     maxp = state.p.max()
     bisep, wit_b = is_biseparable(state, eps)
     fbi, wit_f, margin_f = _fbi_decision(state.p, eps)
-    boundary = abs(float(maxp) - 0.5) <= boundary_eps or margin_f <= boundary_eps
+    boundary = abs(float(maxp) - 0.5) <= EPS_BOUNDARY or margin_f <= EPS_BOUNDARY
 
     if not bisep:
         region, witness = "genuine", (wit_b,)

@@ -357,16 +357,13 @@ def _report_row(n: int, mc: bool, samples: int, seed: int, threads: int) -> dict
     row["fbi_vertices"] = polytopes.vertex_count("FBI", n)
     row["fbi_facets"] = polytopes.facet_count("FBI", n)
     if mc and n <= MC_MAX_QUBITS:
-        # families with the same sample count share one draw of the points
-        by_count: dict[int, list[str]] = {}
-        for fam in volume.MC_FAMILIES:
-            count = samples if samples else volume.recommended_samples(row[f"rel_{fam}"])
-            by_count.setdefault(count, []).append(fam)
-        for count, families in by_count.items():
-            for rep in volume.mc_relative_volumes(families, n, count, seed=seed, threads=threads):
-                row[f"mc_{rep.family}"] = rep.mc_estimate
-                row[f"mc_{rep.family}_stderr"] = rep.mc_stderr
-                row[f"mc_{rep.family}_samples"] = rep.samples
+        # the four families share one draw of the points
+        count = samples or volume.MC_MIN_SAMPLES
+        for rep in volume.mc_relative_volumes(volume.MC_FAMILIES, n, count, seed=seed,
+                                              threads=threads):
+            row[f"mc_{rep.family}"] = rep.mc_estimate
+            row[f"mc_{rep.family}_stderr"] = rep.mc_stderr
+            row[f"mc_{rep.family}_samples"] = rep.samples
     return row
 
 
@@ -467,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=6)
     p.add_argument("--mc", action="store_true")
-    p.add_argument("--samples", type=int, default=0, help="0 = auto per quantity")
+    p.add_argument("--samples", type=int, default=0, help="0 = 10000 per family")
     p.add_argument("--seed", type=int, default=None)  # None: $GHZPOLYTOPE_SEED or 0
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -483,7 +480,7 @@ def main(argv=None, out=None) -> int:
         if getattr(args, "seed", 0) is None:
             args.seed = _parse_int(os.environ.get(SEED_ENV_VAR, "0"), SEED_ENV_VAR)
         # checked here too, so that a run without --mc does not echo them;
-        # report's --samples 0 asks recommended_samples for each count
+        # report's --samples 0 means MC_MIN_SAMPLES per family
         samples = getattr(args, "samples", None)
         if args.func is _cmd_report and samples == 0:
             samples = None

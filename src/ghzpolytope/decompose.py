@@ -67,7 +67,7 @@ def midpoint_bipartition(n: int, i: int, j: int) -> Bipartition | None:
     return Bipartition(n, agree)
 
 
-def certify_midpoint(n: int, i: int, j: int, verify: bool = True) -> SeparabilityCertificate:
+def certify_midpoint(n: int, i: int, j: int) -> SeparabilityCertificate:
     """Certificate for m_{i,j}, verified by the partial-transpose oracle."""
     bp = midpoint_bipartition(n, i, j)
     state = midpoint(n, i, j)
@@ -75,16 +75,14 @@ def certify_midpoint(n: int, i: int, j: int, verify: bool = True) -> Separabilit
         cert = SeparabilityCertificate(state, KIND_DIAGONAL)
     else:
         cert = SeparabilityCertificate(state, KIND_MIDPOINT, bipartition=bp)
-    if verify and n >= 2 and bp is not None and not is_ppt_bipartition(state, bp):
+    if n >= 2 and bp is not None and not is_ppt_bipartition(state, bp):
         raise AssertionError(
             f"midpoint m_{to_bits(i, n)},{to_bits(j, n)} failed the PPT check across {bp}"
         )
     return cert
 
 
-def cube_vertex_decomposition(
-    n: int, sigma, bipartition: Bipartition, verify: bool = True
-) -> SeparabilityCertificate:
+def cube_vertex_decomposition(n: int, sigma, bipartition: Bipartition) -> SeparabilityCertificate:
     """Decompose v_sigma into midpoints separable across the bipartition.
 
     Walks sigma lexicographically and pairs each unpaired index with its
@@ -120,7 +118,7 @@ def cube_vertex_decomposition(
     for i, j in pairs:
         bp = midpoint_bipartition(n, i, j)
         m = midpoint(n, i, j)
-        if verify and bp is not None and not is_ppt_bipartition(m, bp):
+        if bp is not None and not is_ppt_bipartition(m, bp):
             raise AssertionError(f"component m_{to_bits(i, n)},{to_bits(j, n)} failed PPT")
         components.append((weight, m, bp))
 

@@ -13,14 +13,15 @@ package's ``__pycache__`` that draws, normalises and counts each chunk in
 one pass without holding the GIL; it runs the chunk's Philox stream and
 the ziggurat's fast path itself and leaves only the rare other draws to
 NumPy's C routine.  Otherwise, or if that kernel does not reproduce
-NumPy's rows and bit-generator state bit for bit, the NumPy path
-(``sample_simplex``, then ``_mc_kernel_py.count_hits`` per family) runs.
-Both give identical hit counts for identical seeds.
+``_mc_kernel_py.chunk_counts``'s rows, counts and bit-generator state bit
+for bit, that NumPy kernel runs.  Both kernels take a chunk in one
+``chunk_counts`` call and give identical hit counts for identical seeds.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -29,6 +30,7 @@ import numpy as np
 from .errors import InvalidArgumentError, UnsupportedSizeError
 from .indices import (
     CLOSED_FORM_MAX_QUBITS,
+    MC_MAX_CHUNKS,
     MC_MAX_QUBITS,
     MC_MAX_SAMPLES,
     MC_MAX_THREADS,
@@ -42,6 +44,7 @@ try:
 except ImportError:  # no compiler, or a kernel that fails its check against NumPy
     from . import _mc_kernel_py as _default_kernel
 from . import _mc_kernel_py
+from ._mc_kernel_py import sample_simplex  # noqa: F401  re-exported
 
 KERNEL_BACKEND = _default_kernel.BACKEND
 
@@ -62,7 +65,6 @@ _FAMILY_CODES = {
 }
 
 MC_MIN_SAMPLES = 10_000
-MC_AUTO_MAX_SAMPLES = 2_000_000  # the largest count recommended_samples gives
 DEFAULT_CHUNK = 1 << 16
 # Each chunk is sampled and counted in blocks of at most this many bytes, so
 # a block stays in cache between the sampler and the counter.  Smaller
@@ -203,27 +205,6 @@ RVR_LIMITS = {
 }
 
 
-def sample_simplex(
-    rng: np.random.Generator, m: int, d: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """m points uniform on the (d-1)-simplex: normalized unit exponentials.
-
-    ``out``, an (m, d) float64 array, receives the points in place of a new
-    array; the values drawn are the same either way.
-    """
-    e = rng.standard_exponential((m, d), out=out)
-    e /= e.sum(axis=1, keepdims=True)
-    return e
-
-
-def recommended_samples(exact: float) -> int:
-    """Sample count so the binomial standard error is <= max(0.002, exact/20),
-    within ``[MC_MIN_SAMPLES, MC_AUTO_MAX_SAMPLES]``."""
-    target = max(0.002, exact / 20.0)
-    needed = int(math.ceil(exact * (1.0 - exact) / (target * target))) + 1
-    return min(MC_AUTO_MAX_SAMPLES, max(MC_MIN_SAMPLES, needed))
-
-
 def check_mc_settings(seed: int, threads: int, samples: int | None = None) -> None:
     """Raise unless ``seed >= 0``, ``1 <= threads <= MC_MAX_THREADS`` and, if
     given, ``MC_MIN_SAMPLES <= samples <= MC_MAX_SAMPLES``; past a cap,
@@ -271,8 +252,9 @@ def mc_relative_volumes(
     for any choice of the other families.  Each chunk is drawn once from its
     stream in cache-sized row blocks, and every family is counted on each
     block as soon as it is drawn; the samples are those of one draw per
-    chunk.  A kernel with ``chunk_counts`` (the C one) does all of a chunk
-    in one call; ``kernel=_mc_kernel_py`` runs the NumPy reference loop.
+    chunk.  Either kernel does all of a chunk in one ``chunk_counts`` call;
+    ``kernel=_mc_kernel_py`` runs the NumPy reference.  ``chunk_size`` must
+    be an int >= 1 giving at most ``MC_MAX_CHUNKS`` chunks.
     """
     families = tuple(families)
     if not families:
@@ -281,14 +263,16 @@ def mc_relative_volumes(
         _check_family(family, MC_FAMILIES, n)
     check_qubit_count(n, MC_MAX_QUBITS)
     check_mc_settings(seed, threads, samples)
+    if not isinstance(chunk_size, numbers.Integral) or chunk_size < 1:
+        raise InvalidArgumentError(f"chunk_size must be an int >= 1, got {chunk_size!r}")
+    n_chunks = (samples + chunk_size - 1) // chunk_size
+    if n_chunks > MC_MAX_CHUNKS:
+        raise UnsupportedSizeError(f"chunk count {n_chunks} exceeds the cap {MC_MAX_CHUNKS}")
     if kernel is None:
         kernel = _default_kernel
     d = dimension(n)
     codes = tuple(_FAMILY_CODES[family] for family in families)
     nu = mermin_threshold(n)
-
-    n_chunks = (samples + chunk_size - 1) // chunk_size
-    fused = getattr(kernel, "chunk_counts", None)
 
     def run_chunk(k: int) -> tuple[int, ...]:
         m = min(chunk_size, samples - k * chunk_size)
@@ -297,16 +281,7 @@ def mc_relative_volumes(
         # consecutive draws continue the chunk's stream, and each row is
         # normalised on its own, so blocking never changes a sample
         buf = np.empty((min(m, _BLOCK_BYTES // (8 * d)), d))
-        if fused is not None:
-            return fused(bitgen, m, buf, codes, nu)
-        rng = np.random.Generator(bitgen)
-        hits = [0] * len(codes)
-        for start in range(0, m, len(buf)):
-            b = min(len(buf), m - start)
-            p = sample_simplex(rng, b, d, buf[:b])
-            for j, code in enumerate(codes):
-                hits[j] += kernel.count_hits(p, code, nu)
-        return tuple(hits)
+        return kernel.chunk_counts(bitgen, m, buf, codes, nu)
 
     workers = min(threads, n_chunks)
     if workers > 1:

@@ -547,9 +547,14 @@ def test_report_mc_draws_each_chunk_once(monkeypatch):
         return philox(seed)
 
     monkeypatch.setattr(np.random, "Philox", counting_philox)
-    code, _ = run(["report", "--n-min", "2", "--n-max", "6", "--mc"])
+    code, text = run(["report", "--n-min", "2", "--n-max", "6", "--mc"])
     assert code == EXIT_OK
     assert len(drawn) == 5
+    # without --samples every estimate takes 10000 samples
+    header, *rows = text.splitlines()[1:]
+    cells = [dict(zip(header.split(","), row.split(","))) for row in rows]
+    assert [row["n"] for row in cells] == ["2", "3", "4", "5", "6"]
+    assert {row[f"mc_{fam}_samples"] for row in cells for fam in volume.MC_FAMILIES} == {"10000"}
 
 
 # ------------------------------------------------- listings against an oracle

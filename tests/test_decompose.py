@@ -47,7 +47,7 @@ def test_all_midpoints_certify(n):
     d = 2**n
     for i in range(d):
         for j in range(i + 1, d):
-            cert = certify_midpoint(n, i, j, verify=True)
+            cert = certify_midpoint(n, i, j)
             assert isinstance(cert, SeparabilityCertificate)
             if j == d - 1 - i:
                 assert cert.kind == KIND_DIAGONAL
@@ -80,7 +80,7 @@ def test_cube_vertex_worked_example():
 def test_every_cube_vertex_decomposes_for_every_bipartition(n):
     for sigma in iter_selections(n):
         for bp in all_bipartitions(n):
-            cert = cube_vertex_decomposition(n, sigma, bp, verify=True)
+            cert = cube_vertex_decomposition(n, sigma, bp)
             recon = sum(w * s.p for w, s, _ in cert.components)
             np.testing.assert_allclose(recon, cert.state.p, atol=1e-12)
             assert sum(w for w, _, _ in cert.components) == pytest.approx(1.0)

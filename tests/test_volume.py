@@ -327,8 +327,8 @@ def test_mc_guards():
 @pytest.mark.parametrize(
     "kwargs",
     [dict(samples=MC_MAX_SAMPLES + 1), dict(samples=10**18), dict(threads=MC_MAX_THREADS + 1),
-     dict(threads=10**6)],
-    ids=["samples-cap", "samples-1e18", "threads-cap", "threads-1e6"],
+     dict(threads=10**6), dict(samples=MC_MAX_SAMPLES, chunk_size=1)],
+    ids=["samples-cap", "samples-1e18", "threads-cap", "threads-1e6", "chunks-cap"],
 )
 def test_mc_caps_refuse_before_any_stream_or_thread(kwargs, monkeypatch):
     def fail(*args, **kw):
@@ -494,17 +494,53 @@ def test_trisection_hits_partition_the_samples(n):
         assert sum(round(r.mc_estimate * samples) for r in reports) == samples
 
 
+# every row loop the C counter inlines: pair families, Mermin, both
+CHUNK_CODES = [(0, 1, 2, 3), (3,), (2,), (0, 3), (3, 1)]
+CHUNK_SKIPS = (0, 3)  # a fresh stream and one started mid-buffer
+
+
+def _twin_philox(d, skip):
+    """Two Philox bit generators seeded with d, each ``skip`` raw draws in."""
+    pair = np.random.Philox(d), np.random.Philox(d)
+    for bitgen in pair:
+        bitgen.random_raw(skip)
+    return pair
+
+
+@pytest.mark.parametrize("d", [4, 8, 16, 64])
+def test_numpy_chunk_counts_equal_counts_of_one_draw(d):
+    # the reference contract: one draw of m rows, counted; the buffer holds
+    # the last block's rows and the stream goes on from the end of the draw
+    rows = _BLOCK_BYTES // (8 * d)
+    m, nu = 3 * rows + 17, 0.05
+    for skip in CHUNK_SKIPS:
+        for codes in CHUNK_CODES:
+            bitgen, twin = _twin_philox(d, skip)
+            buf = np.empty((rows, d))
+            got = _mc_kernel_py.chunk_counts(bitgen, m, buf, codes, nu)
+            whole = sample_simplex(np.random.Generator(twin), m, d)
+            assert got == tuple(_mc_kernel_py.count_hits(whole, code, nu) for code in codes)
+            assert_same_bits(buf[:17], whole[-17:])
+            np.testing.assert_array_equal(bitgen.random_raw(8), twin.random_raw(8))
+
+
 @needs_c
 @pytest.mark.parametrize("d", [4, 8, 16, 64])
 def test_chunk_counts_equal_numpy_counts(d, routine="scalar"):
-    # every row loop the counter inlines: pair families, Mermin, both
-    m, nu = 3 * (_BLOCK_BYTES // (8 * d)) + 17, 0.05
-    whole = sample_simplex(_philox(d), m, d)
-    for codes in [(0, 1, 2, 3), (3,), (2,), (0, 3), (3, 1)]:
-        buf = np.empty((_BLOCK_BYTES // (8 * d), d))
-        with philox_routine(routine):
-            got = _mc_kernel.chunk_counts(np.random.Philox(d), m, buf, codes, nu)
-        assert got == tuple(_mc_kernel_py.count_hits(whole, code, nu) for code in codes)
+    # both kernels on twin streams: the same counts, the same rows written
+    # into the buffer (every row: the chunk spans four blocks) and the same
+    # next draws
+    rows = _BLOCK_BYTES // (8 * d)
+    m, nu = 3 * rows + 17, 0.05
+    for skip in CHUNK_SKIPS:
+        for codes in CHUNK_CODES:
+            bitgen, twin = _twin_philox(d, skip)
+            buf, ref = np.empty((rows, d)), np.empty((rows, d))
+            with philox_routine(routine):
+                got = _mc_kernel.chunk_counts(bitgen, m, buf, codes, nu)
+            assert got == _mc_kernel_py.chunk_counts(twin, m, ref, codes, nu)
+            assert_same_bits(buf, ref)
+            np.testing.assert_array_equal(bitgen.random_raw(8), twin.random_raw(8))
 
 
 @needs_wide
@@ -515,8 +551,9 @@ def test_chunk_counts_equal_numpy_counts_avx512(d):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [dict(seed=-1), dict(threads=0), dict(threads=-2), dict(families=())],
-    ids=["seed", "threads0", "threads-2", "no-family"],
+    [dict(seed=-1), dict(threads=0), dict(threads=-2), dict(families=()), dict(chunk_size=0),
+     dict(chunk_size=-5), dict(chunk_size=2.5)],
+    ids=["seed", "threads0", "threads-2", "no-family", "chunk0", "chunk-5", "chunk2.5"],
 )
 def test_mc_relative_volumes_rejects_bad_arguments(kwargs):
     args = dict(families=(FBI,), n=3, samples=20_000, seed=1) | kwargs
