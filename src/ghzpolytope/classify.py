@@ -53,9 +53,9 @@ class ClassificationResult:
         }
 
 
-def is_biseparable(state: GhzDiagonalState, eps: float = EPS_CLASS) -> tuple[bool, int | None]:
+def is_biseparable(state: GhzDiagonalState) -> tuple[bool, int | None]:
     """True iff p_i <= 1/2 for every i; witness is the first index above 1/2."""
-    over = np.flatnonzero(genuine(state.p, eps))
+    over = np.flatnonzero(genuine(state.p, EPS_CLASS))
     return (False, int(over[0])) if over.size else (True, None)
 
 
@@ -81,11 +81,9 @@ def _fbi_decision(p: np.ndarray, eps: float) -> tuple[bool, tuple[int, int] | No
     return False, (i, int(np.argmin(fully_biseparable(diffs, sums[i], eps)))), margin
 
 
-def is_fully_biseparable(
-    state: GhzDiagonalState, eps: float = EPS_CLASS
-) -> tuple[bool, tuple[int, int] | None]:
+def is_fully_biseparable(state: GhzDiagonalState) -> tuple[bool, tuple[int, int] | None]:
     """True iff |z_j| <= a_i for all i, j; witness is the first violating (i, j)."""
-    fbi, witness, _ = _fbi_decision(state.p, eps)
+    fbi, witness, _ = _fbi_decision(state.p, EPS_CLASS)
     return fbi, witness
 
 
@@ -113,11 +111,11 @@ def is_ppt_all_bipartitions(state: GhzDiagonalState) -> bool:
     return all(is_ppt_bipartition(state, bp) for bp in all_bipartitions(state.n))
 
 
-def classify(state: GhzDiagonalState, eps: float = EPS_CLASS) -> ClassificationResult:
+def classify(state: GhzDiagonalState) -> ClassificationResult:
     """Place the state in exactly one of the three regions of the simplex."""
     maxp = state.p.max()
-    bisep, wit_b = is_biseparable(state, eps)
-    fbi, wit_f, margin_f = _fbi_decision(state.p, eps)
+    bisep, wit_b = is_biseparable(state)
+    fbi, wit_f, margin_f = _fbi_decision(state.p, EPS_CLASS)
     boundary = abs(float(maxp) - 0.5) <= EPS_BOUNDARY or margin_f <= EPS_BOUNDARY
 
     if not bisep:

@@ -72,14 +72,12 @@ def certify_midpoint(n: int, i: int, j: int) -> SeparabilityCertificate:
     bp = midpoint_bipartition(n, i, j)
     state = midpoint(n, i, j)
     if bp is None:
-        cert = SeparabilityCertificate(state, KIND_DIAGONAL)
-    else:
-        cert = SeparabilityCertificate(state, KIND_MIDPOINT, bipartition=bp)
-    if n >= 2 and bp is not None and not is_ppt_bipartition(state, bp):
+        return SeparabilityCertificate(state, KIND_DIAGONAL)
+    if not is_ppt_bipartition(state, bp):
         raise AssertionError(
             f"midpoint m_{to_bits(i, n)},{to_bits(j, n)} failed the PPT check across {bp}"
         )
-    return cert
+    return SeparabilityCertificate(state, KIND_MIDPOINT, bipartition=bp)
 
 
 def cube_vertex_decomposition(n: int, sigma, bipartition: Bipartition) -> SeparabilityCertificate:

@@ -13,8 +13,8 @@ from typing import Iterator
 from .errors import InvalidArgumentError, UnsupportedSizeError
 
 # The size caps: the largest qubit count n each kind of operation accepts,
-# and the largest Monte-Carlo sample, chunk and thread counts; every size check in
-# the package reads one of these.
+# and the largest Monte-Carlo sample and thread counts; every size check in the
+# package reads one of these.
 # Indices, states and streamed listings: one float64 row of 2^16 is 512 KiB.
 MAX_QUBITS = 16
 # d x d matrices and full lists of d-float rows: F_8's 2^15 facet rows are 64 MiB.
@@ -29,8 +29,6 @@ REPORT_MAX_QUBITS = 14
 CLOSED_FORM_MAX_QUBITS = 20
 # Monte-Carlo samples: 2^32 are 65,536 chunks and about half an hour on one core at n = 6.
 MC_MAX_SAMPLES = 2**32
-# Monte-Carlo chunks: the count the default 2^16-sample chunk gives at MC_MAX_SAMPLES.
-MC_MAX_CHUNKS = 2**16
 # Monte-Carlo threads: each is an OS thread with a 1 MiB row block, and threads past the cores add only that.
 MC_MAX_THREADS = 256
 

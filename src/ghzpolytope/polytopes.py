@@ -14,6 +14,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from .classify import EPS_BOUNDARY, EPS_CLASS
 from .errors import InvalidArgumentError, UnsupportedSizeError
 from .indices import (
     DENSE_MAX_QUBITS,
@@ -45,11 +46,11 @@ class Facet:
         """Slack coeffs . p - offset; nonnegative on the polytope."""
         return float(self.coeffs @ state.p) - self.offset
 
-    def satisfies(self, state: GhzDiagonalState, eps: float = 1e-12) -> bool:
-        return self.value(state) >= -eps
+    def satisfies(self, state: GhzDiagonalState) -> bool:
+        return self.value(state) >= -EPS_CLASS
 
-    def saturates(self, state: GhzDiagonalState, eps: float = 1e-9) -> bool:
-        return abs(self.value(state)) <= eps
+    def saturates(self, state: GhzDiagonalState) -> bool:
+        return abs(self.value(state)) <= EPS_BOUNDARY
 
 
 @dataclass(frozen=True)

@@ -23,14 +23,13 @@ from __future__ import annotations
 import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError, UnsupportedSizeError
 from .indices import (
     CLOSED_FORM_MAX_QUBITS,
-    MC_MAX_CHUNKS,
     MC_MAX_QUBITS,
     MC_MAX_SAMPLES,
     MC_MAX_THREADS,
@@ -86,17 +85,7 @@ class VolumeReport:
     backend: str = KERNEL_BACKEND
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "family": self.family,
-            "exact": self.exact,
-            "mc_estimate": self.mc_estimate,
-            "mc_stderr": self.mc_stderr,
-            "samples": self.samples,
-            "seed": self.seed,
-            "rng": self.rng,
-            "backend": self.backend,
-        }
+        return asdict(self)
 
 
 def _check_family(family: str, allowed, n: int | None = None) -> None:
@@ -206,9 +195,13 @@ RVR_LIMITS = {
 
 
 def check_mc_settings(seed: int, threads: int, samples: int | None = None) -> None:
-    """Raise unless ``seed >= 0``, ``1 <= threads <= MC_MAX_THREADS`` and, if
-    given, ``MC_MIN_SAMPLES <= samples <= MC_MAX_SAMPLES``; past a cap,
-    UnsupportedSizeError."""
+    """Raise unless each is an int, ``seed >= 0``, ``1 <= threads <=
+    MC_MAX_THREADS`` and, if given, ``MC_MIN_SAMPLES <= samples <=
+    MC_MAX_SAMPLES``; past a cap, UnsupportedSizeError."""
+    given = {"seed": seed, "threads": threads} | ({} if samples is None else {"samples": samples})
+    for name, value in given.items():
+        if not isinstance(value, numbers.Integral):
+            raise InvalidArgumentError(f"{name} must be an int, got {value!r}")
     if samples is not None and samples < MC_MIN_SAMPLES:
         raise InvalidArgumentError(f"need at least {MC_MIN_SAMPLES} samples, got {samples}")
     if seed < 0:
@@ -227,11 +220,10 @@ def mc_relative_volume(
     samples: int,
     seed: int,
     threads: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
     kernel=None,
 ) -> VolumeReport:
     """Monte-Carlo relative volume of one family: see :func:`mc_relative_volumes`."""
-    return mc_relative_volumes((family,), n, samples, seed, threads, chunk_size, kernel)[0]
+    return mc_relative_volumes((family,), n, samples, seed, threads, kernel)[0]
 
 
 def mc_relative_volumes(
@@ -240,21 +232,20 @@ def mc_relative_volumes(
     samples: int,
     seed: int,
     threads: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
     kernel=None,
 ) -> tuple[VolumeReport, ...]:
     """Monte-Carlo relative volumes of ``families``, one report each, all
     counted on the same points.
 
-    The sample range is split into fixed-size chunks; chunk streams are
-    spawned from the seed, so the integer hit counts (and hence the reports)
-    are identical for any ``threads`` value, for both kernel backends and
-    for any choice of the other families.  Each chunk is drawn once from its
-    stream in cache-sized row blocks, and every family is counted on each
-    block as soon as it is drawn; the samples are those of one draw per
-    chunk.  Either kernel does all of a chunk in one ``chunk_counts`` call;
-    ``kernel=_mc_kernel_py`` runs the NumPy reference.  ``chunk_size`` must
-    be an int >= 1 giving at most ``MC_MAX_CHUNKS`` chunks.
+    The sample range is split into chunks of ``DEFAULT_CHUNK`` samples;
+    chunk streams are spawned from the seed, so the integer hit counts (and
+    hence the reports) depend only on the family, ``n``, ``samples`` and
+    ``seed``: they are identical for any ``threads`` value, for both kernel
+    backends and for any choice of the other families.  Each chunk is drawn
+    once from its stream in cache-sized row blocks, and every family is
+    counted on each block as soon as it is drawn; the samples are those of
+    one draw per chunk.  Either kernel does all of a chunk in one
+    ``chunk_counts`` call; ``kernel=_mc_kernel_py`` runs the NumPy reference.
     """
     families = tuple(families)
     if not families:
@@ -263,11 +254,8 @@ def mc_relative_volumes(
         _check_family(family, MC_FAMILIES, n)
     check_qubit_count(n, MC_MAX_QUBITS)
     check_mc_settings(seed, threads, samples)
-    if not isinstance(chunk_size, numbers.Integral) or chunk_size < 1:
-        raise InvalidArgumentError(f"chunk_size must be an int >= 1, got {chunk_size!r}")
+    chunk_size = DEFAULT_CHUNK
     n_chunks = (samples + chunk_size - 1) // chunk_size
-    if n_chunks > MC_MAX_CHUNKS:
-        raise UnsupportedSizeError(f"chunk count {n_chunks} exceeds the cap {MC_MAX_CHUNKS}")
     if kernel is None:
         kernel = _default_kernel
     d = dimension(n)

@@ -3,6 +3,7 @@ import pytest
 
 from ghzpolytope._mc_kernel_py import fully_biseparable, pair_reductions
 from ghzpolytope.classify import (
+    _fbi_decision,
     classify,
     gm_concurrence,
     is_biseparable,
@@ -171,7 +172,7 @@ def test_core_fbi_matches_facet_oracle(n):
     core = fully_biseparable(*pair_reductions(rows))
     np.testing.assert_array_equal(core[keep], oracle[keep])
     for p, verdict in zip(rows[:300], core[:300]):
-        assert is_fully_biseparable(GhzDiagonalState(n, p), eps=0.0)[0] == verdict
+        assert _fbi_decision(GhzDiagonalState(n, p).p, 0.0)[0] == verdict
 
 
 def test_region_assignment():

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from ghzpolytope import _mc_kernel_py, volume
 from ghzpolytope.errors import InvalidArgumentError, UnsupportedSizeError
@@ -130,6 +131,70 @@ def test_rvr_monotone_approach():
         assert all(a >= b - 1e-15 for a, b in zip(errs, errs[1:]))
 
 
+# Quadrature oracles: the pair sums s_i = p_i + p_~i of a uniform point are
+# Dirichlet(2, ..., 2) over the h = d/2 flip pairs, and given them each pair's
+# split is uniform, so each relative volume is a one-dimensional integral that
+# SciPy evaluates without the closed forms.  They stop at n = 10: at n = 11
+# rel_vol_exact's fbi value, (d/2)! / (d/2)^(d/2) ~ e^-1024, underflows to 0.
+QUAD_QUBITS = range(2, 11)
+
+
+def _log_pair_sum_pdf(s, h):
+    """Log density of one pair sum, Beta(2, 2h - 2)."""
+    b = 2 * h - 2
+    return math.log(s) + (b - 1) * math.log1p(-s) + math.lgamma(b + 2) - math.lgamma(b)
+
+
+def _quad(f, lo, hi, **kw):
+    return integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200, **kw)[0]
+
+
+def _genuine_by_quadrature(n):
+    # at most one pair sum exceeds 1/2, and a point is genuine with
+    # probability 2 - 1/s given that pair sum s; the density is scaled by
+    # 2^(2h-3) inside, since (1 - s)^(2h-3) is subnormal near s = 1/2 at n = 10
+    h = 2 ** (n - 1)
+    k = 2 * h - 3
+    val = _quad(lambda s: (2 - 1 / s) * math.exp(_log_pair_sum_pdf(s, h) + k * math.log(2)), 0.5, 1)
+    return math.ldexp(h * val, -k)
+
+
+def _mermin_by_quadrature(n):
+    # p_0 - p_~0 > nu with probability (s - nu) / (2s) given s = s_0
+    h, nu = 2 ** (n - 1), mermin_threshold(n)
+    return _quad(lambda s: (s - nu) / (2 * s) * math.exp(_log_pair_sum_pdf(s, h)), nu, 1)
+
+
+def _log_fbi_by_quadrature(n):
+    # E[prod s_min / s_i] = (2h-1)!/(h-1)! h int_0^{1/h} t^(h-1) (1 - ht)^(h-1) dt,
+    # from P(s_min > t) = (1 - ht)^(h-1); the integrand is divided by its value
+    # at the peak t = 1/(2h), a break point, so it neither under- nor overflows
+    h = 2 ** (n - 1)
+    peak = 1 / (2 * h)
+
+    def log_g(t):
+        return (h - 1) * (math.log(t) + math.log1p(-h * t))
+
+    val = _quad(lambda t: math.exp(log_g(t) - log_g(peak)), 0, 1 / h, points=[peak])
+    return math.lgamma(2 * h) - math.lgamma(h) + math.log(h) + log_g(peak) + math.log(val)
+
+
+@pytest.mark.parametrize("n", QUAD_QUBITS)
+def test_closed_forms_match_pair_sum_quadrature(n):
+    genuine = _genuine_by_quadrature(n)
+    log_fbi = _log_fbi_by_quadrature(n)
+    assert genuine == pytest.approx(rel_vol_exact(GENUINE, n), rel=1e-12, abs=0)
+    assert _mermin_by_quadrature(n) == pytest.approx(rel_vol_exact(MERMIN, n), rel=1e-12, abs=0)
+    assert abs(log_fbi - math.log(rel_vol_exact(FBI, n))) <= 1e-11
+    assert 1 - genuine - math.exp(log_fbi) == pytest.approx(
+        rel_vol_exact(BISEP_MINUS_FBI, n), rel=1e-12, abs=1e-15)
+
+
+def test_quadrature_oracles_stop_where_fbi_underflows():
+    assert rel_vol_exact(FBI, max(QUAD_QUBITS)) > 0.0
+    assert rel_vol_exact(FBI, max(QUAD_QUBITS) + 1) == 0.0
+
+
 def test_invalid_families():
     with pytest.raises(InvalidArgumentError):
         rel_vol_exact("nope", 3)
@@ -190,7 +255,8 @@ def test_kernels_agree_rowwise():
 
 # Seeded hit counts of both kernels, for any thread count.  A change to a
 # region decision or to the sampler changes them.  50_000 samples in chunks
-# of 2^14 leave a partial last chunk of 848 rows.
+# of 2^14 (set here in place of the default 2^16) leave a partial last chunk
+# of 848 rows.
 PINNED_MC_HITS = {
     3: {GENUINE: 3029, BISEP_MINUS_FBI: 42293, FBI: 4678, MERMIN: 186},
     4: {GENUINE: 26, BISEP_MINUS_FBI: 49860, FBI: 114, MERMIN: 2},
@@ -200,12 +266,11 @@ PINNED_MC_HITS = {
 
 @pytest.mark.parametrize("n", sorted(PINNED_MC_HITS))
 @pytest.mark.parametrize("threads", [1, 2])
-def test_mc_hits_pinned(n, threads):
+def test_mc_hits_pinned(n, threads, monkeypatch):
+    monkeypatch.setattr(volume, "DEFAULT_CHUNK", 1 << 14)
     for family, expected in PINNED_MC_HITS[n].items():
         for kernel in (None, _mc_kernel_py):
-            report = mc_relative_volume(
-                family, n, 50_000, seed=1000 + n, threads=threads, chunk_size=1 << 14, kernel=kernel
-            )
+            report = mc_relative_volume(family, n, 50_000, seed=1000 + n, threads=threads, kernel=kernel)
             assert round(report.mc_estimate * report.samples) == expected, (family, kernel)
 
 
@@ -303,17 +368,18 @@ def _rowwise_hits(p, family, nu):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_mc_blocks_match_whole_chunk_oracle(n):
+def test_mc_blocks_match_whole_chunk_oracle(n, monkeypatch):
     # a chunk of 3 blocks and 17 rows, the last chunk cut short
     d = 2**n
     chunk = 3 * (_BLOCK_BYTES // (8 * d)) + 17
+    monkeypatch.setattr(volume, "DEFAULT_CHUNK", chunk)
     samples = 2 * chunk + 5000
     streams = np.random.SeedSequence(40 + n).spawn(3)
     chunks = [sample_simplex(_philox(s), m, d) for s, m in zip(streams, (chunk, chunk, 5000))]
     for family in MC_FAMILIES:
         expected = sum(_rowwise_hits(p, family, mermin_threshold(n)) for p in chunks)
         for threads in (1, 2):
-            report = mc_relative_volume(family, n, samples, seed=40 + n, threads=threads, chunk_size=chunk)
+            report = mc_relative_volume(family, n, samples, seed=40 + n, threads=threads)
             assert round(report.mc_estimate * samples) == expected, (family, threads)
 
 
@@ -327,8 +393,8 @@ def test_mc_guards():
 @pytest.mark.parametrize(
     "kwargs",
     [dict(samples=MC_MAX_SAMPLES + 1), dict(samples=10**18), dict(threads=MC_MAX_THREADS + 1),
-     dict(threads=10**6), dict(samples=MC_MAX_SAMPLES, chunk_size=1)],
-    ids=["samples-cap", "samples-1e18", "threads-cap", "threads-1e6", "chunks-cap"],
+     dict(threads=10**6)],
+    ids=["samples-cap", "samples-1e18", "threads-cap", "threads-1e6"],
 )
 def test_mc_caps_refuse_before_any_stream_or_thread(kwargs, monkeypatch):
     def fail(*args, **kw):
@@ -350,9 +416,11 @@ def test_mc_pool_has_at_most_one_thread_per_chunk(monkeypatch):
         return pool(max_workers)
 
     monkeypatch.setattr(volume, "ThreadPoolExecutor", recording_pool)
-    one = mc_relative_volume(FBI, 3, 20_000, seed=5, chunk_size=8_000)
-    assert mc_relative_volume(FBI, 3, 20_000, seed=5, threads=MC_MAX_THREADS, chunk_size=8_000) == one
-    mc_relative_volume(FBI, 3, 10_000, seed=5, threads=2, chunk_size=20_000)
+    monkeypatch.setattr(volume, "DEFAULT_CHUNK", 8_000)
+    one = mc_relative_volume(FBI, 3, 20_000, seed=5)
+    assert mc_relative_volume(FBI, 3, 20_000, seed=5, threads=MC_MAX_THREADS) == one
+    monkeypatch.setattr(volume, "DEFAULT_CHUNK", 20_000)
+    mc_relative_volume(FBI, 3, 10_000, seed=5, threads=2)
     assert workers == [3]  # three chunks; the one-chunk run started no pool
 
 
@@ -453,8 +521,9 @@ def test_failed_kernel_check_keeps_numpy_path(tmp_path):
     _mutated_source(package)
     script = (
         "import ghzpolytope, json;"
-        "from ghzpolytope.volume import mc_relative_volume as mc;"
-        "r = [mc(f, 3, 50_000, seed=1003, chunk_size=1 << 14) for f in ('genuine', 'fbi')];"
+        "from ghzpolytope import volume;"
+        "volume.DEFAULT_CHUNK = 1 << 14;"
+        "r = [volume.mc_relative_volume(f, 3, 50_000, seed=1003) for f in ('genuine', 'fbi')];"
         "print(json.dumps([ghzpolytope.KERNEL_BACKEND] + [round(x.mc_estimate * 50_000) for x in r]))"
     )
     done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
@@ -471,13 +540,14 @@ FAMILY_SETS = {"mermin": (MERMIN,), "fbi": (FBI,), "all": MC_FAMILIES}
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("families", FAMILY_SETS.values(), ids=FAMILY_SETS.keys())
-def test_mc_relative_volumes_equal_per_family_calls(n, families):
+def test_mc_relative_volumes_equal_per_family_calls(n, families, monkeypatch):
     # a chunk of 3 blocks and 17 rows, the last chunk cut short
     chunk = 3 * (_BLOCK_BYTES // (8 * 2**n)) + 17
+    monkeypatch.setattr(volume, "DEFAULT_CHUNK", chunk)
     samples = 2 * chunk + 5000
     hits = {}
     for kernel in (None, _mc_kernel_py):
-        kwargs = dict(seed=60 + n, chunk_size=chunk, kernel=kernel)
+        kwargs = dict(seed=60 + n, kernel=kernel)
         single = tuple(mc_relative_volume(f, n, samples, threads=1, **kwargs) for f in families)
         for threads in (1, 2):
             assert mc_relative_volumes(families, n, samples, threads=threads, **kwargs) == single
@@ -486,11 +556,12 @@ def test_mc_relative_volumes_equal_per_family_calls(n, families):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_trisection_hits_partition_the_samples(n):
+def test_trisection_hits_partition_the_samples(n, monkeypatch):
+    monkeypatch.setattr(volume, "DEFAULT_CHUNK", 1 << 13)
     samples = 30_000
     for kernel in (None, _mc_kernel_py):
         reports = mc_relative_volumes((GENUINE, BISEP_MINUS_FBI, FBI), n, samples, seed=n,
-                                      chunk_size=1 << 13, kernel=kernel)
+                                      kernel=kernel)
         assert sum(round(r.mc_estimate * samples) for r in reports) == samples
 
 
@@ -551,9 +622,10 @@ def test_chunk_counts_equal_numpy_counts_avx512(d):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [dict(seed=-1), dict(threads=0), dict(threads=-2), dict(families=()), dict(chunk_size=0),
-     dict(chunk_size=-5), dict(chunk_size=2.5)],
-    ids=["seed", "threads0", "threads-2", "no-family", "chunk0", "chunk-5", "chunk2.5"],
+    [dict(seed=-1), dict(threads=0), dict(threads=-2), dict(families=()), dict(samples=20_000.0),
+     dict(seed=1.5), dict(seed=None), dict(threads=1.5)],
+    ids=["seed", "threads0", "threads-2", "no-family", "samples-float", "seed-float", "seed-none",
+         "threads-float"],
 )
 def test_mc_relative_volumes_rejects_bad_arguments(kwargs):
     args = dict(families=(FBI,), n=3, samples=20_000, seed=1) | kwargs
