@@ -71,6 +71,7 @@ from .volume import (
     hull_volume,
     mc_relative_volume,
     mc_relative_volumes,
+    mc_relative_volumes_by_n,
     rel_vol_exact,
     rvr,
     sample_simplex,

@@ -16,7 +16,9 @@
  * The draws replayed through NumPy's routine take their extra values from
  * the buffer too, so both routines hand out the same values.  Rows are d =
  * 2^n wide, 2 <= n <= 6, and are summed in NumPy's order: left to right at
- * d = 4, eight values at a time above it.
+ * d = 4, eight values at a time above it.  One draw of rows of the widest
+ * width asked for also gives the rows of every narrower width: those are the
+ * draw's first values, as a draw of their own would give them.
  *
  * Built by _mc_kernel.py against NumPy's C random library.  Compile without
  * -ffast-math and without FMA contraction: every sum below must be added in
@@ -238,29 +240,31 @@ static void fill_exponentials(void *stream, int64_t n, double *out)
  * on it to the widest vector unit of the function it is in. */
 typedef double v8df __attribute__((vector_size(64), aligned(8)));
 
-/* Divide each of the b rows of buf (b x d) by its sum, added as NumPy's
- * pairwise sum (pairwise_sum_DOUBLE, the order of e.sum(axis=1)) adds it at
- * d = 2^n, 2 <= n <= 6: left to right at d = 4; at d = 8..64 the row's
- * blocks of eight lane by lane, then the eight lanes as ((r0 + r1) +
- * (r2 + r3)) + ((r4 + r5) + (r6 + r7)), so the row is summed and divided
- * eight values at a time. */
-static inline __attribute__((always_inline)) void normalise_rows(double *buf, int64_t b,
-                                                                 int64_t d)
+/* Write into dst each of the b rows of src (both b x d; dst == src
+ * normalises in place) divided by its sum, added as NumPy's pairwise sum
+ * (pairwise_sum_DOUBLE, the order of e.sum(axis=1)) adds it at d = 2^n,
+ * 2 <= n <= 6: left to right at d = 4; at d = 8..64 the row's blocks of
+ * eight lane by lane, then the eight lanes as ((r0 + r1) + (r2 + r3)) +
+ * ((r4 + r5) + (r6 + r7)), so the row is summed and divided eight values at
+ * a time. */
+static inline __attribute__((always_inline)) void normalise_rows(double *dst, const double *src,
+                                                                 int64_t b, int64_t d)
 {
     for (int64_t r = 0; r < b; r++) {
-        double *row = buf + r * d;
+        const double *in = src + r * d;
+        double *row = dst + r * d;
         if (d == 4) {
-            double s = ((row[0] + row[1]) + row[2]) + row[3];
+            double s = ((in[0] + in[1]) + in[2]) + in[3];
             for (int j = 0; j < 4; j++)
-                row[j] /= s;
+                row[j] = in[j] / s;
             continue;
         }
-        v8df sum = *(const v8df *)row;
+        v8df sum = *(const v8df *)in;
         for (int64_t j = 8; j < d; j += 8)
-            sum += *(const v8df *)(row + j);
+            sum += *(const v8df *)(in + j);
         double s = ((sum[0] + sum[1]) + (sum[2] + sum[3])) + ((sum[4] + sum[5]) + (sum[6] + sum[7]));
         for (int64_t j = 0; j < d; j += 8)
-            *(v8df *)(row + j) /= s;
+            *(v8df *)(row + j) = *(const v8df *)(in + j) / s;
     }
 }
 
@@ -375,9 +379,9 @@ WIDE static void fill_exponentials8(void *stream, int64_t n, double *out)
 }
 
 /* normalise_rows on eight lanes of AVX-512. */
-WIDE static void normalise_rows8(double *buf, int64_t b, int64_t d)
+WIDE static void normalise_rows8(double *dst, const double *src, int64_t b, int64_t d)
 {
-    normalise_rows(buf, b, d);
+    normalise_rows(dst, src, b, d);
 }
 #endif
 
@@ -451,31 +455,55 @@ void count_hits(const double *p, int64_t m, int64_t d, int mask, double nu, int6
         count_rows(p, m, d, 1, 0, nu, hits);
 }
 
-/* Draw m rows with fill from stream in blocks of `rows` rows through buf
- * (rows x d), normalise each row with normalise, and add each block's counts
- * of the regions in mask to hits. */
+/* The values a narrower width's rows are normalised into, a few at a time,
+ * so that they are counted while still in L1. */
+#define SCRATCH_VALUES 2048
+
+/* Draw m rows of d values with fill from stream in blocks of `rows` rows
+ * through buf (rows x d), and count them at each of the `widths` row widths
+ * w[k], each a divisor of d with Mermin threshold nu[k], into hits[4k..4k+3]
+ * for the regions in mask.  Width w's m rows are the first m * w values:
+ * each block's share of those is normalised with normalise into a scratch
+ * block and counted before the block is normalised in place at width d. */
 static inline __attribute__((always_inline)) void draw_and_count(void (*fill)(void *, int64_t, double *),
-                           void (*normalise)(double *, int64_t, int64_t), void *stream,
-                           int64_t m, int64_t d, double *buf, int64_t rows, int mask, double nu,
+                           void (*normalise)(double *, const double *, int64_t, int64_t),
+                           void *stream, int64_t m, int64_t d, double *buf, int64_t rows,
+                           int widths, const int64_t *w, const double *nu, int mask,
                            int64_t *hits)
 {
+    double scratch[SCRATCH_VALUES];
     for (int64_t start = 0; start < m; start += rows) {
         int64_t b = m - start < rows ? m - start : rows;
         fill(stream, b * d, buf);
-        normalise(buf, b, d);
-        count_hits(buf, b, d, mask, nu, hits);
+        for (int k = 0; k < widths; k++) {
+            int64_t left = m * w[k] - start * d;  /* width w[k]'s values from buf on */
+            if (w[k] == d || left <= 0)
+                continue;
+            int64_t narrow = (left < b * d ? left : b * d) / w[k], step = SCRATCH_VALUES / w[k];
+            for (int64_t r = 0; r < narrow; r += step) {
+                int64_t c = narrow - r < step ? narrow - r : step;
+                normalise(scratch, buf + r * w[k], c, w[k]);
+                count_hits(scratch, c, w[k], mask, nu[k], hits + 4 * k);
+            }
+        }
+        normalise(buf, buf, b, d);
+        for (int k = 0; k < widths; k++)
+            if (w[k] == d)
+                count_hits(buf, b, d, mask, nu[k], hits + 4 * k);
     }
 }
 
-/* Draw m rows from the Philox stream (key, counter, buffer, *pos), NumPy's
- * state of the chunk's bit generator, in blocks of `rows` rows through buf
- * (rows x d, d = 2^n with 2 <= n <= 6), normalise each row, and add each
- * block's counts of the regions in mask to hits.  On return buf holds the
- * last block's normalised rows and counter, buffer and *pos the advanced
- * state. */
+/* Draw m rows of d values (d = 2^n with 2 <= n <= 6) from the Philox stream
+ * (key, counter, buffer, *pos), NumPy's state of the chunk's bit generator,
+ * in blocks of `rows` rows through buf (rows x d), and add to hits[4k..4k+3]
+ * the counts of the regions in mask among the m rows of width w[k] that the
+ * first m * w[k] values make, normalised, for each of the `widths` widths,
+ * each a power of two up to d, with Mermin threshold nu[k].  On return buf
+ * holds the last block's normalised rows of width d and counter, buffer and
+ * *pos the advanced state. */
 void chunk_counts(const uint64_t *key, uint64_t *counter, uint64_t *buffer, int *pos,
-                  int64_t m, int64_t d, double *buf, int64_t rows, int mask, double nu,
-                  int64_t *hits)
+                  int64_t m, int64_t d, double *buf, int64_t rows, int widths, const int64_t *w,
+                  const double *nu, int mask, int64_t *hits)
 {
     if (m <= 0)
         return;  /* philox8_store needs a value read */
@@ -483,10 +511,11 @@ void chunk_counts(const uint64_t *key, uint64_t *counter, uint64_t *buffer, int 
     philox8_load(&philox, key, counter, buffer, *pos);
 #if WIDE_ROUTINE
     if (philox_wide)
-        draw_and_count(fill_exponentials8, normalise_rows8, &philox, m, d, buf, rows, mask, nu,
-                       hits);
+        draw_and_count(fill_exponentials8, normalise_rows8, &philox, m, d, buf, rows, widths, w,
+                       nu, mask, hits);
     else
 #endif
-        draw_and_count(fill_exponentials, normalise_rows, &philox, m, d, buf, rows, mask, nu, hits);
+        draw_and_count(fill_exponentials, normalise_rows, &philox, m, d, buf, rows, widths, w,
+                       nu, mask, hits);
     philox8_store(&philox, counter, buffer, pos);
 }

@@ -47,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._mc_kernel_py import FAMILY_GENUINE, FAMILY_MERMIN, check_rows
+from ._mc_kernel_py import FAMILY_GENUINE, FAMILY_MERMIN, check_rows, check_widths
 from ._mc_kernel_py import chunk_counts as _numpy_chunk_counts
 from .indices import MC_MAX_QUBITS
 
@@ -55,7 +55,8 @@ BACKEND = "c"
 
 _HERE = Path(__file__).resolve().parent
 _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
-_HITS = _I64 * (FAMILY_MERMIN + 1)  # one counter per family code
+_FAMILIES = FAMILY_MERMIN + 1
+_HITS = _I64 * _FAMILIES  # one counter per family code
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 ROUTINES = ("scalar", "avx512")  # set_philox_routine's codes 0 and 1
 WIDE_CPU_FLAGS = ("avx512f", "avx512dq")  # bits 0 and 1 of cpu_wide_flags()
@@ -99,9 +100,12 @@ def _build(source: Path, cache_dir: Path, cc: str) -> Path:
 
 
 def _run(lib: ctypes.CDLL, bitgen: np.random.BitGenerator, m: int, buf: np.ndarray,
-         mask: int, nu: float) -> ctypes.Array:
-    """The kernel's hit counters for m points drawn from ``bitgen`` through
-    ``buf``; ``bitgen`` is left in the state its own draw would leave."""
+         families, nus) -> dict[int, tuple[int, ...]]:
+    """The kernel's hits of each family code in ``families``, ``{d: hits}``,
+    among m points drawn from ``bitgen`` through ``buf`` at each width d of
+    the ``{d: nu}`` mapping ``nus``; ``bitgen`` is left in the state its own
+    draw would leave."""
+    mask = _mask(families)
     state = bitgen.state
     if state["bit_generator"] != "Philox" or state["has_uint32"]:
         raise ValueError("need a Philox bit generator with no buffered 32-bit value")
@@ -109,13 +113,17 @@ def _run(lib: ctypes.CDLL, bitgen: np.random.BitGenerator, m: int, buf: np.ndarr
     if state["buffer_pos"] < 0:
         raise ValueError(f"need a Philox buffer_pos >= 0, got {state['buffer_pos']}")
     # NumPy's draw takes any position past its 4-value buffer as a spent buffer
-    pos, hits = ctypes.c_int(min(state["buffer_pos"], 4)), _HITS()
+    pos = ctypes.c_int(min(state["buffer_pos"], 4))
+    k = len(nus)
+    hits = (_I64 * (_FAMILIES * k))()
     lib.chunk_counts(philox["key"].ctypes.data, philox["counter"].ctypes.data,
                      buffer.ctypes.data, ctypes.byref(pos), m, buf.shape[1], buf.ctypes.data,
-                     buf.shape[0], mask, nu, hits)
+                     buf.shape[0], k, (_I64 * k)(*nus), (ctypes.c_double * k)(*nus.values()),
+                     mask, hits)
     state["buffer_pos"] = pos.value
     bitgen.state = state
-    return hits
+    return {d: tuple(hits[_FAMILIES * j + family] for family in families)
+            for j, d in enumerate(nus)}
 
 
 def _set_routine(lib: ctypes.CDLL, routine: str) -> str:
@@ -130,23 +138,28 @@ def _self_check(lib: ctypes.CDLL) -> None:
     on every routine the CPU can run: a NumPy release could change its draw
     or its summation order."""
     m, rows = 35, 16  # two full blocks and a ragged one of 3 rows
-    families = tuple(range(FAMILY_MERMIN + 1))
     for routine in reversed(ROUTINES):
         if _set_routine(lib, routine) != routine:
             continue
         # d = 64 starts mid-buffer, and its 2240 values leave the ziggurat's
-        # fast path often enough to take 56 more raw draws
-        for d, skip in ((4, 0), (64, 3)):
+        # fast path often enough to take 56 more raw draws.  It also counts
+        # the rows of width 4 and 32 those values start with, the latter
+        # ending 3 rows into the second block; bisep_minus_fbi reads both
+        # pair predicates, which keeps NumPy's side of the check as short
+        # as with one width.
+        for nus, families, skip in (({4: 0.0}, (0, 1, 2, 3), 0),
+                                    ({64: 0.0, 4: 0.25, 32: 0.03125}, (1, 3), 3)):
+            d = max(nus)
             where = f"at d = {d} ({routine} routine)"
             bitgen, twin = np.random.Philox(d), np.random.Philox(d)
             bitgen.random_raw(skip)
             twin.random_raw(skip)
             buf, ref = np.empty((rows, d)), np.empty((rows, d))  # m > rows: all rows written
-            hits = _run(lib, bitgen, m, buf, _mask(families), 0.0)
-            expected = _numpy_chunk_counts(twin, m, ref, families, 0.0)
+            hits = _run(lib, bitgen, m, buf, families, nus)
+            expected = _numpy_chunk_counts(twin, m, ref, families, nus)
             if not np.array_equal(buf.view(np.uint64), ref.view(np.uint64)):
                 raise ImportError(f"C kernel rows differ from NumPy's {where}")
-            if tuple(hits) != expected:
+            if hits != expected:
                 raise ImportError(f"C kernel hit counts differ from NumPy's {where}")
             if not np.array_equal(bitgen.random_raw(8), twin.random_raw(8)):
                 raise ImportError(f"C kernel leaves the bit generator off NumPy's state {where}")
@@ -163,7 +176,9 @@ def load(source: Path = _HERE / "_mc_kernel.c", cache_dir: Path = _HERE / "__pyc
     lib.count_hits.argtypes = [_PTR, _I64, _I64, ctypes.c_int, ctypes.c_double, _HITS]
     lib.count_hits.restype = None
     lib.chunk_counts.argtypes = [_PTR, _PTR, _PTR, ctypes.POINTER(ctypes.c_int), _I64, _I64,
-                                 _PTR, _I64, ctypes.c_int, ctypes.c_double, _HITS]
+                                 _PTR, _I64, ctypes.c_int, ctypes.POINTER(_I64),
+                                 ctypes.POINTER(ctypes.c_double), ctypes.c_int,
+                                 ctypes.POINTER(_I64)]
     lib.chunk_counts.restype = None
     lib.read_tables.argtypes = []
     lib.read_tables.restype = ctypes.c_int
@@ -195,18 +210,20 @@ def count_hits(p: np.ndarray, family: int, nu: float) -> int:
 
 
 def chunk_counts(bitgen: np.random.BitGenerator, m: int, buf: np.ndarray, families,
-                 nu: float) -> tuple[int, ...]:
-    """``_mc_kernel_py.chunk_counts`` in one pass: the same hits, the same rows
-    left in ``buf`` and the same state left in ``bitgen``.
+                 nus) -> dict[int, tuple[int, ...]]:
+    """``_mc_kernel_py.chunk_counts`` in one pass: the same hits at each width
+    of ``nus``, the same rows left in ``buf`` and the same state left in
+    ``bitgen``.
 
     ``bitgen`` must be a Philox bit generator, ``buf`` a C-contiguous
-    (rows, d) float64 array and d one of ``ROW_WIDTHS``.
+    (rows, D) float64 array and every width in ``nus`` one of
+    ``ROW_WIDTHS``, the widest D.
     """
-    mask = _mask(families)
     if buf.ndim != 2 or buf.dtype != np.float64 or not buf.flags.c_contiguous or not len(buf):
         raise ValueError("buf must be a non-empty C-contiguous (rows, d) float64 array")
-    if buf.shape[1] not in ROW_WIDTHS:
-        raise ValueError(f"row width must be one of {ROW_WIDTHS}, got {buf.shape[1]}")
-    hits = _run(_lib, bitgen, m, buf, mask, nu)
-    return tuple(hits[family] for family in families)
+    for d in nus:
+        if d not in ROW_WIDTHS:
+            raise ValueError(f"row width must be one of {ROW_WIDTHS}, got {d}")
+    check_widths(buf, nus)
+    return _run(_lib, bitgen, m, buf, families, nus)
 

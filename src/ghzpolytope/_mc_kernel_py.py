@@ -100,6 +100,12 @@ def count_hits(p: np.ndarray, family: int, nu: float) -> int:
     return int(np.count_nonzero(hits))
 
 
+def normalise_rows(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Each row of the (m, d) matrix ``src`` divided by its sum, into ``dst``
+    (``dst`` may be ``src``)."""
+    return np.divide(src, src.sum(axis=1, keepdims=True), out=dst)
+
+
 def sample_simplex(
     rng: np.random.Generator, m: int, d: int, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -109,20 +115,48 @@ def sample_simplex(
     array; the values drawn are the same either way.
     """
     e = rng.standard_exponential((m, d), out=out)
-    e /= e.sum(axis=1, keepdims=True)
-    return e
+    return normalise_rows(e, e)
+
+
+def check_widths(buf: np.ndarray, nus) -> None:
+    """Raise ValueError unless every width in ``nus`` divides ``buf``'s width
+    and the widest is that width."""
+    wide = buf.shape[1]
+    if not nus or max(nus) != wide or any(wide % d for d in nus):
+        raise ValueError(f"row widths must divide the buffer's width {wide}, the widest "
+                         f"equal to it; got {tuple(nus)}")
 
 
 def chunk_counts(bitgen: np.random.BitGenerator, m: int, buf: np.ndarray, families,
-                 nu: float) -> tuple[int, ...]:
-    """Hits of each family code in ``families`` among m points drawn once from
-    ``bitgen`` by :func:`sample_simplex`, a block at a time through ``buf``, a
-    (rows, d) float64 array that holds the last block's rows on return."""
+                 nus) -> dict[int, tuple[int, ...]]:
+    """Hits of each family code in ``families`` among m points drawn from
+    ``bitgen`` by :func:`sample_simplex` at each row width d of ``nus``, a
+    ``{d: nu}`` mapping to that width's Mermin threshold; ``{d: hits}``.
+
+    The m points of width d are the first m*d values of one stream, so one
+    draw serves every width: m rows as wide as ``buf``, a (rows, D) float64
+    array, drawn a block at a time through it.  Each narrower width counts
+    the rows among the chunk's first m*d values in each block, normalised
+    into a scratch block, before the block is normalised in place; ``buf``
+    holds the last block's rows of width D on return.
+    """
+    check_widths(buf, nus)
     rng = np.random.Generator(bitgen)
-    hits = [0] * len(families)
-    for start in range(0, m, len(buf)):
-        b = min(len(buf), m - start)
-        p = sample_simplex(rng, b, buf.shape[1], buf[:b])
+    rows, wide = buf.shape
+    hits = {d: [0] * len(families) for d in nus}
+    for start in range(0, m, rows):
+        b = min(rows, m - start)
+        e = rng.standard_exponential((b, wide), out=buf[:b])
+        for d, nu in nus.items():
+            # width d's values in this block: those before m*d, in whole rows
+            k = min(b * wide, m * d - start * wide) // d
+            if d == wide or k <= 0:
+                continue
+            narrow = e.reshape(-1, d)[:k]
+            p = normalise_rows(narrow, np.empty_like(narrow))
+            for j, family in enumerate(families):
+                hits[d][j] += count_hits(p, family, nu)
+        p = normalise_rows(e, e)
         for j, family in enumerate(families):
-            hits[j] += count_hits(p, family, nu)
-    return tuple(hits)
+            hits[wide][j] += count_hits(p, family, nus[wide])
+    return {d: tuple(counts) for d, counts in hits.items()}

@@ -342,7 +342,7 @@ REPORT_COLUMNS = [
 ]
 
 
-def _report_row(n: int, mc: bool, samples: int, seed: int, threads: int) -> dict:
+def _report_row(n: int, estimates: tuple[volume.VolumeReport, ...]) -> dict:
     d = dimension(n)
     row: dict = {"n": n, "d": d}
     for fam in volume.MC_FAMILIES:
@@ -356,14 +356,10 @@ def _report_row(n: int, mc: bool, samples: int, seed: int, threads: int) -> dict
     row["bisep_facets"] = polytopes.facet_count("BISEP", n)
     row["fbi_vertices"] = polytopes.vertex_count("FBI", n)
     row["fbi_facets"] = polytopes.facet_count("FBI", n)
-    if mc and n <= MC_MAX_QUBITS:
-        # the four families share one draw of the points
-        count = samples or volume.MC_MIN_SAMPLES
-        for rep in volume.mc_relative_volumes(volume.MC_FAMILIES, n, count, seed=seed,
-                                              threads=threads):
-            row[f"mc_{rep.family}"] = rep.mc_estimate
-            row[f"mc_{rep.family}_stderr"] = rep.mc_stderr
-            row[f"mc_{rep.family}_samples"] = rep.samples
+    for rep in estimates:
+        row[f"mc_{rep.family}"] = rep.mc_estimate
+        row[f"mc_{rep.family}_stderr"] = rep.mc_stderr
+        row[f"mc_{rep.family}_samples"] = rep.samples
     return row
 
 
@@ -376,10 +372,12 @@ def _cmd_report(args, out) -> int:
     if args.mc:
         for fam in volume.MC_FAMILIES:
             columns += [f"mc_{fam}", f"mc_{fam}_stderr", f"mc_{fam}_samples"]
-    rows = [
-        _report_row(n, args.mc, args.samples, args.seed, args.threads)
-        for n in range(args.n_min, args.n_max + 1)
-    ]
+    mc_ns = range(args.n_min, min(args.n_max, MC_MAX_QUBITS) + 1) if args.mc else ()
+    # every family at every n up to the Monte-Carlo cap from one draw per chunk
+    estimates = volume.mc_relative_volumes_by_n(
+        volume.MC_FAMILIES, mc_ns, args.samples or volume.MC_MIN_SAMPLES, seed=args.seed,
+        threads=args.threads) if mc_ns else {}
+    rows = [_report_row(n, estimates.get(n, ())) for n in range(args.n_min, args.n_max + 1)]
     config = _config_dict(args, n_min=args.n_min, n_max=args.n_max, mc=args.mc)
     if args.format == "json":
         _emit_json({"config": config, "columns": columns, "rows": rows}, out)

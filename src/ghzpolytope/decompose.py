@@ -55,7 +55,7 @@ def midpoint_bipartition(n: int, i: int, j: int) -> Bipartition | None:
     Returns None when i and j differ everywhere (j is the full flip): the
     midpoint is then a diagonal mixture, separable under every bipartition.
     """
-    check_qubit_count(n)
+    n = check_qubit_count(n)
     d = dimension(n)
     if not (0 <= i < d and 0 <= j < d):
         raise InvalidArgumentError("index out of range")
@@ -87,7 +87,7 @@ def cube_vertex_decomposition(n: int, sigma, bipartition: Bipartition) -> Separa
     S-flip if present in sigma, else its T-flip (one of the two must be
     there since sigma holds exactly one index of each flip pair).
     """
-    check_qubit_count(n)
+    n = check_qubit_count(n)
     state = cube_vertex(n, sigma)  # validates sigma
     members = sorted(set(sigma))
     d = dimension(n)

@@ -7,6 +7,7 @@ lexicographic order of the strings is the numeric order of the ints.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -33,12 +34,18 @@ MC_MAX_SAMPLES = 2**32
 MC_MAX_THREADS = 256
 
 
-def check_qubit_count(n: int, max_n: int = MAX_QUBITS) -> None:
-    """Raise unless ``1 <= n <= max_n``."""
-    if not isinstance(n, int) or n < 1:
+def is_integer(value) -> bool:
+    """An int or a NumPy integer; a bool is neither here."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_qubit_count(n: int, max_n: int = MAX_QUBITS) -> int:
+    """``n`` as an int; raise unless it is an integer with ``1 <= n <= max_n``."""
+    if not is_integer(n) or n < 1:
         raise InvalidArgumentError(f"qubit count must be a positive int, got {n!r}")
     if n > max_n:
         raise UnsupportedSizeError(f"qubit count {n} exceeds the cap {max_n}")
+    return int(n)
 
 
 def dimension(n: int) -> int:
@@ -62,7 +69,7 @@ def from_bits(bits: str) -> tuple[int, int]:
 
 def enumerate_indices(n: int) -> list[int]:
     """All 2**n indices in lexicographic (= numeric) order."""
-    check_qubit_count(n)
+    n = check_qubit_count(n)
     return list(range(1 << n))
 
 
@@ -130,7 +137,7 @@ class Bipartition:
 
 def all_bipartitions(n: int) -> Iterator[Bipartition]:
     """All 2**(n-1) - 1 canonical bipartitions, in lexicographic mask order."""
-    check_qubit_count(n)
+    n = check_qubit_count(n)
     if n < 2:
         return
     rest = list(range(2, n + 1))

@@ -40,7 +40,7 @@ def build_mermin_operator(n: int) -> MerminOperator:
     """Sum over even-size Y-subsets with sign (-1)^(|Y|/2)."""
     if n < 2:
         raise InvalidArgumentError("the Mermin operator needs at least 2 qubits")
-    check_qubit_count(n, DENSE_MAX_QUBITS)
+    n = check_qubit_count(n, DENSE_MAX_QUBITS)
     d = dimension(n)
     total = np.zeros((d, d), dtype=complex)
     term_count = 0
@@ -96,7 +96,7 @@ def mermin_hyperplane_points(n: int) -> list[GhzDiagonalState]:
     """
     if n < 3:
         raise InvalidArgumentError("defined for n >= 3")
-    check_qubit_count(n)
+    n = check_qubit_count(n)
     d = dimension(n)
     nu = mermin_threshold(n)
     points = []

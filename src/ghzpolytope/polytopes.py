@@ -109,7 +109,7 @@ def _rows_with(d: int, m: int, value: float, *columns: np.ndarray) -> np.ndarray
 
 def facet_blocks_ghz(n: int, stop: int | None = None) -> Iterator[FacetBlock]:
     """The d facets p_i >= 0 in blocks; only the first ``stop`` if given."""
-    check_qubit_count(n)
+    n = check_qubit_count(n)
     d = dimension(n)
     for start, end in _row_ranges(d, d, stop):
         i = np.arange(start, end)
@@ -119,7 +119,7 @@ def facet_blocks_ghz(n: int, stop: int | None = None) -> Iterator[FacetBlock]:
 
 def facet_blocks_bisep(n: int, stop: int | None = None) -> Iterator[FacetBlock]:
     """The d facets p_i <= 1/2, then the d facets p_i >= 0, in blocks."""
-    check_qubit_count(n)
+    n = check_qubit_count(n)
     d = dimension(n)
     for half, (sign, relation, offset) in enumerate(((-1.0, "<=1/2", -0.5), (1.0, ">=0", 0.0))):
         half_stop = None if stop is None else max(0, stop - half * d)
@@ -138,7 +138,7 @@ def facet_blocks_fbi(n: int, stop: int | None = None) -> Iterator[FacetBlock]:
     Each row adds the four unit vectors in that order, so its entries are
     small integers equal to the unit-vector sum, and none is -0.0.
     """
-    check_qubit_count(n)
+    n = check_qubit_count(n)
     d = dimension(n)
     for start, end in _row_ranges(d * d // 2, d, stop):
         k = np.arange(start, end)
@@ -188,7 +188,7 @@ def facets_fbi(n: int) -> list[Facet]:
 
 def vertex_blocks_ghz(n: int, stop: int | None = None) -> Iterator[np.ndarray]:
     """The d pure GHZ projectors, unit rows, in blocks."""
-    check_qubit_count(n)
+    n = check_qubit_count(n)
     d = dimension(n)
     for start, end in _row_ranges(d, d, stop):
         yield _rows_with(d, end - start, 1.0, np.arange(start, end))
@@ -196,7 +196,7 @@ def vertex_blocks_ghz(n: int, stop: int | None = None) -> Iterator[np.ndarray]:
 
 def vertex_blocks_bisep(n: int, stop: int | None = None) -> Iterator[np.ndarray]:
     """The d(d-1)/2 edge midpoints, lexicographic pair order, in blocks."""
-    check_qubit_count(n)
+    n = check_qubit_count(n)
     d = dimension(n)
     first = np.arange(d)
     first = first * (d - 1) - first * (first - 1) // 2  # the row of pair (i, i + 1)
@@ -212,7 +212,7 @@ def vertex_blocks_fbi(n: int, stop: int | None = None) -> Iterator[np.ndarray]:
     Cube vertex s takes index ~i from pair i where bit i of s is set, and i
     where it is not (the order of :func:`iter_selections`).
     """
-    check_qubit_count(n)
+    n = check_qubit_count(n)
     d = dimension(n)
     half = d // 2
     pair = np.arange(half)
@@ -255,7 +255,7 @@ def _blocks(kind: str, family: str, n: int, stop: int | None):
     if (kind, family) not in _ENUMERATORS:
         raise InvalidArgumentError(f"unknown family {family!r}")
     enumerator, cap = _ENUMERATORS[kind, family]
-    check_qubit_count(n)
+    n = check_qubit_count(n)
     if stop is None and n > cap:
         raise UnsupportedSizeError(f"{family} {kind} are listed in full only up to n = {cap}")
     return enumerator(n, stop)
@@ -393,7 +393,7 @@ def inscribed_ball(family: str, n: int) -> Ball:
     families, radius sqrt(1/(d(d-1)))."""
     if family not in FAMILIES:
         raise InvalidArgumentError(f"unknown family {family!r}")
-    check_qubit_count(n)
+    n = check_qubit_count(n)
     d = dimension(n)
     return Ball(GhzDiagonalState.uniform(n), float(np.sqrt(1.0 / (d * (d - 1)))))
 

@@ -28,7 +28,7 @@ class GhzDiagonalState:
     p: np.ndarray = field()
 
     def __post_init__(self):
-        check_qubit_count(self.n)
+        object.__setattr__(self, "n", check_qubit_count(self.n))
         p = np.asarray(self.p, dtype=float)
         d = dimension(self.n)
         if p.shape != (d,):
@@ -70,7 +70,7 @@ class GhzDiagonalState:
 
 def ghz_basis_vector(i: int, n: int) -> np.ndarray:
     """The unit vector (|i> + (-1)^{i(1)} |~i>)/sqrt(2) in the computational basis."""
-    check_qubit_count(n, DENSE_MAX_QUBITS)
+    n = check_qubit_count(n, DENSE_MAX_QUBITS)
     d = dimension(n)
     if not 0 <= i < d:
         raise InvalidArgumentError(f"index {i} out of range for n={n}")

@@ -3,25 +3,30 @@ seeded Monte-Carlo estimator that cross-checks each closed form.
 
 The estimator splits its samples into chunks, each drawn from its own
 Philox stream in cache-sized row blocks that reuse one buffer; the samples
-are those of a single draw per chunk.  ``mc_relative_volumes`` estimates
-several families from one such draw, counting each family on every block,
-so their hit counts are those of separate seeded estimates and the three
-regions genuine, bisep_minus_fbi and fbi partition the samples;
-``mc_relative_volume`` is its one-family case.  Where a C compiler is
-present, ``ghzpolytope._mc_kernel`` builds a C kernel once into the
-package's ``__pycache__`` that draws, normalises and counts each chunk in
-one pass without holding the GIL; it runs the chunk's Philox stream and
-the ziggurat's fast path itself and leaves only the rare other draws to
-NumPy's C routine.  Otherwise, or if that kernel does not reproduce
-``_mc_kernel_py.chunk_counts``'s rows, counts and bit-generator state bit
-for bit, that NumPy kernel runs.  Both kernels take a chunk in one
-``chunk_counts`` call and give identical hit counts for identical seeds.
+are those of a single draw per chunk.  ``mc_relative_volumes_by_n``
+estimates several families at several qubit counts from one such draw,
+counting each family on every block, so their hit counts are those of
+separate seeded estimates and the three regions genuine, bisep_minus_fbi
+and fbi partition the samples.  Chunk k's stream does not depend on n, and
+its m points at n are the first m * 2^n values it draws, so the rows of
+``report --mc`` share one draw per chunk, as wide as the largest n asks
+for: each narrower n counts the rows that draw starts with, which are the
+values and rows its own draw would give, so no count changes.
+``mc_relative_volumes`` is its one-n case and ``mc_relative_volume`` its
+one-family case.  Where a C compiler is present, ``ghzpolytope._mc_kernel``
+builds a C kernel once into the package's ``__pycache__`` that draws,
+normalises and counts each chunk in one pass without holding the GIL; it
+runs the chunk's Philox stream and the ziggurat's fast path itself and
+leaves only the rare other draws to NumPy's C routine.  Otherwise, or if
+that kernel does not reproduce ``_mc_kernel_py.chunk_counts``'s rows,
+counts and bit-generator state bit for bit, that NumPy kernel runs.  Both
+kernels take a chunk in one ``chunk_counts`` call and give identical hit
+counts for identical seeds.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -35,6 +40,7 @@ from .indices import (
     MC_MAX_THREADS,
     check_qubit_count,
     dimension,
+    is_integer,
 )
 from .mermin import mermin_threshold
 
@@ -136,7 +142,7 @@ def rel_vol_exact(family: str, n: int) -> float:
     without rounding residue; log-gamma takes over for large n.
     """
     _check_family(family, ALL_FAMILIES, n)
-    check_qubit_count(n, CLOSED_FORM_MAX_QUBITS)
+    n = check_qubit_count(n, CLOSED_FORM_MAX_QUBITS)
     d = dimension(n)
     if family == GHZ:
         return 1.0
@@ -159,7 +165,7 @@ def rel_vol_exact(family: str, n: int) -> float:
 def vol_exact(family: str, n: int) -> float:
     """Absolute Hilbert-Schmidt volume (underflows to 0 for large n)."""
     _check_family(family, ALL_FAMILIES, n)
-    check_qubit_count(n, CLOSED_FORM_MAX_QUBITS)
+    n = check_qubit_count(n, CLOSED_FORM_MAX_QUBITS)
     d = dimension(n)
     log_ghz = 0.5 * math.log(d) - math.lgamma(d)
     if family == BISEP_MINUS_FBI:
@@ -173,7 +179,7 @@ def vol_exact(family: str, n: int) -> float:
 def rvr(family: str, n: int) -> float:
     """Relative volume radius (relative volume)^(1/(d-1)), log-space inside."""
     _check_family(family, MC_FAMILIES, n)
-    check_qubit_count(n, CLOSED_FORM_MAX_QUBITS)
+    n = check_qubit_count(n, CLOSED_FORM_MAX_QUBITS)
     d = dimension(n)
     if family == BISEP_MINUS_FBI:
         small = math.exp(_log_rel_vol(GENUINE, n)) + math.exp(_log_rel_vol(FBI, n))
@@ -195,12 +201,12 @@ RVR_LIMITS = {
 
 
 def check_mc_settings(seed: int, threads: int, samples: int | None = None) -> None:
-    """Raise unless each is an int, ``seed >= 0``, ``1 <= threads <=
-    MC_MAX_THREADS`` and, if given, ``MC_MIN_SAMPLES <= samples <=
-    MC_MAX_SAMPLES``; past a cap, UnsupportedSizeError."""
+    """Raise unless each is an integer (not a bool), ``seed >= 0``, ``1 <=
+    threads <= MC_MAX_THREADS`` and, if given, ``MC_MIN_SAMPLES <= samples
+    <= MC_MAX_SAMPLES``; past a cap, UnsupportedSizeError."""
     given = {"seed": seed, "threads": threads} | ({} if samples is None else {"samples": samples})
     for name, value in given.items():
-        if not isinstance(value, numbers.Integral):
+        if not is_integer(value):
             raise InvalidArgumentError(f"{name} must be an int, got {value!r}")
     if samples is not None and samples < MC_MIN_SAMPLES:
         raise InvalidArgumentError(f"need at least {MC_MIN_SAMPLES} samples, got {samples}")
@@ -234,42 +240,62 @@ def mc_relative_volumes(
     threads: int = 1,
     kernel=None,
 ) -> tuple[VolumeReport, ...]:
-    """Monte-Carlo relative volumes of ``families``, one report each, all
-    counted on the same points.
+    """Monte-Carlo relative volumes of ``families`` at one ``n``: see
+    :func:`mc_relative_volumes_by_n`."""
+    return mc_relative_volumes_by_n(families, (n,), samples, seed, threads, kernel)[n]
+
+
+def mc_relative_volumes_by_n(
+    families,
+    ns,
+    samples: int,
+    seed: int,
+    threads: int = 1,
+    kernel=None,
+) -> dict[int, tuple[VolumeReport, ...]]:
+    """Monte-Carlo relative volumes of ``families`` at each qubit count in
+    ``ns``, ``{n: reports}`` with one report per family, all counted on the
+    same points at each n.
 
     The sample range is split into chunks of ``DEFAULT_CHUNK`` samples;
     chunk streams are spawned from the seed, so the integer hit counts (and
     hence the reports) depend only on the family, ``n``, ``samples`` and
     ``seed``: they are identical for any ``threads`` value, for both kernel
-    backends and for any choice of the other families.  Each chunk is drawn
-    once from its stream in cache-sized row blocks, and every family is
-    counted on each block as soon as it is drawn; the samples are those of
-    one draw per chunk.  Either kernel does all of a chunk in one
-    ``chunk_counts`` call; ``kernel=_mc_kernel_py`` runs the NumPy reference.
+    backends and for any choice of the other families and qubit counts.
+    Chunk k's stream is the same at every n, and its m points at n are the
+    first m * 2^n values it draws, so each chunk is drawn once, with rows as
+    wide as the largest n asks for, in cache-sized row blocks; every family
+    is counted at every n on each block as soon as it is drawn.  Either
+    kernel does all of a chunk in one ``chunk_counts`` call;
+    ``kernel=_mc_kernel_py`` runs the NumPy reference.
     """
     families = tuple(families)
     if not families:
         raise InvalidArgumentError("need at least one family")
-    for family in families:
-        _check_family(family, MC_FAMILIES, n)
-    check_qubit_count(n, MC_MAX_QUBITS)
+    ns = tuple(ns)
+    if not ns:
+        raise InvalidArgumentError("need at least one qubit count")
+    for n in ns:
+        for family in families:
+            _check_family(family, MC_FAMILIES, n)
+    ns = tuple(dict.fromkeys(check_qubit_count(n, MC_MAX_QUBITS) for n in ns))
     check_mc_settings(seed, threads, samples)
     chunk_size = DEFAULT_CHUNK
     n_chunks = (samples + chunk_size - 1) // chunk_size
     if kernel is None:
         kernel = _default_kernel
-    d = dimension(n)
     codes = tuple(_FAMILY_CODES[family] for family in families)
-    nu = mermin_threshold(n)
+    nus = {dimension(n): mermin_threshold(n) for n in ns}
+    wide = max(nus)
 
-    def run_chunk(k: int) -> tuple[int, ...]:
+    def run_chunk(k: int) -> dict[int, tuple[int, ...]]:
         m = min(chunk_size, samples - k * chunk_size)
         # SeedSequence(seed).spawn(n_chunks)[k], derived when the chunk runs
         bitgen = np.random.Philox(np.random.SeedSequence(seed, spawn_key=(k,)))
         # consecutive draws continue the chunk's stream, and each row is
         # normalised on its own, so blocking never changes a sample
-        buf = np.empty((min(m, _BLOCK_BYTES // (8 * d)), d))
-        return kernel.chunk_counts(bitgen, m, buf, codes, nu)
+        buf = np.empty((min(m, _BLOCK_BYTES // (8 * wide)), wide))
+        return kernel.chunk_counts(bitgen, m, buf, codes, nus)
 
     workers = min(threads, n_chunks)
     if workers > 1:
@@ -278,17 +304,21 @@ def mc_relative_volumes(
     else:
         per_chunk = [run_chunk(k) for k in range(n_chunks)]
 
-    reports = []
-    for family, hits in zip(families, map(sum, zip(*per_chunk))):
-        est = hits / samples
-        reports.append(VolumeReport(
-            n=n,
-            family=family,
-            exact=rel_vol_exact(family, n),
-            mc_estimate=est,
-            mc_stderr=math.sqrt(est * (1.0 - est) / samples),
-            samples=samples,
-            seed=seed,
-            backend=kernel.BACKEND,
-        ))
-    return tuple(reports)
+    by_n = {}
+    for n in ns:
+        totals = map(sum, zip(*(chunk[dimension(n)] for chunk in per_chunk)))
+        reports = []
+        for family, hits in zip(families, totals):
+            est = hits / samples
+            reports.append(VolumeReport(
+                n=n,
+                family=family,
+                exact=rel_vol_exact(family, n),
+                mc_estimate=est,
+                mc_stderr=math.sqrt(est * (1.0 - est) / samples),
+                samples=samples,
+                seed=seed,
+                backend=kernel.BACKEND,
+            ))
+        by_n[n] = tuple(reports)
+    return by_n

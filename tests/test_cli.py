@@ -23,6 +23,7 @@ from ghzpolytope.cli import (
     SEED_ENV_VAR,
     main,
 )
+from ghzpolytope.indices import MC_MAX_QUBITS
 
 
 def run(argv):
@@ -522,23 +523,40 @@ def test_report_n_range_is_one_error_line(n_min, n_max, capsys):
     assert capsys.readouterr().err.splitlines() == ["error: need 2 <= n-min <= n-max"]
 
 
+def report_rows(text, fmt):
+    """The rows of a ``report`` output as column -> cell dicts."""
+    if fmt == "json":
+        return json.loads(text)["rows"]
+    header, *rows = text.splitlines()[1:]
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("extra", [[], ["--samples", "20000", "--threads", "2"]])
-def test_report_mc_equals_per_family_estimates(fmt, extra, monkeypatch):
-    argv = ["report", "--n-min", "2", "--n-max", "6", "--mc", "--seed", "8", "--format", fmt] + extra
-    _, shared = run(argv)
-    one_draw = volume.mc_relative_volumes
-
-    def one_draw_per_family(families, *args, **kwargs):
-        return tuple(one_draw((family,), *args, **kwargs)[0] for family in families)
-
-    monkeypatch.setattr(volume, "mc_relative_volumes", one_draw_per_family)
-    _, per_family = run(argv)
-    assert shared == per_family
+def test_report_mc_equals_per_family_estimates(fmt, extra):
+    # each row's estimates are those of separate seeded estimates, one per n
+    # and family; the row past the Monte-Carlo cap has none
+    code, text = run(["report", "--n-min", "2", "--n-max", "7", "--mc", "--seed", "8",
+                      "--format", fmt] + extra)
+    assert code == EXIT_OK
+    rows = report_rows(text, fmt)
+    assert [int(row["n"]) for row in rows] == [2, 3, 4, 5, 6, 7]
+    samples = 20_000 if extra else volume.MC_MIN_SAMPLES
+    for row in rows:
+        n = int(row["n"])
+        for family in volume.MC_FAMILIES:
+            if n > MC_MAX_QUBITS:
+                assert row.get(f"mc_{family}", "") == ""
+                continue
+            rep = volume.mc_relative_volume(family, n, samples, seed=8)
+            assert float(row[f"mc_{family}"]) == rep.mc_estimate, (n, family)
+            assert float(row[f"mc_{family}_stderr"]) == rep.mc_stderr, (n, family)
+            assert int(row[f"mc_{family}_samples"]) == samples
 
 
 def test_report_mc_draws_each_chunk_once(monkeypatch):
-    # one 10000-sample chunk per n for all four families, not one per family
+    # one stream per chunk for the whole report: every n and every family
+    # count the same draw of each chunk
     drawn = []
     philox = np.random.Philox
 
@@ -549,12 +567,16 @@ def test_report_mc_draws_each_chunk_once(monkeypatch):
     monkeypatch.setattr(np.random, "Philox", counting_philox)
     code, text = run(["report", "--n-min", "2", "--n-max", "6", "--mc"])
     assert code == EXIT_OK
-    assert len(drawn) == 5
+    assert len(drawn) == 1
     # without --samples every estimate takes 10000 samples
-    header, *rows = text.splitlines()[1:]
-    cells = [dict(zip(header.split(","), row.split(","))) for row in rows]
+    cells = report_rows(text, "csv")
     assert [row["n"] for row in cells] == ["2", "3", "4", "5", "6"]
     assert {row[f"mc_{fam}_samples"] for row in cells for fam in volume.MC_FAMILIES} == {"10000"}
+    drawn.clear()
+    code, _ = run(["report", "--n-min", "3", "--n-max", "8", "--mc", "--samples", "140000",
+                   "--threads", "2"])
+    assert code == EXIT_OK
+    assert sorted(seed.spawn_key for seed in drawn) == [(0,), (1,), (2,)]
 
 
 # ------------------------------------------------- listings against an oracle

@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 
 from ghzpolytope.errors import InvalidArgumentError, UnsupportedSizeError
 from ghzpolytope.indices import (
     Bipartition,
     all_bipartitions,
+    check_qubit_count,
     enumerate_indices,
     flip_all,
     flip_subset,
@@ -105,3 +107,13 @@ def test_all_bipartitions_count():
         assert len(bps) == 2 ** (n - 1) - 1
         assert len(set(bps)) == len(bps)
         assert all(1 in bp.subset for bp in bps)
+
+
+def test_qubit_count_takes_numpy_integers_and_refuses_bools():
+    for n in (3, np.int64(3), np.uint8(3)):
+        assert type(check_qubit_count(n)) is int and check_qubit_count(n) == 3
+    for bad in (True, np.True_, 3.0, "3", None):
+        with pytest.raises(InvalidArgumentError, match="positive int"):
+            check_qubit_count(bad)
+    with pytest.raises(UnsupportedSizeError):
+        check_qubit_count(np.int64(17))

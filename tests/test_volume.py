@@ -29,6 +29,7 @@ from ghzpolytope.volume import (
     hull_volume,
     mc_relative_volume,
     mc_relative_volumes,
+    mc_relative_volumes_by_n,
     rel_vol_exact,
     rvr,
     sample_simplex,
@@ -463,10 +464,12 @@ def test_fused_rows_equal_sample_simplex(d):
         for family in range(4):
             expected = _mc_kernel_py.count_hits(whole, family, nu)
             one = np.empty((m, d))  # one block: every row
-            assert _mc_kernel.chunk_counts(np.random.Philox(d), m, one, (family,), nu)[0] == expected
+            assert _mc_kernel.chunk_counts(np.random.Philox(d), m, one, (family,), {d: nu})[d] \
+                == (expected,)
             assert_same_bits(one, whole)
             buf = np.empty((min(m, rows), d))  # the blocks of a chunk: the last block's rows
-            assert _mc_kernel.chunk_counts(np.random.Philox(d), m, buf, (family,), nu)[0] == expected
+            assert _mc_kernel.chunk_counts(np.random.Philox(d), m, buf, (family,), {d: nu})[d] \
+                == (expected,)
             last = m % len(buf) or len(buf)
             assert_same_bits(buf[:last], whole[-last:])
 
@@ -490,9 +493,9 @@ def test_c_count_hits_equals_numpy_on_ties(n):
 def _mutated_source(tmp_path):
     # divide by multiplying with the reciprocal: the rows differ in the last bit
     text = KERNEL_SOURCE.read_text()
-    assert "row[j] /= s;" in text
+    assert "row[j] = in[j] / s;" in text
     path = tmp_path / "_mc_kernel.c"
-    path.write_text(text.replace("row[j] /= s;", "row[j] *= 1.0 / s;"))
+    path.write_text(text.replace("row[j] = in[j] / s;", "row[j] = in[j] * (1.0 / s);"))
     return path
 
 
@@ -578,40 +581,64 @@ def _twin_philox(d, skip):
     return pair
 
 
+def _width_sets(d):
+    """Row widths whose widest is d: d alone, with d/2, and with every
+    narrower width the kernel draws, each with its own Mermin threshold."""
+    narrower = [w for w in (4, 8, 16, 32) if w < d]
+    sets = [(d,)] + ([(d // 2, d), (*narrower, d)] if narrower else [])
+    return [{w: 1.0 / w for w in widths} for widths in dict.fromkeys(sets)]
+
+
+def _chunk_lengths(d):
+    """A chunk of 3 blocks and a ragged 17 rows, and one under one block:
+    the rows of width d/2 end in the second block and of d/4 in the first."""
+    rows = _BLOCK_BYTES // (8 * d)
+    return (3 * rows + 17, rows // 3)
+
+
 @pytest.mark.parametrize("d", [4, 8, 16, 64])
 def test_numpy_chunk_counts_equal_counts_of_one_draw(d):
-    # the reference contract: one draw of m rows, counted; the buffer holds
-    # the last block's rows and the stream goes on from the end of the draw
-    rows = _BLOCK_BYTES // (8 * d)
-    m, nu = 3 * rows + 17, 0.05
-    for skip in CHUNK_SKIPS:
-        for codes in CHUNK_CODES:
-            bitgen, twin = _twin_philox(d, skip)
-            buf = np.empty((rows, d))
-            got = _mc_kernel_py.chunk_counts(bitgen, m, buf, codes, nu)
-            whole = sample_simplex(np.random.Generator(twin), m, d)
-            assert got == tuple(_mc_kernel_py.count_hits(whole, code, nu) for code in codes)
-            assert_same_bits(buf[:17], whole[-17:])
-            np.testing.assert_array_equal(bitgen.random_raw(8), twin.random_raw(8))
+    # the reference contract: at each width w, one draw of m rows of w,
+    # counted; the buffer holds the last block's rows of the widest width
+    # and the stream goes on from the end of that width's draw
+    for nus in _width_sets(d):
+        for m in _chunk_lengths(d):
+            buf = np.empty((min(m, _BLOCK_BYTES // (8 * d)), d))
+            last = m % len(buf) or len(buf)
+            for skip in CHUNK_SKIPS:
+                for codes in CHUNK_CODES:
+                    bitgen, twin = _twin_philox(d, skip)
+                    got = _mc_kernel_py.chunk_counts(bitgen, m, buf, codes, nus)
+                    assert list(got) == list(nus)
+                    for w, nu in nus.items():
+                        narrow, _ = _twin_philox(d, skip)
+                        whole = sample_simplex(np.random.Generator(narrow), m, w)
+                        counts = tuple(_mc_kernel_py.count_hits(whole, code, nu) for code in codes)
+                        assert got[w] == counts, (w, m, skip, codes)
+                    whole = sample_simplex(np.random.Generator(twin), m, d)
+                    assert_same_bits(buf[:last], whole[-last:])
+                    np.testing.assert_array_equal(bitgen.random_raw(8), twin.random_raw(8))
 
 
 @needs_c
 @pytest.mark.parametrize("d", [4, 8, 16, 64])
 def test_chunk_counts_equal_numpy_counts(d, routine="scalar"):
-    # both kernels on twin streams: the same counts, the same rows written
-    # into the buffer (every row: the chunk spans four blocks) and the same
-    # next draws
-    rows = _BLOCK_BYTES // (8 * d)
-    m, nu = 3 * rows + 17, 0.05
-    for skip in CHUNK_SKIPS:
-        for codes in CHUNK_CODES:
-            bitgen, twin = _twin_philox(d, skip)
-            buf, ref = np.empty((rows, d)), np.empty((rows, d))
-            with philox_routine(routine):
-                got = _mc_kernel.chunk_counts(bitgen, m, buf, codes, nu)
-            assert got == _mc_kernel_py.chunk_counts(twin, m, ref, codes, nu)
-            assert_same_bits(buf, ref)
-            np.testing.assert_array_equal(bitgen.random_raw(8), twin.random_raw(8))
+    # both kernels on twin streams, at each set of widths: the same counts
+    # at every width, the same rows written into the buffer (every row: the
+    # long chunk spans four blocks, the short one fills its buffer) and the
+    # same next draws
+    for nus in _width_sets(d):
+        for m in _chunk_lengths(d):
+            rows = min(m, _BLOCK_BYTES // (8 * d))
+            for skip in CHUNK_SKIPS:
+                for codes in CHUNK_CODES:
+                    bitgen, twin = _twin_philox(d, skip)
+                    buf, ref = np.empty((rows, d)), np.empty((rows, d))
+                    with philox_routine(routine):
+                        got = _mc_kernel.chunk_counts(bitgen, m, buf, codes, nus)
+                    assert got == _mc_kernel_py.chunk_counts(twin, m, ref, codes, nus)
+                    assert_same_bits(buf, ref)
+                    np.testing.assert_array_equal(bitgen.random_raw(8), twin.random_raw(8))
 
 
 @needs_wide
@@ -623,14 +650,57 @@ def test_chunk_counts_equal_numpy_counts_avx512(d):
 @pytest.mark.parametrize(
     "kwargs",
     [dict(seed=-1), dict(threads=0), dict(threads=-2), dict(families=()), dict(samples=20_000.0),
-     dict(seed=1.5), dict(seed=None), dict(threads=1.5)],
+     dict(seed=1.5), dict(seed=None), dict(threads=1.5), dict(seed=True), dict(threads=True),
+     dict(samples=np.True_), dict(n=True)],
     ids=["seed", "threads0", "threads-2", "no-family", "samples-float", "seed-float", "seed-none",
-         "threads-float"],
+         "threads-float", "seed-bool", "threads-bool", "samples-numpy-bool", "n-bool"],
 )
 def test_mc_relative_volumes_rejects_bad_arguments(kwargs):
     args = dict(families=(FBI,), n=3, samples=20_000, seed=1) | kwargs
     with pytest.raises(InvalidArgumentError):
         mc_relative_volumes(**args)
+
+
+def test_numpy_integers_count_as_ints():
+    assert rel_vol_exact(FBI, np.int64(3)) == rel_vol_exact(FBI, 3)
+    assert vol_exact(MERMIN, np.uint8(4)) == vol_exact(MERMIN, 4)
+    assert rvr(GENUINE, np.int32(5)) == rvr(GENUINE, 5)
+    report = mc_relative_volume(FBI, np.int64(3), np.int64(20_000), seed=np.int64(1),
+                                threads=np.int64(2))
+    assert report == mc_relative_volume(FBI, 3, 20_000, seed=1)
+    assert type(report.n) is int
+
+
+@pytest.mark.parametrize(
+    "ns, error",
+    [((), InvalidArgumentError), ((3, 7), UnsupportedSizeError), ((1,), InvalidArgumentError),
+     ((3.0,), InvalidArgumentError)],
+    ids=["none", "past-cap", "n1", "float"],
+)
+def test_mc_relative_volumes_by_n_rejects_bad_qubit_counts(ns, error):
+    with pytest.raises(error):
+        mc_relative_volumes_by_n((FBI,), ns, 20_000, seed=1)
+
+
+NS_SETS = {"2": (2,), "2,5": (2, 5), "2..6": (2, 3, 4, 5, 6)}
+
+
+@pytest.mark.parametrize("ns", NS_SETS.values(), ids=NS_SETS.keys())
+@pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_c)])
+def test_mc_relative_volumes_by_n_equal_per_n_calls(ns, backend, monkeypatch):
+    # one draw per chunk for every n gives each n the reports of its own
+    # draw; a chunk spans 3 blocks and 17 rows at n = 6 and the last chunk
+    # is cut short
+    kernel = _mc_kernel_py if backend == "python" else _mc_kernel
+    chunk = 3 * (_BLOCK_BYTES // (8 * 64)) + 17
+    monkeypatch.setattr(volume, "DEFAULT_CHUNK", chunk)
+    samples = 2 * chunk + 5000
+    seed = 70 + len(ns)
+    single = {n: mc_relative_volumes(MC_FAMILIES, n, samples, seed, kernel=kernel) for n in ns}
+    for threads in (1, 2):
+        by_n = mc_relative_volumes_by_n(MC_FAMILIES, ns, samples, seed, threads, kernel)
+        assert list(by_n) == list(ns)
+        assert by_n == single
 
 
 # ------------------------------------ the kernel's own Philox and ziggurat
@@ -694,7 +764,7 @@ def test_long_stream_equals_sample_simplex(routine="scalar"):
     bitgen = np.random.Philox(d)
     buf = np.empty((_BLOCK_BYTES // (8 * d), d))
     with philox_routine(routine):
-        got = _mc_kernel.chunk_counts(bitgen, m, buf, range(4), nu)
+        got = _mc_kernel.chunk_counts(bitgen, m, buf, range(4), {d: nu})[d]
     assert_same_bits(buf, whole[-len(buf):])
     assert got == tuple(_mc_kernel_py.count_hits(whole, code, nu) for code in range(4))
     np.testing.assert_array_equal(bitgen.random_raw(8), twin.random_raw(8))
@@ -731,7 +801,7 @@ def test_chunk_counts_leaves_numpys_bit_generator_state(start, d, routine="scala
         assert list(twin.state["state"]["counter"][:2]) == [2**64 - 5, 2**64 - 1]
     buf = np.empty((64, d))
     with philox_routine(routine):
-        got = _mc_kernel.chunk_counts(bitgen, m, buf, range(4), 0.05)
+        got = _mc_kernel.chunk_counts(bitgen, m, buf, range(4), {d: 0.05})[d]
     whole = sample_simplex(np.random.Generator(twin), m, d)
     assert_same_bits(buf[:m % 64], whole[-(m % 64):])
     assert got == tuple(_mc_kernel_py.count_hits(whole, code, 0.05) for code in range(4))
@@ -763,7 +833,7 @@ def test_chunk_ending_just_before_a_counter_wrap_leaves_numpys_state(pos, routin
     bitgen, twin = philox(), philox()
     buf = np.empty((1, 4))
     with philox_routine(routine):
-        got = _mc_kernel.chunk_counts(bitgen, 1, buf, range(4), 0.05)
+        got = _mc_kernel.chunk_counts(bitgen, 1, buf, range(4), {4: 0.05})[4]
     row = sample_simplex(np.random.Generator(twin), 1, 4)
     assert_same_bits(buf, row)
     assert got == tuple(_mc_kernel_py.count_hits(row, code, 0.05) for code in range(4))
@@ -793,14 +863,14 @@ def test_chunk_counts_takes_a_buffer_pos_past_the_buffer_as_spent(d, routine="sc
     for pos in (5, 33, 1000):
         bitgen, twin = philox(pos), philox(pos)
         with philox_routine(routine):
-            got = _mc_kernel.chunk_counts(bitgen, m, buf, range(4), 0.05)
+            got = _mc_kernel.chunk_counts(bitgen, m, buf, range(4), {d: 0.05})[d]
         whole = sample_simplex(np.random.Generator(twin), m, d)
         assert_same_bits(buf[:m % 64], whole[-(m % 64):])
         assert got == tuple(_mc_kernel_py.count_hits(whole, code, 0.05) for code in range(4))
         np.testing.assert_array_equal(bitgen.random_raw(8), twin.random_raw(8))
     bitgen = philox(-1)
     with philox_routine(routine), pytest.raises(ValueError, match="buffer_pos"):
-        _mc_kernel.chunk_counts(bitgen, m, buf, range(4), 0.05)
+        _mc_kernel.chunk_counts(bitgen, m, buf, range(4), {d: 0.05})
 
 
 @needs_wide
@@ -849,7 +919,7 @@ def test_fast_path_boundaries_equal_numpys(idx):
         u = ri << 11 | idx << 3
         bitgen, twin = _philox_then([u]), _philox_then([u])
         buf = np.empty((2, 4))
-        _mc_kernel.chunk_counts(bitgen, 2, buf, (3,), 0.0)
+        _mc_kernel.chunk_counts(bitgen, 2, buf, (3,), {4: 0.0})
         assert_same_bits(buf, sample_simplex(np.random.Generator(twin), 2, 4))
         np.testing.assert_array_equal(bitgen.random_raw(8), twin.random_raw(8))
 
@@ -867,12 +937,12 @@ def test_self_check_streams_leave_the_fast_path():
 def test_chunk_counts_needs_a_philox_with_no_buffered_uint32():
     buf = np.empty((8, 4))
     with pytest.raises(ValueError, match="Philox"):
-        _mc_kernel.chunk_counts(np.random.PCG64(1), 8, buf, (2,), 0.0)
+        _mc_kernel.chunk_counts(np.random.PCG64(1), 8, buf, (2,), {4: 0.0})
     bitgen = np.random.Philox(1)
     np.random.Generator(bitgen).integers(0, 10, dtype=np.uint32)  # buffers a 32-bit half
     assert bitgen.state["has_uint32"]
     with pytest.raises(ValueError, match="Philox"):
-        _mc_kernel.chunk_counts(bitgen, 8, buf, (2,), 0.0)
+        _mc_kernel.chunk_counts(bitgen, 8, buf, (2,), {4: 0.0})
 
 
 @pytest.mark.parametrize("backend", ["python", pytest.param("c", marks=needs_c)])
@@ -892,7 +962,7 @@ def test_chunk_counts_refuses_widths_the_estimator_never_draws(d):
     # only d = 2^n with 2 <= n <= MC_MAX_QUBITS; the stream is left untouched
     bitgen, twin = np.random.Philox(1), np.random.Philox(1)
     with pytest.raises(ValueError, match="row width"):
-        _mc_kernel.chunk_counts(bitgen, 8, np.empty((8, d)), (2,), 0.0)
+        _mc_kernel.chunk_counts(bitgen, 8, np.empty((8, d)), (2,), {d: 0.0})
     assert_same_state(bitgen, twin)
 
 
