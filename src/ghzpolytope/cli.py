@@ -119,49 +119,77 @@ def _json_text(obj, pad: str = "\n") -> str:
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _number_rows(block: np.ndarray, sep: str) -> list[str]:
-    """json's text of each row of a 2-D float64 block, its numbers joined by ``sep``.
+def _number_texts(values: np.ndarray, before: str = "", after: str = "") -> np.ndarray:
+    """json's text of each float64 value, between ``before`` and ``after``, as
+    an object array: one ``repr`` per distinct bit pattern, so -0.0 keeps its sign."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    distinct = np.unique(bits)
+    texts = [before + _JSON_NONFINITE.get(text, text) + after
+             for text in map(repr, distinct.view(np.float64).tolist())]
+    return np.array(texts, dtype=object)[np.searchsorted(distinct, bits)]
 
-    One scan of the bit patterns finds the entries that are not +0.0, so a
-    -0.0 is not taken for zero. Those are written with ``repr`` (json's own
-    spelling if not finite) and every other entry is ``"0.0"``.
+
+def _row_pieces(block: np.ndarray, head: str, sep: str, close: str, tails) -> list[str]:
+    """Strings whose concatenation is, for each row of a 2-D float64 block,
+    ``head``, json's text of its numbers joined by ``sep``, ``close`` and its
+    entry of ``tails`` (one str for every row, or one per row).
+
+    Only the entries that are not +0.0 (by bit pattern, so -0.0 is one) are
+    written one by one. Each run of +0.0 before one of them or before a
+    row's end is one piece, with the text around it, built once per run
+    length that occurs: a row costs its nonzero entries, not its width.
     """
+    m, d = block.shape
     flat = np.ascontiguousarray(block, dtype=np.float64).reshape(-1)
-    texts = ["0.0"] * flat.size
-    nonzero = np.flatnonzero(flat.view(np.uint64))
-    values = flat[nonzero]
-    numbers = map(repr, values.tolist())
-    if not np.isfinite(values).all():
-        numbers = (_JSON_NONFINITE.get(text, text) for text in numbers)
-    for k, text in zip(nonzero.tolist(), numbers):
-        texts[k] = text
-    d = block.shape[1]
-    return [sep.join(texts[k:k + d]) for k in range(0, flat.size, d)]
+    marks = np.ones((m, d + 1), dtype=bool)  # column d: each row's end
+    marks[:, :d] = flat.view(np.uint64).reshape(m, d) != 0
+    event = np.flatnonzero(marks)
+    row, col = np.divmod(event, d + 1)
+    starts = np.ones(event.size, dtype=bool)  # the first event of its row
+    starts[1:] = row[1:] != row[:-1]
+    past = np.zeros(event.size, dtype=np.intp)  # past the row's previous event
+    past[1:] = col[:-1] + 1
+    past[starts] = 0
+    ends = col == d
+    # each run by kind (2 if it starts a row, plus 1 if it ends one) and length
+    codes = (2 * starts + ends) * (d + 1) + col - past
+    distinct = np.unique(codes)
+    runs = []
+    for code in distinct.tolist():
+        kind, zeros = divmod(code, d + 1)
+        text = (head if kind & 2 else sep) + ("0.0" + sep) * zeros
+        runs.append(text[: len(text) - len(sep)] + close if kind & 1 else text)
+    pieces = np.empty(2 * event.size, dtype=object)
+    pieces[0::2] = np.array(runs, dtype=object)[np.searchsorted(distinct, codes)]
+    after = pieces[1::2]  # the number after each run, or the row's tail
+    after[~ends] = _number_texts(flat[(event - row)[~ends]])
+    after[ends] = tails
+    return pieces.tolist()
 
 
 def _vertex_rows(block: np.ndarray, inner: str) -> list[str]:
-    """json's text of each vertex row of ``block`` at indent ``inner``: its d coordinates."""
+    """json's text of the vertex rows of ``block`` at indent ``inner``, their d
+    coordinates, as pieces; each row is led by ``","`` and ``inner``."""
     keys = inner + "  "
-    return ["[" + keys + text + inner + "]" for text in _number_rows(block, "," + keys)]
+    return _row_pieces(block, "," + inner + "[" + keys, "," + keys, inner + "]", "")
 
 
 def _facet_rows(block: polytopes.FacetBlock, inner: str) -> list[str]:
-    """json's text of each facet of ``block`` at indent ``inner``: a
-    ``coeffs``/``label``/``offset`` object."""
+    """json's text of the facets of ``block`` at indent ``inner``,
+    ``coeffs``/``label``/``offset`` objects, as pieces; each is led by
+    ``","`` and ``inner``."""
     keys = inner + "  "
-    coeffs = _number_rows(block.coeffs, "," + keys + "  ")
-    labels = map(encode_basestring_ascii, block.labels)
-    offsets = _number_rows(block.offsets[:, None], "")
-    return [
-        f'{{{keys}"coeffs": [{keys}  {c}{keys}],{keys}"label": {label},'
-        f'{keys}"offset": {offset}{inner}}}'
-        for c, label, offset in zip(coeffs, labels, offsets)
-    ]
+    offsets = _number_texts(block.offsets, f',{keys}"offset": ', inner + "}").tolist()
+    tails = [encode_basestring_ascii(label) + offset
+             for label, offset in zip(block.labels, offsets)]
+    return _row_pieces(block.coeffs, f',{inner}{{{keys}"coeffs": [{keys}  ',
+                       "," + keys + "  ", f'{keys}],{keys}"label": ', tails)
 
 
 class _Listing:
     """A vertex or facet listing: ``blocks()`` starts the enumerator's blocks
-    afresh, and ``rows(block, inner)`` gives json's text of each row."""
+    afresh, and ``rows(block, inner)`` gives json's text of a block's rows, as
+    pieces to concatenate, each row led by ``","`` and ``inner``."""
 
     def __init__(self, blocks, rows):
         self.blocks = blocks
@@ -179,8 +207,8 @@ def _emit_json(payload: dict, out) -> None:
     """Write ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline to
     ``out``, for a non-empty payload.
 
-    A ``_Listing`` value goes out a block at a time: each block's rows in
-    one write, with the text held since the last write in front of them.
+    A ``_Listing`` value goes out a block at a time: each block's pieces in
+    one join and one write, with the text held since the last write in front.
     """
     text, sep, pad, inner = "", "{", "\n  ", "\n    "
     for key, value in sorted(payload.items()):
@@ -189,14 +217,14 @@ def _emit_json(payload: dict, out) -> None:
         if not isinstance(value, _Listing):
             text += _json_text(value, pad)
             continue
-        opener = "["
+        opener = "["  # in place of the first row's ","
         for block in value.blocks():
-            rows = value.rows(block, inner)
-            if rows:
-                rows[0] = text + opener + inner + rows[0]
-                out.write(("," + inner).join(rows))
+            pieces = value.rows(block, inner)
+            if pieces:
+                pieces[0] = text + opener + pieces[0][1:]
+                out.write("".join(pieces))
                 text, opener = "", ","
-            del rows  # before the next block is built
+            del pieces  # before the next block is built
         text += "[]" if opener == "[" else pad + "]"
     out.write(text + "\n}\n")
 

@@ -17,7 +17,7 @@ import numpy as np
 from ._mc_kernel_py import mermin_gap, mermin_violated
 from .classify import EPS_BOUNDARY, EPS_CLASS
 from .errors import InvalidArgumentError
-from .indices import DENSE_MAX_QUBITS, check_qubit_count, dimension
+from .indices import DENSE_MAX_QUBITS, check_qubit_count, dimension, is_integer
 from .states import GhzDiagonalState
 
 _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -64,8 +64,8 @@ def mermin_expectation(state: GhzDiagonalState) -> float:
 
 def mermin_bound(n: int) -> float:
     """Classical (LHV) bound mu_n."""
-    if n < 2:
-        raise InvalidArgumentError("defined for n >= 2")
+    if not is_integer(n) or n < 2:
+        raise InvalidArgumentError(f"defined for integer n >= 2, got {n!r}")
     return float(2 ** (n / 2) if n % 2 == 0 else 2 ** ((n - 1) / 2))
 
 
@@ -74,8 +74,8 @@ def mermin_threshold(n: int) -> float:
 
     Both cases reduce to an integer power of two, so the value is exact.
     """
-    if n < 2:
-        raise InvalidArgumentError("defined for n >= 2")
+    if not is_integer(n) or n < 2:
+        raise InvalidArgumentError(f"defined for integer n >= 2, got {n!r}")
     exponent = 1 - n // 2 if n % 2 == 0 else (1 - n) // 2
     return math.ldexp(1.0, exponent)
 
@@ -94,9 +94,9 @@ def mermin_hyperplane_points(n: int) -> list[GhzDiagonalState]:
     (1/2 + nu/2) v_0 + (1/2 - nu/2) v_1...1; for other i the point is
     nu v_0 + (1 - nu) v_i.  Emitted in index order i = 1, ..., d-1.
     """
+    n = check_qubit_count(n)
     if n < 3:
         raise InvalidArgumentError("defined for n >= 3")
-    n = check_qubit_count(n)
     d = dimension(n)
     nu = mermin_threshold(n)
     points = []

@@ -97,7 +97,8 @@ class VolumeReport:
 def _check_family(family: str, allowed, n: int | None = None) -> None:
     if family not in allowed:
         raise InvalidArgumentError(f"unknown family {family!r}; expected one of {allowed}")
-    if n is not None and family != GHZ and n < 2:
+    # a qubit count that is not an integer is refused by check_qubit_count
+    if n is not None and family != GHZ and is_integer(n) and n < 2:
         raise InvalidArgumentError(f"family {family!r} needs n >= 2")
 
 

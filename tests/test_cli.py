@@ -339,7 +339,7 @@ def run_alone(argv, seed):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     env[SEED_ENV_VAR] = seed
     proc = subprocess.run(
-        [sys.executable, "-m", "ghzpolytope.cli", *argv],
+        [sys.executable, "-m", "ghzpolytope", *argv],
         env=env, capture_output=True, text=True, timeout=120,
     )
     return proc.returncode, proc.stdout, proc.stderr
@@ -702,12 +702,32 @@ def split_matrices(draw):
     return matrix, cuts
 
 
-@settings(max_examples=100, deadline=None)
-@given(split_matrices())
+@st.composite
+def sparse_matrices(draw):
+    """A float64 matrix of 1-5 rows and 1-70 columns that is +0.0 but for a few
+    entries (-0.0 among them), often in the first or last column, so that
+    rows are all +0.0 or hold runs of +0.0 up to the full width; and its
+    rows cut into blocks."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 70))
+    matrix = np.zeros((rows, cols))
+    column = st.one_of(st.sampled_from([0, cols - 1]), st.integers(0, cols - 1))
+    for _ in range(draw(st.integers(0, 2 * rows))):
+        matrix[draw(st.integers(0, rows - 1)), draw(column)] = draw(listing_numbers)
+    cuts = draw(st.lists(st.integers(0, rows), max_size=3).map(sorted))
+    return matrix, cuts
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(split_matrices(), sparse_matrices()))
+@example((np.zeros((3, 70)), [1]))
+@example((np.array([[-0.0] + [0.0] * 68 + [-0.0], [0.5] + [0.0] * 69, [0.0] * 69 + [-2.0]]), []))
+@example((np.array([[0.0], [-0.0], [1.0], [0.0]]), [2]))
 def test_listing_rows_are_json_text_of_tolist(split):
     matrix, cuts = split
-    for text, row in zip(cli._number_rows(matrix, ",\n  "), matrix):
-        assert "[\n  " + text + "\n]" == json.dumps(row.tolist(), indent=2)
+    for row in matrix:
+        assert "".join(cli._vertex_rows(row[None], "\n")) == ",\n" + json.dumps(row.tolist(), indent=2)
+    assert "".join(cli._vertex_rows(matrix, "\n")) == "".join(
+        ",\n" + json.dumps(row.tolist(), indent=2) for row in matrix)
 
     def emitted(payload):
         buf = io.StringIO()
@@ -785,6 +805,19 @@ def test_listing_is_written_a_block_at_a_time():
         tracemalloc.stop()
     assert code == EXIT_OK and sink.writes > 1
     assert peak < sink.chars / 2
+
+
+def test_full_listing_at_n8_streams_in_bounded_memory():
+    # 108 MiB of facets; a block's text and pieces are freed before the next is built
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        code = main(["facets", "--family", "fbi", "--n", "8"], out=sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK and sink.chars > 100 * 2**20
+    assert peak < 16 * 2**20
 
 
 def test_reader_closing_mid_listing_is_one_error_line(capsys):

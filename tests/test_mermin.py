@@ -112,6 +112,16 @@ def test_biseparable_violation_at_five_qubits():
     assert violates
 
 
+@pytest.mark.parametrize("n", ["3", 3.0, None, True, 1])
+def test_thresholds_and_bounds_refuse_non_integer_or_small_n(n):
+    with pytest.raises(InvalidArgumentError, match="defined for integer n >= 2"):
+        mermin_threshold(n)
+    with pytest.raises(InvalidArgumentError, match="defined for integer n >= 2"):
+        mermin_bound(n)
+    with pytest.raises(InvalidArgumentError):
+        mermin_hyperplane_points(n)
+
+
 def test_hyperplane_points():
     pts = mermin_hyperplane_points(3)
     assert len(pts) == 7

@@ -205,6 +205,13 @@ def test_invalid_families():
         rel_vol_exact(GENUINE, 21)
 
 
+@pytest.mark.parametrize("closed_form", [rel_vol_exact, vol_exact, rvr])
+@pytest.mark.parametrize("n", ["3", 3.0, None, True, 1.5])
+def test_closed_forms_refuse_non_integer_qubit_counts(closed_form, n):
+    with pytest.raises(InvalidArgumentError, match="qubit count"):
+        closed_form(FBI, n)
+
+
 # ------------------------------------------------------------- Monte Carlo
 
 
