@@ -42,16 +42,12 @@ from .polytopes import (
     Ball,
     Facet,
     cube_vertex,
-    extreme_points_bisep,
-    extreme_points_fbi,
-    extreme_points_ghz,
     facet_count,
     facet_distance,
-    facets_bisep,
-    facets_fbi,
-    facets_ghz,
     hs_distance,
     inscribed_ball,
+    iter_extreme_points,
+    iter_facets,
     midpoint,
     min_center_facet_distance,
     simplex_height,
@@ -70,7 +66,6 @@ from .volume import (
     VolumeReport,
     hull_volume,
     mc_relative_volume,
-    mc_relative_volumes,
     mc_relative_volumes_by_n,
     rel_vol_exact,
     rvr,

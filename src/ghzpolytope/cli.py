@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -186,20 +187,10 @@ def _facet_rows(block: polytopes.FacetBlock, inner: str) -> list[str]:
                        "," + keys + "  ", f'{keys}],{keys}"label": ', tails)
 
 
-class _Listing:
-    """A vertex or facet listing: ``blocks()`` starts the enumerator's blocks
-    afresh, and ``rows(block, inner)`` gives json's text of a block's rows, as
-    pieces to concatenate, each row led by ``","`` and ``inner``."""
-
-    def __init__(self, blocks, rows):
-        self.blocks = blocks
-        self.rows = rows
-
-
-# each listing command's payload key, row text, block enumerator and row count
+# each listing command's payload key, block enumerator and row count
 _LISTINGS = {
-    "extremes": ("vertices", _vertex_rows, polytopes.vertex_blocks, polytopes.vertex_count),
-    "facets": ("facets", _facet_rows, polytopes.facet_blocks, polytopes.facet_count),
+    "extremes": ("vertices", polytopes.vertex_blocks, polytopes.vertex_count),
+    "facets": ("facets", polytopes.facet_blocks, polytopes.facet_count),
 }
 
 
@@ -207,19 +198,21 @@ def _emit_json(payload: dict, out) -> None:
     """Write ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline to
     ``out``, for a non-empty payload.
 
-    A ``_Listing`` value goes out a block at a time: each block's pieces in
-    one join and one write, with the text held since the last write in front.
+    An iterator value is a listing of vertex blocks (arrays) or facet blocks
+    (``FacetBlock``), written as it is consumed: each block's pieces in one
+    join and one write, with the text held since the last write in front.
     """
     text, sep, pad, inner = "", "{", "\n  ", "\n    "
     for key, value in sorted(payload.items()):
         text += sep + pad + encode_basestring_ascii(key) + ": "
         sep = ","
-        if not isinstance(value, _Listing):
+        if not isinstance(value, Iterator):
             text += _json_text(value, pad)
             continue
         opener = "["  # in place of the first row's ","
-        for block in value.blocks():
-            pieces = value.rows(block, inner)
+        for block in value:
+            rows = _facet_rows if isinstance(block, polytopes.FacetBlock) else _vertex_rows
+            pieces = rows(block, inner)
             if pieces:
                 pieces[0] = text + opener + pieces[0][1:]
                 out.write("".join(pieces))
@@ -268,15 +261,14 @@ def _cmd_listing(args, out) -> int:
     if args.limit is not None and args.limit < 0:
         raise InvalidArgumentError(f"--limit must be >= 0, got {args.limit}")
     check_qubit_count(args.n)
-    key, rows, family_blocks, row_count = _LISTINGS[args.command]
+    key, family_blocks, row_count = _LISTINGS[args.command]
     family = _POLYTOPE_FAMILY[args.family]
     if key == "vertices" and family == "FBI" and args.n > REPORT_MAX_QUBITS:
         raise UnsupportedSizeError(
             f"the F_n vertex count has over 4300 digits past n = {REPORT_MAX_QUBITS}"
         )
-    blocks = functools.partial(family_blocks, family, args.n, args.limit)
-    try:
-        blocks()  # checks the full-list cap before any row is built
+    try:  # the full-list cap is checked at the call, before any row is built
+        blocks = family_blocks(family, args.n, args.limit)
     except UnsupportedSizeError as exc:
         raise UnsupportedSizeError(f"{exc}; pass --limit to stream fewer") from None
     payload = {
@@ -284,7 +276,7 @@ def _cmd_listing(args, out) -> int:
         "family": args.family,
         "n": args.n,
         "count": row_count(family, args.n),
-        key: _Listing(blocks, rows),
+        key: blocks,
     }
     _emit_json(payload, out)
     return EXIT_OK
@@ -521,7 +513,3 @@ def main(argv=None, out=None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
-
-
-if __name__ == "__main__":
-    sys.exit(main())

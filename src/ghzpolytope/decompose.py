@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .classify import is_ppt_bipartition
 from .errors import InvalidArgumentError
-from .indices import Bipartition, check_qubit_count, dimension, to_bits
+from .indices import Bipartition, check_index, check_qubit_count, dimension, to_bits
 from .states import GhzDiagonalState
 from .polytopes import cube_vertex, midpoint
 
@@ -56,9 +56,7 @@ def midpoint_bipartition(n: int, i: int, j: int) -> Bipartition | None:
     midpoint is then a diagonal mixture, separable under every bipartition.
     """
     n = check_qubit_count(n)
-    d = dimension(n)
-    if not (0 <= i < d and 0 <= j < d):
-        raise InvalidArgumentError("index out of range")
+    i, j = check_index(i, n), check_index(j, n)
     if i == j:
         raise InvalidArgumentError("need two distinct indices")
     agree = frozenset(k for k in range(1, n + 1) if (i >> (n - k) & 1) == (j >> (n - k) & 1))

@@ -48,6 +48,13 @@ def check_qubit_count(n: int, max_n: int = MAX_QUBITS) -> int:
     return int(n)
 
 
+def check_index(i: int, n: int) -> int:
+    """``i`` as an int; raise unless it is an integer in ``[0, 2**n)``."""
+    if not is_integer(i) or not 0 <= i < 1 << n:
+        raise InvalidArgumentError(f"index {i} out of range for n={n}")
+    return int(i)
+
+
 def dimension(n: int) -> int:
     """d = 2**n."""
     return 1 << n
@@ -55,9 +62,7 @@ def dimension(n: int) -> int:
 
 def to_bits(i: int, n: int) -> str:
     """String form of an index, e.g. ``to_bits(2, 3) == '010'``."""
-    if not 0 <= i < (1 << n):
-        raise InvalidArgumentError(f"index {i} out of range for n={n}")
-    return format(i, f"0{n}b")
+    return format(check_index(i, n), f"0{n}b")
 
 
 def from_bits(bits: str) -> tuple[int, int]:
@@ -75,9 +80,7 @@ def enumerate_indices(n: int) -> list[int]:
 
 def flip_all(i: int, n: int) -> int:
     """Complement every bit; a fixed-point-free involution."""
-    if not 0 <= i < (1 << n):
-        raise InvalidArgumentError(f"index {i} out of range for n={n}")
-    return i ^ ((1 << n) - 1)
+    return check_index(i, n) ^ ((1 << n) - 1)
 
 
 def positions_to_mask(positions, n: int) -> int:
@@ -92,9 +95,7 @@ def positions_to_mask(positions, n: int) -> int:
 
 def flip_subset(i: int, n: int, positions) -> int:
     """Complement the bits at the given 1-based positions."""
-    if not 0 <= i < (1 << n):
-        raise InvalidArgumentError(f"index {i} out of range for n={n}")
-    return i ^ positions_to_mask(positions, n)
+    return check_index(i, n) ^ positions_to_mask(positions, n)
 
 
 @dataclass(frozen=True)

@@ -115,7 +115,7 @@ def mermin_hyperplane_points(n: int) -> list[GhzDiagonalState]:
 def dist_mermin_to_fbi(n: int) -> float:
     """HS distance from the threshold hyperplane to the fully-biseparable
     polytope: (nu_n - 2/d)/sqrt(2)."""
+    nu = mermin_threshold(n)  # checks n
     if n < 3:
         raise InvalidArgumentError("defined for n >= 3")
-    d = dimension(n)
-    return float((mermin_threshold(n) - 2.0 / d) / np.sqrt(2.0))
+    return float((nu - 2.0 / dimension(n)) / np.sqrt(2.0))

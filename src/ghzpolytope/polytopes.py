@@ -19,6 +19,7 @@ from .errors import InvalidArgumentError, UnsupportedSizeError
 from .indices import (
     DENSE_MAX_QUBITS,
     FBI_VERTEX_MAX_QUBITS,
+    check_index,
     check_qubit_count,
     dimension,
     to_bits,
@@ -153,39 +154,6 @@ def facet_blocks_fbi(n: int, stop: int | None = None) -> Iterator[FacetBlock]:
         yield FacetBlock(labels, np.zeros(end - start), coeffs)
 
 
-def _facet_rows(family: str, blocks: Iterator[FacetBlock]) -> Iterator[Facet]:
-    for block in blocks:
-        for label, offset, coeffs in zip(block.labels, block.offsets.tolist(), block.coeffs):
-            yield Facet(family, label, coeffs, offset)
-
-
-def iter_facets_ghz(n: int) -> Iterator[Facet]:
-    return _facet_rows("GHZ", facet_blocks_ghz(n))
-
-
-def facets_ghz(n: int) -> list[Facet]:
-    """d facets p_i >= 0."""
-    return list(_facet_rows("GHZ", facet_blocks("GHZ", n)))
-
-
-def iter_facets_bisep(n: int) -> Iterator[Facet]:
-    return _facet_rows("BISEP", facet_blocks_bisep(n))
-
-
-def facets_bisep(n: int) -> list[Facet]:
-    """2d facets: p_i <= 1/2 (truncation) and p_i >= 0 (inherited)."""
-    return list(_facet_rows("BISEP", facet_blocks("BISEP", n)))
-
-
-def iter_facets_fbi(n: int) -> Iterator[Facet]:
-    """d^2/2 facets p_i + p_~i - p_j + p_~j >= 0 over (pair {i,~i}, index j)."""
-    return _facet_rows("FBI", facet_blocks_fbi(n))
-
-
-def facets_fbi(n: int) -> list[Facet]:
-    return list(_facet_rows("FBI", facet_blocks("FBI", n)))
-
-
 def vertex_blocks_ghz(n: int, stop: int | None = None) -> Iterator[np.ndarray]:
     """The d pure GHZ projectors, unit rows, in blocks."""
     n = check_qubit_count(n)
@@ -233,12 +201,6 @@ def vertex_blocks_fbi(n: int, stop: int | None = None) -> Iterator[np.ndarray]:
         yield rows
 
 
-def _vertex_rows(n: int, blocks: Iterator[np.ndarray]) -> Iterator[GhzDiagonalState]:
-    for block in blocks:
-        for p in block:
-            yield GhzDiagonalState(n, p)
-
-
 # The block enumerator of each family's facets and vertices, and the largest
 # n whose full list is built
 _ENUMERATORS = {
@@ -275,41 +237,56 @@ def vertex_blocks(family: str, n: int, stop: int | None = None) -> Iterator[np.n
     return _blocks("vertices", family, n, stop)
 
 
-def extreme_points_ghz(n: int) -> list[GhzDiagonalState]:
-    """The d vertices: pure GHZ projectors."""
-    return list(_vertex_rows(n, vertex_blocks("GHZ", n)))
+def iter_facets(family: str, n: int, stop: int | None = None) -> Iterator[Facet]:
+    """The rows of ``facet_blocks(family, n, stop)`` as ``Facet`` objects; without
+    ``stop`` it raises past the family's full-list cap, at the call."""
+    blocks = facet_blocks(family, n, stop)
+    return (Facet(family, label, coeffs, offset) for block in blocks
+            for label, offset, coeffs in zip(block.labels, block.offsets.tolist(), block.coeffs))
+
+
+def iter_extreme_points(family: str, n: int, stop: int | None = None) -> Iterator[GhzDiagonalState]:
+    """The rows of ``vertex_blocks(family, n, stop)`` as states; without
+    ``stop`` it raises past the family's full-list cap, at the call."""
+    blocks = vertex_blocks(family, n, stop)
+    return (GhzDiagonalState(n, p) for block in blocks for p in block)
+
+
+# The uncapped F_n rows, kept because perfbench/spans.py patches these two by
+# name (ROADMAP item 3 retires them)
+def iter_facets_fbi(n: int) -> Iterator[Facet]:
+    return iter_facets("FBI", n, stop=facet_count("FBI", n))
+
+
+def iter_extreme_points_fbi(n: int) -> Iterator[GhzDiagonalState]:
+    return iter_extreme_points("FBI", n, stop=vertex_count("FBI", n))
 
 
 def midpoint(n: int, i: int, j: int) -> GhzDiagonalState:
     """m_{i,j} = (v_i + v_j)/2, the midpoint of a simplex edge."""
+    n = check_qubit_count(n)
+    i, j = check_index(i, n), check_index(j, n)
     if i == j:
         raise InvalidArgumentError("midpoint needs two distinct indices")
-    d = dimension(n)
-    p = np.zeros(d)
+    p = np.zeros(dimension(n))
     p[i] = 0.5
     p[j] = 0.5
     return GhzDiagonalState(n, p)
 
 
-def iter_extreme_points_bisep(n: int) -> Iterator[GhzDiagonalState]:
-    return _vertex_rows(n, vertex_blocks_bisep(n))
-
-
-def extreme_points_bisep(n: int) -> list[GhzDiagonalState]:
-    """All d(d-1)/2 edge midpoints, lexicographic pair order."""
-    return list(_vertex_rows(n, vertex_blocks("BISEP", n)))
-
-
 def cube_vertex(n: int, sigma) -> GhzDiagonalState:
     """v_sigma = (2/d) sum_{i in sigma} v_i for a selection of one index per pair."""
+    n = check_qubit_count(n)
     d = dimension(n)
-    sigma = sorted(set(sigma))
-    if len(sigma) != d // 2:
-        raise InvalidArgumentError(
-            f"selection has {len(sigma)} indices, expected {d // 2}"
-        )
+    sigma = [check_index(i, n) for i in sigma]
     taken = set(sigma)
-    for i in sigma:
+    if len(taken) != d // 2:
+        raise InvalidArgumentError(
+            f"selection has {len(taken)} indices, expected {d // 2}"
+        )
+    if len(sigma) != len(taken):
+        raise InvalidArgumentError("selection names an index twice")
+    for i in sorted(taken):
         if d - 1 - i in taken and i != d - 1 - i:
             raise InvalidArgumentError(
                 f"selection contains both {to_bits(i, n)} and its flip"
@@ -321,24 +298,13 @@ def cube_vertex(n: int, sigma) -> GhzDiagonalState:
 
 def iter_selections(n: int) -> Iterator[tuple[int, ...]]:
     """The 2^(d/2) selections sigma, one index from each pair {i, ~i}."""
-    d = dimension(n)
-    for bits in range(1 << (d // 2)):
-        yield tuple(
-            (d - 1 - i) if (bits >> i) & 1 else i for i in range(d // 2)
-        )
-
-
-def iter_extreme_points_fbi(n: int) -> Iterator[GhzDiagonalState]:
-    return _vertex_rows(n, vertex_blocks_fbi(n))
-
-
-def extreme_points_fbi(n: int) -> list[GhzDiagonalState]:
-    """d/2 diagonal midpoints followed by the 2^(d/2) cube vertices."""
-    return list(_vertex_rows(n, vertex_blocks("FBI", n)))
+    d = dimension(check_qubit_count(n))
+    return (tuple((d - 1 - i) if (bits >> i) & 1 else i for i in range(d // 2))
+            for bits in range(1 << (d // 2)))
 
 
 def vertex_count(family: str, n: int) -> int:
-    d = dimension(n)
+    d = dimension(check_qubit_count(n))
     if family == "GHZ":
         return d
     if family == "BISEP":
@@ -349,7 +315,7 @@ def vertex_count(family: str, n: int) -> int:
 
 
 def facet_count(family: str, n: int) -> int:
-    d = dimension(n)
+    d = dimension(check_qubit_count(n))
     if family == "GHZ":
         return d
     if family == "BISEP":
@@ -361,7 +327,7 @@ def facet_count(family: str, n: int) -> int:
 
 def simplex_height(n: int) -> float:
     """Distance from a vertex to the opposite facet's center: sqrt(d/(d-1))."""
-    d = dimension(n)
+    d = dimension(check_qubit_count(n))
     return float(np.sqrt(d / (d - 1)))
 
 
@@ -405,5 +371,5 @@ def min_center_facet_distance(family: str, n: int) -> float:
     """
     center = GhzDiagonalState.uniform(n)
     # a stop streams every facet, past the full-list cap
-    facets = _facet_rows(family, facet_blocks(family, n, stop=facet_count(family, n)))
+    facets = iter_facets(family, n, stop=facet_count(family, n))
     return min(facet_distance(center, f) for f in facets)

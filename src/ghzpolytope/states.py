@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, NotGhzDiagonalError
-from .indices import DENSE_MAX_QUBITS, check_qubit_count, dimension
+from .indices import DENSE_MAX_QUBITS, check_index, check_qubit_count, dimension
 
 EPS_NORM = 1e-9
 EPS_PSD = 1e-9
@@ -52,15 +52,15 @@ class GhzDiagonalState:
 
     @classmethod
     def uniform(cls, n: int) -> "GhzDiagonalState":
-        d = dimension(n)
+        d = dimension(check_qubit_count(n))
         return cls(n, np.full(d, 1.0 / d))
 
     @classmethod
     def vertex(cls, n: int, i: int) -> "GhzDiagonalState":
         """Point mass at index i: the pure GHZ state projector."""
-        d = dimension(n)
-        p = np.zeros(d)
-        p[i] = 1.0
+        n = check_qubit_count(n)
+        p = np.zeros(dimension(n))
+        p[check_index(i, n)] = 1.0
         return cls(n, p)
 
     @property
@@ -72,8 +72,7 @@ def ghz_basis_vector(i: int, n: int) -> np.ndarray:
     """The unit vector (|i> + (-1)^{i(1)} |~i>)/sqrt(2) in the computational basis."""
     n = check_qubit_count(n, DENSE_MAX_QUBITS)
     d = dimension(n)
-    if not 0 <= i < d:
-        raise InvalidArgumentError(f"index {i} out of range for n={n}")
+    i = check_index(i, n)
     v = np.zeros(d)
     ibar = d - 1 - i
     sign = -1.0 if i >= d // 2 else 1.0  # top bit of i

@@ -12,12 +12,12 @@ its m points at n are the first m * 2^n values it draws, so the rows of
 ``report --mc`` share one draw per chunk, as wide as the largest n asks
 for: each narrower n counts the rows that draw starts with, which are the
 values and rows its own draw would give, so no count changes.
-``mc_relative_volumes`` is its one-n case and ``mc_relative_volume`` its
-one-family case.  Where a C compiler is present, ``ghzpolytope._mc_kernel``
-builds a C kernel once into the package's ``__pycache__`` that draws,
-normalises and counts each chunk in one pass without holding the GIL; it
-runs the chunk's Philox stream and the ziggurat's fast path itself and
-leaves only the rare other draws to NumPy's C routine.  Otherwise, or if
+``mc_relative_volume`` is its one-family, one-n case.  Where a C compiler
+is present, ``ghzpolytope._mc_kernel`` builds a C kernel once into the
+package's ``__pycache__`` that draws, normalises and counts each chunk in
+one pass without holding the GIL; it runs the chunk's Philox stream and
+the ziggurat's fast path itself and leaves only the rare other draws to
+NumPy's C routine.  Otherwise, or if
 that kernel does not reproduce ``_mc_kernel_py.chunk_counts``'s rows,
 counts and bit-generator state bit for bit, that NumPy kernel runs.  Both
 kernels take a chunk in one ``chunk_counts`` call and give identical hit
@@ -229,21 +229,9 @@ def mc_relative_volume(
     threads: int = 1,
     kernel=None,
 ) -> VolumeReport:
-    """Monte-Carlo relative volume of one family: see :func:`mc_relative_volumes`."""
-    return mc_relative_volumes((family,), n, samples, seed, threads, kernel)[0]
-
-
-def mc_relative_volumes(
-    families,
-    n: int,
-    samples: int,
-    seed: int,
-    threads: int = 1,
-    kernel=None,
-) -> tuple[VolumeReport, ...]:
-    """Monte-Carlo relative volumes of ``families`` at one ``n``: see
+    """Monte-Carlo relative volume of one family at one ``n``: see
     :func:`mc_relative_volumes_by_n`."""
-    return mc_relative_volumes_by_n(families, (n,), samples, seed, threads, kernel)[n]
+    return mc_relative_volumes_by_n((family,), (n,), samples, seed, threads, kernel)[n][0]
 
 
 def mc_relative_volumes_by_n(

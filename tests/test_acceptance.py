@@ -22,11 +22,9 @@ from ghzpolytope.mermin import (
     violates_mermin,
 )
 from ghzpolytope.polytopes import (
-    extreme_points_bisep,
-    extreme_points_fbi,
     facet_count,
-    facets_bisep,
-    facets_fbi,
+    iter_extreme_points,
+    iter_facets,
     iter_selections,
     min_center_facet_distance,
     vertex_count,
@@ -115,12 +113,12 @@ def test_criterion_04_combinatorial_counts():
     ok = True
     for n in (2, 3, 4):
         d = 2**n
-        b_vertices = extreme_points_bisep(n)
-        f_vertices = extreme_points_fbi(n)
+        b_vertices = list(iter_extreme_points("BISEP", n))
+        f_vertices = list(iter_extreme_points("FBI", n))
         ok &= len(b_vertices) == d * (d - 1) // 2 == vertex_count("BISEP", n)
         ok &= len(f_vertices) == d // 2 + 2 ** (d // 2) == vertex_count("FBI", n)
-        b_facets = facets_bisep(n)
-        f_facets = facets_fbi(n)
+        b_facets = list(iter_facets("BISEP", n))
+        f_facets = list(iter_facets("FBI", n))
         ok &= len(b_facets) == 2 * d == facet_count("BISEP", n)
         ok &= len(f_facets) == d * d // 2 == facet_count("FBI", n)
         ok &= _spanning(b_vertices, b_facets, d)
@@ -134,8 +132,8 @@ def test_criterion_05_trisection_and_degeneracy():
         == 1.0
         for n in range(2, 21)
     )
-    b2 = {tuple(np.round(s.p, 12)) for s in extreme_points_bisep(2)}
-    f2 = {tuple(np.round(s.p, 12)) for s in extreme_points_fbi(2)}
+    b2 = {tuple(np.round(s.p, 12)) for s in iter_extreme_points("BISEP", 2)}
+    f2 = {tuple(np.round(s.p, 12)) for s in iter_extreme_points("FBI", 2)}
     ok &= b2 == f2
     ok &= rel_vol_exact(BISEP_MINUS_FBI, 2) == 0.0
     _verdict(5, "exact trisection and the n=2 degeneracy", ok)
@@ -164,15 +162,15 @@ def test_criterion_08_mermin_tangency_and_onset():
     ok = True
     for n in (3, 4):
         nu = mermin_threshold(n)
-        gaps = [nu - (v.p[0] - v.p[-1]) for v in extreme_points_bisep(n)]
+        gaps = [nu - (v.p[0] - v.p[-1]) for v in iter_extreme_points("BISEP", n)]
         ok &= min(gaps) >= 0.0 and min(gaps) < 1e-15
-        ok &= not any(violates_mermin(v)[0] for v in extreme_points_bisep(n))
+        ok &= not any(violates_mermin(v)[0] for v in iter_extreme_points("BISEP", n))
     p = np.zeros(32)
     p[0] = 0.5
     p[1:31] = 0.5 / 30
     s5 = GhzDiagonalState(5, p)
     ok &= s5.p.max() <= 0.5 and violates_mermin(s5)[0]
-    verts = np.array([v.p for v in extreme_points_fbi(3)])
+    verts = np.array([v.p for v in iter_extreme_points("FBI", 3)])
     nu = mermin_threshold(3)
     vertex_min = (nu - (verts[:, 0] - verts[:, -1])).min() / math.sqrt(2)
     closed = (nu - 2 / 8) / math.sqrt(2)

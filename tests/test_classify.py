@@ -13,7 +13,7 @@ from ghzpolytope.classify import (
 )
 from ghzpolytope.errors import UnsupportedSizeError
 from ghzpolytope.indices import Bipartition
-from ghzpolytope.polytopes import iter_facets_fbi, midpoint
+from ghzpolytope.polytopes import iter_facets, midpoint
 from ghzpolytope.states import GhzDiagonalState, density_from_prob
 
 
@@ -164,7 +164,7 @@ def test_core_fbi_matches_facet_oracle(n):
     t = np.minimum(t_star * (1 + jitter), 1.0)[:, None]
     rows = t * raw + (1 - t) / d
 
-    slack = rows @ np.array([f.coeffs for f in iter_facets_fbi(n)]).T
+    slack = rows @ np.array([f.coeffs for f in iter_facets("FBI", n)]).T
     keep = np.abs(slack).min(axis=1) > 1e-11
     oracle = (slack >= 0).all(axis=1)
     assert keep.sum() > m // 2

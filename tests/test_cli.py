@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from collections.abc import Iterator
 from unittest import mock
 
 import numpy as np
@@ -204,6 +205,7 @@ def test_exit_code_unsupported_size():
         ["classify", "--n", "2", "--p", "nan,0.5,0.25,0.25"],
         ["mermin", "--n", "2", "--p", "0.5,0.5,nan,0"],
         ["certify", "--n", "3", "--sigma", "000,001,010,011", "--bipartition", "1,x"],
+        ["certify", "--n", "3", "--sigma", "000,001,011,101,000", "--bipartition", "1"],
         ["extremes", "--n", "3", "--family", "fbi", "--limit", "-1"],
         ["facets", "--n", "3", "--family", "bisep", "--limit", "-2"],
         # rejected without --mc too, not echoed in the output's config
@@ -429,25 +431,28 @@ def test_json_output_is_json_dump_of_its_payload(argv, monkeypatch):
     emit = cli._emit_json
 
     def recording_emit(payload, out):
-        payloads.append(payload)
-        emit(payload, out)
+        # a listing is a one-pass iterator of blocks: keep them, emit a copy
+        listings = {key: list(value) for key, value in payload.items()
+                    if isinstance(value, Iterator)}
+        payloads.append(payload | {key: listing_rows(blocks) for key, blocks in listings.items()})
+        emit(payload | {key: iter(blocks) for key, blocks in listings.items()}, out)
 
     monkeypatch.setattr(cli, "_emit_json", recording_emit)
     code, text = run(argv)
     assert code == EXIT_OK and len(payloads) == 1
-    assert text == json.dumps(payloads[0], indent=2, sort_keys=True, default=listing_rows) + "\n"
+    assert text == json.dumps(payloads[0], indent=2, sort_keys=True) + "\n"
 
 
-def listing_rows(obj):
-    """A listing's rows as plain lists and dicts, as json.dumps' ``default``."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    blocks = obj.blocks()
-    if obj.rows is cli._vertex_rows:
-        return [row for block in blocks for row in block.tolist()]
-    return [{"coeffs": coeffs, "label": label, "offset": offset}
-            for block in blocks
-            for coeffs, label, offset in zip(block.coeffs, block.labels, block.offsets.tolist())]
+def listing_rows(blocks):
+    """A listing's rows as plain lists and dicts."""
+    rows = []
+    for block in blocks:
+        if isinstance(block, polytopes.FacetBlock):
+            rows += [{"coeffs": coeffs.tolist(), "label": label, "offset": offset}
+                     for coeffs, label, offset in zip(block.coeffs, block.labels, block.offsets.tolist())]
+        else:
+            rows += block.tolist()
+    return rows
 
 
 def test_report_csv_carries_the_json_rows():
@@ -734,10 +739,7 @@ def test_listing_rows_are_json_text_of_tolist(split):
         cli._emit_json(payload, buf)
         return buf.getvalue()
 
-    def blocks():
-        return iter(np.split(matrix, cuts))
-
-    vertices = cli._Listing(blocks, cli._vertex_rows)
+    vertices = iter(np.split(matrix, cuts))
     assert emitted({"v": vertices, "n": 3}) == json.dumps(
         {"v": matrix.tolist(), "n": 3}, indent=2, sort_keys=True) + "\n"
     labels = [f"row {r}" for r in range(len(matrix))]
@@ -747,12 +749,12 @@ def test_listing_rows_are_json_text_of_tolist(split):
         for part in np.split(np.arange(len(matrix)), cuts):
             yield polytopes.FacetBlock([labels[r] for r in part], offsets[part], matrix[part])
 
-    facets = cli._Listing(facet_blocks, cli._facet_rows)
+    facets = facet_blocks()
     oracle = [{"coeffs": row.tolist(), "label": label, "offset": offset}
               for row, label, offset in zip(matrix, labels, offsets.tolist())]
     assert emitted({"f": facets, "g": [0.5, None]}) == json.dumps(
         {"f": oracle, "g": [0.5, None]}, indent=2, sort_keys=True) + "\n"
-    empty = cli._Listing(lambda: iter(()), cli._vertex_rows)
+    empty = iter(())
     assert emitted({"a": 1, "v": empty}) == json.dumps(
         {"a": 1, "v": []}, indent=2, sort_keys=True) + "\n"
 

@@ -12,7 +12,7 @@ from ghzpolytope.mermin import (
     mermin_threshold,
     violates_mermin,
 )
-from ghzpolytope.polytopes import extreme_points_bisep, extreme_points_fbi, midpoint
+from ghzpolytope.polytopes import iter_extreme_points, midpoint
 from ghzpolytope.states import GhzDiagonalState, density_from_prob
 
 
@@ -89,7 +89,7 @@ def test_violation_maximal_at_ghz_vertex():
 
 def test_biseparable_never_violates_for_three_four():
     for n in (3, 4):
-        for v in extreme_points_bisep(n):
+        for v in iter_extreme_points("BISEP", n):
             violates, _ = violates_mermin(v)
             assert not violates
 
@@ -98,7 +98,7 @@ def test_hyperplane_tangent_to_top_facet():
     # min over B_n vertices of (nu - (p_0 - p_1...1)) is 0, attained at m_{0,i}
     for n in (3, 4):
         nu = mermin_threshold(n)
-        gaps = [nu - (v.p[0] - v.p[-1]) for v in extreme_points_bisep(n)]
+        gaps = [nu - (v.p[0] - v.p[-1]) for v in iter_extreme_points("BISEP", n)]
         assert min(gaps) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -138,7 +138,7 @@ def test_hyperplane_points():
 def test_fbi_extreme_expectations():
     for n in (2, 3, 4):
         d = 2**n
-        for k, v in enumerate(extreme_points_fbi(n)):
+        for k, v in enumerate(iter_extreme_points("FBI", n)):
             e = mermin_expectation(v)
             if k < d // 2:
                 assert e == pytest.approx(0.0)
@@ -155,7 +155,7 @@ def test_dist_to_fbi_closed_form():
 def test_dist_to_fbi_vertex_and_hull_minimization():
     n = 3
     nu = mermin_threshold(n)
-    verts = np.array([v.p for v in extreme_points_fbi(n)])
+    verts = np.array([v.p for v in iter_extreme_points("FBI", n)])
     # distance from a point to the hyperplane p_0 - p_7 = nu is
     # |p_0 - p_7 - nu| / sqrt(2); the objective is linear over the hull
     gaps = nu - (verts[:, 0] - verts[:, -1])

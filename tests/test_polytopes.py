@@ -4,28 +4,22 @@ import numpy as np
 import pytest
 
 from ghzpolytope.classify import is_biseparable, is_fully_biseparable
+from ghzpolytope.decompose import cube_vertex_decomposition
 from ghzpolytope.errors import InvalidArgumentError, UnsupportedSizeError
-from ghzpolytope.indices import DENSE_MAX_QUBITS, FBI_VERTEX_MAX_QUBITS, MAX_QUBITS
+from ghzpolytope.indices import DENSE_MAX_QUBITS, FBI_VERTEX_MAX_QUBITS, MAX_QUBITS, Bipartition
+from ghzpolytope.mermin import dist_mermin_to_fbi
 from ghzpolytope import polytopes
 from ghzpolytope.polytopes import (
+    FAMILIES,
     Ball,
     FacetBlock,
     cube_vertex,
-    extreme_points_bisep,
-    extreme_points_fbi,
-    extreme_points_ghz,
     facet_count,
     facet_distance,
-    facets_bisep,
-    facets_fbi,
-    facets_ghz,
     hs_distance,
     inscribed_ball,
-    iter_extreme_points_bisep,
-    iter_extreme_points_fbi,
-    iter_facets_bisep,
-    iter_facets_fbi,
-    iter_facets_ghz,
+    iter_extreme_points,
+    iter_facets,
     iter_selections,
     midpoint,
     min_center_facet_distance,
@@ -51,7 +45,7 @@ def projection_distance(p, coeffs, offset):
 
 
 def test_bisep_vertices_two_qubit():
-    pts = extreme_points_bisep(2)
+    pts = list(iter_extreme_points("BISEP", 2))
     assert len(pts) == 6
     expected_pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     for s, (i, j) in zip(pts, expected_pairs):
@@ -61,17 +55,17 @@ def test_bisep_vertices_two_qubit():
 def test_bisep_vertex_counts():
     for n in (2, 3, 4):
         d = 2**n
-        assert len(extreme_points_bisep(n)) == d * (d - 1) // 2
-    assert len(extreme_points_bisep(3)) == 28
+        assert len(list(iter_extreme_points("BISEP", n))) == d * (d - 1) // 2
+    assert len(list(iter_extreme_points("BISEP", 3))) == 28
 
 
 def test_bisep_vertices_have_two_halves():
-    for s in extreme_points_bisep(3):
+    for s in iter_extreme_points("BISEP", 3):
         assert np.count_nonzero(s.p == 0.5) == 2
 
 
 def test_fbi_vertices_two_qubit():
-    pts = extreme_points_fbi(2)
+    pts = list(iter_extreme_points("FBI", 2))
     assert len(pts) == 6
     cube = [set(np.flatnonzero(s.p)) for s in pts[2:]]
     assert {frozenset(c) for c in cube} == {
@@ -83,33 +77,72 @@ def test_fbi_vertices_two_qubit():
 
 
 def test_fbi_vertex_counts():
-    assert len(extreme_points_fbi(3)) == 4 + 16
+    assert len(list(iter_extreme_points("FBI", 3))) == 4 + 16
     for n in (2, 3, 4):
         d = 2**n
-        assert len(extreme_points_fbi(n)) == d // 2 + 2 ** (d // 2)
+        assert len(list(iter_extreme_points("FBI", n))) == d // 2 + 2 ** (d // 2)
 
 
 def test_cube_vertices_flat():
-    for s in extreme_points_fbi(3)[4:]:
+    for s in list(iter_extreme_points("FBI", 3))[4:]:
         assert set(np.round(s.p, 12)) <= {0.0, 0.25}
 
 
 def test_vertex_caps():
+    # the full list raises at the call, before any row is built
     with pytest.raises(UnsupportedSizeError):
-        extreme_points_fbi(6)
+        iter_extreme_points("FBI", 6)
     with pytest.raises(UnsupportedSizeError):
-        extreme_points_bisep(9)
+        iter_extreme_points("BISEP", 9)
     # full facet lists stop at the same n for every family: a d x d block at n = 9
     # would be 2 MiB for ghz, and 32 GiB at n = 16
-    for facets in (facets_ghz, facets_bisep, facets_fbi):
+    for family in FAMILIES:
         with pytest.raises(UnsupportedSizeError):
-            facets(9)
-    # streaming still works above the cap
-    it = iter_extreme_points_bisep(9)
-    first = next(it)
+            iter_facets(family, 9)
+    # a stop streams above the cap
+    (first,) = iter_extreme_points("BISEP", 9, stop=1)
     assert first.p[0] == 0.5
-    facet = next(iter_facets_ghz(9))
+    (facet,) = iter_facets("GHZ", 9, stop=1)
     assert facet.label == "p_000000000>=0" and facet.coeffs[0] == 1.0
+    # the two F_n iterators kept by name are uncapped
+    assert next(polytopes.iter_extreme_points_fbi(6)).p[0] == 0.5
+    assert next(polytopes.iter_facets_fbi(9)).label == "p_000000000+p_111111111>=p_000000000-p_111111111"
+
+
+BAD_INDICES = {
+    "cube-vertex-negative": (cube_vertex, (3, [0, 1, 2, -3])),  # would be 010 and its flip 101
+    "cube-vertex-past-d": (cube_vertex, (3, [0, 1, 2, 12])),
+    "cube-vertex-repeated": (cube_vertex, (3, [0, 1, 3, 5, 0])),
+    "decomposition-repeated": (cube_vertex_decomposition, (3, [0, 1, 3, 5, 0], Bipartition(3, {1}))),
+    "midpoint-negative": (midpoint, (3, -1, 2)),  # would be m_{111,010}
+    "midpoint-past-d": (midpoint, (3, 0, 8)),
+    "vertex-past-d": (GhzDiagonalState.vertex, (2, 4)),
+}
+
+
+@pytest.mark.parametrize("call, args", BAD_INDICES.values(), ids=BAD_INDICES.keys())
+def test_out_of_range_and_repeated_indices_are_refused(call, args):
+    with pytest.raises(InvalidArgumentError):
+        call(*args)
+
+
+BAD_QUBIT_COUNTS = {
+    "vertex-count-40": (vertex_count, ("FBI", 40), UnsupportedSizeError),
+    "vertex-count-0": (vertex_count, ("FBI", 0), InvalidArgumentError),
+    "facet-count-0": (facet_count, ("FBI", 0), InvalidArgumentError),
+    "facet-count-str": (facet_count, ("FBI", "3"), InvalidArgumentError),
+    "selections-negative": (iter_selections, (-1,), InvalidArgumentError),
+    "uniform-str": (GhzDiagonalState.uniform, ("3",), InvalidArgumentError),
+    "uniform-negative": (GhzDiagonalState.uniform, (-1,), InvalidArgumentError),
+    "simplex-height-0": (simplex_height, (0,), InvalidArgumentError),
+    "dist-mermin-str": (dist_mermin_to_fbi, ("3",), InvalidArgumentError),
+}
+
+
+@pytest.mark.parametrize("call, args, error", BAD_QUBIT_COUNTS.values(), ids=BAD_QUBIT_COUNTS.keys())
+def test_count_and_size_helpers_check_the_qubit_count(call, args, error):
+    with pytest.raises(error):
+        call(*args)
 
 
 def test_selections_valid():
@@ -124,7 +157,7 @@ def test_fbi_cube_vertices_past_the_first_block_match_cube_vertex():
     # n = 9: 256 rows to a block, so the cube's second block sets a high bit
     # of the selection, and a stop inside it cuts that block short
     n, d = 9, 512
-    rows = [s.p for s in itertools.islice(iter_extreme_points_fbi(n), 700)]
+    rows = [s.p for s in iter_extreme_points("FBI", n, stop=700)]
     cube = [cube_vertex(n, sigma).p for sigma in itertools.islice(iter_selections(n), 700 - d // 2)]
     assert [p.tobytes() for p in rows[d // 2:]] == [p.tobytes() for p in cube]
     blocks = list(polytopes.vertex_blocks_fbi(n, stop=700))
@@ -191,24 +224,19 @@ def test_family_dispatch_is_the_family_enumerator_up_to_its_list_cap(family, kin
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_library_rows_are_the_block_rows(n):
-    for family, listing in (
-        ("GHZ", iter_facets_ghz),
-        ("BISEP", iter_facets_bisep),
-        ("FBI", iter_facets_fbi),
-    ):
-        facets = list(listing(n))
+    for family in FAMILIES:
+        facets = iter_facets(family, n)
+        assert iter(facets) is facets  # an iterator, not a list
+        facets = list(facets)
         blocks = list(BLOCKS[family, "facets"](n))
         assert all(isinstance(b, FacetBlock) for b in blocks)
         assert [f.label for f in facets] == [label for b in blocks for label in b.labels]
         assert [f.offset for f in facets] == [o for b in blocks for o in b.offsets.tolist()]
         assert np.array([f.coeffs for f in facets]).tobytes() == np.concatenate([b.coeffs for b in blocks]).tobytes()
         assert all(f.family == family for f in facets)
-    for family, listing in (
-        ("GHZ", extreme_points_ghz),
-        ("BISEP", iter_extreme_points_bisep),
-        ("FBI", iter_extreme_points_fbi),
-    ):
-        rows = np.array([s.p for s in listing(n)])
+        vertices = iter_extreme_points(family, n)
+        assert iter(vertices) is vertices
+        rows = np.array([s.p for s in vertices])
         assert rows.tobytes() == np.concatenate(list(BLOCKS[family, "vertices"](n))).tobytes()
 
 
@@ -218,9 +246,9 @@ def test_library_rows_are_the_block_rows(n):
 def test_facet_counts():
     for n in (2, 3, 4):
         d = 2**n
-        assert len(facets_ghz(n)) == d == facet_count("GHZ", n)
-        assert len(facets_bisep(n)) == 2 * d == facet_count("BISEP", n)
-        assert len(facets_fbi(n)) == d * d // 2 == facet_count("FBI", n)
+        assert len(list(iter_facets("GHZ", n))) == d == facet_count("GHZ", n)
+        assert len(list(iter_facets("BISEP", n))) == 2 * d == facet_count("BISEP", n)
+        assert len(list(iter_facets("FBI", n))) == d * d // 2 == facet_count("FBI", n)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -228,7 +256,7 @@ def test_fbi_facet_rows_match_unit_vector_oracle(n):
     d = 2**n
     eye = np.eye(d)
     bits = [format(k, f"0{n}b") for k in range(d)]
-    facets = iter_facets_fbi(n)
+    facets = iter_facets("FBI", n)
     for i in range(d // 2):
         for j in range(d):
             f = next(facets)
@@ -245,10 +273,10 @@ def test_ghz_and_bisep_facet_iterators_match_unit_vectors(n):
     d = 2**n
     eye = np.eye(d)
     bits = [format(k, f"0{n}b") for k in range(d)]
-    ghz = list(iter_facets_ghz(n))
+    ghz = list(iter_facets("GHZ", n))
     assert [f.label for f in ghz] == [f"p_{b}>=0" for b in bits]
     assert all(f.coeffs.tobytes() == eye[i].tobytes() and f.offset == 0.0 for i, f in enumerate(ghz))
-    bisep = list(iter_facets_bisep(n))
+    bisep = list(iter_facets("BISEP", n))
     assert [f.label for f in bisep] == [f"p_{b}<=1/2" for b in bits] + [f"p_{b}>=0" for b in bits]
     rows = np.concatenate([0.0 - eye, eye])  # +0.0 off the diagonal, as the FBI rows
     assert all(f.coeffs.tobytes() == row.tobytes() for f, row in zip(bisep, rows))
@@ -259,7 +287,7 @@ def test_ghz_and_bisep_facet_iterators_match_unit_vectors(n):
 def test_bisep_facet_rows_match_unit_vector_oracle(n):
     d = 2**n
     bits = [format(k, f"0{n}b") for k in range(d)]
-    facets = iter_facets_bisep(n)
+    facets = iter_facets("BISEP", n)
     for sign, relation, offset in ((-1.0, "<=1/2", -0.5), (1.0, ">=0", 0.0)):
         for i in range(d):
             f = next(facets)
@@ -273,31 +301,31 @@ def test_bisep_facet_rows_match_unit_vector_oracle(n):
 
 def test_bisep_vertices_satisfy_facets():
     for n in (2, 3):
-        facets = facets_bisep(n)
-        for v in extreme_points_bisep(n):
+        facets = list(iter_facets("BISEP", n))
+        for v in iter_extreme_points("BISEP", n):
             assert all(f.satisfies(v) for f in facets)
 
 
 def test_bisep_vertex_on_exactly_d_facets():
     for n in (2, 3):
         d = 2**n
-        facets = facets_bisep(n)
-        for v in extreme_points_bisep(n):
+        facets = list(iter_facets("BISEP", n))
+        for v in iter_extreme_points("BISEP", n):
             assert sum(f.saturates(v) for f in facets) == d
 
 
 def test_uniform_strictly_interior():
     for n in (2, 3):
         u = GhzDiagonalState.uniform(n)
-        for f in facets_ghz(n) + facets_bisep(n) + facets_fbi(n):
-            assert f.value(u) > 1e-6
+        for family in FAMILIES:
+            assert all(f.value(u) > 1e-6 for f in iter_facets(family, n))
 
 
 def test_fbi_vertices_satisfy_facets_with_spanning_saturation():
     for n in (2, 3):
         d = 2**n
-        facets = facets_fbi(n)
-        for v in extreme_points_fbi(n):
+        facets = list(iter_facets("FBI", n))
+        for v in iter_extreme_points("FBI", n):
             sat = [f for f in facets if f.saturates(v)]
             assert all(f.satisfies(v) for f in facets)
             rows = np.vstack([f.coeffs for f in sat] + [np.ones(d)])
@@ -306,7 +334,7 @@ def test_fbi_vertices_satisfy_facets_with_spanning_saturation():
 
 def test_fbi_facets_equal_membership_test():
     rng = np.random.default_rng(42)
-    facets = facets_fbi(3)
+    facets = list(iter_facets("FBI", 3))
     for _ in range(10_000):
         s = GhzDiagonalState(3, rng.dirichlet(np.ones(8)))
         violates_facet = any(not f.satisfies(s) for f in facets)
@@ -317,8 +345,8 @@ def test_fbi_facets_equal_membership_test():
 def test_hull_points_pass_membership():
     rng = np.random.default_rng(43)
     for n in (2, 3):
-        bisep_v = np.array([s.p for s in extreme_points_bisep(n)])
-        fbi_v = np.array([s.p for s in extreme_points_fbi(n)])
+        bisep_v = np.array([s.p for s in iter_extreme_points("BISEP", n)])
+        fbi_v = np.array([s.p for s in iter_extreme_points("FBI", n)])
         for _ in range(200):
             w = rng.dirichlet(np.ones(len(bisep_v)))
             assert is_biseparable(GhzDiagonalState(n, w @ bisep_v))[0]
@@ -362,7 +390,7 @@ def test_hs_distance_matches_frobenius():
 
 def test_vertices_pairwise_distance_sqrt2():
     for n in (1, 2, 3):
-        vs = extreme_points_ghz(n)
+        vs = list(iter_extreme_points("GHZ", n))
         for i in range(len(vs)):
             for j in range(i + 1, len(vs)):
                 assert hs_distance(vs[i], vs[j]) == pytest.approx(np.sqrt(2))
@@ -370,21 +398,21 @@ def test_vertices_pairwise_distance_sqrt2():
 
 def test_facet_distance_examples():
     u = GhzDiagonalState.uniform(2)
-    f = facets_ghz(2)[0]
+    f = next(iter_facets("GHZ", 2))
     assert facet_distance(u, f) == pytest.approx(0.25 * np.sqrt(4 / 3))
     # symmetric for all indices
-    dists = [facet_distance(u, f) for f in facets_ghz(2)]
+    dists = [facet_distance(u, f) for f in iter_facets("GHZ", 2)]
     np.testing.assert_allclose(dists, dists[0])
     # point on the facet
     v = GhzDiagonalState(2, np.array([0.0, 0.5, 0.25, 0.25]))
-    assert facet_distance(v, facets_ghz(2)[0]) == pytest.approx(0.0, abs=1e-12)
+    assert facet_distance(v, next(iter_facets("GHZ", 2))) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_facet_distance_against_projection_oracle():
     rng = np.random.default_rng(45)
     for n in (2, 3):
         d = 2**n
-        facets = facets_ghz(n) + facets_bisep(n) + facets_fbi(n)
+        facets = [f for family in FAMILIES for f in iter_facets(family, n)]
         for _ in range(50):
             p = rng.dirichlet(np.ones(d))
             s = GhzDiagonalState(n, p)
@@ -429,8 +457,8 @@ def test_fbi_triangle_side_length():
 
 
 def test_b2_equals_f2():
-    b = {tuple(np.round(s.p, 12)) for s in extreme_points_bisep(2)}
-    f = {tuple(np.round(s.p, 12)) for s in extreme_points_fbi(2)}
+    b = {tuple(np.round(s.p, 12)) for s in iter_extreme_points("BISEP", 2)}
+    f = {tuple(np.round(s.p, 12)) for s in iter_extreme_points("FBI", 2)}
     assert b == f
 
 

@@ -33,6 +33,13 @@ def test_readme_states_every_size_cap_of_the_indices_table():
     assert stated == table
 
 
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"```python\n(.*?)```", README, re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
 def readme_commands():
     blocks = re.findall(r"```sh\n(.*?)```", README, re.S)
     return [shlex.split(line)[1:] for block in blocks for line in block.splitlines()

@@ -16,7 +16,7 @@ from ghzpolytope import _mc_kernel_py, volume
 from ghzpolytope.errors import InvalidArgumentError, UnsupportedSizeError
 from ghzpolytope.indices import MC_MAX_SAMPLES, MC_MAX_THREADS
 from ghzpolytope.mermin import mermin_hyperplane_points, mermin_threshold
-from ghzpolytope.polytopes import extreme_points_bisep, extreme_points_fbi
+from ghzpolytope.polytopes import iter_extreme_points
 from ghzpolytope.volume import (
     _BLOCK_BYTES,
     BISEP_MINUS_FBI,
@@ -28,7 +28,6 @@ from ghzpolytope.volume import (
     RVR_LIMITS,
     hull_volume,
     mc_relative_volume,
-    mc_relative_volumes,
     mc_relative_volumes_by_n,
     rel_vol_exact,
     rvr,
@@ -310,8 +309,8 @@ def test_count_hits_ties_on_region_boundaries(n):
     # exact ties: the biseparable vertices (max p = 1/2) are not genuine, the
     # FBI vertices (maxdiff = minsum) are FBI, the Mermin hyperplane points
     # (gap = nu) do not violate
-    bisep = np.array([s.p for s in extreme_points_bisep(n)])
-    fbi = np.array([s.p for s in extreme_points_fbi(n)])
+    bisep = np.array([s.p for s in iter_extreme_points("BISEP", n)])
+    fbi = np.array([s.p for s in iter_extreme_points("FBI", n)])
     mermin = np.array([s.p for s in mermin_hyperplane_points(n)])
     nu = mermin_threshold(n)
     for kernel in [_mc_kernel_py] + ([_mc_kernel] if HAVE_EXTENSION else []):
@@ -351,8 +350,8 @@ def test_pair_folds_equal_rowwise_reductions(n):
     p = sample_simplex(_philox(n), 5000, d)
     rows = [p, p * p / (p * p).sum(axis=1, keepdims=True)]
     if n <= 4:
-        rows += [np.array([s.p for s in extreme_points_bisep(n)])]
-        rows += [np.array([s.p for s in extreme_points_fbi(n)])]
+        rows += [np.array([s.p for s in iter_extreme_points("BISEP", n)])]
+        rows += [np.array([s.p for s in iter_extreme_points("FBI", n)])]
     for r in rows:
         lo, hi = r[:, : d // 2], r[:, ::-1][:, : d // 2]
         maxdiff, minsum = _mc_kernel_py.pair_reductions(r)
@@ -410,9 +409,9 @@ def test_mc_caps_refuse_before_any_stream_or_thread(kwargs, monkeypatch):
 
     monkeypatch.setattr(np.random, "SeedSequence", fail)
     monkeypatch.setattr(volume, "ThreadPoolExecutor", fail)
-    args = dict(families=(FBI,), n=3, samples=20_000, seed=1) | kwargs
+    args = dict(families=(FBI,), ns=(3,), samples=20_000, seed=1) | kwargs
     with pytest.raises(UnsupportedSizeError, match="exceeds the cap"):
-        mc_relative_volumes(**args)
+        mc_relative_volumes_by_n(**args)
 
 
 def test_mc_pool_has_at_most_one_thread_per_chunk(monkeypatch):
@@ -487,8 +486,8 @@ def test_c_count_hits_equals_numpy_on_ties(n):
     # the B_n and F_n vertices and the Mermin hyperplane points sit exactly
     # on the region boundaries, where a <, <= or > swap changes the count
     rows = [
-        np.array([s.p for s in extreme_points_bisep(n)]),
-        np.array([s.p for s in extreme_points_fbi(n)]),
+        np.array([s.p for s in iter_extreme_points("BISEP", n)]),
+        np.array([s.p for s in iter_extreme_points("FBI", n)]),
         np.array([s.p for s in mermin_hyperplane_points(n)]),
     ]
     nu = mermin_threshold(n)
@@ -560,7 +559,8 @@ def test_mc_relative_volumes_equal_per_family_calls(n, families, monkeypatch):
         kwargs = dict(seed=60 + n, kernel=kernel)
         single = tuple(mc_relative_volume(f, n, samples, threads=1, **kwargs) for f in families)
         for threads in (1, 2):
-            assert mc_relative_volumes(families, n, samples, threads=threads, **kwargs) == single
+            by_n = mc_relative_volumes_by_n(families, (n,), samples, threads=threads, **kwargs)
+            assert by_n[n] == single
         hits[kernel] = [round(r.mc_estimate * samples) for r in single]
     assert hits[None] == hits[_mc_kernel_py]
 
@@ -570,8 +570,8 @@ def test_trisection_hits_partition_the_samples(n, monkeypatch):
     monkeypatch.setattr(volume, "DEFAULT_CHUNK", 1 << 13)
     samples = 30_000
     for kernel in (None, _mc_kernel_py):
-        reports = mc_relative_volumes((GENUINE, BISEP_MINUS_FBI, FBI), n, samples, seed=n,
-                                      kernel=kernel)
+        reports = mc_relative_volumes_by_n((GENUINE, BISEP_MINUS_FBI, FBI), (n,), samples, seed=n,
+                                           kernel=kernel)[n]
         assert sum(round(r.mc_estimate * samples) for r in reports) == samples
 
 
@@ -658,14 +658,14 @@ def test_chunk_counts_equal_numpy_counts_avx512(d):
     "kwargs",
     [dict(seed=-1), dict(threads=0), dict(threads=-2), dict(families=()), dict(samples=20_000.0),
      dict(seed=1.5), dict(seed=None), dict(threads=1.5), dict(seed=True), dict(threads=True),
-     dict(samples=np.True_), dict(n=True)],
+     dict(samples=np.True_), dict(ns=(True,))],
     ids=["seed", "threads0", "threads-2", "no-family", "samples-float", "seed-float", "seed-none",
          "threads-float", "seed-bool", "threads-bool", "samples-numpy-bool", "n-bool"],
 )
 def test_mc_relative_volumes_rejects_bad_arguments(kwargs):
-    args = dict(families=(FBI,), n=3, samples=20_000, seed=1) | kwargs
+    args = dict(families=(FBI,), ns=(3,), samples=20_000, seed=1) | kwargs
     with pytest.raises(InvalidArgumentError):
-        mc_relative_volumes(**args)
+        mc_relative_volumes_by_n(**args)
 
 
 def test_numpy_integers_count_as_ints():
@@ -703,7 +703,8 @@ def test_mc_relative_volumes_by_n_equal_per_n_calls(ns, backend, monkeypatch):
     monkeypatch.setattr(volume, "DEFAULT_CHUNK", chunk)
     samples = 2 * chunk + 5000
     seed = 70 + len(ns)
-    single = {n: mc_relative_volumes(MC_FAMILIES, n, samples, seed, kernel=kernel) for n in ns}
+    single = {n: mc_relative_volumes_by_n(MC_FAMILIES, (n,), samples, seed, kernel=kernel)[n]
+              for n in ns}
     for threads in (1, 2):
         by_n = mc_relative_volumes_by_n(MC_FAMILIES, ns, samples, seed, threads, kernel)
         assert list(by_n) == list(ns)
