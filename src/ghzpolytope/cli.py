@@ -5,9 +5,10 @@ defaulted seed and tolerances) in the output header, emits JSON by
 default (CSV for `report`), and uses exit status 0 on success, 2 on
 invalid input, 3 on unsupported sizes and 130 when interrupted (Ctrl-C).
 
-`extremes` and `facets` write their rows a block at a time, after every
-check has passed, so an interrupted listing, or one whose reader closes
-early, leaves truncated output and exits 130 or 2.
+`extremes` and `facets` write their rows a block at a time, from each
+block's nonzero entries, after every check has passed, so an interrupted
+listing, or one whose reader closes early, leaves truncated output and
+exits 130 or 2.
 """
 
 from __future__ import annotations
@@ -118,73 +119,72 @@ def _json_text(obj, pad: str = "\n") -> str:
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# the bytes json writes as they are inside a string
+_JSON_PLAIN = bytes(c for c in range(32, 127) if chr(c) not in '"\\')
 
 
-def _number_texts(values: np.ndarray, before: str = "", after: str = "") -> np.ndarray:
-    """json's text of each float64 value, between ``before`` and ``after``, as
-    an object array: one ``repr`` per distinct bit pattern, so -0.0 keeps its sign."""
+def _number_texts(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """json's text of each distinct float64 bit pattern in ``values`` (so
+    -0.0 is one of its own), and the index of each value's text."""
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
-    distinct = np.unique(bits)
-    texts = [before + _JSON_NONFINITE.get(text, text) + after
-             for text in map(repr, distinct.view(np.float64).tolist())]
-    return np.array(texts, dtype=object)[np.searchsorted(distinct, bits)]
+    distinct = np.sort(bits)
+    distinct = distinct[np.diff(distinct, prepend=~distinct[:1]) != 0]  # the first of each
+    texts = [_JSON_NONFINITE.get(text, text) for text in map(repr, distinct.view(np.float64).tolist())]
+    return texts, np.searchsorted(distinct, bits)
 
 
-def _row_pieces(block: np.ndarray, head: str, sep: str, close: str, tails) -> list[str]:
-    """Strings whose concatenation is, for each row of a 2-D float64 block,
-    ``head``, json's text of its numbers joined by ``sep``, ``close`` and its
-    entry of ``tails`` (one str for every row, or one per row).
+def _row_pieces(block: polytopes.SparseRows, head: str, sep: str, close: str, *tails) -> list[str]:
+    """Strings whose concatenation is, for each row of ``block``, ``head``,
+    json's text of its d numbers joined by ``sep``, ``close`` and the row's
+    entry of each of ``tails`` (sequences of one str per row).
 
-    Only the entries that are not +0.0 (by bit pattern, so -0.0 is one) are
-    written one by one. Each run of +0.0 before one of them or before a
-    row's end is one piece, with the text around it, built once per run
-    length that occurs: a row costs its nonzero entries, not its width.
+    Each entry is one piece: the run of +0.0 before it, then its number. So
+    is each row's end: the run after its last entry, then ``close``. A
+    piece's text is built once per distinct (row start, run length, value)
+    that occurs, so a row costs its entries, not its width.
     """
-    m, d = block.shape
-    flat = np.ascontiguousarray(block, dtype=np.float64).reshape(-1)
-    marks = np.ones((m, d + 1), dtype=bool)  # column d: each row's end
-    marks[:, :d] = flat.view(np.uint64).reshape(m, d) != 0
-    event = np.flatnonzero(marks)
-    row, col = np.divmod(event, d + 1)
-    starts = np.ones(event.size, dtype=bool)  # the first event of its row
-    starts[1:] = row[1:] != row[:-1]
-    past = np.zeros(event.size, dtype=np.intp)  # past the row's previous event
-    past[1:] = col[:-1] + 1
-    past[starts] = 0
-    ends = col == d
-    # each run by kind (2 if it starts a row, plus 1 if it ends one) and length
-    codes = (2 * starts + ends) * (d + 1) + col - past
-    distinct = np.unique(codes)
-    runs = []
-    for code in distinct.tolist():
-        kind, zeros = divmod(code, d + 1)
-        text = (head if kind & 2 else sep) + ("0.0" + sep) * zeros
-        runs.append(text[: len(text) - len(sep)] + close if kind & 1 else text)
-    pieces = np.empty(2 * event.size, dtype=object)
-    pieces[0::2] = np.array(runs, dtype=object)[np.searchsorted(distinct, codes)]
-    after = pieces[1::2]  # the number after each run, or the row's tail
-    after[~ends] = _number_texts(flat[(event - row)[~ends]])
-    after[ends] = tails
+    m, d, e = block.size, block.d, block.rows.size
+    numbers, which = _number_texts(block.values)
+    at = np.cumsum(np.bincount(block.rows, minlength=m))  # past each row's entries
+    entry, end = np.arange(e) + block.rows, at + np.arange(m)  # events, a row's end after its entries
+    rows, cols, value = np.empty((3, e + m), dtype=np.intp)
+    rows[entry], cols[entry], value[entry] = block.rows, block.cols, which
+    rows[end], cols[end], value[end] = np.arange(m), d, len(numbers)  # an end is at column d
+    zeros = cols - np.append(0, (cols[:-1] + 1) % (d + 1))  # the run of +0.0 before each event
+    seen = np.bincount(zeros) > 0  # the run lengths that occur, so codes stay few
+    runs = np.flatnonzero(seen).tolist()
+    codes = (value * 2 + (zeros == cols)) * len(runs) + (np.cumsum(seen) - 1)[zeros]  # zeros == cols: row start
+    texts = np.empty(codes.max(initial=0) + 1, dtype=object)
+    for code in np.flatnonzero(np.bincount(codes)).tolist():
+        number, start, run = code // (2 * len(runs)), code // len(runs) % 2, runs[code % len(runs)]
+        text = (head if start else sep) + ("0.0" + sep) * run
+        texts[code] = text + numbers[number] if number < len(numbers) else text[: len(text) - len(sep)] + close
+    pieces = np.empty(e + (1 + len(tails)) * m, dtype=object)
+    pieces[np.arange(e + m) + len(tails) * rows] = texts[codes]
+    for k, tail in enumerate(tails, 1):
+        pieces[at + np.arange(m) * (1 + len(tails)) + k] = tail
     return pieces.tolist()
 
 
-def _vertex_rows(block: np.ndarray, inner: str) -> list[str]:
+def _vertex_rows(block: polytopes.SparseRows, inner: str) -> list[str]:
     """json's text of the vertex rows of ``block`` at indent ``inner``, their d
     coordinates, as pieces; each row is led by ``","`` and ``inner``."""
     keys = inner + "  "
-    return _row_pieces(block, "," + inner + "[" + keys, "," + keys, inner + "]", "")
+    return _row_pieces(block, "," + inner + "[" + keys, "," + keys, inner + "]")
 
 
 def _facet_rows(block: polytopes.FacetBlock, inner: str) -> list[str]:
     """json's text of the facets of ``block`` at indent ``inner``,
     ``coeffs``/``label``/``offset`` objects, as pieces; each is led by
-    ``","`` and ``inner``."""
+    ``","`` and ``inner``. A label is one piece, within its neighbours' quotes."""
     keys = inner + "  "
-    offsets = _number_texts(block.offsets, f',{keys}"offset": ', inner + "}").tolist()
-    tails = [encode_basestring_ascii(label) + offset
-             for label, offset in zip(block.labels, offsets)]
-    return _row_pieces(block.coeffs, f',{inner}{{{keys}"coeffs": [{keys}  ',
-                       "," + keys + "  ", f'{keys}],{keys}"label": ', tails)
+    labels = block.labels
+    if "".join(labels).encode().translate(None, _JSON_PLAIN):  # not all plain
+        labels = [encode_basestring_ascii(label)[1:-1] for label in labels]
+    numbers, which = _number_texts(block.offsets)
+    offsets = np.array([f'",{keys}"offset": {text}{inner}}}' for text in numbers], dtype=object)
+    return _row_pieces(block.coeffs, f',{inner}{{{keys}"coeffs": [{keys}  ', "," + keys + "  ",
+                       f'{keys}],{keys}"label": "', labels, offsets[which])
 
 
 # each listing command's payload key, block enumerator and row count
@@ -198,8 +198,8 @@ def _emit_json(payload: dict, out) -> None:
     """Write ``json.dumps(payload, indent=2, sort_keys=True)`` and a newline to
     ``out``, for a non-empty payload.
 
-    An iterator value is a listing of vertex blocks (arrays) or facet blocks
-    (``FacetBlock``), written as it is consumed: each block's pieces in one
+    An iterator value is a listing of vertex blocks (``SparseRows``) or facet
+    blocks (``FacetBlock``), written as it is consumed: each block's pieces in one
     join and one write, with the text held since the last write in front.
     """
     text, sep, pad, inner = "", "{", "\n  ", "\n    "

@@ -86,6 +86,7 @@ def cube_vertex_decomposition(n: int, sigma, bipartition: Bipartition) -> Separa
     there since sigma holds exactly one index of each flip pair).
     """
     n = check_qubit_count(n)
+    sigma = list(sigma)  # read twice, so a one-pass iterator works too
     state = cube_vertex(n, sigma)  # validates sigma
     members = sorted(set(sigma))
     d = dimension(n)

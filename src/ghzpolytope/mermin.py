@@ -118,4 +118,4 @@ def dist_mermin_to_fbi(n: int) -> float:
     nu = mermin_threshold(n)  # checks n
     if n < 3:
         raise InvalidArgumentError("defined for n >= 3")
-    return float((nu - 2.0 / dimension(n)) / np.sqrt(2.0))
+    return float((nu - math.ldexp(1.0, 1 - n)) / np.sqrt(2.0))  # 2/d, also past 2^1023

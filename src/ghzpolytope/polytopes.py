@@ -4,7 +4,9 @@
 ``BISEP`` the biseparable polytope (half-scale hypersimplex) and ``FBI``
 the fully-biseparable polytope (hull of a simplex and a cube).  Everything
 here works in p-coordinates; the normalization sum(p) = 1 is treated as an
-ambient constraint, not a facet.
+ambient constraint, not a facet. The block enumerators give each block of
+rows as its nonzero entries (:class:`SparseRows`); ``iter_facets`` and
+``iter_extreme_points`` densify one block at a time.
 """
 
 from __future__ import annotations
@@ -60,9 +62,28 @@ class Ball:
     radius: float
 
 
-# A block holds at most this many bytes of float64 rows (one row if a row
-# alone is larger), so a listing keeps one block in memory however large d is
+# A densified block holds at most this many bytes (one row if a row alone is
+# larger), so a listing keeps one block in memory however large d is
 _BLOCK_BYTES = 1 << 20
+
+
+class SparseRows(NamedTuple):
+    """``size`` consecutive rows of width ``d``, +0.0 but for their entries:
+    ``values[k]`` in row ``rows[k]`` (0 is the block's first) and column
+    ``cols[k]``. Entries run in strictly increasing (row, column) order and
+    leave out +0.0 only, so a -0.0 is kept."""
+
+    size: int
+    d: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+    def dense(self) -> np.ndarray:
+        """The (size, d) float64 block."""
+        block = np.zeros((self.size, self.d))
+        block[self.rows, self.cols] = self.values
+        return block
 
 
 class FacetBlock(NamedTuple):
@@ -70,7 +91,7 @@ class FacetBlock(NamedTuple):
 
     labels: list[str]
     offsets: np.ndarray
-    coeffs: np.ndarray
+    coeffs: SparseRows
 
 
 def _row_ranges(total: int, d: int, stop: int | None) -> Iterator[tuple[int, int]]:
@@ -95,17 +116,24 @@ def _labels(n: int, *parts) -> list[str]:
         else (part[:, None] >> shifts & 1).astype(np.uint8) + ord("0")
         for part in parts
     ]
-    chars = np.ascontiguousarray(np.hstack(columns))
-    return chars.view(f"S{chars.shape[1]}").ravel().astype(str).tolist()
+    # a newline ends each label, so one decode and one split make the list
+    chars = np.hstack(columns + [np.full((m, 1), ord("\n"), np.uint8)])
+    return chars.tobytes().decode("ascii").split("\n")[:m]
 
 
-def _rows_with(d: int, m: int, value: float, *columns: np.ndarray) -> np.ndarray:
-    """An (m, d) block of +0.0 with ``value`` at ``columns[c][r]`` in row r."""
-    rows = np.zeros((m, d))
-    r = np.arange(m)
-    for column in columns:
-        rows[r, column] = value
-    return rows
+def _sparse(d: int, cols: np.ndarray, values) -> SparseRows:
+    """The rows of width d whose row r sums ``values[t]`` (or the scalar
+    ``values``) at column ``cols[r, t]`` over t, in t order."""
+    m, k = cols.shape
+    order = np.argsort(cols, axis=1, kind="stable")
+    values = np.broadcast_to(np.asarray(values, dtype=float), (k,))[order].ravel()
+    rows = np.arange(m).repeat(k)
+    key = rows * d + cols.ravel()[(order + k * np.arange(m)[:, None]).ravel()]
+    starts = np.flatnonzero(np.append(True, key[1:] != key[:-1]))  # a new (row, column)
+    sums = np.add.reduceat(values, starts)
+    nonzero = sums.view(np.uint64) != 0  # +0.0 is left out, -0.0 is not
+    keep = starts[nonzero]
+    return SparseRows(m, d, rows[keep], key[keep] % d, sums[nonzero])
 
 
 def facet_blocks_ghz(n: int, stop: int | None = None) -> Iterator[FacetBlock]:
@@ -114,8 +142,7 @@ def facet_blocks_ghz(n: int, stop: int | None = None) -> Iterator[FacetBlock]:
     d = dimension(n)
     for start, end in _row_ranges(d, d, stop):
         i = np.arange(start, end)
-        labels = _labels(n, "p_", i, ">=0")
-        yield FacetBlock(labels, np.zeros(end - start), _rows_with(d, end - start, 1.0, i))
+        yield FacetBlock(_labels(n, "p_", i, ">=0"), np.zeros(end - start), _sparse(d, i[:, None], 1.0))
 
 
 def facet_blocks_bisep(n: int, stop: int | None = None) -> Iterator[FacetBlock]:
@@ -126,11 +153,8 @@ def facet_blocks_bisep(n: int, stop: int | None = None) -> Iterator[FacetBlock]:
         half_stop = None if stop is None else max(0, stop - half * d)
         for start, end in _row_ranges(d, d, half_stop):
             i = np.arange(start, end)
-            yield FacetBlock(
-                _labels(n, "p_", i, relation),
-                np.full(end - start, offset),
-                _rows_with(d, end - start, sign, i),
-            )
+            yield FacetBlock(_labels(n, "p_", i, relation), np.full(end - start, offset),
+                             _sparse(d, i[:, None], sign))
 
 
 def facet_blocks_fbi(n: int, stop: int | None = None) -> Iterator[FacetBlock]:
@@ -144,25 +168,20 @@ def facet_blocks_fbi(n: int, stop: int | None = None) -> Iterator[FacetBlock]:
     for start, end in _row_ranges(d * d // 2, d, stop):
         k = np.arange(start, end)
         i, j = k // d, k % d
-        coeffs = np.zeros((end - start, d))
-        r = np.arange(end - start)
-        coeffs[r, i] += 1.0
-        coeffs[r, d - 1 - i] += 1.0
-        coeffs[r, j] -= 1.0
-        coeffs[r, d - 1 - j] += 1.0
+        coeffs = _sparse(d, np.stack([i, d - 1 - i, j, d - 1 - j], 1), [1.0, 1.0, -1.0, 1.0])
         labels = _labels(n, "p_", i, "+p_", d - 1 - i, ">=p_", j, "-p_", d - 1 - j)
         yield FacetBlock(labels, np.zeros(end - start), coeffs)
 
 
-def vertex_blocks_ghz(n: int, stop: int | None = None) -> Iterator[np.ndarray]:
+def vertex_blocks_ghz(n: int, stop: int | None = None) -> Iterator[SparseRows]:
     """The d pure GHZ projectors, unit rows, in blocks."""
     n = check_qubit_count(n)
     d = dimension(n)
     for start, end in _row_ranges(d, d, stop):
-        yield _rows_with(d, end - start, 1.0, np.arange(start, end))
+        yield _sparse(d, np.arange(start, end)[:, None], 1.0)
 
 
-def vertex_blocks_bisep(n: int, stop: int | None = None) -> Iterator[np.ndarray]:
+def vertex_blocks_bisep(n: int, stop: int | None = None) -> Iterator[SparseRows]:
     """The d(d-1)/2 edge midpoints, lexicographic pair order, in blocks."""
     n = check_qubit_count(n)
     d = dimension(n)
@@ -171,10 +190,10 @@ def vertex_blocks_bisep(n: int, stop: int | None = None) -> Iterator[np.ndarray]
     for start, end in _row_ranges(d * (d - 1) // 2, d, stop):
         k = np.arange(start, end)
         i = np.searchsorted(first, k, side="right") - 1
-        yield _rows_with(d, end - start, 0.5, i, k - first[i] + i + 1)
+        yield _sparse(d, np.stack([i, k - first[i] + i + 1], 1), 0.5)
 
 
-def vertex_blocks_fbi(n: int, stop: int | None = None) -> Iterator[np.ndarray]:
+def vertex_blocks_fbi(n: int, stop: int | None = None) -> Iterator[SparseRows]:
     """The d/2 diagonal midpoints, then the 2^(d/2) cube vertices, in blocks.
 
     Cube vertex s takes index ~i from pair i where bit i of s is set, and i
@@ -186,7 +205,7 @@ def vertex_blocks_fbi(n: int, stop: int | None = None) -> Iterator[np.ndarray]:
     pair = np.arange(half)
     for start, end in _row_ranges(half, d, stop):
         i = np.arange(start, end)
-        yield _rows_with(d, end - start, 0.5, i, d - 1 - i)
+        yield _sparse(d, np.stack([i, d - 1 - i], 1), 0.5)
     cube_stop = None if stop is None else max(0, stop - half)
     for start, end in _row_ranges(1 << half, d, cube_stop):
         # start is a multiple of the block size 2^low, so the low bits of s
@@ -196,9 +215,7 @@ def vertex_blocks_fbi(n: int, stop: int | None = None) -> Iterator[np.ndarray]:
         bits = np.empty((end - start, half), dtype=bool)
         bits[:, :low] = np.arange(end - start)[:, None] >> np.arange(low) & 1
         bits[:, low:] = np.unpackbits(np.frombuffer(high, np.uint8), bitorder="little")[: half - low]
-        rows = np.zeros((end - start, d))
-        rows[np.arange(end - start)[:, None], np.where(bits, d - 1 - pair, pair)] = 2.0 / d
-        yield rows
+        yield _sparse(d, np.where(bits, d - 1 - pair, pair), 2.0 / d)
 
 
 # The block enumerator of each family's facets and vertices, and the largest
@@ -230,7 +247,7 @@ def facet_blocks(family: str, n: int, stop: int | None = None) -> Iterator[Facet
     return _blocks("facets", family, n, stop)
 
 
-def vertex_blocks(family: str, n: int, stop: int | None = None) -> Iterator[np.ndarray]:
+def vertex_blocks(family: str, n: int, stop: int | None = None) -> Iterator[SparseRows]:
     """``vertex_blocks_<family>(n, stop)``. Without ``stop`` it raises
     :class:`UnsupportedSizeError` past the family's full-list cap, before
     it builds any row."""
@@ -238,18 +255,18 @@ def vertex_blocks(family: str, n: int, stop: int | None = None) -> Iterator[np.n
 
 
 def iter_facets(family: str, n: int, stop: int | None = None) -> Iterator[Facet]:
-    """The rows of ``facet_blocks(family, n, stop)`` as ``Facet`` objects; without
-    ``stop`` it raises past the family's full-list cap, at the call."""
+    """The rows of ``facet_blocks(family, n, stop)`` as ``Facet`` objects, a block
+    densified at a time; without ``stop`` it raises past the list cap, at the call."""
     blocks = facet_blocks(family, n, stop)
     return (Facet(family, label, coeffs, offset) for block in blocks
-            for label, offset, coeffs in zip(block.labels, block.offsets.tolist(), block.coeffs))
+            for label, offset, coeffs in zip(block.labels, block.offsets.tolist(), block.coeffs.dense()))
 
 
 def iter_extreme_points(family: str, n: int, stop: int | None = None) -> Iterator[GhzDiagonalState]:
-    """The rows of ``vertex_blocks(family, n, stop)`` as states; without
-    ``stop`` it raises past the family's full-list cap, at the call."""
+    """The rows of ``vertex_blocks(family, n, stop)`` as states, a block densified
+    at a time; without ``stop`` it raises past the list cap, at the call."""
     blocks = vertex_blocks(family, n, stop)
-    return (GhzDiagonalState(n, p) for block in blocks for p in block)
+    return (GhzDiagonalState(n, p) for block in blocks for p in block.dense())
 
 
 # The uncapped F_n rows, kept because perfbench/spans.py patches these two by
@@ -367,8 +384,10 @@ def inscribed_ball(family: str, n: int) -> Ball:
 def min_center_facet_distance(family: str, n: int) -> float:
     """Minimum distance from the maximally mixed state to the family's facets.
 
-    Verification companion to :func:`inscribed_ball`.
+    Verification companion to :func:`inscribed_ball`; raises past ``DENSE_MAX_QUBITS``.
     """
+    if check_qubit_count(n) > DENSE_MAX_QUBITS:
+        raise UnsupportedSizeError(f"facet distances are streamed only up to n = {DENSE_MAX_QUBITS}")
     center = GhzDiagonalState.uniform(n)
     # a stop streams every facet, past the full-list cap
     facets = iter_facets(family, n, stop=facet_count(family, n))

@@ -449,10 +449,17 @@ def listing_rows(blocks):
     for block in blocks:
         if isinstance(block, polytopes.FacetBlock):
             rows += [{"coeffs": coeffs.tolist(), "label": label, "offset": offset}
-                     for coeffs, label, offset in zip(block.coeffs, block.labels, block.offsets.tolist())]
+                     for coeffs, label, offset in zip(block.coeffs.dense(), block.labels, block.offsets.tolist())]
         else:
-            rows += block.tolist()
+            rows += block.dense().tolist()
     return rows
+
+
+def entries(matrix):
+    """A float64 matrix as a listing block holds it: its entries that are not
+    +0.0 (the one all-zero bit pattern), in (row, column) order."""
+    rows, cols = np.nonzero(np.ascontiguousarray(matrix).view(np.uint64))
+    return polytopes.SparseRows(len(matrix), matrix.shape[1], rows, cols, matrix[rows, cols])
 
 
 def test_report_csv_carries_the_json_rows():
@@ -730,8 +737,8 @@ def sparse_matrices(draw):
 def test_listing_rows_are_json_text_of_tolist(split):
     matrix, cuts = split
     for row in matrix:
-        assert "".join(cli._vertex_rows(row[None], "\n")) == ",\n" + json.dumps(row.tolist(), indent=2)
-    assert "".join(cli._vertex_rows(matrix, "\n")) == "".join(
+        assert "".join(cli._vertex_rows(entries(row[None]), "\n")) == ",\n" + json.dumps(row.tolist(), indent=2)
+    assert "".join(cli._vertex_rows(entries(matrix), "\n")) == "".join(
         ",\n" + json.dumps(row.tolist(), indent=2) for row in matrix)
 
     def emitted(payload):
@@ -739,15 +746,16 @@ def test_listing_rows_are_json_text_of_tolist(split):
         cli._emit_json(payload, buf)
         return buf.getvalue()
 
-    vertices = iter(np.split(matrix, cuts))
+    vertices = map(entries, np.split(matrix, cuts))
     assert emitted({"v": vertices, "n": 3}) == json.dumps(
         {"v": matrix.tolist(), "n": 3}, indent=2, sort_keys=True) + "\n"
-    labels = [f"row {r}" for r in range(len(matrix))]
+    # one label needs json's escapes, so its block is escaped label by label
+    labels = [f"row {r}" if r else 'row "0"\t\\\u00fc' for r in range(len(matrix))]
     offsets = matrix[:, 0].copy()
 
     def facet_blocks():
         for part in np.split(np.arange(len(matrix)), cuts):
-            yield polytopes.FacetBlock([labels[r] for r in part], offsets[part], matrix[part])
+            yield polytopes.FacetBlock([labels[r] for r in part], offsets[part], entries(matrix[part]))
 
     facets = facet_blocks()
     oracle = [{"coeffs": row.tolist(), "label": label, "offset": offset}

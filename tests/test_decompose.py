@@ -86,6 +86,14 @@ def test_every_cube_vertex_decomposes_for_every_bipartition(n):
             assert sum(w for w, _, _ in cert.components) == pytest.approx(1.0)
 
 
+def test_cube_vertex_decomposition_takes_a_one_pass_selection():
+    bp = Bipartition(3, frozenset({1}))
+    expected = cube_vertex_decomposition(3, [0, 1, 3, 5], bp)
+    cert = cube_vertex_decomposition(3, iter([0, 1, 3, 5]), bp)
+    assert cert.to_json_dict() == expected.to_json_dict()
+    assert cert.state.p.tobytes() == expected.state.p.tobytes()
+
+
 def test_json_round_trip_fields():
     cert = cube_vertex_decomposition(
         3, (0b000, 0b001, 0b011, 0b101), Bipartition(3, frozenset({1}))

@@ -152,6 +152,15 @@ def test_dist_to_fbi_closed_form():
     assert dist_mermin_to_fbi(4) == pytest.approx((0.5 - 0.125) / np.sqrt(2))
 
 
+def test_dist_to_fbi_is_the_same_float_and_has_no_cap_on_n():
+    # 2/d as an exact power of two is the float 2.0 / d wherever d is one
+    for n in range(3, 1024):
+        assert dist_mermin_to_fbi(n) == float((mermin_threshold(n) - 2.0 / 2**n) / np.sqrt(2.0))
+    # d = 2^1100 has no float; 2/d underflows to 0.0
+    dist = dist_mermin_to_fbi(1100)
+    assert type(dist) is float and dist == pytest.approx(mermin_threshold(1100) / np.sqrt(2.0))
+
+
 def test_dist_to_fbi_vertex_and_hull_minimization():
     n = 3
     nu = mermin_threshold(n)

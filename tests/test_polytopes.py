@@ -13,6 +13,7 @@ from ghzpolytope.polytopes import (
     FAMILIES,
     Ball,
     FacetBlock,
+    SparseRows,
     cube_vertex,
     facet_count,
     facet_distance,
@@ -161,8 +162,8 @@ def test_fbi_cube_vertices_past_the_first_block_match_cube_vertex():
     cube = [cube_vertex(n, sigma).p for sigma in itertools.islice(iter_selections(n), 700 - d // 2)]
     assert [p.tobytes() for p in rows[d // 2:]] == [p.tobytes() for p in cube]
     blocks = list(polytopes.vertex_blocks_fbi(n, stop=700))
-    assert [len(b) for b in blocks] == [256, 256, 188]
-    assert np.concatenate(blocks).tobytes() == np.array(rows).tobytes()
+    assert [b.size for b in blocks] == [256, 256, 188]
+    assert np.concatenate([b.dense() for b in blocks]).tobytes() == np.array(rows).tobytes()
 
 
 BLOCKS = {
@@ -183,10 +184,11 @@ def test_blocks_are_capped_in_bytes_and_stop_after_stop_rows(family, kind, n, st
     d = 2**n
     count = (facet_count if kind == "facets" else vertex_count)(family, n)
     blocks = [b.coeffs if kind == "facets" else b for b in BLOCKS[family, kind](n, stop)]
-    assert sum(len(b) for b in blocks) == (count if stop is None else min(count, stop))
+    assert sum(b.size for b in blocks) == (count if stop is None else min(count, stop))
     for b in blocks:
-        assert b.dtype == np.float64 and b.flags.c_contiguous and b.shape[1] == d
-        assert 0 < len(b) and b.nbytes <= max(polytopes._BLOCK_BYTES, 8 * d)
+        assert isinstance(b, SparseRows) and b.d == d and b.values.dtype == np.float64
+        # densified, a block is capped in bytes as before
+        assert 0 < b.size and 8 * d * b.size <= max(polytopes._BLOCK_BYTES, 8 * d)
 
 
 LIST_CAPS = {
@@ -204,14 +206,14 @@ def test_family_dispatch_is_the_family_enumerator_up_to_its_list_cap(family, kin
     dispatch = polytopes.facet_blocks if kind == "facets" else polytopes.vertex_blocks
 
     def rows(blocks):
-        return np.concatenate([b.coeffs if kind == "facets" else b for b in blocks]).tobytes()
+        return np.concatenate([(b.coeffs if kind == "facets" else b).dense() for b in blocks]).tobytes()
 
     cap = LIST_CAPS[family, kind]
     for n, stop in ((1, None), (3, None), (3, 5), (cap + 1, 3), (MAX_QUBITS, 2)):
         assert rows(dispatch(family, n, stop)) == rows(BLOCKS[family, kind](n, stop))
     # past the cap the full list raises at the call, before any row is built
-    monkeypatch.setattr(polytopes, "_rows_with", None)
-    monkeypatch.setattr(np, "zeros", None)
+    monkeypatch.setattr(polytopes, "_row_ranges", None)
+    monkeypatch.setattr(polytopes, "_sparse", None)
     with pytest.raises(UnsupportedSizeError, match=f"up to n = {cap}"):
         dispatch(family, cap + 1)
     with pytest.raises(UnsupportedSizeError):
@@ -232,12 +234,45 @@ def test_library_rows_are_the_block_rows(n):
         assert all(isinstance(b, FacetBlock) for b in blocks)
         assert [f.label for f in facets] == [label for b in blocks for label in b.labels]
         assert [f.offset for f in facets] == [o for b in blocks for o in b.offsets.tolist()]
-        assert np.array([f.coeffs for f in facets]).tobytes() == np.concatenate([b.coeffs for b in blocks]).tobytes()
+        assert np.array([f.coeffs for f in facets]).tobytes() == np.concatenate([b.coeffs.dense() for b in blocks]).tobytes()
         assert all(f.family == family for f in facets)
         vertices = iter_extreme_points(family, n)
         assert iter(vertices) is vertices
         rows = np.array([s.p for s in vertices])
-        assert rows.tobytes() == np.concatenate(list(BLOCKS[family, "vertices"](n))).tobytes()
+        assert rows.tobytes() == np.concatenate([b.dense() for b in BLOCKS[family, "vertices"](n)]).tobytes()
+
+
+def unit_vector_rows(family, kind, n):
+    """Each family's rows in listing order, built from unit vectors."""
+    d = 2**n
+    eye = np.eye(d)
+    if family == "GHZ":
+        yield from eye
+    elif (family, kind) == ("BISEP", "facets"):
+        yield from 0.0 - eye  # +0.0 off the diagonal
+        yield from eye
+    elif family == "BISEP":
+        yield from ((eye[i] + eye[j]) / 2 for i, j in itertools.combinations(range(d), 2))
+    elif kind == "facets":
+        yield from (eye[i] + eye[d - 1 - i] - eye[j] + eye[d - 1 - j] for i in range(d // 2) for j in range(d))
+    else:
+        yield from ((eye[i] + eye[d - 1 - i]) / 2 for i in range(d // 2))
+        yield from (2 / d * eye[list(sigma)].sum(axis=0) for sigma in iter_selections(n))
+
+
+@pytest.mark.parametrize("family, kind", BLOCKS)
+@pytest.mark.parametrize("n, stop", [(2, None), (3, None), (4, None), (5, None), (9, 700)])
+def test_block_entries_are_ordered_and_nonzero_and_densify_to_the_unit_vector_rows(family, kind, n, stop):
+    # at n = 9 a block holds 256 rows, so the stop cuts the third block short
+    blocks = [b.coeffs if kind == "facets" else b for b in BLOCKS[family, kind](n, stop)]
+    assert stop is None or len(blocks) > 1
+    for b in blocks:
+        assert ((0 <= b.rows) & (b.rows < b.size) & (0 <= b.cols) & (b.cols < b.d)).all()
+        assert (np.diff(b.rows * b.d + b.cols) > 0).all()  # strictly increasing (row, column)
+        assert (b.values.view(np.uint64) != 0).all()  # no +0.0
+    rows = np.concatenate([b.dense() for b in blocks])
+    oracle = np.array(list(itertools.islice(unit_vector_rows(family, kind, n), stop)))
+    assert rows.tobytes() == oracle.tobytes()  # bit for bit, so -0.0 for +0.0 fails
 
 
 # ---------------------------------------------------------------- facets
@@ -479,8 +514,17 @@ def test_inscribed_ball_coincides_across_families():
 
 
 def test_inscribed_ball_is_min_facet_distance():
-    for n in (2, 3, 4):
+    for n in range(2, DENSE_MAX_QUBITS + 1):
         d = 2**n
         expected = np.sqrt(1 / (d * (d - 1)))
         for fam in ("GHZ", "BISEP", "FBI"):
             assert min_center_facet_distance(fam, n) == pytest.approx(expected, abs=1e-10)
+            assert inscribed_ball(fam, n).radius == pytest.approx(expected, abs=1e-15)
+
+
+def test_min_facet_distance_stops_at_the_dense_cap(monkeypatch):
+    # past the cap it raises at the call, before any facet is built
+    monkeypatch.setattr(polytopes, "_row_ranges", None)
+    for fam in ("GHZ", "BISEP", "FBI"):
+        with pytest.raises(UnsupportedSizeError, match=f"up to n = {DENSE_MAX_QUBITS}"):
+            min_center_facet_distance(fam, DENSE_MAX_QUBITS + 1)
