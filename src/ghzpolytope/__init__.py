@@ -27,14 +27,13 @@ from .errors import (
     NotGhzDiagonalError,
     UnsupportedSizeError,
 )
-from .indices import Bipartition, all_bipartitions, enumerate_indices, flip_all, flip_subset
+from .indices import Bipartition, all_bipartitions
 from .mermin import (
     MerminOperator,
     build_mermin_operator,
     dist_mermin_to_fbi,
     mermin_bound,
     mermin_expectation,
-    mermin_hyperplane_points,
     mermin_threshold,
     violates_mermin,
 )
@@ -43,22 +42,16 @@ from .polytopes import (
     Facet,
     cube_vertex,
     facet_count,
-    facet_distance,
-    hs_distance,
     inscribed_ball,
     iter_extreme_points,
     iter_facets,
     midpoint,
-    min_center_facet_distance,
-    simplex_height,
     vertex_count,
 )
 from .states import (
     GhzDiagonalState,
     az_from_prob,
-    density_from_mixture,
     density_from_prob,
-    ghz_basis_vector,
     prob_from_density,
 )
 from .volume import (

@@ -61,8 +61,11 @@ def _parse_prob_vector(spec: str, n: int) -> GhzDiagonalState:
     """Inline comma list, or a file with one decimal per line."""
     check_qubit_count(n)
     if os.path.isfile(spec):
-        with open(spec) as fh:
-            raw = [line.strip() for line in fh if line.strip()]
+        try:
+            with open(spec, encoding="utf-8") as fh:
+                raw = [line.strip() for line in fh if line.strip()]
+        except UnicodeDecodeError:
+            raise InvalidArgumentError(f"--p file {spec} is not UTF-8 text") from None
     else:
         raw = spec.split(",")
     d = dimension(n)

@@ -86,6 +86,8 @@ def cube_vertex_decomposition(n: int, sigma, bipartition: Bipartition) -> Separa
     there since sigma holds exactly one index of each flip pair).
     """
     n = check_qubit_count(n)
+    if bipartition.n != n:
+        raise InvalidArgumentError(f"bipartition {bipartition} is of {bipartition.n} qubits, not n={n}")
     sigma = list(sigma)  # read twice, so a one-pass iterator works too
     state = cube_vertex(n, sigma)  # validates sigma
     members = sorted(set(sigma))

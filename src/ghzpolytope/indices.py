@@ -72,17 +72,6 @@ def from_bits(bits: str) -> tuple[int, int]:
     return int(bits, 2), len(bits)
 
 
-def enumerate_indices(n: int) -> list[int]:
-    """All 2**n indices in lexicographic (= numeric) order."""
-    n = check_qubit_count(n)
-    return list(range(1 << n))
-
-
-def flip_all(i: int, n: int) -> int:
-    """Complement every bit; a fixed-point-free involution."""
-    return check_index(i, n) ^ ((1 << n) - 1)
-
-
 def positions_to_mask(positions, n: int) -> int:
     """Bitmask for 1-based positions counted from the left (position 1 = MSB)."""
     mask = 0
@@ -91,11 +80,6 @@ def positions_to_mask(positions, n: int) -> int:
             raise InvalidArgumentError(f"position {k} outside 1..{n}")
         mask |= 1 << (n - k)
     return mask
-
-
-def flip_subset(i: int, n: int, positions) -> int:
-    """Complement the bits at the given 1-based positions."""
-    return check_index(i, n) ^ positions_to_mask(positions, n)
 
 
 @dataclass(frozen=True)
@@ -110,15 +94,20 @@ class Bipartition:
     subset: frozenset[int] = field()
 
     def __post_init__(self):
-        if self.n < 2:
+        n = check_qubit_count(self.n)
+        if n < 2:
             raise InvalidArgumentError("a bipartition needs at least 2 qubits")
         s = frozenset(self.subset)
-        if any(not 1 <= k <= self.n for k in s):
-            raise InvalidArgumentError(f"subset {sorted(s)} outside 1..{self.n}")
-        if not s or len(s) == self.n:
+        if not all(map(is_integer, s)):
+            raise InvalidArgumentError(f"bipartition positions must be ints, got {sorted(map(repr, s))}")
+        s = frozenset(map(int, s))
+        if any(not 1 <= k <= n for k in s):
+            raise InvalidArgumentError(f"subset {sorted(s)} outside 1..{n}")
+        if not s or len(s) == n:
             raise InvalidArgumentError("both sides of a bipartition must be nonempty")
         if 1 not in s:
-            s = frozenset(range(1, self.n + 1)) - s
+            s = frozenset(range(1, n + 1)) - s
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "subset", s)
 
     @property

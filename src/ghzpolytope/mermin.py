@@ -66,7 +66,7 @@ def mermin_bound(n: int) -> float:
     """Classical (LHV) bound mu_n."""
     if not is_integer(n) or n < 2:
         raise InvalidArgumentError(f"defined for integer n >= 2, got {n!r}")
-    return float(2 ** (n / 2) if n % 2 == 0 else 2 ** ((n - 1) / 2))
+    return math.ldexp(1.0, n // 2)  # 2^(n/2) even, 2^((n-1)/2) odd
 
 
 def mermin_threshold(n: int) -> float:
@@ -85,31 +85,6 @@ def violates_mermin(state: GhzDiagonalState) -> tuple[bool, bool]:
     nu = mermin_threshold(state.n)
     gap = float(mermin_gap(state.p))
     return mermin_violated(gap, nu, EPS_CLASS), abs(gap - nu) <= EPS_BOUNDARY
-
-
-def mermin_hyperplane_points(n: int) -> list[GhzDiagonalState]:
-    """Points where the threshold hyperplane meets the edges from v_0.
-
-    For i = 1...1 the edge midway point shifts to
-    (1/2 + nu/2) v_0 + (1/2 - nu/2) v_1...1; for other i the point is
-    nu v_0 + (1 - nu) v_i.  Emitted in index order i = 1, ..., d-1.
-    """
-    n = check_qubit_count(n)
-    if n < 3:
-        raise InvalidArgumentError("defined for n >= 3")
-    d = dimension(n)
-    nu = mermin_threshold(n)
-    points = []
-    for i in range(1, d):
-        p = np.zeros(d)
-        if i == d - 1:
-            p[0] = 0.5 + 0.5 * nu
-            p[d - 1] = 0.5 - 0.5 * nu
-        else:
-            p[0] = nu
-            p[i] = 1.0 - nu
-        points.append(GhzDiagonalState(n, p))
-    return points
 
 
 def dist_mermin_to_fbi(n: int) -> float:

@@ -197,7 +197,7 @@ def vertex_blocks_fbi(n: int, stop: int | None = None) -> Iterator[SparseRows]:
     """The d/2 diagonal midpoints, then the 2^(d/2) cube vertices, in blocks.
 
     Cube vertex s takes index ~i from pair i where bit i of s is set, and i
-    where it is not (the order of :func:`iter_selections`).
+    where it is not, so the first is the selection 0, 1, ..., d/2 - 1.
     """
     n = check_qubit_count(n)
     d = dimension(n)
@@ -218,26 +218,40 @@ def vertex_blocks_fbi(n: int, stop: int | None = None) -> Iterator[SparseRows]:
         yield _sparse(d, np.where(bits, d - 1 - pair, pair), 2.0 / d)
 
 
-# The block enumerator of each family's facets and vertices, and the largest
-# n whose full list is built
+# Each family's block enumerator, its row count as a function of d, and the
+# largest n whose full list is built
 _ENUMERATORS = {
-    ("facets", "GHZ"): (facet_blocks_ghz, DENSE_MAX_QUBITS),
-    ("facets", "BISEP"): (facet_blocks_bisep, DENSE_MAX_QUBITS),
-    ("facets", "FBI"): (facet_blocks_fbi, DENSE_MAX_QUBITS),
-    ("vertices", "GHZ"): (vertex_blocks_ghz, DENSE_MAX_QUBITS),
-    ("vertices", "BISEP"): (vertex_blocks_bisep, DENSE_MAX_QUBITS),
-    ("vertices", "FBI"): (vertex_blocks_fbi, FBI_VERTEX_MAX_QUBITS),
+    ("facets", "GHZ"): (facet_blocks_ghz, lambda d: d, DENSE_MAX_QUBITS),
+    ("facets", "BISEP"): (facet_blocks_bisep, lambda d: 2 * d, DENSE_MAX_QUBITS),
+    ("facets", "FBI"): (facet_blocks_fbi, lambda d: d * d // 2, DENSE_MAX_QUBITS),
+    ("vertices", "GHZ"): (vertex_blocks_ghz, lambda d: d, DENSE_MAX_QUBITS),
+    ("vertices", "BISEP"): (vertex_blocks_bisep, lambda d: d * (d - 1) // 2, DENSE_MAX_QUBITS),
+    ("vertices", "FBI"): (vertex_blocks_fbi, lambda d: d // 2 + (1 << (d // 2)), FBI_VERTEX_MAX_QUBITS),
 }
 
 
-def _blocks(kind: str, family: str, n: int, stop: int | None):
+def _family(kind: str, family: str):
     if (kind, family) not in _ENUMERATORS:
         raise InvalidArgumentError(f"unknown family {family!r}")
-    enumerator, cap = _ENUMERATORS[kind, family]
+    return _ENUMERATORS[kind, family]
+
+
+def _blocks(kind: str, family: str, n: int, stop: int | None):
+    enumerator, _, cap = _family(kind, family)
     n = check_qubit_count(n)
     if stop is None and n > cap:
         raise UnsupportedSizeError(f"{family} {kind} are listed in full only up to n = {cap}")
     return enumerator(n, stop)
+
+
+def vertex_count(family: str, n: int) -> int:
+    d = dimension(check_qubit_count(n))
+    return _family("vertices", family)[1](d)
+
+
+def facet_count(family: str, n: int) -> int:
+    d = dimension(check_qubit_count(n))
+    return _family("facets", family)[1](d)
 
 
 def facet_blocks(family: str, n: int, stop: int | None = None) -> Iterator[FacetBlock]:
@@ -313,64 +327,6 @@ def cube_vertex(n: int, sigma) -> GhzDiagonalState:
     return GhzDiagonalState(n, p)
 
 
-def iter_selections(n: int) -> Iterator[tuple[int, ...]]:
-    """The 2^(d/2) selections sigma, one index from each pair {i, ~i}."""
-    d = dimension(check_qubit_count(n))
-    return (tuple((d - 1 - i) if (bits >> i) & 1 else i for i in range(d // 2))
-            for bits in range(1 << (d // 2)))
-
-
-def vertex_count(family: str, n: int) -> int:
-    d = dimension(check_qubit_count(n))
-    if family == "GHZ":
-        return d
-    if family == "BISEP":
-        return d * (d - 1) // 2
-    if family == "FBI":
-        return d // 2 + (1 << (d // 2))
-    raise InvalidArgumentError(f"unknown family {family!r}")
-
-
-def facet_count(family: str, n: int) -> int:
-    d = dimension(check_qubit_count(n))
-    if family == "GHZ":
-        return d
-    if family == "BISEP":
-        return 2 * d
-    if family == "FBI":
-        return d * d // 2
-    raise InvalidArgumentError(f"unknown family {family!r}")
-
-
-def simplex_height(n: int) -> float:
-    """Distance from a vertex to the opposite facet's center: sqrt(d/(d-1))."""
-    d = dimension(check_qubit_count(n))
-    return float(np.sqrt(d / (d - 1)))
-
-
-def hs_distance(s1: GhzDiagonalState, s2: GhzDiagonalState) -> float:
-    """Hilbert-Schmidt distance: exactly ||p - q||_2, as the GHZ basis is orthonormal."""
-    if s1.n != s2.n:
-        raise InvalidArgumentError("states have different qubit counts")
-    return float(np.linalg.norm(s1.p - s2.p))
-
-
-def facet_distance(state: GhzDiagonalState, facet: Facet) -> float:
-    """HS distance from the state to the facet's hyperplane within sum(p)=1.
-
-    Distance to the affine set {sum(q) = 1, coeffs . q = offset}: project
-    the facet normal onto the sum(q) = 0 hyperplane and divide.
-    """
-    c = facet.coeffs
-    if c.size != state.d:
-        raise InvalidArgumentError("facet dimension does not match the state")
-    t = c - c.mean()
-    norm = np.linalg.norm(t)
-    if norm == 0.0:
-        raise InvalidArgumentError("facet normal is parallel to the simplex")
-    return abs(facet.value(state)) / float(norm)
-
-
 def inscribed_ball(family: str, n: int) -> Ball:
     """The largest ball: centered at the maximally mixed state for all three
     families, radius sqrt(1/(d(d-1)))."""
@@ -379,16 +335,3 @@ def inscribed_ball(family: str, n: int) -> Ball:
     n = check_qubit_count(n)
     d = dimension(n)
     return Ball(GhzDiagonalState.uniform(n), float(np.sqrt(1.0 / (d * (d - 1)))))
-
-
-def min_center_facet_distance(family: str, n: int) -> float:
-    """Minimum distance from the maximally mixed state to the family's facets.
-
-    Verification companion to :func:`inscribed_ball`; raises past ``DENSE_MAX_QUBITS``.
-    """
-    if check_qubit_count(n) > DENSE_MAX_QUBITS:
-        raise UnsupportedSizeError(f"facet distances are streamed only up to n = {DENSE_MAX_QUBITS}")
-    center = GhzDiagonalState.uniform(n)
-    # a stop streams every facet, past the full-list cap
-    facets = iter_facets(family, n, stop=facet_count(family, n))
-    return min(facet_distance(center, f) for f in facets)

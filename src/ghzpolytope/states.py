@@ -1,4 +1,4 @@
-"""GHZ basis vectors, probability-vector states and their density matrices.
+"""Probability-vector states and their density matrices.
 
 A GHZ-diagonal state is parameterized by a probability vector p over the
 2**n bit indices; its density matrix is real symmetric with nonzero
@@ -68,19 +68,6 @@ class GhzDiagonalState:
         return dimension(self.n)
 
 
-def ghz_basis_vector(i: int, n: int) -> np.ndarray:
-    """The unit vector (|i> + (-1)^{i(1)} |~i>)/sqrt(2) in the computational basis."""
-    n = check_qubit_count(n, DENSE_MAX_QUBITS)
-    d = dimension(n)
-    i = check_index(i, n)
-    v = np.zeros(d)
-    ibar = d - 1 - i
-    sign = -1.0 if i >= d // 2 else 1.0  # top bit of i
-    v[i] += 1.0 / np.sqrt(2.0)
-    v[ibar] += sign / np.sqrt(2.0)
-    return v
-
-
 def az_from_prob(state: GhzDiagonalState) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients a_i = (p_i + p_~i)/2 and z_i = (-1)^{i(1)} (p_i - p_~i)/2."""
     p = state.p
@@ -143,15 +130,3 @@ def prob_from_density(mat: np.ndarray) -> GhzDiagonalState:
     signs[d // 2:] = -1.0
     p = a + signs * z
     return GhzDiagonalState(n, p)
-
-
-def density_from_mixture(state: GhzDiagonalState) -> np.ndarray:
-    """Independent construction path: sum_i p_i |GHZ_i><GHZ_i|."""
-    check_qubit_count(state.n, DENSE_MAX_QUBITS)
-    mat = np.zeros((state.d, state.d))
-    for i in range(state.d):
-        if state.p[i] == 0.0:
-            continue
-        v = ghz_basis_vector(i, state.n)
-        mat += state.p[i] * np.outer(v, v)
-    return mat

@@ -108,8 +108,9 @@ def hull_volume(p: int, side: float, q: int, v0: float) -> float:
 
         q! sqrt(p+1) / (p+q)! * (side/sqrt(2))^p * v0
     """
-    if p < 1 or q < 0 or side <= 0 or v0 <= 0:
-        raise InvalidArgumentError("need p >= 1, q >= 0, side > 0, v0 > 0")
+    if not (is_integer(p) and is_integer(q) and p >= 1 and q >= 0
+            and 0 < side < math.inf and 0 < v0 < math.inf):
+        raise InvalidArgumentError("need integers p >= 1 and q >= 0, and finite side > 0 and v0 > 0")
     log_v = (
         math.lgamma(q + 1)
         - math.lgamma(p + q + 1)

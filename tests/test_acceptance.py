@@ -25,8 +25,6 @@ from ghzpolytope.polytopes import (
     facet_count,
     iter_extreme_points,
     iter_facets,
-    iter_selections,
-    min_center_facet_distance,
     vertex_count,
 )
 from ghzpolytope.states import GhzDiagonalState, az_from_prob, density_from_prob
@@ -41,6 +39,7 @@ from ghzpolytope.volume import (
     rel_vol_exact,
     rvr,
 )
+from oracles import iter_selections, min_center_facet_distance
 
 BOUNDARY_BAND = 1e-11
 SEED = 20260825

@@ -9,9 +9,10 @@ from ghzpolytope.classify import (
     is_biseparable,
     is_fully_biseparable,
     is_ppt_all_bipartitions,
+    is_ppt_bipartition,
     partial_transpose,
 )
-from ghzpolytope.errors import UnsupportedSizeError
+from ghzpolytope.errors import InvalidArgumentError, UnsupportedSizeError
 from ghzpolytope.indices import Bipartition
 from ghzpolytope.polytopes import iter_facets, midpoint
 from ghzpolytope.states import GhzDiagonalState, density_from_prob
@@ -101,6 +102,11 @@ def test_partial_transpose_matches_reference():
             axes[k - 1], axes[k + 2] = axes[k + 2], axes[k - 1]
         expected = t.transpose(axes).reshape(d, d)
         np.testing.assert_allclose(got, expected)
+
+
+def test_ppt_bipartition_refuses_a_bipartition_of_another_qubit_count():
+    with pytest.raises(InvalidArgumentError, match="not n=3"):
+        is_ppt_bipartition(GhzDiagonalState.uniform(3), Bipartition(2, {1}))
 
 
 def test_ppt_oracle_uniform():

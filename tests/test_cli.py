@@ -199,11 +199,16 @@ def test_exit_code_unsupported_size():
     assert code == EXIT_UNSUPPORTED_SIZE
 
 
+NON_UTF8_FILE = "<a --p file that is not UTF-8>"  # written to tmp_path by the test
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["classify", "--n", "2", "--p", "nan,0.5,0.25,0.25"],
         ["mermin", "--n", "2", "--p", "0.5,0.5,nan,0"],
+        ["classify", "--n", "1", "--p", NON_UTF8_FILE],
+        ["mermin", "--n", "1", "--p", NON_UTF8_FILE],
         ["certify", "--n", "3", "--sigma", "000,001,010,011", "--bipartition", "1,x"],
         ["certify", "--n", "3", "--sigma", "000,001,011,101,000", "--bipartition", "1"],
         ["extremes", "--n", "3", "--family", "fbi", "--limit", "-1"],
@@ -224,12 +229,17 @@ def test_exit_code_unsupported_size():
         ["ball", "--family", "ghz", "--n", "3", "--limit", "2"],
     ],
 )
-def test_invalid_input_is_one_error_line(argv, capsys):
+def test_invalid_input_is_one_error_line(argv, tmp_path, capsys):
+    non_utf8 = tmp_path / "p.txt"
+    non_utf8.write_bytes(b"\xff\xfe0.5\n0.5\n")
+    argv = [str(non_utf8) if arg == NON_UTF8_FILE else arg for arg in argv]
     code, text = run(argv)
     assert code == EXIT_INVALID_INPUT
     assert text == ""
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    if str(non_utf8) in argv:
+        assert lines[0] == f"error: --p file {non_utf8} is not UTF-8 text"
 
 
 def test_help_still_prints_usage_and_exits_0(capsys):

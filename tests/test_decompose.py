@@ -12,7 +12,8 @@ from ghzpolytope.decompose import (
 )
 from ghzpolytope.errors import InvalidArgumentError
 from ghzpolytope.indices import Bipartition, all_bipartitions
-from ghzpolytope.polytopes import cube_vertex, iter_selections, midpoint
+from ghzpolytope.polytopes import cube_vertex, midpoint
+from oracles import iter_selections
 
 
 def test_midpoint_bipartition_examples():
@@ -104,3 +105,8 @@ def test_json_round_trip_fields():
     assert payload["bipartition"] == "1|23"
     assert len(payload["components"]) == 2
     assert sum(c["weight"] for c in payload["components"]) == pytest.approx(1.0)
+
+
+def test_decomposition_refuses_a_bipartition_of_another_qubit_count():
+    with pytest.raises(InvalidArgumentError, match="not n=3"):
+        cube_vertex_decomposition(3, [0, 1, 2, 4], Bipartition(2, {1}))

@@ -6,57 +6,23 @@ from ghzpolytope.indices import (
     Bipartition,
     all_bipartitions,
     check_qubit_count,
-    enumerate_indices,
-    flip_all,
-    flip_subset,
     from_bits,
     to_bits,
 )
+from oracles import flip_subset
 
 
 def test_enumerate_two_qubits():
-    assert [to_bits(i, 2) for i in enumerate_indices(2)] == ["00", "01", "10", "11"]
+    assert [to_bits(i, 2) for i in range(4)] == ["00", "01", "10", "11"]
 
 
 def test_enumerate_one_qubit():
-    assert [to_bits(i, 1) for i in enumerate_indices(1)] == ["0", "1"]
+    assert [to_bits(i, 1) for i in range(2)] == ["0", "1"]
 
 
 def test_enumerate_three_qubits_endpoints():
-    idx = enumerate_indices(3)
-    assert len(idx) == 8
-    assert to_bits(idx[0], 3) == "000"
-    assert to_bits(idx[-1], 3) == "111"
-
-
-def test_enumerate_distinct():
-    for n in (1, 4, 6):
-        idx = enumerate_indices(n)
-        assert len(set(idx)) == 2**n
-
-
-def test_enumerate_out_of_range():
-    with pytest.raises(InvalidArgumentError):
-        enumerate_indices(0)
-    with pytest.raises(UnsupportedSizeError):
-        enumerate_indices(17)
-
-
-def test_flip_all_example():
-    i, n = from_bits("010")
-    assert to_bits(flip_all(i, n), n) == "101"
-
-
-def test_flip_all_zeros_to_ones():
-    for n in (1, 3, 8):
-        assert flip_all(0, n) == 2**n - 1
-
-
-def test_flip_all_involution_and_no_fixed_point():
-    for n in (1, 2, 4):
-        for i in enumerate_indices(n):
-            assert flip_all(flip_all(i, n), n) == i
-            assert flip_all(i, n) != i
+    assert to_bits(0, 3) == "000"
+    assert to_bits(7, 3) == "111"
 
 
 def test_flip_subset_single_bit():
@@ -72,14 +38,14 @@ def test_flip_subset_example():
 def test_flip_subset_composition_is_flip_all():
     i, n = from_bits("0101")
     s, t = {1, 3}, {2, 4}
-    assert flip_subset(flip_subset(i, n, s), n, t) == flip_all(i, n)
-    assert to_bits(flip_all(i, n), n) == "1010"
-    # and on every index of small n
+    assert to_bits(flip_subset(flip_subset(i, n, s), n, t), n) == "1010"
+    # flipping both sides of any bipartition flips every bit, on every index of small n
     for n in (2, 3, 4):
-        for i in enumerate_indices(n):
+        d = 2**n
+        for i in range(d):
             for bp in all_bipartitions(n):
                 j = flip_subset(flip_subset(i, n, bp.subset), n, bp.complement)
-                assert j == flip_all(i, n)
+                assert j == d - 1 - i
 
 
 def test_flip_subset_bad_position():
@@ -92,6 +58,30 @@ def test_bipartition_canonicalization():
     assert bp.subset == frozenset({1})
     assert bp.complement == frozenset({2, 3})
     assert str(bp) == "1|23"
+
+
+BAD_BIPARTITIONS = {
+    "float-position": ((3, {1.0, 2}), InvalidArgumentError),
+    "bool-position": ((3, {True}), InvalidArgumentError),
+    "str-position": ((3, {"1"}), InvalidArgumentError),
+    "float-n": ((2.5, {1}), InvalidArgumentError),
+    "bool-n": ((True, {1}), InvalidArgumentError),
+    "n-past-the-cap": ((17, {1}), UnsupportedSizeError),
+    "one-qubit": ((1, {1}), InvalidArgumentError),
+    "position-past-n": ((3, {4}), InvalidArgumentError),
+}
+
+
+@pytest.mark.parametrize("args, error", BAD_BIPARTITIONS.values(), ids=BAD_BIPARTITIONS.keys())
+def test_bipartition_refuses_non_integer_or_out_of_range_input(args, error):
+    with pytest.raises(error):
+        Bipartition(*args)
+
+
+def test_bipartition_takes_numpy_integers():
+    bp = Bipartition(np.int64(3), {np.int64(2), np.uint8(3)})
+    assert type(bp.n) is int and all(type(k) is int for k in bp.subset)
+    assert (str(bp), bp) == ("1|23", Bipartition(3, {1}))
 
 
 def test_bipartition_rejects_trivial_sides():

@@ -8,12 +8,12 @@ from ghzpolytope.mermin import (
     dist_mermin_to_fbi,
     mermin_bound,
     mermin_expectation,
-    mermin_hyperplane_points,
     mermin_threshold,
     violates_mermin,
 )
 from ghzpolytope.polytopes import iter_extreme_points, midpoint
 from ghzpolytope.states import GhzDiagonalState, density_from_prob
+from oracles import mermin_hyperplane_points
 
 
 def test_operator_two_qubit():

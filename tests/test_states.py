@@ -5,11 +5,10 @@ from ghzpolytope.errors import InvalidArgumentError, NotGhzDiagonalError
 from ghzpolytope.states import (
     GhzDiagonalState,
     az_from_prob,
-    density_from_mixture,
     density_from_prob,
-    ghz_basis_vector,
     prob_from_density,
 )
+from oracles import density_from_mixture, ghz_basis_vector
 
 
 def random_state(rng, n):

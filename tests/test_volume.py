@@ -15,7 +15,7 @@ from scipy import integrate
 from ghzpolytope import _mc_kernel_py, volume
 from ghzpolytope.errors import InvalidArgumentError, UnsupportedSizeError
 from ghzpolytope.indices import MC_MAX_SAMPLES, MC_MAX_THREADS
-from ghzpolytope.mermin import mermin_hyperplane_points, mermin_threshold
+from ghzpolytope.mermin import mermin_threshold
 from ghzpolytope.polytopes import iter_extreme_points
 from ghzpolytope.volume import (
     _BLOCK_BYTES,
@@ -34,6 +34,7 @@ from ghzpolytope.volume import (
     sample_simplex,
     vol_exact,
 )
+from oracles import mermin_hyperplane_points
 
 try:
     from ghzpolytope import _mc_kernel
@@ -71,6 +72,25 @@ def test_hull_volume_reproduces_fbi_volume():
         cube_vol = (2 * np.sqrt(2) / d) ** (d // 2)
         got = hull_volume(d // 2 - 1, 1.0, d // 2, cube_vol)
         assert got == pytest.approx(vol_exact(FBI, n), rel=1e-12)
+
+
+@pytest.mark.parametrize("p, side, q, v0", [
+    (1, math.nan, 0, 1.0),
+    (1, 1.0, 0, math.inf),
+    (1, math.inf, 0, 1.0),
+    (1, 1.0, 0, math.nan),
+    (1.5, 1.0, 0.5, 1.0),
+    (2, 1.0, 1.0, 1.0),
+    (True, 1.0, 0, 1.0),
+    (1, 1.0, False, 1.0),
+    (0, 1.0, 0, 1.0),
+    (1, 1.0, -1, 1.0),
+    (1, 0.0, 0, 1.0),
+    (1, 1.0, 0, -1.0),
+])
+def test_hull_volume_refuses_non_integer_dimensions_and_non_finite_sizes(p, side, q, v0):
+    with pytest.raises(InvalidArgumentError):
+        hull_volume(p, side, q, v0)
 
 
 def test_vol_exact_values():
