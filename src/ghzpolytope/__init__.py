@@ -55,7 +55,6 @@ from .states import (
     prob_from_density,
 )
 from .volume import (
-    KERNEL_BACKEND,
     VolumeReport,
     hull_volume,
     mc_relative_volume,
@@ -67,3 +66,11 @@ from .volume import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """``KERNEL_BACKEND``, resolved by its first read: see ``volume``."""
+    if name == "KERNEL_BACKEND":
+        from .volume import KERNEL_BACKEND
+        return KERNEL_BACKEND
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,6 +1,8 @@
 """The C Monte-Carlo kernel: draws, normalises and counts a chunk in one pass.
 
-On first import, ``_mc_kernel.c`` is compiled with ``cc`` against NumPy's
+``volume`` imports this module at the first estimate, or the first read of
+``KERNEL_BACKEND``, not at package import.  If no library is cached yet,
+that import compiles ``_mc_kernel.c`` with ``cc`` against NumPy's
 own C random library (``numpy/random/lib/libnpyrandom.a``) into this
 package's ``__pycache__``, under a name keyed by the source, the compile
 command, the NumPy version and the platform; later imports load that file.
@@ -138,30 +140,34 @@ def _self_check(lib: ctypes.CDLL) -> None:
     on every routine the CPU can run: a NumPy release could change its draw
     or its summation order."""
     m, rows = 35, 16  # two full blocks and a ragged one of 3 rows
+    # d = 64 starts mid-buffer, and its 2240 values leave the ziggurat's
+    # fast path often enough to take 56 more raw draws.  It also counts
+    # the rows of width 4 and 32 those values start with, the latter
+    # ending 3 rows into the second block; bisep_minus_fbi reads both
+    # pair predicates, which keeps NumPy's side of the check as short
+    # as with one width.
+    configs = (({4: 0.0}, (0, 1, 2, 3), 0), ({64: 0.0, 4: 0.25, 32: 0.03125}, (1, 3), 3))
+    # NumPy's rows, hits and next 8 raw draws for each, the same for every routine
+    expected = []
+    for nus, families, skip in configs:
+        twin, ref = np.random.Philox(max(nus)), np.empty((rows, max(nus)))
+        twin.random_raw(skip)
+        hits = _numpy_chunk_counts(twin, m, ref, families, nus)  # m > rows: all rows written
+        expected.append((ref, hits, twin.random_raw(8)))
     for routine in reversed(ROUTINES):
         if _set_routine(lib, routine) != routine:
             continue
-        # d = 64 starts mid-buffer, and its 2240 values leave the ziggurat's
-        # fast path often enough to take 56 more raw draws.  It also counts
-        # the rows of width 4 and 32 those values start with, the latter
-        # ending 3 rows into the second block; bisep_minus_fbi reads both
-        # pair predicates, which keeps NumPy's side of the check as short
-        # as with one width.
-        for nus, families, skip in (({4: 0.0}, (0, 1, 2, 3), 0),
-                                    ({64: 0.0, 4: 0.25, 32: 0.03125}, (1, 3), 3)):
+        for (nus, families, skip), (ref, ref_hits, ref_next) in zip(configs, expected):
             d = max(nus)
             where = f"at d = {d} ({routine} routine)"
-            bitgen, twin = np.random.Philox(d), np.random.Philox(d)
+            bitgen, buf = np.random.Philox(d), np.empty((rows, d))
             bitgen.random_raw(skip)
-            twin.random_raw(skip)
-            buf, ref = np.empty((rows, d)), np.empty((rows, d))  # m > rows: all rows written
             hits = _run(lib, bitgen, m, buf, families, nus)
-            expected = _numpy_chunk_counts(twin, m, ref, families, nus)
             if not np.array_equal(buf.view(np.uint64), ref.view(np.uint64)):
                 raise ImportError(f"C kernel rows differ from NumPy's {where}")
-            if hits != expected:
+            if hits != ref_hits:
                 raise ImportError(f"C kernel hit counts differ from NumPy's {where}")
-            if not np.array_equal(bitgen.random_raw(8), twin.random_raw(8)):
+            if not np.array_equal(bitgen.random_raw(8), ref_next):
                 raise ImportError(f"C kernel leaves the bit generator off NumPy's state {where}")
     _set_routine(lib, ROUTINES[-1])
 

@@ -17,6 +17,7 @@ from .indices import (
     DENSE_MAX_QUBITS,
     Bipartition,
     all_bipartitions,
+    check_bipartition,
     check_qubit_count,
     to_bits,
 )
@@ -92,8 +93,7 @@ def partial_transpose(mat: np.ndarray, n: int, bipartition: Bipartition) -> np.n
     d = 1 << n
     if mat.shape != (d, d):
         raise InvalidArgumentError(f"matrix shape {mat.shape} does not match n={n}")
-    if bipartition.n != n:
-        raise InvalidArgumentError(f"bipartition {bipartition} is of {bipartition.n} qubits, not n={n}")
+    check_bipartition(bipartition, n)
     m = bipartition.mask
     idx = np.arange(d)
     rows = (idx & ~m)[:, None] | (idx & m)[None, :]

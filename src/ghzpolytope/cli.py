@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii
@@ -60,14 +61,20 @@ def _parse_int(text: str, what: str) -> int:
 def _parse_prob_vector(spec: str, n: int) -> GhzDiagonalState:
     """Inline comma list, or a file with one decimal per line."""
     check_qubit_count(n)
-    if os.path.isfile(spec):
+    try:
+        mode = os.stat(spec).st_mode
+    except (OSError, ValueError):  # as os.path.isfile: no such path, or not a valid one
+        mode = None
+    if mode is None:
+        raw = spec.split(",")
+    elif not stat.S_ISREG(mode):  # a directory or a device is not read as a list
+        raise InvalidArgumentError(f"--p {spec} is not a regular file")
+    else:
         try:
             with open(spec, encoding="utf-8") as fh:
                 raw = [line.strip() for line in fh if line.strip()]
         except UnicodeDecodeError:
             raise InvalidArgumentError(f"--p file {spec} is not UTF-8 text") from None
-    else:
-        raw = spec.split(",")
     d = dimension(n)
     if len(raw) != d:
         raise InvalidArgumentError(
@@ -491,13 +498,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_report)
 
+    parser.subcommands = sub.choices  # name -> subparser, for main's dispatch
     return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with the parse of the subcommand's
+    options alone when ``argv`` starts with a subcommand's name: the full
+    parser hands that subparser the rest of ``argv`` anyway, so the namespace,
+    and any error or help text, is the same."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    subparser = parser.subcommands.get(argv[0]) if argv else None
+    if subparser is None:
+        return parser.parse_args(argv)
+    args = subparser.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
         if getattr(args, "seed", 0) is None:
             args.seed = _parse_int(os.environ.get(SEED_ENV_VAR, "0"), SEED_ENV_VAR)
         # checked here too, so that a run without --mc does not echo them;

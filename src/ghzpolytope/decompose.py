@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .classify import is_ppt_bipartition
 from .errors import InvalidArgumentError
-from .indices import Bipartition, check_index, check_qubit_count, dimension, to_bits
+from .indices import Bipartition, check_bipartition, check_index, check_qubit_count, dimension, to_bits
 from .states import GhzDiagonalState
 from .polytopes import cube_vertex, midpoint
 
@@ -86,8 +86,7 @@ def cube_vertex_decomposition(n: int, sigma, bipartition: Bipartition) -> Separa
     there since sigma holds exactly one index of each flip pair).
     """
     n = check_qubit_count(n)
-    if bipartition.n != n:
-        raise InvalidArgumentError(f"bipartition {bipartition} is of {bipartition.n} qubits, not n={n}")
+    check_bipartition(bipartition, n)
     sigma = list(sigma)  # read twice, so a one-pass iterator works too
     state = cube_vertex(n, sigma)  # validates sigma
     members = sorted(set(sigma))

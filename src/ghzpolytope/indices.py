@@ -36,7 +36,8 @@ MC_MAX_THREADS = 256
 
 def is_integer(value) -> bool:
     """An int or a NumPy integer; a bool is neither here."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # a plain int, by far the most common, skips the abstract-class check
+    return type(value) is int or (isinstance(value, numbers.Integral) and not isinstance(value, bool))
 
 
 def check_qubit_count(n: int, max_n: int = MAX_QUBITS) -> int:
@@ -97,7 +98,11 @@ class Bipartition:
         n = check_qubit_count(self.n)
         if n < 2:
             raise InvalidArgumentError("a bipartition needs at least 2 qubits")
-        s = frozenset(self.subset)
+        try:
+            s = frozenset(self.subset)
+        except TypeError:  # not iterable, or an unhashable position
+            raise InvalidArgumentError(
+                f"bipartition subset must be a set of positions, got {self.subset!r}") from None
         if not all(map(is_integer, s)):
             raise InvalidArgumentError(f"bipartition positions must be ints, got {sorted(map(repr, s))}")
         s = frozenset(map(int, s))
@@ -123,6 +128,14 @@ class Bipartition:
         s = "".join(map(str, sorted(self.subset)))
         t = "".join(map(str, sorted(self.complement)))
         return f"{s}|{t}"
+
+
+def check_bipartition(bipartition: Bipartition, n: int) -> None:
+    """Raise unless ``bipartition`` is a :class:`Bipartition` of n qubits."""
+    if not isinstance(bipartition, Bipartition):
+        raise InvalidArgumentError(f"need a Bipartition, got {bipartition!r}")
+    if bipartition.n != n:
+        raise InvalidArgumentError(f"bipartition {bipartition} is of {bipartition.n} qubits, not n={n}")
 
 
 def all_bipartitions(n: int) -> Iterator[Bipartition]:

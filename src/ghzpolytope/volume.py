@@ -22,13 +22,19 @@ that kernel does not reproduce ``_mc_kernel_py.chunk_counts``'s rows,
 counts and bit-generator state bit for bit, that NumPy kernel runs.  Both
 kernels take a chunk in one ``chunk_counts`` call and give identical hit
 counts for identical seeds.
+
+The kernel is chosen, and the C one built and checked, at the first
+estimate or the first read of ``KERNEL_BACKEND``, ``KERNEL_FALLBACK_REASON``
+or a ``VolumeReport``'s default ``backend``, not at import, so the closed
+forms never pay for it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -44,14 +50,31 @@ from .indices import (
 )
 from .mermin import mermin_threshold
 
-try:
-    from . import _mc_kernel as _default_kernel
-except ImportError:  # no compiler, or a kernel that fails its check against NumPy
-    from . import _mc_kernel_py as _default_kernel
 from . import _mc_kernel_py
 from ._mc_kernel_py import sample_simplex  # noqa: F401  re-exported
 
-KERNEL_BACKEND = _default_kernel.BACKEND
+
+@functools.cache
+def _kernel():
+    """The default kernel module, and why it is not the C one (None if it is)."""
+    try:
+        from . import _mc_kernel
+    except ImportError as exc:  # no compiler, or a kernel that fails its check against NumPy
+        return _mc_kernel_py, str(exc)
+    return _mc_kernel, None
+
+
+def __getattr__(name):
+    """``_default_kernel``, ``KERNEL_BACKEND`` ("c" or "python") and
+    ``KERNEL_FALLBACK_REASON``, resolved by the first read."""
+    if name == "_default_kernel":
+        return _kernel()[0]
+    if name == "KERNEL_BACKEND":
+        return _kernel()[0].BACKEND
+    if name == "KERNEL_FALLBACK_REASON":
+        return _kernel()[1]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 GHZ = "ghz"
 GENUINE = "genuine"
@@ -88,7 +111,7 @@ class VolumeReport:
     samples: int = 0
     seed: int | None = None
     rng: str = RNG_ALGORITHM
-    backend: str = KERNEL_BACKEND
+    backend: str = field(default_factory=lambda: _kernel()[0].BACKEND)
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -273,7 +296,7 @@ def mc_relative_volumes_by_n(
     chunk_size = DEFAULT_CHUNK
     n_chunks = (samples + chunk_size - 1) // chunk_size
     if kernel is None:
-        kernel = _default_kernel
+        kernel = _kernel()[0]
     codes = tuple(_FAMILY_CODES[family] for family in families)
     nus = {dimension(n): mermin_threshold(n) for n in ns}
     wide = max(nus)

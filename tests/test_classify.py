@@ -109,6 +109,11 @@ def test_ppt_bipartition_refuses_a_bipartition_of_another_qubit_count():
         is_ppt_bipartition(GhzDiagonalState.uniform(3), Bipartition(2, {1}))
 
 
+def test_partial_transpose_refuses_what_is_not_a_bipartition():
+    with pytest.raises(InvalidArgumentError, match="need a Bipartition"):
+        partial_transpose(np.eye(8), 3, "x")
+
+
 def test_ppt_oracle_uniform():
     assert is_ppt_all_bipartitions(GhzDiagonalState.uniform(3))
 

@@ -24,6 +24,7 @@ from ghzpolytope.cli import (
     SEED_ENV_VAR,
     main,
 )
+from ghzpolytope.errors import InvalidArgumentError
 from ghzpolytope.indices import MC_MAX_QUBITS
 
 
@@ -200,6 +201,7 @@ def test_exit_code_unsupported_size():
 
 
 NON_UTF8_FILE = "<a --p file that is not UTF-8>"  # written to tmp_path by the test
+DIRECTORY = "<a --p path that is a directory>"  # tmp_path itself
 
 
 @pytest.mark.parametrize(
@@ -209,6 +211,8 @@ NON_UTF8_FILE = "<a --p file that is not UTF-8>"  # written to tmp_path by the t
         ["mermin", "--n", "2", "--p", "0.5,0.5,nan,0"],
         ["classify", "--n", "1", "--p", NON_UTF8_FILE],
         ["mermin", "--n", "1", "--p", NON_UTF8_FILE],
+        ["classify", "--n", "1", "--p", DIRECTORY],
+        ["mermin", "--n", "2", "--p", DIRECTORY],
         ["certify", "--n", "3", "--sigma", "000,001,010,011", "--bipartition", "1,x"],
         ["certify", "--n", "3", "--sigma", "000,001,011,101,000", "--bipartition", "1"],
         ["extremes", "--n", "3", "--family", "fbi", "--limit", "-1"],
@@ -232,7 +236,8 @@ NON_UTF8_FILE = "<a --p file that is not UTF-8>"  # written to tmp_path by the t
 def test_invalid_input_is_one_error_line(argv, tmp_path, capsys):
     non_utf8 = tmp_path / "p.txt"
     non_utf8.write_bytes(b"\xff\xfe0.5\n0.5\n")
-    argv = [str(non_utf8) if arg == NON_UTF8_FILE else arg for arg in argv]
+    paths = {NON_UTF8_FILE: str(non_utf8), DIRECTORY: str(tmp_path)}
+    argv = [paths.get(arg, arg) for arg in argv]
     code, text = run(argv)
     assert code == EXIT_INVALID_INPUT
     assert text == ""
@@ -240,6 +245,53 @@ def test_invalid_input_is_one_error_line(argv, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     if str(non_utf8) in argv:
         assert lines[0] == f"error: --p file {non_utf8} is not UTF-8 text"
+    if str(tmp_path) in argv:
+        assert lines[0] == f"error: --p {tmp_path} is not a regular file"
+
+
+PARSE_ARGVS = [
+    [],
+    ["frobnicate"],
+    ["-h"],
+    ["classify", "-h"],
+    ["--n", "3", "classify"],
+    ["classify", "--n", "3", "--p", "0.5,0.5,0,0,0,0,0,0"],
+    ["classify", "--n", "x", "--p", "1"],
+    ["classify", "--n", "3"],
+    ["classify", "--n", "3", "--p", "1", "extra"],
+    ["mermin", "--n", "2", "--p", "1,0,0,0"],
+    ["extremes", "--n", "3", "--family", "fbi", "--limit", "4"],
+    ["extremes", "--n", "3", "--family", "xyz"],
+    ["facets", "--n", "3", "--family", "bisep"],
+    ["facets", "--family", "fbi"],
+    ["ball", "--n", "3", "--family", "ghz"],
+    ["volume", "--n", "3", "--family", "fbi"],
+    ["volume", "--n", "3", "--family", "fbi", "--mc", "--sam", "20000", "--seed", "4"],
+    ["volume", "--n", "3", "--family", "fbi", "--exact"],
+    ["certify", "--n", "3", "--pair", "000,011"],
+    ["certify", "--n", "3", "--sigma", "000,001", "--bipartition", "1"],
+    ["report"],
+    ["report", "--n-max", "4", "--mc", "--threads", "2", "--format", "json"],
+    ["report", "--n-max=5", "--samples", "1e5"],
+    ["report", "--", "--mc"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_ARGVS)
+def test_dispatch_parses_as_the_full_parser(argv):
+    # main parses with the subcommand's own parser; the namespace, the usage
+    # error, or the help text and exit code, must be the full parser's
+    def parse(parse_args):
+        out = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out):
+                return parse_args(argv)
+        except InvalidArgumentError as exc:
+            return str(exc)
+        except SystemExit as exc:
+            return exc.code, out.getvalue()
+
+    assert parse(cli._parse_args) == parse(cli.build_parser().parse_args)
 
 
 def test_help_still_prints_usage_and_exits_0(capsys):
@@ -355,6 +407,27 @@ def run_alone(argv, seed):
         env=env, capture_output=True, text=True, timeout=120,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_kernel_loads_only_for_a_command_that_reports_it():
+    # in a fresh interpreter, classify needs neither the Monte-Carlo kernel
+    # nor numpy.random; volume without --mc prints the backend it resolves
+    script = (
+        "import io, json, sys, ghzpolytope\n"
+        "from ghzpolytope import cli\n"
+        "cli.main(['classify', '--n', '2', '--p', '0.25,0.25,0.25,0.25'], out=io.StringIO())\n"
+        "loaded = [m for m in ('ghzpolytope._mc_kernel', 'numpy.random') if m in sys.modules]\n"
+        "out = io.StringIO()\n"
+        "cli.main(['volume', '--n', '3', '--family', 'fbi'], out=out)\n"
+        "print(json.dumps([loaded, json.loads(out.getvalue())['result']['backend'],"
+        " ghzpolytope.KERNEL_BACKEND]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    loaded, printed, backend = json.loads(proc.stdout)
+    assert loaded == []
+    assert printed == backend == volume.KERNEL_BACKEND
 
 
 def test_calls_in_one_process_match_calls_alone(monkeypatch, capsys):

@@ -110,3 +110,8 @@ def test_json_round_trip_fields():
 def test_decomposition_refuses_a_bipartition_of_another_qubit_count():
     with pytest.raises(InvalidArgumentError, match="not n=3"):
         cube_vertex_decomposition(3, [0, 1, 2, 4], Bipartition(2, {1}))
+
+
+def test_decomposition_refuses_what_is_not_a_bipartition():
+    with pytest.raises(InvalidArgumentError, match="need a Bipartition"):
+        cube_vertex_decomposition(3, [0, 1, 2, 4], "x")

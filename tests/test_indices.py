@@ -1,3 +1,5 @@
+import enum
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from ghzpolytope.indices import (
     all_bipartitions,
     check_qubit_count,
     from_bits,
+    is_integer,
     to_bits,
 )
 from oracles import flip_subset
@@ -69,6 +72,9 @@ BAD_BIPARTITIONS = {
     "n-past-the-cap": ((17, {1}), UnsupportedSizeError),
     "one-qubit": ((1, {1}), InvalidArgumentError),
     "position-past-n": ((3, {4}), InvalidArgumentError),
+    "int-subset": ((3, 1), InvalidArgumentError),
+    "none-subset": ((3, None), InvalidArgumentError),
+    "unhashable-position": ((3, [[1]]), InvalidArgumentError),
 }
 
 
@@ -107,3 +113,15 @@ def test_qubit_count_takes_numpy_integers_and_refuses_bools():
             check_qubit_count(bad)
     with pytest.raises(UnsupportedSizeError):
         check_qubit_count(np.int64(17))
+
+
+class _Qubits(enum.IntEnum):
+    THREE = 3
+
+
+@pytest.mark.parametrize("value, expected", [
+    (3, True), (-(10**30), True), (np.int64(3), True), (np.uint8(3), True), (_Qubits.THREE, True),
+    (True, False), (np.bool_(True), False), (3.0, False), ("3", False), (None, False),
+])
+def test_is_integer_takes_ints_and_numpy_integers_not_bools(value, expected):
+    assert is_integer(value) is expected

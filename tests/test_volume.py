@@ -553,12 +553,16 @@ def test_failed_kernel_check_keeps_numpy_path(tmp_path):
         "from ghzpolytope import volume;"
         "volume.DEFAULT_CHUNK = 1 << 14;"
         "r = [volume.mc_relative_volume(f, 3, 50_000, seed=1003) for f in ('genuine', 'fbi')];"
-        "print(json.dumps([ghzpolytope.KERNEL_BACKEND] + [round(x.mc_estimate * 50_000) for x in r]))"
+        "print(json.dumps([ghzpolytope.KERNEL_BACKEND] + [round(x.mc_estimate * 50_000) for x in r]));"
+        "print(volume.KERNEL_FALLBACK_REASON)"
     )
     done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(tmp_path)}, check=True)
-    assert json.loads(done.stdout) == ["python", PINNED_MC_HITS[3][GENUINE], PINNED_MC_HITS[3][FBI]]
+    hits, reason = done.stdout.split("\n", 1)
+    assert json.loads(hits) == ["python", PINNED_MC_HITS[3][GENUINE], PINNED_MC_HITS[3][FBI]]
+    assert reason.strip() != "None"  # the ImportError's message
     if HAVE_EXTENSION:  # it compiled, then failed its check
+        assert reason.startswith("C kernel rows differ from NumPy's")
         assert list((package / "__pycache__").glob("_mc_kernel-*.so"))
 
 
@@ -747,6 +751,7 @@ def test_c_kernel_is_in_use_where_it_can_be_built():
         except ImportError as exc:
             pytest.fail(f"the C kernel does not load: {exc}")
     assert KERNEL_BACKEND == "c"
+    assert volume.KERNEL_FALLBACK_REASON is None
 
 
 def _raws_drawn(bitgen, draw):
