@@ -24,13 +24,10 @@ from .decompose import (
 from .errors import (
     GhzPolytopeError,
     InvalidArgumentError,
-    NotGhzDiagonalError,
     UnsupportedSizeError,
 )
 from .indices import Bipartition, all_bipartitions
 from .mermin import (
-    MerminOperator,
-    build_mermin_operator,
     dist_mermin_to_fbi,
     mermin_bound,
     mermin_expectation,
@@ -52,11 +49,9 @@ from .states import (
     GhzDiagonalState,
     az_from_prob,
     density_from_prob,
-    prob_from_density,
 )
 from .volume import (
     VolumeReport,
-    hull_volume,
     mc_relative_volume,
     mc_relative_volumes_by_n,
     rel_vol_exact,

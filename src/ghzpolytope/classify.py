@@ -19,6 +19,7 @@ from .indices import (
     all_bipartitions,
     check_bipartition,
     check_qubit_count,
+    dimension,
     to_bits,
 )
 from .states import EPS_PSD, GhzDiagonalState, density_from_prob
@@ -90,7 +91,8 @@ def is_fully_biseparable(state: GhzDiagonalState) -> tuple[bool, tuple[int, int]
 
 def partial_transpose(mat: np.ndarray, n: int, bipartition: Bipartition) -> np.ndarray:
     """Partial transpose over the S side: swap S-subsystem row/column bits."""
-    d = 1 << n
+    d = dimension(check_qubit_count(n, DENSE_MAX_QUBITS))
+    mat = np.asarray(mat)
     if mat.shape != (d, d):
         raise InvalidArgumentError(f"matrix shape {mat.shape} does not match n={n}")
     check_bipartition(bipartition, n)

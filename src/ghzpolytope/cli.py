@@ -350,26 +350,12 @@ def _cmd_certify(args, out) -> int:
     return EXIT_OK
 
 
-REPORT_COLUMNS = [
-    "n",
-    "d",
-    "rel_genuine",
-    "rel_bisep_minus_fbi",
-    "rel_fbi",
-    "rel_mermin",
-    "rvr_genuine",
-    "rvr_bisep_minus_fbi",
-    "rvr_fbi",
-    "rvr_mermin",
-    "ball_radius",
-    "nu",
-    "mu",
-    "dist_hm_fbi",
-    "bisep_vertices",
-    "bisep_facets",
-    "fbi_vertices",
-    "fbi_facets",
-]
+REPORT_COLUMNS = (
+    ["n", "d"]
+    + [f"rel_{fam}" for fam in volume.MC_FAMILIES]
+    + [f"rvr_{fam}" for fam in volume.MC_FAMILIES]
+    + ["ball_radius", "nu", "mu", "dist_hm_fbi", "bisep_vertices", "bisep_facets", "fbi_vertices", "fbi_facets"]
+)
 
 
 def _report_row(n: int, estimates: tuple[volume.VolumeReport, ...]) -> dict:

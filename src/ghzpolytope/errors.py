@@ -11,14 +11,3 @@ class InvalidArgumentError(GhzPolytopeError, ValueError):
 
 class UnsupportedSizeError(GhzPolytopeError, ValueError):
     """The requested qubit count exceeds the documented cap for this operation."""
-
-
-class NotGhzDiagonalError(GhzPolytopeError, ValueError):
-    """A matrix does not have the GHZ-diagonal sparsity/symmetry pattern.
-
-    Carries the offending entry location in ``location`` (row, col).
-    """
-
-    def __init__(self, message, location=None):
-        super().__init__(message)
-        self.location = location

@@ -24,6 +24,7 @@ from .indices import (
     check_index,
     check_qubit_count,
     dimension,
+    is_integer,
     to_bits,
 )
 from .states import GhzDiagonalState
@@ -231,13 +232,15 @@ _ENUMERATORS = {
 
 
 def _family(kind: str, family: str):
-    if (kind, family) not in _ENUMERATORS:
+    if not isinstance(family, str) or (kind, family) not in _ENUMERATORS:
         raise InvalidArgumentError(f"unknown family {family!r}")
     return _ENUMERATORS[kind, family]
 
 
 def _blocks(kind: str, family: str, n: int, stop: int | None):
     enumerator, _, cap = _family(kind, family)
+    if stop is not None and not (is_integer(stop) and stop >= 0):
+        raise InvalidArgumentError(f"stop must be None or an int >= 0, got {stop!r}")
     n = check_qubit_count(n)
     if stop is None and n > cap:
         raise UnsupportedSizeError(f"{family} {kind} are listed in full only up to n = {cap}")

@@ -1,8 +1,9 @@
-"""Probability-vector states and their density matrices.
+"""Probability-vector states, and the density matrix of each.
 
 A GHZ-diagonal state is parameterized by a probability vector p over the
 2**n bit indices; its density matrix is real symmetric with nonzero
-entries only on the diagonal and the anti-diagonal.
+entries only on the diagonal and the anti-diagonal.  ``az_from_prob``
+gives those entries and ``density_from_prob`` the matrix.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NotGhzDiagonalError
+from .errors import InvalidArgumentError
 from .indices import DENSE_MAX_QUBITS, check_index, check_qubit_count, dimension
 
 EPS_NORM = 1e-9
@@ -29,7 +30,13 @@ class GhzDiagonalState:
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_qubit_count(self.n))
-        p = np.asarray(self.p, dtype=float)
+        try:
+            p = np.asarray(self.p)
+            if p.dtype.kind == "c":
+                raise TypeError("complex entries")
+            p = p.astype(float, copy=False)  # no copy for float input
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgumentError(f"probability vector must be real numbers: {exc}") from None
         d = dimension(self.n)
         if p.shape != (d,):
             raise InvalidArgumentError(
@@ -87,46 +94,3 @@ def density_from_prob(state: GhzDiagonalState) -> np.ndarray:
     idx = np.arange(state.d)
     mat[idx, state.d - 1 - idx] = z
     return mat
-
-
-def prob_from_density(mat: np.ndarray) -> GhzDiagonalState:
-    """Invert the matrix construction: p_i = a_i + (-1)^{i(1)} z_i.
-
-    Rejects matrices outside the GHZ-diagonal family (wrong sparsity or
-    broken a_i = a_~i / z_i = z_~i symmetry).
-    """
-    mat = np.asarray(mat, dtype=float)
-    d = mat.shape[0]
-    if mat.ndim != 2 or mat.shape != (d, d) or d & (d - 1) or d < 2:
-        raise InvalidArgumentError(f"expected a square 2^n x 2^n matrix, got {mat.shape}")
-    n = d.bit_length() - 1
-    check_qubit_count(n, DENSE_MAX_QUBITS)
-
-    idx = np.arange(d)
-    allowed = np.zeros((d, d), dtype=bool)
-    allowed[idx, idx] = True
-    allowed[idx, d - 1 - idx] = True
-    stray = np.abs(np.where(allowed, 0.0, mat))
-    if stray.max(initial=0.0) > EPS_NORM:
-        r, c = np.unravel_index(int(np.argmax(stray)), mat.shape)
-        raise NotGhzDiagonalError(
-            f"nonzero entry {mat[r, c]} at ({r}, {c}) outside the GHZ-diagonal pattern",
-            location=(int(r), int(c)),
-        )
-    if np.abs(mat - mat.T).max() > EPS_NORM:
-        r, c = np.unravel_index(int(np.argmax(np.abs(mat - mat.T))), mat.shape)
-        raise NotGhzDiagonalError("matrix is not symmetric", location=(int(r), int(c)))
-
-    a = mat[idx, idx]
-    z = mat[idx, d - 1 - idx]
-    if np.abs(a - a[::-1]).max() > EPS_NORM:
-        i = int(np.argmax(np.abs(a - a[::-1])))
-        raise NotGhzDiagonalError(f"a_{i} != a_~{i}", location=(i, i))
-    if np.abs(z - z[::-1]).max() > EPS_NORM:
-        i = int(np.argmax(np.abs(z - z[::-1])))
-        raise NotGhzDiagonalError(f"z_{i} != z_~{i}", location=(i, d - 1 - i))
-
-    signs = np.ones(d)
-    signs[d // 2:] = -1.0
-    p = a + signs * z
-    return GhzDiagonalState(n, p)

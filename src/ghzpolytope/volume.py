@@ -24,9 +24,9 @@ kernels take a chunk in one ``chunk_counts`` call and give identical hit
 counts for identical seeds.
 
 The kernel is chosen, and the C one built and checked, at the first
-estimate or the first read of ``KERNEL_BACKEND``, ``KERNEL_FALLBACK_REASON``
-or a ``VolumeReport``'s default ``backend``, not at import, so the closed
-forms never pay for it.
+estimate or the first read of ``KERNEL_BACKEND`` or ``KERNEL_FALLBACK_REASON``,
+not at import, so the closed forms never pay for it: a closed-form
+``VolumeReport`` has no ``backend``.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -111,7 +111,7 @@ class VolumeReport:
     samples: int = 0
     seed: int | None = None
     rng: str = RNG_ALGORITHM
-    backend: str = field(default_factory=lambda: _kernel()[0].BACKEND)
+    backend: str | None = None  # the kernel that ran an estimate
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -123,25 +123,6 @@ def _check_family(family: str, allowed, n: int | None = None) -> None:
     # a qubit count that is not an integer is refused by check_qubit_count
     if n is not None and family != GHZ and is_integer(n) and n < 2:
         raise InvalidArgumentError(f"family {family!r} needs n >= 2")
-
-
-def hull_volume(p: int, side: float, q: int, v0: float) -> float:
-    """Volume of the perpendicular hull of a regular p-simplex (side length
-    ``side``) and a q-dimensional body of volume ``v0`` sharing one point:
-
-        q! sqrt(p+1) / (p+q)! * (side/sqrt(2))^p * v0
-    """
-    if not (is_integer(p) and is_integer(q) and p >= 1 and q >= 0
-            and 0 < side < math.inf and 0 < v0 < math.inf):
-        raise InvalidArgumentError("need integers p >= 1 and q >= 0, and finite side > 0 and v0 > 0")
-    log_v = (
-        math.lgamma(q + 1)
-        - math.lgamma(p + q + 1)
-        + 0.5 * math.log(p + 1)
-        + p * math.log(side / math.sqrt(2.0))
-        + math.log(v0)
-    )
-    return math.exp(log_v)
 
 
 def _log_rel_vol(family: str, n: int) -> float:
@@ -215,14 +196,6 @@ def rvr(family: str, n: int) -> float:
     if log_rel == -math.inf:
         return 0.0
     return math.exp(log_rel / (d - 1))
-
-
-RVR_LIMITS = {
-    GENUINE: 0.5,
-    BISEP_MINUS_FBI: 1.0,
-    FBI: math.exp(-0.5),
-    MERMIN: 1.0,
-}
 
 
 def check_mc_settings(seed: int, threads: int, samples: int | None = None) -> None:

@@ -6,6 +6,9 @@ Monte-Carlo estimator, so they live with the tests, not in the package.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator
 
 import numpy as np
@@ -16,11 +19,13 @@ from ghzpolytope.indices import (
     check_index,
     check_qubit_count,
     dimension,
+    is_integer,
     positions_to_mask,
 )
 from ghzpolytope.mermin import mermin_threshold
 from ghzpolytope.polytopes import Facet, facet_count, iter_facets
-from ghzpolytope.states import GhzDiagonalState
+from ghzpolytope.states import EPS_NORM, GhzDiagonalState
+from ghzpolytope.volume import BISEP_MINUS_FBI, FBI, GENUINE, MERMIN
 
 # ---------------------------------------------------------------- indices
 
@@ -64,6 +69,34 @@ def density_from_mixture(state: GhzDiagonalState) -> np.ndarray:
         v = ghz_basis_vector(i, state.n)
         mat += state.p[i] * np.outer(v, v)
     return mat
+
+
+def prob_from_density(mat: np.ndarray) -> GhzDiagonalState:
+    """Invert the matrix construction: p_i = a_i + (-1)^{i(1)} z_i.
+
+    A matrix off the GHZ-diagonal pattern (a nonzero entry elsewhere, or
+    a broken a_i = a_~i / z_i = z_~i symmetry) fails an assertion that
+    names the entry.
+    """
+    mat = np.asarray(mat, dtype=float)
+    d = mat.shape[0]
+    assert mat.shape == (d, d) and d >= 2 and d & (d - 1) == 0, f"not a 2^n x 2^n matrix: {mat.shape}"
+    n = check_qubit_count(d.bit_length() - 1, DENSE_MAX_QUBITS)
+    idx = np.arange(d)
+    allowed = np.zeros((d, d), dtype=bool)
+    allowed[idx, idx] = allowed[idx, d - 1 - idx] = True
+    for name, off in (("outside the GHZ-diagonal pattern", np.where(allowed, 0.0, mat)),
+                      ("breaking the symmetry", mat - mat.T)):
+        r, c = np.unravel_index(int(np.argmax(np.abs(off))), mat.shape)
+        assert abs(off[r, c]) <= EPS_NORM, f"entry {mat[r, c]} at ({r}, {c}) {name}"
+    a = mat[idx, idx]
+    z = mat[idx, d - 1 - idx]
+    for name, v, col in (("a", a, idx), ("z", z, d - 1 - idx)):
+        i = int(np.argmax(np.abs(v - v[::-1])))
+        assert abs(v[i] - v[d - 1 - i]) <= EPS_NORM, f"{name}_{i} != {name}_~{i} at ({i}, {col[i]})"
+    signs = np.ones(d)
+    signs[d // 2:] = -1.0
+    return GhzDiagonalState(n, a + signs * z)
 
 
 # ---------------------------------------------------------------- metric
@@ -111,6 +144,38 @@ def min_center_facet_distance(family: str, n: int) -> float:
 
 # ---------------------------------------------------------------- Mermin
 
+_PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+_PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
+
+
+@dataclass(frozen=True)
+class MerminOperator:
+    n: int
+    matrix: np.ndarray  # real view; imaginary parts vanish
+    term_count: int
+
+
+def build_mermin_operator(n: int) -> MerminOperator:
+    """The dense Pauli sum over even-size Y-subsets with sign (-1)^(|Y|/2)."""
+    if n < 2:
+        raise InvalidArgumentError("the Mermin operator needs at least 2 qubits")
+    n = check_qubit_count(n, DENSE_MAX_QUBITS)
+    d = dimension(n)
+    total = np.zeros((d, d), dtype=complex)
+    term_count = 0
+    for size in range(0, n + 1, 2):
+        sign = (-1.0) ** (size // 2)
+        for y_positions in combinations(range(1, n + 1), size):
+            term = np.ones((1, 1), dtype=complex)
+            for k in range(1, n + 1):
+                term = np.kron(term, _PAULI_Y if k in y_positions else _PAULI_X)
+            total += sign * term
+            term_count += 1
+    assert np.abs(total.imag).max() <= 1e-12, "Mermin operator has a nonvanishing imaginary part"
+    matrix = total.real.copy()
+    matrix.flags.writeable = False
+    return MerminOperator(n=n, matrix=matrix, term_count=term_count)
+
 
 def mermin_hyperplane_points(n: int) -> list[GhzDiagonalState]:
     """Points where the threshold hyperplane meets the edges from v_0.
@@ -135,3 +200,34 @@ def mermin_hyperplane_points(n: int) -> list[GhzDiagonalState]:
             p[i] = 1.0 - nu
         points.append(GhzDiagonalState(n, p))
     return points
+
+
+# ---------------------------------------------------------------- volumes
+
+
+def hull_volume(p: int, side: float, q: int, v0: float) -> float:
+    """Volume of the perpendicular hull of a regular p-simplex (side length
+    ``side``) and a q-dimensional body of volume ``v0`` sharing one point:
+
+        q! sqrt(p+1) / (p+q)! * (side/sqrt(2))^p * v0
+    """
+    if not (is_integer(p) and is_integer(q) and p >= 1 and q >= 0
+            and 0 < side < math.inf and 0 < v0 < math.inf):
+        raise InvalidArgumentError("need integers p >= 1 and q >= 0, and finite side > 0 and v0 > 0")
+    log_v = (
+        math.lgamma(q + 1)
+        - math.lgamma(p + q + 1)
+        + 0.5 * math.log(p + 1)
+        + p * math.log(side / math.sqrt(2.0))
+        + math.log(v0)
+    )
+    return math.exp(log_v)
+
+
+# each family's relative volume radius as n -> infinity
+RVR_LIMITS = {
+    GENUINE: 0.5,
+    BISEP_MINUS_FBI: 1.0,
+    FBI: math.exp(-0.5),
+    MERMIN: 1.0,
+}

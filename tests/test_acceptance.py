@@ -15,7 +15,6 @@ from ghzpolytope.cli import main as cli_main
 from ghzpolytope.decompose import certify_midpoint, cube_vertex_decomposition
 from ghzpolytope.indices import all_bipartitions
 from ghzpolytope.mermin import (
-    build_mermin_operator,
     dist_mermin_to_fbi,
     mermin_expectation,
     mermin_threshold,
@@ -34,12 +33,11 @@ from ghzpolytope.volume import (
     GENUINE,
     MC_FAMILIES,
     MERMIN,
-    RVR_LIMITS,
     mc_relative_volume,
     rel_vol_exact,
     rvr,
 )
-from oracles import iter_selections, min_center_facet_distance
+from oracles import RVR_LIMITS, build_mermin_operator, iter_selections, min_center_facet_distance
 
 BOUNDARY_BAND = 1e-11
 SEED = 20260825

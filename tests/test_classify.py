@@ -109,6 +109,25 @@ def test_ppt_bipartition_refuses_a_bipartition_of_another_qubit_count():
         is_ppt_bipartition(GhzDiagonalState.uniform(3), Bipartition(2, {1}))
 
 
+@pytest.mark.parametrize("mat, n, error", [
+    (np.eye(8), 3.5, InvalidArgumentError),
+    (np.eye(8), "3", InvalidArgumentError),
+    (np.eye(8), 0, InvalidArgumentError),
+    (np.eye(512), 9, UnsupportedSizeError),
+    ([[1]], 3, InvalidArgumentError),
+    (np.eye(4), 3, InvalidArgumentError),
+], ids=["n-float", "n-text", "n-zero", "n-past-dense-cap", "nested-list", "wrong-shape"])
+def test_partial_transpose_refuses_bad_qubit_counts_and_matrices(mat, n, error):
+    with pytest.raises(error):
+        partial_transpose(mat, n, Bipartition(3, {1}))
+
+
+def test_partial_transpose_takes_nested_lists():
+    mat = np.arange(16.0).reshape(4, 4)
+    bp = Bipartition(2, {1})
+    np.testing.assert_array_equal(partial_transpose(mat.tolist(), 2, bp), partial_transpose(mat, 2, bp))
+
+
 def test_partial_transpose_refuses_what_is_not_a_bipartition():
     with pytest.raises(InvalidArgumentError, match="need a Bipartition"):
         partial_transpose(np.eye(8), 3, "x")

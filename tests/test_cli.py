@@ -410,24 +410,29 @@ def run_alone(argv, seed):
 
 
 def test_kernel_loads_only_for_a_command_that_reports_it():
-    # in a fresh interpreter, classify needs neither the Monte-Carlo kernel
-    # nor numpy.random; volume without --mc prints the backend it resolves
+    # in a fresh interpreter, neither classify nor a closed-form volume needs
+    # the Monte-Carlo kernel or numpy.random, and the closed form prints no
+    # backend; volume --mc prints the backend its estimate ran on
     script = (
         "import io, json, sys, ghzpolytope\n"
         "from ghzpolytope import cli\n"
+        "def backend(argv):\n"
+        "    out = io.StringIO()\n"
+        "    cli.main(argv, out=out)\n"
+        "    return json.loads(out.getvalue())['result']['backend']\n"
         "cli.main(['classify', '--n', '2', '--p', '0.25,0.25,0.25,0.25'], out=io.StringIO())\n"
+        "closed = backend(['volume', '--n', '3', '--family', 'fbi'])\n"
         "loaded = [m for m in ('ghzpolytope._mc_kernel', 'numpy.random') if m in sys.modules]\n"
-        "out = io.StringIO()\n"
-        "cli.main(['volume', '--n', '3', '--family', 'fbi'], out=out)\n"
-        "print(json.dumps([loaded, json.loads(out.getvalue())['result']['backend'],"
-        " ghzpolytope.KERNEL_BACKEND]))\n"
+        "estimated = backend(['volume', '--n', '3', '--family', 'fbi', '--mc', '--samples', '10000'])\n"
+        "print(json.dumps([loaded, closed, estimated, ghzpolytope.KERNEL_BACKEND]))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    loaded, printed, backend = json.loads(proc.stdout)
+    loaded, closed, estimated, backend = json.loads(proc.stdout)
     assert loaded == []
-    assert printed == backend == volume.KERNEL_BACKEND
+    assert closed is None
+    assert estimated == backend == volume.KERNEL_BACKEND
 
 
 def test_calls_in_one_process_match_calls_alone(monkeypatch, capsys):

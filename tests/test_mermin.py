@@ -1,10 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from ghzpolytope.errors import InvalidArgumentError, UnsupportedSizeError
 from ghzpolytope.mermin import (
-    build_mermin_operator,
     dist_mermin_to_fbi,
     mermin_bound,
     mermin_expectation,
@@ -13,7 +14,7 @@ from ghzpolytope.mermin import (
 )
 from ghzpolytope.polytopes import iter_extreme_points, midpoint
 from ghzpolytope.states import GhzDiagonalState, density_from_prob
-from oracles import mermin_hyperplane_points
+from oracles import build_mermin_operator, mermin_hyperplane_points
 
 
 def test_operator_two_qubit():
@@ -122,6 +123,12 @@ def test_thresholds_and_bounds_refuse_non_integer_or_small_n(n):
         mermin_hyperplane_points(n)
 
 
+@pytest.mark.parametrize("n", [np.int64(5), np.uint8(6), np.int32(1100)])
+def test_thresholds_and_bounds_take_numpy_integers(n):
+    for f in (mermin_threshold, mermin_bound, dist_mermin_to_fbi):
+        assert f(n) == f(int(n))
+
+
 def test_hyperplane_points():
     pts = mermin_hyperplane_points(3)
     assert len(pts) == 7
@@ -159,6 +166,13 @@ def test_dist_to_fbi_is_the_same_float_and_has_no_cap_on_n():
     # d = 2^1100 has no float; 2/d underflows to 0.0
     dist = dist_mermin_to_fbi(1100)
     assert type(dist) is float and dist == pytest.approx(mermin_threshold(1100) / np.sqrt(2.0))
+
+
+def test_bound_is_a_float_up_to_n_2047_and_refused_past_it():
+    assert mermin_bound(2047) == math.ldexp(1.0, 1023)
+    for n in (2048, 10**30):  # 2^(n // 2) has no float
+        with pytest.raises(UnsupportedSizeError, match=f"got n = {n}$"):
+            mermin_bound(n)
 
 
 def test_dist_to_fbi_vertex_and_hull_minimization():

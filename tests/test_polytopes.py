@@ -130,6 +130,23 @@ def test_count_and_size_helpers_check_the_qubit_count(call, args, error):
         call(*args)
 
 
+# a stop is checked before the qubit count, so even n = 40 builds no row
+BAD_LISTING_ARGUMENTS = [
+    pytest.param(call, {"n": n, "stop": stop}, id=f"{call.__name__}-n{n}-stop-{stop!r}")
+    for call in (iter_facets, iter_extreme_points) for n in (3, 40) for stop in (1.5, "2", -1, True)
+] + [
+    pytest.param(call, {"family": family}, id=f"{call.__name__}-family-{family!r}")
+    for call in (iter_facets, iter_extreme_points, vertex_count, facet_count)
+    for family in (["FBI"], None, 3)
+]
+
+
+@pytest.mark.parametrize("call, bad", BAD_LISTING_ARGUMENTS)
+def test_listing_arguments_are_refused(call, bad):
+    with pytest.raises(InvalidArgumentError):
+        call(**({"family": "FBI", "n": 3} | bad))
+
+
 def test_selections_valid():
     for sigma in iter_selections(3):
         members = set(sigma)

@@ -25,8 +25,6 @@ from ghzpolytope.volume import (
     KERNEL_BACKEND,
     MC_FAMILIES,
     MERMIN,
-    RVR_LIMITS,
-    hull_volume,
     mc_relative_volume,
     mc_relative_volumes_by_n,
     rel_vol_exact,
@@ -34,7 +32,7 @@ from ghzpolytope.volume import (
     sample_simplex,
     vol_exact,
 )
-from oracles import mermin_hyperplane_points
+from oracles import RVR_LIMITS, hull_volume, mermin_hyperplane_points
 
 try:
     from ghzpolytope import _mc_kernel
