@@ -11,20 +11,31 @@
  * value.  One of two routines, chosen at run time from the CPU's flags,
  * refills it and reads it:
  *   - scalar: the eight blocks one after another, one value at a time;
- *   - wide (AVX-512F and AVX-512DQ): the eight blocks side by side, and the
- *     fast path eight values at a time.
+ *   - wide (AVX-512F and AVX-512DQ): the eight blocks side by side, read a
+ *     window of 256 values at a time.  Every value of the window takes the
+ *     fast path eight lanes at a time with no branch; the few that leave it
+ *     are then replayed in stream order, and the values those replays read
+ *     are dropped from the window as it is packed into the rows.
  * The draws replayed through NumPy's routine take their extra values from
- * the buffer too, so both routines hand out the same values.  Rows are d =
+ * the stream too, so both routines hand out the same values.  Rows are d =
  * 2^n wide, 2 <= n <= 6, and are summed in NumPy's order: left to right at
  * d = 4, eight values at a time above it.  One draw of rows of the widest
  * width asked for also gives the rows of every narrower width: those are the
  * draw's first values, as a draw of their own would give them.
+ *
+ * Each block of rows is counted with only the work its families need.  With
+ * no pair family (biseparable but not fully, fully biseparable) the genuine
+ * and Mermin tests read the exponentials as drawn, divided by the row sum
+ * only where a test needs it, and only the rows left in the buffer at the
+ * end are normalised.  Pair families normalise each block, and the wide
+ * routine folds eight flip pairs at a time at d >= 16.
  *
  * Built by _mc_kernel.py against NumPy's C random library.  Compile without
  * -ffast-math and without FMA contraction: every sum below must be added in
  * the order written. */
 #include <stdint.h>
 #include <math.h>
+#include <string.h>
 #include "numpy/random/bitgen.h"
 
 /* The wide routine needs GCC's or Clang's x86-64 target attributes. */
@@ -236,19 +247,63 @@ static void fill_exponentials(void *stream, int64_t n, double *out)
     s->pos = pos;
 }
 
-/* Eight doubles at any 8-byte alignment: GCC and Clang compile arithmetic
- * on it to the widest vector unit of the function it is in. */
+/* Eight doubles, or eight 64-bit ints, at any 8-byte alignment: GCC and
+ * Clang compile arithmetic on them to the widest vector unit of the
+ * function they are in. */
 typedef double v8df __attribute__((vector_size(64), aligned(8)));
+typedef int64_t v8di __attribute__((vector_size(64), aligned(8)));
+
+#define INLINE static inline __attribute__((always_inline))
+
+/* Lane by lane: a > b ? a : b, a < b ? a : b, |a|, and the lanes reversed.
+ * Macros, not functions: a function that takes or returns a vector wider
+ * than its target's registers draws an ABI warning.  Only the wide routine
+ * compares and shuffles vectors: the baseline target lowers those through
+ * memory, several times slower than scalar code. */
+#define VMAX(a, b)                                       \
+    ({                                                   \
+        v8df a_ = (a), b_ = (b), c_;                     \
+        for (int k_ = 0; k_ < 8; k_++)                   \
+            c_[k_] = a_[k_] > b_[k_] ? a_[k_] : b_[k_];  \
+        c_;                                              \
+    })
+#define VMIN(a, b)                                       \
+    ({                                                   \
+        v8df a_ = (a), b_ = (b), c_;                     \
+        for (int k_ = 0; k_ < 8; k_++)                   \
+            c_[k_] = a_[k_] < b_[k_] ? a_[k_] : b_[k_];  \
+        c_;                                              \
+    })
+#define VABS(a) ((v8df)((v8di)(a) & INT64_MAX))
+#define REVERSED(a) __builtin_shufflevector(a, a, 7, 6, 5, 4, 3, 2, 1, 0)
+
+/* The largest and the smallest of the eight lanes; max and min are exact,
+ * so their order does not matter. */
+#define LANES_FOLD(op, v)                                                     \
+    ({                                                                        \
+        v8df l_ = (v);                                                        \
+        l_ = op(l_, __builtin_shufflevector(l_, l_, 4, 5, 6, 7, 0, 1, 2, 3)); \
+        l_ = op(l_, __builtin_shufflevector(l_, l_, 2, 3, 0, 1, 6, 7, 4, 5)); \
+        l_ = op(l_, __builtin_shufflevector(l_, l_, 1, 0, 3, 2, 5, 4, 7, 6)); \
+        l_[0];                                                                \
+    })
+#define LANES_MAX(v) LANES_FOLD(VMAX, v)
+#define LANES_MIN(v) LANES_FOLD(VMIN, v)
+
+/* The eight lanes of a row's blocks of eight, added lane by lane, summed as
+ * NumPy's pairwise sum (pairwise_sum_DOUBLE, the order of e.sum(axis=1))
+ * adds them at d = 8..64; at d = 4 NumPy adds left to right. */
+#define LANES_SUM(v)                                                               \
+    ({                                                                             \
+        v8df r_ = (v);                                                             \
+        ((r_[0] + r_[1]) + (r_[2] + r_[3])) + ((r_[4] + r_[5]) + (r_[6] + r_[7])); \
+    })
 
 /* Write into dst each of the b rows of src (both b x d; dst == src
- * normalises in place) divided by its sum, added as NumPy's pairwise sum
- * (pairwise_sum_DOUBLE, the order of e.sum(axis=1)) adds it at d = 2^n,
- * 2 <= n <= 6: left to right at d = 4; at d = 8..64 the row's blocks of
- * eight lane by lane, then the eight lanes as ((r0 + r1) + (r2 + r3)) +
- * ((r4 + r5) + (r6 + r7)), so the row is summed and divided eight values at
- * a time. */
-static inline __attribute__((always_inline)) void normalise_rows(double *dst, const double *src,
-                                                                 int64_t b, int64_t d)
+ * normalises in place) divided by its sum, added in NumPy's order at d =
+ * 2^n, 2 <= n <= 6, so the row is summed and divided eight values at a
+ * time above d = 4. */
+INLINE void normalise_rows(double *dst, const double *src, int64_t b, int64_t d)
 {
     for (int64_t r = 0; r < b; r++) {
         const double *in = src + r * d;
@@ -262,9 +317,196 @@ static inline __attribute__((always_inline)) void normalise_rows(double *dst, co
         v8df sum = *(const v8df *)in;
         for (int64_t j = 8; j < d; j += 8)
             sum += *(const v8df *)(in + j);
-        double s = ((sum[0] + sum[1]) + (sum[2] + sum[3])) + ((sum[4] + sum[5]) + (sum[6] + sum[7]));
+        double s = LANES_SUM(sum);
         for (int64_t j = 0; j < d; j += 8)
             *(v8df *)(row + j) = *(const v8df *)(in + j) / s;
+    }
+}
+
+/* Add to hits[0..2] the rows of the (m, d) matrix p that are genuine,
+ * biseparable but not fully, and fully biseparable, if `pairs`; add to
+ * hits[3] the Mermin-violating rows, if `mermin`.  Each test is the eps = 0
+ * form of the predicate in _mc_kernel_py; the first three share one fold
+ * over the flip pairs (i, d-1-i).  With `wide` and d a multiple of 16 the
+ * fold takes eight pairs at a time: lane j of step i holds pair (i + j,
+ * d-1-i-j), and max, |lo - hi| and lo + hi are folded lane by lane, then
+ * across the lanes. */
+INLINE void count_rows(const double *p, int64_t m, int64_t d, int pairs, int mermin, double nu,
+                       int wide, int64_t *hits)
+{
+    int64_t genuine = 0, middle = 0, fully = 0, violating = 0;
+    for (int64_t r = 0; r < m; r++) {
+        const double *row = p + r * d;
+        if (mermin)
+            violating += (row[0] - row[d - 1]) - nu > 0.0;
+        if (!pairs)
+            continue;
+        double maxp = -INFINITY, maxdiff = 0.0, minsum = INFINITY;
+        if (wide && d % 16 == 0) {
+            v8df lo = *(const v8df *)row, hi = *(const v8df *)(row + d - 8);
+            hi = REVERSED(hi);
+            v8df top = VMAX(lo, hi), most = VABS(lo - hi), least = lo + hi;
+            for (int64_t i = 8; i < d / 2; i += 8) {
+                lo = *(const v8df *)(row + i);
+                hi = *(const v8df *)(row + d - 8 - i);
+                hi = REVERSED(hi);
+                v8df big = VMAX(lo, hi);
+                top = VMAX(top, big);
+                most = VMAX(most, VABS(lo - hi));
+                least = VMIN(least, lo + hi);
+            }
+            maxp = LANES_MAX(top);
+            maxdiff = LANES_MAX(most);
+            minsum = LANES_MIN(least);
+        } else {
+            for (int64_t i = 0; i < d / 2; i++) {
+                double lo = row[i], hi = row[d - 1 - i];
+                double big = lo > hi ? lo : hi, diff = fabs(lo - hi), sum = lo + hi;
+                maxp = big > maxp ? big : maxp;
+                maxdiff = diff > maxdiff ? diff : maxdiff;
+                minsum = sum < minsum ? sum : minsum;
+            }
+        }
+        int g = maxp > 0.5, f = maxdiff <= minsum;
+        genuine += g;
+        fully += f;
+        middle += !g && !f;
+    }
+    hits[0] += genuine;
+    hits[1] += middle;
+    hits[2] += fully;
+    hits[3] += violating;
+}
+
+/* Add to hits[k] the rows of the (m, d) probability matrix p in region k
+ * for each bit 1 << k set in mask (0 genuine, 1 biseparable but not fully,
+ * 2 fully biseparable, 3 Mermin); the counts of regions not in mask are
+ * unspecified.  Each call below inlines its own copy of the row loop, so no
+ * mask bit is tested per row. */
+INLINE void count_normalised(const double *p, int64_t m, int64_t d, int mask, double nu,
+                             int wide, int64_t *hits)
+{
+    if (!(mask & 7))
+        count_rows(p, m, d, 0, 1, nu, wide, hits);
+    else if (mask & 8)
+        count_rows(p, m, d, 1, 1, nu, wide, hits);
+    else
+        count_rows(p, m, d, 1, 0, nu, wide, hits);
+}
+
+/* Add to hits[0] (if genuine) and hits[3] (if mermin) the rows of the
+ * (m, d) matrix of exponentials e that are genuine and Mermin-violating
+ * once normalised, without normalising them.  With s the row sum, added as
+ * normalise_rows adds it, a row is genuine if fl(max_i e_i / s) > 1/2: that
+ * is max_i fl(e_i / s) > 1/2, since division by s > 0 is correctly rounded
+ * and monotone.  It violates if (fl(e_0 / s) - fl(e_d-1 / s)) - nu > 0. */
+INLINE void count_raw_rows(const double *e, int64_t m, int64_t d, int genuine, int mermin,
+                           double nu, int wide, int64_t *hits)
+{
+    int64_t above = 0, violating = 0;
+    for (int64_t r = 0; r < m; r++) {
+        const double *row = e + r * d;
+        double s, big = 0.0;
+        if (d == 4) {
+            s = ((row[0] + row[1]) + row[2]) + row[3];
+            double a = row[0] > row[1] ? row[0] : row[1], b = row[2] > row[3] ? row[2] : row[3];
+            big = a > b ? a : b;
+        } else {
+            v8df sum = *(const v8df *)row;
+            for (int64_t j = 8; j < d; j += 8)
+                sum += *(const v8df *)(row + j);
+            s = LANES_SUM(sum);
+        }
+        if (genuine && d > 4 && wide) {
+            v8df top = *(const v8df *)row;
+            for (int64_t j = 8; j < d; j += 8)
+                top = VMAX(top, *(const v8df *)(row + j));
+            big = LANES_MAX(top);
+        } else if (genuine && d > 4) {  /* eight running maxima, as the lanes above */
+            double top[8];
+            for (int j = 0; j < 8; j++)
+                top[j] = row[j];
+            for (int64_t i = 8; i < d; i += 8)
+                for (int j = 0; j < 8; j++)
+                    top[j] = row[i + j] > top[j] ? row[i + j] : top[j];
+            big = top[0];
+            for (int j = 1; j < 8; j++)
+                big = top[j] > big ? top[j] : big;
+        }
+        if (genuine)
+            above += big / s > 0.5;
+        if (mermin)
+            violating += (row[0] / s - row[d - 1] / s) - nu > 0.0;
+    }
+    hits[0] += above;
+    hits[3] += violating;
+}
+
+/* count_normalised's counts for a mask with no pair family (bits 1 and 2
+ * clear), from the rows of exponentials before they are normalised. */
+INLINE void count_raw(const double *e, int64_t m, int64_t d, int mask, double nu, int wide,
+                      int64_t *hits)
+{
+    if (!(mask & 8))
+        count_raw_rows(e, m, d, 1, 0, nu, wide, hits);
+    else if (mask & 1)
+        count_raw_rows(e, m, d, 1, 1, nu, wide, hits);
+    else
+        count_raw_rows(e, m, d, 0, 1, nu, wide, hits);
+}
+
+/* The values a narrower width's rows are normalised into, a few at a time,
+ * so that they are counted while still in L1. */
+#define SCRATCH_VALUES 2048
+
+/* Draw m rows of d values with fill from stream in blocks of `rows` rows
+ * through buf (rows x d), and count them at each of the `widths` row widths
+ * w[k], each a divisor of d with Mermin threshold nu[k], into hits[4k..4k+3]
+ * for the regions in mask.  Width w's m rows are the first m * w values.
+ * With a pair family in mask, each block's share of those is normalised
+ * into a scratch block and counted before the block is normalised in place
+ * at width d and counted.  Without one, every width is counted on the
+ * exponentials as drawn (count_raw), and only the last block, and the rows
+ * of the block before it that it leaves in buf, are normalised, so that buf
+ * ends as it would. */
+INLINE void draw_and_count(void (*fill)(void *, int64_t, double *), int wide, void *stream,
+                           int64_t m, int64_t d, double *buf, int64_t rows, int widths,
+                           const int64_t *w, const double *nu, int mask, int64_t *hits)
+{
+    double scratch[SCRATCH_VALUES];
+    int raw = !(mask & 6);
+    for (int64_t start = 0; start < m; start += rows) {
+        int64_t b = m - start < rows ? m - start : rows;
+        fill(stream, b * d, buf);
+        for (int k = 0; k < widths; k++) {
+            int64_t left = m * w[k] - start * d;  /* width w[k]'s values from buf on */
+            if (left <= 0)
+                continue;
+            int64_t narrow = (left < b * d ? left : b * d) / w[k], step = SCRATCH_VALUES / w[k];
+            if (raw) {
+                count_raw(buf, narrow, w[k], mask, nu[k], wide, hits + 4 * k);
+                continue;
+            }
+            if (w[k] == d)
+                continue;
+            for (int64_t r = 0; r < narrow; r += step) {
+                int64_t c = narrow - r < step ? narrow - r : step;
+                normalise_rows(scratch, buf + r * w[k], c, w[k]);
+                count_normalised(scratch, c, w[k], mask, nu[k], wide, hits + 4 * k);
+            }
+        }
+        if (raw) {
+            if (start + b < m)
+                continue;
+            normalise_rows(buf, buf, b, d);
+            if (start > 0)
+                normalise_rows(buf + b * d, buf + b * d, rows - b, d);
+            continue;
+        }
+        normalise_rows(buf, buf, b, d);
+        for (int k = 0; k < widths; k++)
+            if (w[k] == d)
+                count_normalised(buf, b, d, mask, nu[k], wide, hits + 4 * k);
     }
 }
 
@@ -290,9 +532,10 @@ WIDE static inline __m512i mul128(__m512i alo, __m512i ahi, __m512i b, __m512i *
     return _mm512_mask_shuffle_epi32(ll, 0xAAAA, mid2, _MM_PERM_CDAB);
 }
 
-/* philox8_refill_scalar, the eight blocks side by side: lane j of x0..x3
- * runs the block of counter last + j + 1, as PHILOX_ROUND runs one block. */
-WIDE static void philox8_refill_wide(philox8_t *s)
+/* philox8_refill_scalar, the eight blocks side by side and written to dst
+ * (32 values, 64-byte aligned) in place of buf: lane j of x0..x3 runs the
+ * block of counter last + j + 1, as PHILOX_ROUND runs one block. */
+WIDE static void philox8_blocks_wide(philox8_t *s, uint64_t *dst)
 {
     const __m512i one = _mm512_set1_epi64(1), zero = _mm512_setzero_si512();
     const __m512i step = _mm512_setr_epi64(1, 2, 3, 4, 5, 6, 7, 8);
@@ -325,63 +568,157 @@ WIDE static void philox8_refill_wide(philox8_t *s)
     const __m512i quad_hi = _mm512_setr_epi64(4, 5, 12, 13, 6, 7, 14, 15);
     __m512i a = _mm512_permutex2var_epi64(x0, pair_lo, x1), b = _mm512_permutex2var_epi64(x2, pair_lo, x3);
     __m512i c = _mm512_permutex2var_epi64(x0, pair_hi, x1), e = _mm512_permutex2var_epi64(x2, pair_hi, x3);
-    _mm512_store_si512(s->buf, _mm512_permutex2var_epi64(a, quad_lo, b));
-    _mm512_store_si512(s->buf + 8, _mm512_permutex2var_epi64(a, quad_hi, b));
-    _mm512_store_si512(s->buf + 16, _mm512_permutex2var_epi64(c, quad_lo, e));
-    _mm512_store_si512(s->buf + 24, _mm512_permutex2var_epi64(c, quad_hi, e));
-    s->pos = 0;
+    _mm512_store_si512(dst, _mm512_permutex2var_epi64(a, quad_lo, b));
+    _mm512_store_si512(dst + 8, _mm512_permutex2var_epi64(a, quad_hi, b));
+    _mm512_store_si512(dst + 16, _mm512_permutex2var_epi64(c, quad_lo, e));
+    _mm512_store_si512(dst + 24, _mm512_permutex2var_epi64(c, quad_hi, e));
     counter_add(s->last, 8);
 }
 
 WIDE static uint64_t philox8_next_wide(void *stream)
 {
     philox8_t *s = stream;
-    if (s->pos == 32)
-        philox8_refill_wide(s);
+    if (s->pos == 32) {
+        philox8_blocks_wide(s, s->buf);
+        s->pos = 0;
+    }
     return s->buf[s->pos++];
 }
 
-/* fill_exponentials, eight values at a time: the lanes up to the first one
- * off the fast path are stored, that one is replayed through NumPy's
- * routine, and the next group starts after it. */
-WIDE static void fill_exponentials8(void *stream, int64_t n, double *out)
+/* The wide routine reads the stream a window at a time: the 32 values in
+ * buf, from pos on, and the 224 after them. */
+#define WINDOW 256
+
+/* A replayed draw's extra values: the window's from `at` on, then, past
+ * its end, the live stream, which then goes on from the window's end. */
+typedef struct {
+    const uint64_t *win;
+    int at;
+    philox8_t *live;
+} window_reader_t;
+
+WIDE static uint64_t window_next(void *reader)
 {
-    philox8_t *s = stream;
-    const __m512i layer = _mm512_set1_epi64(255);
-    for (int64_t i = 0; i < n;) {
-        if (s->pos == 32)
-            philox8_refill_wide(s);
-        int64_t k = n - i < 8 ? n - i : 8;
-        k = k < 32 - s->pos ? k : 32 - s->pos;
-        __mmask8 lanes = (__mmask8)((1u << k) - 1);
-        __m512i u = _mm512_maskz_loadu_epi64(lanes, s->buf + s->pos);
-        __m512i ri = _mm512_srli_epi64(u, 11);
-        __m512i idx = _mm512_and_si512(_mm512_srli_epi64(u, 3), layer);
-        /* gathered into zeros: a gather merges into its destination, and an
-         * old one would chain each group to the last */
-        __m512i kes = _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), lanes, idx, ke, 8);
-        __m512d wes = _mm512_mask_i64gather_pd(_mm512_setzero_pd(), lanes, idx, we, 8);
-        __mmask8 fast = _mm512_mask_cmplt_epu64_mask(lanes, ri, kes);
-        __m512d x = _mm512_mul_pd(_mm512_cvtepu64_pd(ri), wes);
-        if (fast == lanes) {
-            _mm512_mask_storeu_pd(out + i, lanes, x);
-            i += k;
-            s->pos += k;
-            continue;
-        }
-        int first_slow = __builtin_ctz(~fast & lanes), calls;
-        _mm512_mask_storeu_pd(out + i, (__mmask8)((1u << first_slow) - 1), x);
-        i += first_slow;
-        s->pos += first_slow;
-        uint64_t v = s->buf[s->pos++];
-        out[i++] = replay_exponential(v, philox8_next_wide, s, &calls);
+    window_reader_t *r = reader;
+    if (r->at++ < WINDOW)
+        return r->win[r->at - 1];
+    return philox8_next_wide(r->live);
+}
+
+/* The first bit set in the WINDOW bits at or after bit `from` < WINDOW, or
+ * WINDOW if none is. */
+static inline int next_bit(const uint64_t *bits, int from)
+{
+    uint64_t word = bits[from / 64] & ~0ULL << (from % 64);
+    for (int i = from / 64;;) {
+        if (word)
+            return 64 * i + __builtin_ctzll(word);
+        if (++i == WINDOW / 64)
+            return WINDOW;
+        word = bits[i];
     }
 }
 
-/* normalise_rows on eight lanes of AVX-512. */
-WIDE static void normalise_rows8(double *dst, const double *src, int64_t b, int64_t d)
+/* fill_exponentials a window at a time.  Every value of the window is
+ * taken down the fast path eight lanes at a time with no branch, into x,
+ * with a bit in `slow` for each that leaves it.  Those draws are then
+ * replayed in stream order through NumPy's routine; the extra values each
+ * reads are no draws of their own, so their bits are set in `gone`.  The
+ * rest are packed into out eight lanes at a time.  In the window where out
+ * is full the state goes back to the window's start, moved on by exactly
+ * the values read, unless the last draw read past the window's end: then
+ * the live stream is already there. */
+WIDE static void fill_exponentials_window(void *stream, int64_t n, double *out)
 {
-    normalise_rows(dst, src, b, d);
+    philox8_t *s = stream;
+    uint64_t win[WINDOW] __attribute__((aligned(64)));
+    double x[WINDOW] __attribute__((aligned(64)));
+    const __m512i layer = _mm512_set1_epi64(255);
+    while (n > 0) {
+        if (s->pos == 32) {
+            philox8_blocks_wide(s, s->buf);
+            s->pos = 0;
+        }
+        uint64_t first[4];  /* the counter of buf's last block */
+        memcpy(first, s->last, sizeof first);
+        int from = s->pos;
+        memcpy(win, s->buf, sizeof s->buf);
+        for (int j = 32; j < WINDOW; j += 32)
+            philox8_blocks_wide(s, win + j);
+        s->pos = 32;  /* the live stream starts at the window's end */
+        uint64_t slow[WINDOW / 64] = {0}, gone[WINDOW / 64] = {0};
+        for (int g = 0; g < WINDOW / 8; g++) {
+            __m512i u = _mm512_load_si512(win + 8 * g);
+            __m512i ri = _mm512_srli_epi64(u, 11);
+            __m512i idx = _mm512_and_si512(_mm512_srli_epi64(u, 3), layer);
+            /* gathered into zeros: a gather merges into its destination, and
+             * an old one would chain each group to the last */
+            __m512i kes = _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), 0xFF, idx, ke, 8);
+            __m512d wes = _mm512_mask_i64gather_pd(_mm512_setzero_pd(), 0xFF, idx, we, 8);
+            __mmask8 fast = _mm512_cmplt_epu64_mask(ri, kes);
+            _mm512_store_pd(x + 8 * g, _mm512_mul_pd(_mm512_cvtepu64_pd(ri), wes));
+            slow[g / 8] |= (uint64_t)(uint8_t)~fast << 8 * (g % 8);
+        }
+        /* at: the window's first value not yet read; k: the draws up to it */
+        int at = from;
+        int64_t k = 0;
+        for (;;) {
+            int j = next_bit(slow, at);
+            if (j - at >= n - k) {  /* fast draws up to j fill out */
+                at += n - k;
+                k = n;
+                break;
+            }
+            k += j - at;
+            at = j;
+            if (j == WINDOW)
+                break;
+            window_reader_t r = {win, j + 1, s};
+            int calls;
+            x[j] = replay_exponential(win[j], window_next, &r, &calls);
+            k++;
+            for (int i = j + 1; i < r.at && i < WINDOW; i++)
+                gone[i / 64] |= 1ULL << i % 64;
+            at = r.at;
+            if (k == n || at >= WINDOW)
+                break;
+        }
+        /* the draws: values from..at of the window, less those gone */
+        int end = at < WINDOW ? at : WINDOW;
+        for (int g = from / 8; g < (end + 7) / 8; g++) {
+            unsigned lanes = ~(unsigned)(gone[g / 8] >> 8 * (g % 8)) & 0xFF;
+            if (8 * g < from)
+                lanes &= 0xFF << (from - 8 * g);
+            if (8 * g + 8 > end)
+                lanes &= 0xFF >> (8 * g + 8 - end);
+            int c = __builtin_popcount(lanes);
+            __m512d v = _mm512_maskz_compress_pd((__mmask8)lanes, _mm512_load_pd(x + 8 * g));
+            _mm512_mask_storeu_pd(out, (__mmask8)((1u << c) - 1), v);
+            out += c;
+        }
+        n -= k;
+        if (at <= WINDOW) {
+            int block = (at - 1) / 32;
+            memcpy(s->buf, win + 32 * block, sizeof s->buf);
+            memcpy(s->last, first, sizeof first);
+            counter_add(s->last, 8 * block);
+            s->pos = at - 32 * block;
+        }
+    }
+}
+
+/* draw_and_count with the wide routine's fill, on eight lanes of AVX-512 */
+WIDE static void draw_and_count_wide(philox8_t *s, int64_t m, int64_t d, double *buf,
+                                     int64_t rows, int widths, const int64_t *w,
+                                     const double *nu, int mask, int64_t *hits)
+{
+    draw_and_count(fill_exponentials_window, 1, s, m, d, buf, rows, widths, w, nu, mask, hits);
+}
+
+WIDE static void count_normalised_wide(const double *p, int64_t m, int64_t d, int mask, double nu,
+                                       int64_t *hits)
+{
+    count_normalised(p, m, d, mask, nu, 1, hits);
 }
 #endif
 
@@ -396,9 +733,10 @@ int cpu_wide_flags(void)
 #endif
 }
 
-/* 1 while chunk_counts runs the wide routine.  set_philox_routine(1) picks it
- * where the CPU has both flags, set_philox_routine(0) forces the scalar one
- * (for tests); either returns the routine now in use. */
+/* 1 while chunk_counts and count_hits run the wide routine.
+ * set_philox_routine(1) picks it where the CPU has both flags,
+ * set_philox_routine(0) forces the scalar one (for tests); either returns
+ * the routine now in use. */
 static int philox_wide;
 
 int set_philox_routine(int wide)
@@ -407,90 +745,16 @@ int set_philox_routine(int wide)
     return philox_wide;
 }
 
-/* Add to hits[0..2] the rows of the (m, d) matrix p that are genuine,
- * biseparable but not fully, and fully biseparable, if `pairs`; add to
- * hits[3] the Mermin-violating rows, if `mermin`.  Each test is the eps = 0
- * form of the predicate in _mc_kernel_py; the first three share one fold
- * over the flip pairs (i, d-1-i). */
-static inline void count_rows(const double *p, int64_t m, int64_t d, int pairs, int mermin,
-                              double nu, int64_t *hits)
-{
-    int64_t genuine = 0, middle = 0, fully = 0, violating = 0;
-    for (int64_t r = 0; r < m; r++) {
-        const double *row = p + r * d;
-        if (mermin)
-            violating += (row[0] - row[d - 1]) - nu > 0.0;
-        if (!pairs)
-            continue;
-        double maxp = -INFINITY, maxdiff = 0.0, minsum = INFINITY;
-        for (int64_t i = 0; i < d / 2; i++) {
-            double lo = row[i], hi = row[d - 1 - i];
-            double big = lo > hi ? lo : hi, diff = fabs(lo - hi), sum = lo + hi;
-            maxp = big > maxp ? big : maxp;
-            maxdiff = diff > maxdiff ? diff : maxdiff;
-            minsum = sum < minsum ? sum : minsum;
-        }
-        int g = maxp > 0.5, f = maxdiff <= minsum;
-        genuine += g;
-        fully += f;
-        middle += !g && !f;
-    }
-    hits[0] += genuine;
-    hits[1] += middle;
-    hits[2] += fully;
-    hits[3] += violating;
-}
-
-/* Add to hits[k] the rows of p in region k for each bit 1 << k set in mask
- * (0 genuine, 1 biseparable but not fully, 2 fully biseparable, 3 Mermin);
- * the counts of regions not in mask are unspecified.  Each call below
- * inlines its own copy of the row loop, so no mask bit is tested per row. */
+/* count_normalised on the (m, d) matrix p with the routine in use. */
 void count_hits(const double *p, int64_t m, int64_t d, int mask, double nu, int64_t *hits)
 {
-    if (!(mask & 7))
-        count_rows(p, m, d, 0, 1, nu, hits);
-    else if (mask & 8)
-        count_rows(p, m, d, 1, 1, nu, hits);
-    else
-        count_rows(p, m, d, 1, 0, nu, hits);
-}
-
-/* The values a narrower width's rows are normalised into, a few at a time,
- * so that they are counted while still in L1. */
-#define SCRATCH_VALUES 2048
-
-/* Draw m rows of d values with fill from stream in blocks of `rows` rows
- * through buf (rows x d), and count them at each of the `widths` row widths
- * w[k], each a divisor of d with Mermin threshold nu[k], into hits[4k..4k+3]
- * for the regions in mask.  Width w's m rows are the first m * w values:
- * each block's share of those is normalised with normalise into a scratch
- * block and counted before the block is normalised in place at width d. */
-static inline __attribute__((always_inline)) void draw_and_count(void (*fill)(void *, int64_t, double *),
-                           void (*normalise)(double *, const double *, int64_t, int64_t),
-                           void *stream, int64_t m, int64_t d, double *buf, int64_t rows,
-                           int widths, const int64_t *w, const double *nu, int mask,
-                           int64_t *hits)
-{
-    double scratch[SCRATCH_VALUES];
-    for (int64_t start = 0; start < m; start += rows) {
-        int64_t b = m - start < rows ? m - start : rows;
-        fill(stream, b * d, buf);
-        for (int k = 0; k < widths; k++) {
-            int64_t left = m * w[k] - start * d;  /* width w[k]'s values from buf on */
-            if (w[k] == d || left <= 0)
-                continue;
-            int64_t narrow = (left < b * d ? left : b * d) / w[k], step = SCRATCH_VALUES / w[k];
-            for (int64_t r = 0; r < narrow; r += step) {
-                int64_t c = narrow - r < step ? narrow - r : step;
-                normalise(scratch, buf + r * w[k], c, w[k]);
-                count_hits(scratch, c, w[k], mask, nu[k], hits + 4 * k);
-            }
-        }
-        normalise(buf, buf, b, d);
-        for (int k = 0; k < widths; k++)
-            if (w[k] == d)
-                count_hits(buf, b, d, mask, nu[k], hits + 4 * k);
+#if WIDE_ROUTINE
+    if (philox_wide) {
+        count_normalised_wide(p, m, d, mask, nu, hits);
+        return;
     }
+#endif
+    count_normalised(p, m, d, mask, nu, 0, hits);
 }
 
 /* Draw m rows of d values (d = 2^n with 2 <= n <= 6) from the Philox stream
@@ -511,11 +775,9 @@ void chunk_counts(const uint64_t *key, uint64_t *counter, uint64_t *buffer, int 
     philox8_load(&philox, key, counter, buffer, *pos);
 #if WIDE_ROUTINE
     if (philox_wide)
-        draw_and_count(fill_exponentials8, normalise_rows8, &philox, m, d, buf, rows, widths, w,
-                       nu, mask, hits);
+        draw_and_count_wide(&philox, m, d, buf, rows, widths, w, nu, mask, hits);
     else
 #endif
-        draw_and_count(fill_exponentials, normalise_rows, &philox, m, d, buf, rows, widths, w,
-                       nu, mask, hits);
+        draw_and_count(fill_exponentials, 0, &philox, m, d, buf, rows, widths, w, nu, mask, hits);
     philox8_store(&philox, counter, buffer, pos);
 }

@@ -24,11 +24,26 @@ after that value.  One of two routines, picked at load from the CPU's
 flags (``PHILOX_ROUTINE``), refills and reads the buffer.  ``"scalar"``
 computes the eight blocks one after another and reads one value at a
 time.  ``"avx512"``, on a CPU with AVX-512F and AVX-512DQ, computes them
-side by side and runs the fast path eight values at a time.  The draws
-replayed through NumPy's routine take their extra values from the buffer
-too, so the two routines draw the same values.  The kernel sums rows in
-NumPy's order only at the widths the estimator draws, d = 2^n with
+side by side and reads a window of 256 values at a time: it runs the
+fast path on the whole window with no branch, then replays only the
+draws that left it, in stream order, and packs the rest into the rows.
+Where the chunk ends inside a window, the stream goes back to the
+window's start and on by exactly the values read.  The draws replayed
+through NumPy's routine take their extra values from the stream too, so
+the two routines draw the same values.  The kernel sums rows in NumPy's
+order only at the widths the estimator draws, d = 2^n with
 2 <= n <= ``MC_MAX_QUBITS``, and :func:`chunk_counts` refuses any other.
+
+Each block is counted with only the work its families need.  Asked for
+no pair family (neither bisep_minus_fbi nor fbi), the kernel counts
+genuine and Mermin rows on the exponentials as drawn: a row is genuine
+if its largest value divided by the row sum exceeds 1/2, which is the
+test on the normalised row since division by the sum is correctly
+rounded and monotone, and the Mermin gap needs only its two divisions.
+Only the rows left in ``buf`` at the end are normalised.  The pair
+families normalise every block; the ``"avx512"`` routine, and
+:func:`count_hits` while it is in use, fold eight flip pairs at a time at
+d >= 16.
 
 Each routine the CPU can run is checked at load bit for bit against
 ``_mc_kernel_py.chunk_counts``, the NumPy kernel, on a twin stream: rows,
@@ -139,17 +154,23 @@ def _self_check(lib: ctypes.CDLL) -> None:
     for bit, gives its hit counts and leaves the bit generator where it does,
     on every routine the CPU can run: a NumPy release could change its draw
     or its summation order."""
-    m, rows = 35, 16  # two full blocks and a ragged one of 3 rows
+    # (nus, families, raw draws skipped, m, rows).  The first two draw 35
+    # rows in blocks of 16: two full blocks and a ragged one of 3 rows.
     # d = 64 starts mid-buffer, and its 2240 values leave the ziggurat's
     # fast path often enough to take 56 more raw draws.  It also counts
     # the rows of width 4 and 32 those values start with, the latter
     # ending 3 rows into the second block; bisep_minus_fbi reads both
     # pair predicates, which keeps NumPy's side of the check as short
-    # as with one width.
-    configs = (({4: 0.0}, (0, 1, 2, 3), 0), ({64: 0.0, 4: 0.25, 32: 0.03125}, (1, 3), 3))
+    # as with one width.  The third asks for no pair family, so it is
+    # counted on the exponentials as drawn: 19 rows of 16 in blocks of 8,
+    # two full and a ragged one of 3 rows, which leaves 5 rows of the block
+    # before in the buffer; its rows of width 4 give genuine hits.
+    configs = (({4: 0.0}, (0, 1, 2, 3), 0, 35, 16),
+               ({64: 0.0, 4: 0.25, 32: 0.03125}, (1, 3), 3, 35, 16),
+               ({16: 0.0, 4: 0.25}, (0, 3), 1, 19, 8))
     # NumPy's rows, hits and next 8 raw draws for each, the same for every routine
     expected = []
-    for nus, families, skip in configs:
+    for nus, families, skip, m, rows in configs:
         twin, ref = np.random.Philox(max(nus)), np.empty((rows, max(nus)))
         twin.random_raw(skip)
         hits = _numpy_chunk_counts(twin, m, ref, families, nus)  # m > rows: all rows written
@@ -157,7 +178,7 @@ def _self_check(lib: ctypes.CDLL) -> None:
     for routine in reversed(ROUTINES):
         if _set_routine(lib, routine) != routine:
             continue
-        for (nus, families, skip), (ref, ref_hits, ref_next) in zip(configs, expected):
+        for (nus, families, skip, m, rows), (ref, ref_hits, ref_next) in zip(configs, expected):
             d = max(nus)
             where = f"at d = {d} ({routine} routine)"
             bitgen, buf = np.random.Philox(d), np.empty((rows, d))
@@ -206,7 +227,8 @@ PHILOX_ROUTINE = _set_routine(_lib, ROUTINES[-1])  # the routine chunk_counts ru
 
 
 def count_hits(p: np.ndarray, family: int, nu: float) -> int:
-    """Count rows of the (m, d) probability matrix falling in the region."""
+    """Count rows of the (m, d) probability matrix falling in the region,
+    with the counter of the routine in use."""
     mask = _mask((family,))
     p = np.ascontiguousarray(p, dtype=np.float64)
     check_rows(p)

@@ -22,7 +22,7 @@ from .indices import (
     dimension,
     to_bits,
 )
-from .states import EPS_PSD, GhzDiagonalState, density_from_prob
+from .states import EPS_PSD, GhzDiagonalState, check_state, density_from_prob
 from .states import az_from_prob  # noqa: F401  (module attribute perfbench/spans.py traces)
 
 # strict-inequality decisions; the criteria are exact linear forms of the
@@ -57,7 +57,7 @@ class ClassificationResult:
 
 def is_biseparable(state: GhzDiagonalState) -> tuple[bool, int | None]:
     """True iff p_i <= 1/2 for every i; witness is the first index above 1/2."""
-    over = np.flatnonzero(genuine(state.p, EPS_CLASS))
+    over = np.flatnonzero(genuine(check_state(state).p, EPS_CLASS))
     return (False, int(over[0])) if over.size else (True, None)
 
 
@@ -67,7 +67,7 @@ def _concurrence(maxp) -> float:
 
 def gm_concurrence(state: GhzDiagonalState) -> float:
     """max{0, 2 max_i p_i - 1}: zero exactly on the biseparable polytope."""
-    return _concurrence(state.p.max())
+    return _concurrence(check_state(state).p.max())
 
 
 def _fbi_decision(p: np.ndarray, eps: float) -> tuple[bool, tuple[int, int] | None, float]:
@@ -85,7 +85,7 @@ def _fbi_decision(p: np.ndarray, eps: float) -> tuple[bool, tuple[int, int] | No
 
 def is_fully_biseparable(state: GhzDiagonalState) -> tuple[bool, tuple[int, int] | None]:
     """True iff |z_j| <= a_i for all i, j; witness is the first violating (i, j)."""
-    fbi, witness, _ = _fbi_decision(state.p, EPS_CLASS)
+    fbi, witness, _ = _fbi_decision(check_state(state).p, EPS_CLASS)
     return fbi, witness
 
 
@@ -104,20 +104,20 @@ def partial_transpose(mat: np.ndarray, n: int, bipartition: Bipartition) -> np.n
 
 
 def is_ppt_bipartition(state: GhzDiagonalState, bipartition: Bipartition) -> bool:
-    mat = density_from_prob(state)
+    mat = density_from_prob(state)  # checks the state
     pt = partial_transpose(mat, state.n, bipartition)
     return float(np.linalg.eigvalsh(pt).min()) >= -EPS_PSD
 
 
 def is_ppt_all_bipartitions(state: GhzDiagonalState) -> bool:
     """Brute-force oracle: min eigenvalue of every canonical partial transpose."""
-    check_qubit_count(state.n, DENSE_MAX_QUBITS)
+    check_qubit_count(check_state(state).n, DENSE_MAX_QUBITS)
     return all(is_ppt_bipartition(state, bp) for bp in all_bipartitions(state.n))
 
 
 def classify(state: GhzDiagonalState) -> ClassificationResult:
     """Place the state in exactly one of the three regions of the simplex."""
-    maxp = state.p.max()
+    maxp = check_state(state).p.max()
     bisep, wit_b = is_biseparable(state)
     fbi, wit_f, margin_f = _fbi_decision(state.p, EPS_CLASS)
     boundary = abs(float(maxp) - 0.5) <= EPS_BOUNDARY or margin_f <= EPS_BOUNDARY

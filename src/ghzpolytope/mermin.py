@@ -17,12 +17,12 @@ from ._mc_kernel_py import mermin_gap, mermin_violated
 from .classify import EPS_BOUNDARY, EPS_CLASS
 from .errors import InvalidArgumentError, UnsupportedSizeError
 from .indices import is_integer
-from .states import GhzDiagonalState
+from .states import GhzDiagonalState, check_state
 
 
 def mermin_expectation(state: GhzDiagonalState) -> float:
     """Closed form 2^(n-1) (p_0 - p_1...1)."""
-    return float(2 ** (state.n - 1) * mermin_gap(state.p))
+    return float(2 ** (check_state(state).n - 1) * mermin_gap(state.p))
 
 
 def _check_n(n: int) -> int:
@@ -54,7 +54,7 @@ def mermin_threshold(n: int) -> float:
 
 def violates_mermin(state: GhzDiagonalState) -> tuple[bool, bool]:
     """Returns (violates, boundary): violation iff p_0 - p_1...1 > nu_n, strictly."""
-    nu = mermin_threshold(state.n)
+    nu = mermin_threshold(check_state(state).n)
     gap = float(mermin_gap(state.p))
     return mermin_violated(gap, nu, EPS_CLASS), abs(gap - nu) <= EPS_BOUNDARY
 

@@ -11,6 +11,7 @@ rows as its nonzero entries (:class:`SparseRows`); ``iter_facets`` and
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
@@ -42,7 +43,15 @@ class Facet:
     offset: float = 0.0
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=float)
+        try:
+            c = np.asarray(self.coeffs, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgumentError(f"facet coefficients must be real numbers: {exc}") from None
+        if c.ndim != 1 or not np.isfinite(c).all():
+            raise InvalidArgumentError(f"facet coefficients must be a vector of finite numbers, "
+                                       f"got {self.coeffs!r}")
+        if isinstance(self.offset, (bool, np.bool_)) or not isinstance(self.offset, numbers.Real):
+            raise InvalidArgumentError(f"facet offset must be a real number, got {self.offset!r}")
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
@@ -312,6 +321,10 @@ def cube_vertex(n: int, sigma) -> GhzDiagonalState:
     """v_sigma = (2/d) sum_{i in sigma} v_i for a selection of one index per pair."""
     n = check_qubit_count(n)
     d = dimension(n)
+    try:
+        sigma = list(sigma)
+    except TypeError:
+        raise InvalidArgumentError(f"selection must be an iterable of indices, got {sigma!r}") from None
     sigma = [check_index(i, n) for i in sigma]
     taken = set(sigma)
     if len(taken) != d // 2:
@@ -333,7 +346,7 @@ def cube_vertex(n: int, sigma) -> GhzDiagonalState:
 def inscribed_ball(family: str, n: int) -> Ball:
     """The largest ball: centered at the maximally mixed state for all three
     families, radius sqrt(1/(d(d-1)))."""
-    if family not in FAMILIES:
+    if not isinstance(family, str) or family not in FAMILIES:
         raise InvalidArgumentError(f"unknown family {family!r}")
     n = check_qubit_count(n)
     d = dimension(n)

@@ -75,9 +75,16 @@ class GhzDiagonalState:
         return dimension(self.n)
 
 
+def check_state(state) -> GhzDiagonalState:
+    """``state``; raise InvalidArgumentError unless it is a GhzDiagonalState."""
+    if not isinstance(state, GhzDiagonalState):
+        raise InvalidArgumentError(f"need a GhzDiagonalState, got {type(state).__name__}")
+    return state
+
+
 def az_from_prob(state: GhzDiagonalState) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients a_i = (p_i + p_~i)/2 and z_i = (-1)^{i(1)} (p_i - p_~i)/2."""
-    p = state.p
+    p = check_state(state).p
     pbar = p[::-1]
     a = 0.5 * (p + pbar)
     signs = np.ones(state.d)
@@ -88,7 +95,7 @@ def az_from_prob(state: GhzDiagonalState) -> tuple[np.ndarray, np.ndarray]:
 
 def density_from_prob(state: GhzDiagonalState) -> np.ndarray:
     """The d x d real symmetric density matrix: diagonal a, anti-diagonal z."""
-    check_qubit_count(state.n, DENSE_MAX_QUBITS)
+    check_qubit_count(check_state(state).n, DENSE_MAX_QUBITS)
     a, z = az_from_prob(state)
     mat = np.diag(a)
     idx = np.arange(state.d)

@@ -118,7 +118,7 @@ class VolumeReport:
 
 
 def _check_family(family: str, allowed, n: int | None = None) -> None:
-    if family not in allowed:
+    if not isinstance(family, str) or family not in allowed:
         raise InvalidArgumentError(f"unknown family {family!r}; expected one of {allowed}")
     # a qubit count that is not an integer is refused by check_qubit_count
     if n is not None and family != GHZ and is_integer(n) and n < 2:

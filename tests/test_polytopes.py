@@ -12,6 +12,7 @@ from ghzpolytope import polytopes
 from ghzpolytope.polytopes import (
     FAMILIES,
     Ball,
+    Facet,
     FacetBlock,
     SparseRows,
     cube_vertex,
@@ -516,3 +517,21 @@ def test_min_facet_distance_stops_at_the_dense_cap(monkeypatch):
     for fam in ("GHZ", "BISEP", "FBI"):
         with pytest.raises(UnsupportedSizeError, match=f"up to n = {DENSE_MAX_QUBITS}"):
             min_center_facet_distance(fam, DENSE_MAX_QUBITS + 1)
+
+
+@pytest.mark.parametrize("sigma", [None, 3, 1.5], ids=["none", "int", "float"])
+def test_cube_vertex_refuses_a_selection_that_is_not_iterable(sigma):
+    with pytest.raises(InvalidArgumentError, match="iterable of indices"):
+        cube_vertex(3, sigma)
+
+
+@pytest.mark.parametrize(
+    "coeffs, offset",
+    [("abc", 0), ([1.0, "x"], 0), (None, 0), ([1.0, 0.0], "0"), ([1.0, 0.0], None),
+     ([1.0, 0.0], True), ([1.0, 0.0], [0.0])],
+    ids=["str-coeffs", "str-entry", "none-coeffs", "str-offset", "none-offset", "bool-offset",
+         "list-offset"],
+)
+def test_facet_refuses_coefficients_or_offsets_that_are_not_real_numbers(coeffs, offset):
+    with pytest.raises(InvalidArgumentError, match="facet"):
+        Facet("FBI", "x", coeffs, offset)

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
+from ghzpolytope.classify import (
+    classify,
+    gm_concurrence,
+    is_biseparable,
+    is_fully_biseparable,
+    is_ppt_all_bipartitions,
+    is_ppt_bipartition,
+)
 from ghzpolytope.errors import InvalidArgumentError
+from ghzpolytope.indices import Bipartition
+from ghzpolytope.mermin import mermin_expectation, violates_mermin
 from ghzpolytope.states import (
     GhzDiagonalState,
     az_from_prob,
@@ -169,3 +179,25 @@ def test_state_rejects_finite_entries_that_sum_past_the_largest_float():
     big = np.finfo(float).max
     with pytest.raises(InvalidArgumentError, match="sum to inf"):
         GhzDiagonalState(1, np.array([big, big]))
+
+
+STATE_FUNCTIONS = {
+    "classify": classify,
+    "is_biseparable": is_biseparable,
+    "is_fully_biseparable": is_fully_biseparable,
+    "gm_concurrence": gm_concurrence,
+    "az_from_prob": az_from_prob,
+    "density_from_prob": density_from_prob,
+    "is_ppt_bipartition": lambda state: is_ppt_bipartition(state, Bipartition(3, {1})),
+    "is_ppt_all_bipartitions": is_ppt_all_bipartitions,
+    "mermin_expectation": mermin_expectation,
+    "violates_mermin": violates_mermin,
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATE_FUNCTIONS))
+@pytest.mark.parametrize("state", [None, np.full(8, 0.125), "uniform", 3, (3, [0.125] * 8)],
+                         ids=["none", "array", "str", "int", "tuple"])
+def test_functions_that_take_a_state_refuse_anything_else(name, state):
+    with pytest.raises(InvalidArgumentError, match="need a GhzDiagonalState"):
+        STATE_FUNCTIONS[name](state)

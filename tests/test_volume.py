@@ -16,7 +16,7 @@ from ghzpolytope import _mc_kernel_py, volume
 from ghzpolytope.errors import InvalidArgumentError, UnsupportedSizeError
 from ghzpolytope.indices import MC_MAX_SAMPLES, MC_MAX_THREADS
 from ghzpolytope.mermin import mermin_threshold
-from ghzpolytope.polytopes import iter_extreme_points
+from ghzpolytope.polytopes import cube_vertex, inscribed_ball, iter_extreme_points
 from ghzpolytope.volume import (
     _BLOCK_BYTES,
     BISEP_MINUS_FBI,
@@ -220,6 +220,19 @@ def test_invalid_families():
         rvr(GENUINE, 1)
     with pytest.raises(UnsupportedSizeError):
         rel_vol_exact(GENUINE, 21)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [rel_vol_exact, vol_exact, rvr, inscribed_ball,
+     lambda family, n: mc_relative_volume(family, n, 10_000, seed=1)],
+    ids=["rel_vol_exact", "vol_exact", "rvr", "inscribed_ball", "mc_relative_volume"],
+)
+@pytest.mark.parametrize("family", [np.zeros((2, 3)), None, ["fbi"], b"fbi"],
+                         ids=["array", "none", "list", "bytes"])
+def test_families_that_are_not_str_are_invalid_arguments(call, family):
+    with pytest.raises(InvalidArgumentError, match="unknown family"):
+        call(family, 3)
 
 
 @pytest.mark.parametrize("closed_form", [rel_vol_exact, vol_exact, rvr])
@@ -499,19 +512,54 @@ def test_fused_rows_equal_sample_simplex(d):
 
 
 @needs_c
-@pytest.mark.parametrize("n", [3, 4])
-def test_c_count_hits_equals_numpy_on_ties(n):
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_c_count_hits_equals_numpy_on_ties(n, routine="scalar"):
     # the B_n and F_n vertices and the Mermin hyperplane points sit exactly
-    # on the region boundaries, where a <, <= or > swap changes the count
+    # on the region boundaries, where a <, <= or > swap changes the count;
+    # count_hits runs the routine in use, whose fold at d = 32 and 64 takes
+    # eight flip pairs at a time.  Past the first 4096 F_n vertices (the
+    # diagonal midpoints, then cube vertices that vary only their first
+    # twelve pairs), cube vertices at random vary every pair.
+    d = 1 << n
+    pair = np.arange(d // 2)
+    sigmas = np.where(np.random.default_rng(n).integers(0, 2, (64, d // 2)) == 1, d - 1 - pair, pair)
     rows = [
         np.array([s.p for s in iter_extreme_points("BISEP", n)]),
-        np.array([s.p for s in iter_extreme_points("FBI", n)]),
+        np.array([s.p for s in iter_extreme_points("FBI", n, stop=1 << 12)]
+                 + [cube_vertex(n, sigma).p for sigma in sigmas]),
         np.array([s.p for s in mermin_hyperplane_points(n)]),
     ]
     nu = mermin_threshold(n)
-    for p in rows:
-        for family in range(4):
-            assert _mc_kernel.count_hits(p, family, nu) == _mc_kernel_py.count_hits(p, family, nu)
+    with philox_routine(routine):
+        for p in rows:
+            for family in range(4):
+                assert _mc_kernel.count_hits(p, family, nu) == _mc_kernel_py.count_hits(p, family, nu)
+
+
+@needs_wide
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_c_count_hits_equals_numpy_on_ties_avx512(n):
+    test_c_count_hits_equals_numpy_on_ties(n, "avx512")
+
+
+@needs_c
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_c_count_hits_equals_numpy_across_the_regions(n, routine="scalar"):
+    # Dirichlet rows, concentrated (mostly genuine), spread, and near the
+    # uniform point (the FBI boundary): every region and both sides of it
+    d, nu = 1 << n, mermin_threshold(n)
+    rng = np.random.default_rng(n)
+    for alpha in (0.05, 0.3, 10.0):
+        p = rng.dirichlet(np.full(d, alpha), 2000)
+        with philox_routine(routine):
+            for family in range(4):
+                assert _mc_kernel.count_hits(p, family, nu) == _mc_kernel_py.count_hits(p, family, nu)
+
+
+@needs_wide
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_c_count_hits_equals_numpy_across_the_regions_avx512(n):
+    test_c_count_hits_equals_numpy_across_the_regions(n, "avx512")
 
 
 def _mutated_source(tmp_path):
@@ -804,6 +852,65 @@ def test_long_stream_equals_sample_simplex(routine="scalar"):
 @needs_wide
 def test_long_stream_equals_sample_simplex_avx512():
     test_long_stream_equals_sample_simplex("avx512")
+
+
+# The wide routine reads the stream a window of 256 values at a time, from
+# the start of the 32-value group of Philox blocks that holds the next value.
+WINDOW = 256
+
+
+@needs_c
+def test_chunk_counts_end_at_every_offset_of_a_window(routine="scalar"):
+    # rows of 4 values, m = 1..70, in one block or in blocks of 16 rows: a
+    # fresh stream's window starts at its first value, and one started 1, 2
+    # or 3 values in starts 29, 30 or 31 values before them, so the chunks
+    # end the fill at every offset of a window, and some past its end; both
+    # counting paths, with and without a pair family
+    nus = {4: 0.25}
+    for skip in range(4):
+        for m in range(1, 71):
+            for rows in {m, min(m, 16)}:
+                for codes in ((0, 1, 2, 3), (0, 3)):
+                    bitgen, twin = _twin_philox(4, skip)
+                    buf, ref = np.empty((rows, 4)), np.empty((rows, 4))
+                    with philox_routine(routine):
+                        got = _mc_kernel.chunk_counts(bitgen, m, buf, codes, nus)
+                    assert got == _mc_kernel_py.chunk_counts(twin, m, ref, codes, nus), (skip, m)
+                    assert_same_bits(buf, ref)
+                    np.testing.assert_array_equal(bitgen.random_raw(8), twin.random_raw(8))
+
+
+@needs_wide
+def test_chunk_counts_end_at_every_offset_of_a_window_avx512():
+    test_chunk_counts_end_at_every_offset_of_a_window("avx512")
+
+
+# In Philox(286) the 248th exponential NumPy draws, the last of 62 rows of
+# 4, leaves the ziggurat's fast path at raw value 255, the last of the
+# first window, and reads on past it
+PAST_WINDOW_SEED, PAST_WINDOW_ROWS = 286, 62
+
+
+@needs_c
+def test_chunk_ending_in_a_draw_that_reads_past_its_window(routine="scalar"):
+    bitgen = np.random.Philox(PAST_WINDOW_SEED)
+    draw = np.random.Generator(bitgen).standard_exponential
+    spans = [_raws_drawn(bitgen, draw) for _ in range(4 * PAST_WINDOW_ROWS)]  # NumPy alone
+    assert sum(spans[:-1]) == WINDOW - 1 and spans[-1] > 2
+    nus = {4: 0.25}
+    for codes in ((0, 1, 2, 3), (0, 3)):
+        bitgen, twin = _twin_philox(PAST_WINDOW_SEED, 0)
+        buf, ref = np.empty((PAST_WINDOW_ROWS, 4)), np.empty((PAST_WINDOW_ROWS, 4))
+        with philox_routine(routine):
+            got = _mc_kernel.chunk_counts(bitgen, PAST_WINDOW_ROWS, buf, codes, nus)
+        assert got == _mc_kernel_py.chunk_counts(twin, PAST_WINDOW_ROWS, ref, codes, nus)
+        assert_same_bits(buf, ref)
+        assert_same_state(bitgen, twin)
+
+
+@needs_wide
+def test_chunk_ending_in_a_draw_that_reads_past_its_window_avx512():
+    test_chunk_ending_in_a_draw_that_reads_past_its_window("avx512")
 
 
 CARRY = np.array([2**64 - 2, 2**64 - 1, 0, 0], dtype=np.uint64)
