@@ -11,13 +11,12 @@
  * value.  One of two routines, chosen at run time from the CPU's flags,
  * refills it and reads it:
  *   - scalar: the eight blocks one after another, one value at a time;
- *   - wide (AVX-512F and AVX-512DQ): the eight blocks side by side, read a
- *     window of 256 values at a time.  Every value of the window takes the
- *     fast path eight lanes at a time with no branch; the few that leave it
- *     are then replayed in stream order, and the values those replays read
- *     are dropped from the window as it is packed into the rows.
+ *   - wide (AVX-512F and AVX-512DQ): the eight blocks side by side, and the
+ *     fast path eight values at a time; a group's lanes up to the first one
+ *     off the fast path are kept, that draw is replayed, and the next group
+ *     starts after it.
  * The draws replayed through NumPy's routine take their extra values from
- * the stream too, so both routines hand out the same values.  Rows are d =
+ * the buffer too, so both routines hand out the same values.  Rows are d =
  * 2^n wide, 2 <= n <= 6, and are summed in NumPy's order: left to right at
  * d = 4, eight values at a time above it.  One draw of rows of the widest
  * width asked for also gives the rows of every narrower width: those are the
@@ -35,7 +34,6 @@
  * the order written. */
 #include <stdint.h>
 #include <math.h>
-#include <string.h>
 #include "numpy/random/bitgen.h"
 
 /* The wide routine needs GCC's or Clang's x86-64 target attributes. */
@@ -532,10 +530,9 @@ WIDE static inline __m512i mul128(__m512i alo, __m512i ahi, __m512i b, __m512i *
     return _mm512_mask_shuffle_epi32(ll, 0xAAAA, mid2, _MM_PERM_CDAB);
 }
 
-/* philox8_refill_scalar, the eight blocks side by side and written to dst
- * (32 values, 64-byte aligned) in place of buf: lane j of x0..x3 runs the
- * block of counter last + j + 1, as PHILOX_ROUND runs one block. */
-WIDE static void philox8_blocks_wide(philox8_t *s, uint64_t *dst)
+/* philox8_refill_scalar, the eight blocks side by side: lane j of x0..x3
+ * runs the block of counter last + j + 1, as PHILOX_ROUND runs one block. */
+WIDE static void philox8_refill_wide(philox8_t *s)
 {
     const __m512i one = _mm512_set1_epi64(1), zero = _mm512_setzero_si512();
     const __m512i step = _mm512_setr_epi64(1, 2, 3, 4, 5, 6, 7, 8);
@@ -568,142 +565,56 @@ WIDE static void philox8_blocks_wide(philox8_t *s, uint64_t *dst)
     const __m512i quad_hi = _mm512_setr_epi64(4, 5, 12, 13, 6, 7, 14, 15);
     __m512i a = _mm512_permutex2var_epi64(x0, pair_lo, x1), b = _mm512_permutex2var_epi64(x2, pair_lo, x3);
     __m512i c = _mm512_permutex2var_epi64(x0, pair_hi, x1), e = _mm512_permutex2var_epi64(x2, pair_hi, x3);
-    _mm512_store_si512(dst, _mm512_permutex2var_epi64(a, quad_lo, b));
-    _mm512_store_si512(dst + 8, _mm512_permutex2var_epi64(a, quad_hi, b));
-    _mm512_store_si512(dst + 16, _mm512_permutex2var_epi64(c, quad_lo, e));
-    _mm512_store_si512(dst + 24, _mm512_permutex2var_epi64(c, quad_hi, e));
+    _mm512_store_si512(s->buf, _mm512_permutex2var_epi64(a, quad_lo, b));
+    _mm512_store_si512(s->buf + 8, _mm512_permutex2var_epi64(a, quad_hi, b));
+    _mm512_store_si512(s->buf + 16, _mm512_permutex2var_epi64(c, quad_lo, e));
+    _mm512_store_si512(s->buf + 24, _mm512_permutex2var_epi64(c, quad_hi, e));
+    s->pos = 0;
     counter_add(s->last, 8);
 }
 
 WIDE static uint64_t philox8_next_wide(void *stream)
 {
     philox8_t *s = stream;
-    if (s->pos == 32) {
-        philox8_blocks_wide(s, s->buf);
-        s->pos = 0;
-    }
+    if (s->pos == 32)
+        philox8_refill_wide(s);
     return s->buf[s->pos++];
 }
 
-/* The wide routine reads the stream a window at a time: the 32 values in
- * buf, from pos on, and the 224 after them. */
-#define WINDOW 256
-
-/* A replayed draw's extra values: the window's from `at` on, then, past
- * its end, the live stream, which then goes on from the window's end. */
-typedef struct {
-    const uint64_t *win;
-    int at;
-    philox8_t *live;
-} window_reader_t;
-
-WIDE static uint64_t window_next(void *reader)
-{
-    window_reader_t *r = reader;
-    if (r->at++ < WINDOW)
-        return r->win[r->at - 1];
-    return philox8_next_wide(r->live);
-}
-
-/* The first bit set in the WINDOW bits at or after bit `from` < WINDOW, or
- * WINDOW if none is. */
-static inline int next_bit(const uint64_t *bits, int from)
-{
-    uint64_t word = bits[from / 64] & ~0ULL << (from % 64);
-    for (int i = from / 64;;) {
-        if (word)
-            return 64 * i + __builtin_ctzll(word);
-        if (++i == WINDOW / 64)
-            return WINDOW;
-        word = bits[i];
-    }
-}
-
-/* fill_exponentials a window at a time.  Every value of the window is
- * taken down the fast path eight lanes at a time with no branch, into x,
- * with a bit in `slow` for each that leaves it.  Those draws are then
- * replayed in stream order through NumPy's routine; the extra values each
- * reads are no draws of their own, so their bits are set in `gone`.  The
- * rest are packed into out eight lanes at a time.  In the window where out
- * is full the state goes back to the window's start, moved on by exactly
- * the values read, unless the last draw read past the window's end: then
- * the live stream is already there. */
-WIDE static void fill_exponentials_window(void *stream, int64_t n, double *out)
+/* fill_exponentials, eight values at a time: the lanes up to the first one
+ * off the fast path are stored, that one is replayed through NumPy's
+ * routine, and the next group starts after it. */
+WIDE static void fill_exponentials8(void *stream, int64_t n, double *out)
 {
     philox8_t *s = stream;
-    uint64_t win[WINDOW] __attribute__((aligned(64)));
-    double x[WINDOW] __attribute__((aligned(64)));
     const __m512i layer = _mm512_set1_epi64(255);
-    while (n > 0) {
-        if (s->pos == 32) {
-            philox8_blocks_wide(s, s->buf);
-            s->pos = 0;
+    for (int64_t i = 0; i < n;) {
+        if (s->pos == 32)
+            philox8_refill_wide(s);
+        int64_t k = n - i < 8 ? n - i : 8;
+        k = k < 32 - s->pos ? k : 32 - s->pos;
+        __mmask8 lanes = (__mmask8)((1u << k) - 1);
+        __m512i u = _mm512_maskz_loadu_epi64(lanes, s->buf + s->pos);
+        __m512i ri = _mm512_srli_epi64(u, 11);
+        __m512i idx = _mm512_and_si512(_mm512_srli_epi64(u, 3), layer);
+        /* gathered into zeros: a gather merges into its destination, and an
+         * old one would chain each group to the last */
+        __m512i kes = _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), lanes, idx, ke, 8);
+        __m512d wes = _mm512_mask_i64gather_pd(_mm512_setzero_pd(), lanes, idx, we, 8);
+        __mmask8 fast = _mm512_mask_cmplt_epu64_mask(lanes, ri, kes);
+        __m512d x = _mm512_mul_pd(_mm512_cvtepu64_pd(ri), wes);
+        if (fast == lanes) {
+            _mm512_mask_storeu_pd(out + i, lanes, x);
+            i += k;
+            s->pos += k;
+            continue;
         }
-        uint64_t first[4];  /* the counter of buf's last block */
-        memcpy(first, s->last, sizeof first);
-        int from = s->pos;
-        memcpy(win, s->buf, sizeof s->buf);
-        for (int j = 32; j < WINDOW; j += 32)
-            philox8_blocks_wide(s, win + j);
-        s->pos = 32;  /* the live stream starts at the window's end */
-        uint64_t slow[WINDOW / 64] = {0}, gone[WINDOW / 64] = {0};
-        for (int g = 0; g < WINDOW / 8; g++) {
-            __m512i u = _mm512_load_si512(win + 8 * g);
-            __m512i ri = _mm512_srli_epi64(u, 11);
-            __m512i idx = _mm512_and_si512(_mm512_srli_epi64(u, 3), layer);
-            /* gathered into zeros: a gather merges into its destination, and
-             * an old one would chain each group to the last */
-            __m512i kes = _mm512_mask_i64gather_epi64(_mm512_setzero_si512(), 0xFF, idx, ke, 8);
-            __m512d wes = _mm512_mask_i64gather_pd(_mm512_setzero_pd(), 0xFF, idx, we, 8);
-            __mmask8 fast = _mm512_cmplt_epu64_mask(ri, kes);
-            _mm512_store_pd(x + 8 * g, _mm512_mul_pd(_mm512_cvtepu64_pd(ri), wes));
-            slow[g / 8] |= (uint64_t)(uint8_t)~fast << 8 * (g % 8);
-        }
-        /* at: the window's first value not yet read; k: the draws up to it */
-        int at = from;
-        int64_t k = 0;
-        for (;;) {
-            int j = next_bit(slow, at);
-            if (j - at >= n - k) {  /* fast draws up to j fill out */
-                at += n - k;
-                k = n;
-                break;
-            }
-            k += j - at;
-            at = j;
-            if (j == WINDOW)
-                break;
-            window_reader_t r = {win, j + 1, s};
-            int calls;
-            x[j] = replay_exponential(win[j], window_next, &r, &calls);
-            k++;
-            for (int i = j + 1; i < r.at && i < WINDOW; i++)
-                gone[i / 64] |= 1ULL << i % 64;
-            at = r.at;
-            if (k == n || at >= WINDOW)
-                break;
-        }
-        /* the draws: values from..at of the window, less those gone */
-        int end = at < WINDOW ? at : WINDOW;
-        for (int g = from / 8; g < (end + 7) / 8; g++) {
-            unsigned lanes = ~(unsigned)(gone[g / 8] >> 8 * (g % 8)) & 0xFF;
-            if (8 * g < from)
-                lanes &= 0xFF << (from - 8 * g);
-            if (8 * g + 8 > end)
-                lanes &= 0xFF >> (8 * g + 8 - end);
-            int c = __builtin_popcount(lanes);
-            __m512d v = _mm512_maskz_compress_pd((__mmask8)lanes, _mm512_load_pd(x + 8 * g));
-            _mm512_mask_storeu_pd(out, (__mmask8)((1u << c) - 1), v);
-            out += c;
-        }
-        n -= k;
-        if (at <= WINDOW) {
-            int block = (at - 1) / 32;
-            memcpy(s->buf, win + 32 * block, sizeof s->buf);
-            memcpy(s->last, first, sizeof first);
-            counter_add(s->last, 8 * block);
-            s->pos = at - 32 * block;
-        }
+        int first_slow = __builtin_ctz(~fast & lanes), calls;
+        _mm512_mask_storeu_pd(out + i, (__mmask8)((1u << first_slow) - 1), x);
+        i += first_slow;
+        s->pos += first_slow;
+        uint64_t v = s->buf[s->pos++];
+        out[i++] = replay_exponential(v, philox8_next_wide, s, &calls);
     }
 }
 
@@ -712,7 +623,7 @@ WIDE static void draw_and_count_wide(philox8_t *s, int64_t m, int64_t d, double 
                                      int64_t rows, int widths, const int64_t *w,
                                      const double *nu, int mask, int64_t *hits)
 {
-    draw_and_count(fill_exponentials_window, 1, s, m, d, buf, rows, widths, w, nu, mask, hits);
+    draw_and_count(fill_exponentials8, 1, s, m, d, buf, rows, widths, w, nu, mask, hits);
 }
 
 WIDE static void count_normalised_wide(const double *p, int64_t m, int64_t d, int mask, double nu,

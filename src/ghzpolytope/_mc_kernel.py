@@ -24,14 +24,12 @@ after that value.  One of two routines, picked at load from the CPU's
 flags (``PHILOX_ROUTINE``), refills and reads the buffer.  ``"scalar"``
 computes the eight blocks one after another and reads one value at a
 time.  ``"avx512"``, on a CPU with AVX-512F and AVX-512DQ, computes them
-side by side and reads a window of 256 values at a time: it runs the
-fast path on the whole window with no branch, then replays only the
-draws that left it, in stream order, and packs the rest into the rows.
-Where the chunk ends inside a window, the stream goes back to the
-window's start and on by exactly the values read.  The draws replayed
-through NumPy's routine take their extra values from the stream too, so
-the two routines draw the same values.  The kernel sums rows in NumPy's
-order only at the widths the estimator draws, d = 2^n with
+side by side and takes the fast path on groups of up to eight values:
+it stores a group's values up to the first one that leaves the fast
+path, replays that draw, and starts the next group after it.  The draws
+replayed through NumPy's routine take their extra values from the buffer
+too, so the two routines draw the same values.  The kernel sums rows in
+NumPy's order only at the widths the estimator draws, d = 2^n with
 2 <= n <= ``MC_MAX_QUBITS``, and :func:`chunk_counts` refuses any other.
 
 Each block is counted with only the work its families need.  Asked for
@@ -47,11 +45,14 @@ d >= 16.
 
 Each routine the CPU can run is checked at load bit for bit against
 ``_mc_kernel_py.chunk_counts``, the NumPy kernel, on a twin stream: rows,
-hit counts and the bit generator's next draws.  Any failure (no compiler,
-an unwritable directory, a missing library, a failed probe, a mismatch)
-raises ImportError, and ``volume`` keeps the NumPy kernel.  Calls go
-through ctypes, which releases the GIL, so chunks on a thread pool run in
-parallel.
+hit counts and the bit generator's next draws.  Its :func:`count_hits`
+must also give the NumPy kernel's counts on rows exactly on the region
+boundaries (``BOUNDARY_HITS``), where a comparison or a flip pairing gone
+wrong shows and random rows, which never tie, cannot show it.  Any
+failure (no compiler, an unwritable directory, a missing library, a
+failed probe, a mismatch) raises ImportError, and ``volume`` keeps the
+NumPy kernel.  Calls go through ctypes, which releases the GIL, so chunks
+on a thread pool run in parallel.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ import numpy as np
 from ._mc_kernel_py import FAMILY_GENUINE, FAMILY_MERMIN, check_rows, check_widths
 from ._mc_kernel_py import chunk_counts as _numpy_chunk_counts
 from .indices import MC_MAX_QUBITS
+from .mermin import mermin_threshold
 
 BACKEND = "c"
 
@@ -149,11 +151,53 @@ def _set_routine(lib: ctypes.CDLL, routine: str) -> str:
     return ROUTINES[lib.set_philox_routine(ROUTINES.index(routine))]
 
 
+def _boundary_rows(n: int) -> np.ndarray:
+    """Rows at d = 2^n that sit exactly on the region boundaries, where a <,
+    <= or > swap, or a flip pair folded with the wrong partner, changes a
+    count.  With j = 1, 2, 4, ..., d/2: the B_n vertices (v_0 + v_j)/2
+    (max p = 1/2); the F_n diagonal midpoints (v_j-1 + v_d-j)/2, and the
+    cube vertices that take from every flip pair the index whose bit k is
+    0, or 1 (maxdiff = minsum); the points nu v_0 + (1 - nu) v_j on the
+    Mermin hyperplane, with the midway point of the edge to v_d-1
+    (gap = nu_n); and, just outside F_n, the cube vertex 0, 1, ..., d/2 - 1
+    with its index 0 moved to d - 2 (minsum = 0 < maxdiff = 2/d), which a
+    fold that loses pair 0's sum among larger ones takes as inside.  Every
+    value is 0, 1/2, 2/d, nu_n or a sum of two of those, so each row is
+    exact.  Built with item and slice assignments only, which cost little
+    in a fresh process."""
+    d, nu = 1 << n, mermin_threshold(n)
+    js = [1 << k for k in range(n)]
+    # (i, j, p_i, p_j): the rows with two nonzero values
+    edges = ([(0, j, 0.5, 0.5) for j in js] + [(j - 1, d - j, 0.5, 0.5) for j in js]
+             + [(0, j, nu, 1.0 - nu) for j in js] + [(0, d - 1, 0.5 + 0.5 * nu, 0.5 - 0.5 * nu)])
+    rows = np.zeros((len(edges) + 2 * n + 1, d))
+    for r, (i, j, p_i, p_j) in enumerate(edges):
+        rows[r, i], rows[r, j] = p_i, p_j
+    cube = rows[len(edges):]
+    for k in range(n):  # i and d-1-i differ in bit k
+        for bit in (0, 1):
+            cube[2 * k + bit].reshape(-1, 2, 1 << k)[:, bit] = 2.0 / d
+    cube[-1, 1:d // 2] = cube[-1, d - 2] = 2.0 / d
+    return rows
+
+
+# NumPy's counts (genuine, bisep_minus_fbi, fbi, mermin) on _boundary_rows(n)
+# with nu = nu_n.  The rows are exact and each region's inequality compares
+# exact values, so, unlike NumPy's draws, these cannot change with its
+# release; a test checks them against _mc_kernel_py.count_hits.  Counting
+# them there at load would take one NumPy call per flip pair and family,
+# about 0.5 ms.
+BOUNDARY_HITS = {3: (1, 7, 9, 0), 4: (1, 9, 12, 0), 6: (7, 7, 18, 6)}
+
+
 def _self_check(lib: ctypes.CDLL) -> None:
     """Raise ImportError unless the kernel writes the NumPy kernel's rows bit
     for bit, gives its hit counts and leaves the bit generator where it does,
     on every routine the CPU can run: a NumPy release could change its draw
-    or its summation order."""
+    or its summation order.  Its count_hits must also give the NumPy kernel's
+    counts on the boundary rows at d = 8, 16 and 64 (``BOUNDARY_HITS``),
+    where random rows never tie and so cannot show a comparison or a
+    pairing gone wrong."""
     # (nus, families, raw draws skipped, m, rows).  The first two draw 35
     # rows in blocks of 16: two full blocks and a ragged one of 3 rows.
     # d = 64 starts mid-buffer, and its 2240 values leave the ziggurat's
@@ -175,6 +219,7 @@ def _self_check(lib: ctypes.CDLL) -> None:
         twin.random_raw(skip)
         hits = _numpy_chunk_counts(twin, m, ref, families, nus)  # m > rows: all rows written
         expected.append((ref, hits, twin.random_raw(8)))
+    boundary = [(_boundary_rows(n), mermin_threshold(n), hits) for n, hits in BOUNDARY_HITS.items()]
     for routine in reversed(ROUTINES):
         if _set_routine(lib, routine) != routine:
             continue
@@ -190,6 +235,13 @@ def _self_check(lib: ctypes.CDLL) -> None:
                 raise ImportError(f"C kernel hit counts differ from NumPy's {where}")
             if not np.array_equal(bitgen.random_raw(8), ref_next):
                 raise ImportError(f"C kernel leaves the bit generator off NumPy's state {where}")
+        for rows, nu, ref_hits in boundary:
+            hits = _HITS()
+            lib.count_hits(rows.ctypes.data, rows.shape[0], rows.shape[1], _mask(range(_FAMILIES)),
+                           nu, hits)
+            if tuple(hits) != ref_hits:
+                raise ImportError(f"C kernel hit counts differ from NumPy's on the boundary rows "
+                                  f"at d = {rows.shape[1]} ({routine} routine)")
     _set_routine(lib, ROUTINES[-1])
 
 

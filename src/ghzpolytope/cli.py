@@ -515,11 +515,19 @@ def main(argv=None, out=None) -> int:
         if args.func is _cmd_report and samples == 0:
             samples = None
         volume.check_mc_settings(getattr(args, "seed", 0), getattr(args, "threads", 1), samples)
-        return args.func(args, out)
+        code = args.func(args, out)
+        if out is sys.stdout:
+            out.flush()  # a reader gone by now shows here, not at the interpreter's exit
+        return code
     except UnsupportedSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED_SIZE
     except (GhzPolytopeError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError) and out is sys.stdout:
+            # the reader closed stdout early: the output ends here, and the
+            # interpreter's last flush of stdout goes to os.devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_OK
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except KeyboardInterrupt:

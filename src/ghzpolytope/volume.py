@@ -145,7 +145,7 @@ def rel_vol_exact(family: str, n: int) -> float:
 
     Computed dyadically where the quantities fit a double exactly (d and
     (d/2)^(d/2) are powers of two), so the three-way trisection sums to 1
-    without rounding residue; log-gamma takes over for large n.
+    without rounding residue.
     """
     _check_family(family, ALL_FAMILIES, n)
     n = check_qubit_count(n, CLOSED_FORM_MAX_QUBITS)
@@ -156,12 +156,11 @@ def rel_vol_exact(family: str, n: int) -> float:
         # d * (1/2)^(d-1), exact: d is a power of two
         return math.ldexp(float(d), 1 - d)
     if family == FBI:
+        # (d/2)! / (d/2)^(d/2), whose denominator is 2^(h (n-1)): a ratio of
+        # integers, which Python rounds correctly.  From n = 11 on it is below
+        # half the least subnormal (about 2^-1471 at n = 11), so 0.0.
         h = d // 2
-        if h <= 128:
-            # (d/2)! / (d/2)^(d/2); the denominator is a power of two, so
-            # this is a float conversion plus an exact exponent shift
-            return math.ldexp(float(math.factorial(h)), -h * (n - 1))
-        return math.exp(math.lgamma(h + 1) - h * math.log(h))
+        return math.factorial(h) / (1 << h * (n - 1)) if n <= 10 else 0.0
     if family == MERMIN:
         nu = mermin_threshold(n)
         return 0.0 if nu >= 1.0 else (1.0 - nu) ** (d - 1) / 2.0

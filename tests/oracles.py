@@ -25,7 +25,7 @@ from ghzpolytope.indices import (
 from ghzpolytope.mermin import mermin_threshold
 from ghzpolytope.polytopes import Facet, facet_count, iter_facets
 from ghzpolytope.states import EPS_NORM, GhzDiagonalState
-from ghzpolytope.volume import BISEP_MINUS_FBI, FBI, GENUINE, MERMIN
+from ghzpolytope.volume import BISEP_MINUS_FBI, FBI, GENUINE, GHZ, MERMIN
 
 # ---------------------------------------------------------------- indices
 
@@ -222,6 +222,37 @@ def hull_volume(p: int, side: float, q: int, v0: float) -> float:
         + math.log(v0)
     )
     return math.exp(log_v)
+
+
+def rel_vol_ratio(family: str, n: int) -> tuple[int, int]:
+    """The paper's relative volume of ``family`` as integers (num, den) whose
+    exact ratio it is (d = 2^n, h = d/2):
+
+    - ghz: 1;
+    - genuine: d / 2^(d-1);
+    - fbi: h! / h^h;
+    - mermin: (1 - nu_n)^(d-1) / 2, with nu_n = mu_n / 2^(n-1), the
+      classical bound mu_n = 2^floor(n/2) over the Mermin operator's scale;
+    - bisep_minus_fbi: 1 minus genuine minus fbi.
+
+    ``num / den`` divides the integers, which Python rounds correctly, into
+    the subnormals too.  Nothing is reduced: a gcd of integers of a million
+    bits costs more than the test.
+    """
+    d, h = 1 << n, 1 << (n - 1)
+    if family == GHZ:
+        return 1, 1
+    if family == GENUINE:
+        return d, 1 << (d - 1)
+    if family == FBI:
+        return math.factorial(h), h**h
+    if family == MERMIN:
+        scale = 1 << (n - 1)
+        return (scale - (1 << n // 2)) ** (d - 1), 2 * scale ** (d - 1)
+    if family == BISEP_MINUS_FBI:
+        (g, g_den), (f, f_den) = rel_vol_ratio(GENUINE, n), rel_vol_ratio(FBI, n)
+        return g_den * f_den - g * f_den - f * g_den, g_den * f_den
+    raise InvalidArgumentError(f"unknown family {family!r}")
 
 
 # each family's relative volume radius as n -> infinity

@@ -926,6 +926,23 @@ def test_reader_closing_mid_listing_is_one_error_line(capsys):
     assert lines == ["error: [Errno 32] Broken pipe"]
 
 
+def test_reader_closing_stdout_early_ends_the_output():
+    # a real pipe: the reader takes 300 bytes of the F_8 listing and closes
+    # it; the listing stops there with exit 0 and nothing on stderr
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "ghzpolytope", "facets", "--family", "fbi",
+                             "--n", "8"], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert len(proc.stdout.read(300)) == 300
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == EXIT_OK
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
+
+
 # ------------------------------------------------------------- argv fuzz
 
 fuzz_numbers = st.one_of(

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.stats import binom
 
 from ghzpolytope import _mc_kernel_py, volume
 from ghzpolytope.errors import InvalidArgumentError, UnsupportedSizeError
@@ -19,6 +20,7 @@ from ghzpolytope.mermin import mermin_threshold
 from ghzpolytope.polytopes import cube_vertex, inscribed_ball, iter_extreme_points
 from ghzpolytope.volume import (
     _BLOCK_BYTES,
+    ALL_FAMILIES,
     BISEP_MINUS_FBI,
     FBI,
     GENUINE,
@@ -32,7 +34,7 @@ from ghzpolytope.volume import (
     sample_simplex,
     vol_exact,
 )
-from oracles import RVR_LIMITS, hull_volume, mermin_hyperplane_points
+from oracles import RVR_LIMITS, hull_volume, mermin_hyperplane_points, rel_vol_ratio
 
 try:
     from ghzpolytope import _mc_kernel
@@ -147,6 +149,15 @@ def test_rvr_monotone_approach():
     for fam in MC_FAMILIES:
         errs = [abs(rvr(fam, n) - RVR_LIMITS[fam]) for n in range(6, 21)]
         assert all(a >= b - 1e-15 for a, b in zip(errs, errs[1:]))
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_rel_vol_exact_is_the_correctly_rounded_ratio(family):
+    # exact integers: n = 2..16 take about 0.1 s in all; n = 17 and 18 would
+    # add about 1.5 s, so the check stops at 16
+    for n in range(2, 17):
+        num, den = rel_vol_ratio(family, n)
+        assert rel_vol_exact(family, n) == num / den, n
 
 
 # Quadrature oracles: the pair sums s_i = p_i + p_~i of a uniform point are
@@ -310,6 +321,16 @@ def test_mc_hits_pinned(n, threads, monkeypatch):
         for kernel in (None, _mc_kernel_py):
             report = mc_relative_volume(family, n, 50_000, seed=1000 + n, threads=threads, kernel=kernel)
             assert round(report.mc_estimate * report.samples) == expected, (family, kernel)
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_MC_HITS))
+def test_pinned_mc_hits_lie_in_the_binomial_band_of_the_closed_form(n):
+    # each pinned count is a Binomial(50_000, rel_vol_exact) draw: it must lie
+    # in the exact two-sided band that holds such a draw with probability at
+    # least 1 - 1e-6; at a few hits a normal (Wald) band could not say this
+    for family, hits in PINNED_MC_HITS[n].items():
+        lo, hi = binom.interval(1 - 1e-6, 50_000, rel_vol_exact(family, n))
+        assert lo <= hits <= hi, (family, lo, hits, hi)
 
 
 # Uniform samples at n = 6 almost never land in the genuine, FBI or Mermin
@@ -562,12 +583,13 @@ def test_c_count_hits_equals_numpy_across_the_regions_avx512(n):
     test_c_count_hits_equals_numpy_across_the_regions(n, "avx512")
 
 
-def _mutated_source(tmp_path):
-    # divide by multiplying with the reciprocal: the rows differ in the last bit
+def _mutated_source(tmp_path, old="row[j] = in[j] / s;", new="row[j] = in[j] * (1.0 / s);"):
+    # by default, divide by multiplying with the reciprocal: the rows differ
+    # in the last bit
     text = KERNEL_SOURCE.read_text()
-    assert "row[j] = in[j] / s;" in text
+    assert old in text
     path = tmp_path / "_mc_kernel.c"
-    path.write_text(text.replace("row[j] = in[j] / s;", "row[j] = in[j] * (1.0 / s);"))
+    path.write_text(text.replace(old, new))
     return path
 
 
@@ -584,6 +606,12 @@ def test_loader_failures_raise_import_error(tmp_path):
         _mc_kernel.load(cache_dir=tmp_path / "file" / "cache")
     with pytest.raises(ImportError, match="rows differ"):
         _mc_kernel.load(source=_mutated_source(tmp_path), cache_dir=tmp_path / "c")
+    # a fold that takes the F_n vertices (maxdiff = minsum) as outside: random
+    # rows never tie, the boundary rows do, on either routine
+    (tmp_path / "tie").mkdir()
+    tie = _mutated_source(tmp_path / "tie", "f = maxdiff <= minsum;", "f = maxdiff < minsum;")
+    with pytest.raises(ImportError, match="differ from NumPy's on the boundary rows at d = 8"):
+        _mc_kernel.load(source=tie, cache_dir=tmp_path / "tie")
     assert not list((tmp_path / "b").iterdir())  # no partial library left behind
     assert _mc_kernel.load(cache_dir=tmp_path / "d") is not None
 
@@ -610,6 +638,26 @@ def test_failed_kernel_check_keeps_numpy_path(tmp_path):
     if HAVE_EXTENSION:  # it compiled, then failed its check
         assert reason.startswith("C kernel rows differ from NumPy's")
         assert list((package / "__pycache__").glob("_mc_kernel-*.so"))
+
+
+@needs_c
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_boundary_rows_and_their_pinned_counts(n):
+    # the load check's rows are the points its docstring names, exactly, and
+    # its pinned counts are the NumPy kernel's
+    d, nu = 1 << n, mermin_threshold(n)
+    rows = _mc_kernel._boundary_rows(n)
+    assert (rows.sum(axis=1) == 1.0).all()
+    points = {tuple(s.p) for s in iter_extreme_points("BISEP", n)}
+    points |= {tuple(s.p) for s in mermin_hyperplane_points(n)}
+    for row in rows[:-1]:
+        if tuple(row) not in points:  # a cube vertex
+            assert tuple(row) == tuple(cube_vertex(n, np.flatnonzero(row)).p)
+    outside = rows[-1]  # the cube vertex 0, ..., d/2 - 1 with index 0 moved to d - 2
+    assert list(np.flatnonzero(outside)) == [*range(1, d // 2), d - 2]
+    assert (outside[outside > 0] == 2.0 / d).all()
+    got = tuple(_mc_kernel_py.count_hits(rows, code, nu) for code in range(4))
+    assert got == _mc_kernel.BOUNDARY_HITS[n]
 
 
 # ------------------------------------- several families on one draw of points
@@ -854,18 +902,21 @@ def test_long_stream_equals_sample_simplex_avx512():
     test_long_stream_equals_sample_simplex("avx512")
 
 
-# The wide routine reads the stream a window of 256 values at a time, from
-# the start of the 32-value group of Philox blocks that holds the next value.
+# Both routines read the stream through a buffer of 32 values, eight Philox
+# blocks, refilled eight blocks at a time; the wide routine takes the fast
+# path on groups of up to eight of them.  The first 256 values are eight
+# refills of that buffer.
 WINDOW = 256
 
 
 @needs_c
-def test_chunk_counts_end_at_every_offset_of_a_window(routine="scalar"):
+def test_chunk_counts_end_at_every_offset_of_a_buffer(routine="scalar"):
     # rows of 4 values, m = 1..70, in one block or in blocks of 16 rows: a
-    # fresh stream's window starts at its first value, and one started 1, 2
-    # or 3 values in starts 29, 30 or 31 values before them, so the chunks
-    # end the fill at every offset of a window, and some past its end; both
-    # counting paths, with and without a pair family
+    # fresh stream's first value opens a buffer, and one started 1, 2 or 3
+    # values in starts 29, 30 or 31 values into the buffer, NumPy's block
+    # taken over as its last, so the chunks end the fill at every offset of
+    # a buffer and of a group, in the first eight buffers and past them;
+    # both counting paths, with and without a pair family
     nus = {4: 0.25}
     for skip in range(4):
         for m in range(1, 71):
@@ -881,18 +932,18 @@ def test_chunk_counts_end_at_every_offset_of_a_window(routine="scalar"):
 
 
 @needs_wide
-def test_chunk_counts_end_at_every_offset_of_a_window_avx512():
-    test_chunk_counts_end_at_every_offset_of_a_window("avx512")
+def test_chunk_counts_end_at_every_offset_of_a_buffer_avx512():
+    test_chunk_counts_end_at_every_offset_of_a_buffer("avx512")
 
 
 # In Philox(286) the 248th exponential NumPy draws, the last of 62 rows of
 # 4, leaves the ziggurat's fast path at raw value 255, the last of the
-# first window, and reads on past it
+# eighth buffer, so its replay reads across a refill
 PAST_WINDOW_SEED, PAST_WINDOW_ROWS = 286, 62
 
 
 @needs_c
-def test_chunk_ending_in_a_draw_that_reads_past_its_window(routine="scalar"):
+def test_chunk_ending_in_a_draw_that_reads_across_a_refill(routine="scalar"):
     bitgen = np.random.Philox(PAST_WINDOW_SEED)
     draw = np.random.Generator(bitgen).standard_exponential
     spans = [_raws_drawn(bitgen, draw) for _ in range(4 * PAST_WINDOW_ROWS)]  # NumPy alone
@@ -909,8 +960,8 @@ def test_chunk_ending_in_a_draw_that_reads_past_its_window(routine="scalar"):
 
 
 @needs_wide
-def test_chunk_ending_in_a_draw_that_reads_past_its_window_avx512():
-    test_chunk_ending_in_a_draw_that_reads_past_its_window("avx512")
+def test_chunk_ending_in_a_draw_that_reads_across_a_refill_avx512():
+    test_chunk_ending_in_a_draw_that_reads_across_a_refill("avx512")
 
 
 CARRY = np.array([2**64 - 2, 2**64 - 1, 0, 0], dtype=np.uint64)
