@@ -5,11 +5,11 @@
  * The chunk's Philox4x64-10 stream and the ziggurat's fast path run inline;
  * the rare draws off the fast path go to NumPy's own routine.  The stream is
  * one buffer of 32 values, eight consecutive blocks in stream order tracked
- * by the counter of the last, loaded from NumPy's state at the start of a
- * chunk and written back at its end: the counter of the block that holds the
- * last value read, that block's four values and the position after that
- * value.  One of two routines, chosen at run time from the CPU's flags,
- * refills it and reads it:
+ * by the counter of the last, taken over from NumPy's state at the start of
+ * a chunk; nothing is written back, so the bit generator is left as it was
+ * given.  The counter is one 64-bit word, below 2^63, so no block of a chunk
+ * (fewer than 2^21) carries out of it.  One of two routines, chosen at
+ * run time from the CPU's flags, refills the buffer and reads it:
  *   - scalar: the eight blocks one after another, one value at a time;
  *   - wide (AVX-512F and AVX-512DQ): the eight blocks side by side, and the
  *     fast path eight values at a time; a group's lanes up to the first one
@@ -49,24 +49,24 @@
 extern double random_standard_exponential(bitgen_t *state);
 
 /* Philox4x64-10 (Salmon et al., SC'11), eight blocks at a time: buf holds
- * eight consecutive blocks in stream order, last the counter of the eighth,
- * pos the next value to hand out (32: none left); round_keys are the keys
- * PHILOX_ROUND uses in each round. */
+ * eight consecutive blocks in stream order, last the low word of the
+ * eighth's counter (its three high words are 0), pos the next value to hand
+ * out (32: none left); round_keys are the keys PHILOX_ROUND uses in each
+ * round. */
 typedef struct {
     uint64_t buf[32] __attribute__((aligned(64)));
-    uint64_t round_keys[10][2], last[4];
+    uint64_t round_keys[10][2], last;
     int pos;
 } philox8_t;
 
 /* Take over NumPy's state (key, counter, buffer, pos): its block becomes
  * buf's eighth. */
-static void philox8_load(philox8_t *w, const uint64_t *key, const uint64_t *counter,
+static void philox8_load(philox8_t *w, const uint64_t *key, uint64_t counter,
                          const uint64_t *buffer, int pos)
 {
-    for (int i = 0; i < 4; i++) {
-        w->last[i] = counter[i];
+    w->last = counter;
+    for (int i = 0; i < 4; i++)
         w->buf[28 + i] = buffer[i];
-    }
     uint64_t k0 = key[0], k1 = key[1];
     for (int round = 0; round < 10; round++) {
         w->round_keys[round][0] = k0;
@@ -75,31 +75,6 @@ static void philox8_load(philox8_t *w, const uint64_t *key, const uint64_t *coun
         k1 += 0xBB67AE8584CAA73BULL;
     }
     w->pos = 28 + pos;
-}
-
-/* NumPy's state after w's reads, into (counter, buffer, *pos): the block that
- * holds the last value read (at least one value must have been read since
- * philox8_load). */
-static void philox8_store(const philox8_t *w, uint64_t *counter, uint64_t *buffer, int *pos)
-{
-    int block = (w->pos - 1) / 4;
-    uint64_t back = 7 - block, low = w->last[0];
-    for (int i = 0; i < 4; i++) {
-        counter[i] = w->last[i];
-        buffer[i] = w->buf[4 * block + i];
-    }
-    counter[0] -= back;  /* the 256-bit counter less back, with borrow */
-    if (low < back && counter[1]-- == 0 && counter[2]-- == 0)
-        counter[3]--;
-    *pos = w->pos - 4 * block;
-}
-
-/* Add n to the 256-bit counter c, with carry. */
-static inline void counter_add(uint64_t *c, uint64_t n)
-{
-    c[0] += n;
-    if (c[0] < n && ++c[1] == 0 && ++c[2] == 0)
-        ++c[3];
 }
 
 /* One Philox round on x0..x3 with key (k0, k1), then the Weyl key bump. */
@@ -116,13 +91,12 @@ static inline void counter_add(uint64_t *c, uint64_t n)
     } while (0)
 
 /* Refill buf with the eight blocks after last, one after another: each bumps
- * the counter and encrypts it in ten rounds, written out so that -O2 keeps
- * them unrolled. */
+ * the counter's low word and encrypts the counter in ten rounds, written out
+ * so that -O2 keeps them unrolled. */
 static void philox8_refill_scalar(philox8_t *s)
 {
     for (int block = 0; block < 8; block++) {
-        counter_add(s->last, 1);
-        uint64_t x0 = s->last[0], x1 = s->last[1], x2 = s->last[2], x3 = s->last[3];
+        uint64_t x0 = ++s->last, x1 = 0, x2 = 0, x3 = 0;
         uint64_t k0 = s->round_keys[0][0], k1 = s->round_keys[0][1];
         PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
         PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
@@ -534,21 +508,11 @@ WIDE static inline __m512i mul128(__m512i alo, __m512i ahi, __m512i b, __m512i *
  * runs the block of counter last + j + 1, as PHILOX_ROUND runs one block. */
 WIDE static void philox8_refill_wide(philox8_t *s)
 {
-    const __m512i one = _mm512_set1_epi64(1), zero = _mm512_setzero_si512();
-    const __m512i step = _mm512_setr_epi64(1, 2, 3, 4, 5, 6, 7, 8);
     const __m512i m0lo = _mm512_set1_epi64(0xE14C6C93), m0hi = _mm512_set1_epi64(0xD2E7470E);
     const __m512i m1lo = _mm512_set1_epi64(0x95121157), m1hi = _mm512_set1_epi64(0xCA5A8263);
-    /* the counters, carried lane by lane */
-    __m512i x0 = _mm512_add_epi64(_mm512_set1_epi64(s->last[0]), step);
-    __mmask8 carry = _mm512_cmplt_epu64_mask(x0, step);
-    __m512i x1 = _mm512_set1_epi64(s->last[1]);
-    x1 = _mm512_mask_add_epi64(x1, carry, x1, one);
-    carry = _mm512_mask_cmpeq_epu64_mask(carry, x1, zero);
-    __m512i x2 = _mm512_set1_epi64(s->last[2]);
-    x2 = _mm512_mask_add_epi64(x2, carry, x2, one);
-    carry = _mm512_mask_cmpeq_epu64_mask(carry, x2, zero);
-    __m512i x3 = _mm512_set1_epi64(s->last[3]);
-    x3 = _mm512_mask_add_epi64(x3, carry, x3, one);
+    const __m512i step = _mm512_setr_epi64(1, 2, 3, 4, 5, 6, 7, 8);
+    __m512i x0 = _mm512_add_epi64(_mm512_set1_epi64(s->last), step);
+    __m512i x1 = _mm512_setzero_si512(), x2 = x1, x3 = x1;
     for (int round = 0; round < 10; round++) {
         __m512i hi0, lo0 = mul128(m0lo, m0hi, x0, &hi0);
         __m512i hi1, lo1 = mul128(m1lo, m1hi, x2, &hi1);
@@ -570,7 +534,7 @@ WIDE static void philox8_refill_wide(philox8_t *s)
     _mm512_store_si512(s->buf + 16, _mm512_permutex2var_epi64(c, quad_lo, e));
     _mm512_store_si512(s->buf + 24, _mm512_permutex2var_epi64(c, quad_hi, e));
     s->pos = 0;
-    counter_add(s->last, 8);
+    s->last += 8;
 }
 
 WIDE static uint64_t philox8_next_wide(void *stream)
@@ -669,26 +633,24 @@ void count_hits(const double *p, int64_t m, int64_t d, int mask, double nu, int6
 }
 
 /* Draw m rows of d values (d = 2^n with 2 <= n <= 6) from the Philox stream
- * (key, counter, buffer, *pos), NumPy's state of the chunk's bit generator,
- * in blocks of `rows` rows through buf (rows x d), and add to hits[4k..4k+3]
- * the counts of the regions in mask among the m rows of width w[k] that the
+ * (key, counter, buffer, pos), NumPy's state of the chunk's bit generator
+ * with the counter's low word (its high words 0, it below 2^63), in blocks
+ * of `rows` rows through buf (rows x d), and add to hits[4k..4k+3] the
+ * counts of the regions in mask among the m rows of width w[k] that the
  * first m * w[k] values make, normalised, for each of the `widths` widths,
  * each a power of two up to d, with Mermin threshold nu[k].  On return buf
- * holds the last block's normalised rows of width d and counter, buffer and
- * *pos the advanced state. */
-void chunk_counts(const uint64_t *key, uint64_t *counter, uint64_t *buffer, int *pos,
+ * holds the last block's normalised rows of width d; the state is only
+ * read. */
+void chunk_counts(const uint64_t *key, uint64_t counter, const uint64_t *buffer, int pos,
                   int64_t m, int64_t d, double *buf, int64_t rows, int widths, const int64_t *w,
                   const double *nu, int mask, int64_t *hits)
 {
-    if (m <= 0)
-        return;  /* philox8_store needs a value read */
     philox8_t philox;
-    philox8_load(&philox, key, counter, buffer, *pos);
+    philox8_load(&philox, key, counter, buffer, pos);
 #if WIDE_ROUTINE
     if (philox_wide)
         draw_and_count_wide(&philox, m, d, buf, rows, widths, w, nu, mask, hits);
     else
 #endif
         draw_and_count(fill_exponentials, 0, &philox, m, d, buf, rows, widths, w, nu, mask, hits);
-    philox8_store(&philox, counter, buffer, pos);
 }

@@ -8,29 +8,31 @@ package's ``__pycache__``, under a name keyed by the source, the compile
 command, the NumPy version and the platform; later imports load that file.
 
 The kernel runs the chunk's Philox4x64-10 stream itself, from the state
-that ``bitgen.state`` gives, and writes the advanced state back, so the bit
-generator goes on exactly as NumPy's would.  It takes the ziggurat's fast
-path inline and hands the rare other draws (about 2 %) to NumPy's
+that ``bitgen.state`` gives, and writes nothing back: the bit generator is
+left as it was given, where NumPy's kernel advances it.  The estimator
+drops each chunk's bit generator after its one call, so nothing reads the
+advanced state.  The counter must fit one 64-bit word below 2^63, so that
+no block a chunk draws (fewer than 2^21) carries into a second word; a
+fresh ``Philox`` starts at 0.  The kernel takes the ziggurat's fast path
+inline and hands the rare other draws (about 2 %) to NumPy's
 ``random_standard_exponential``.  NumPy keeps the ziggurat's tables
 private, so at load the kernel reads them back by probing that routine
 (256 x 54 calls).
 
 The stream is one buffer of 32 values: eight consecutive Philox blocks in
-stream order, tracked by the counter of the last.  It is loaded from
-NumPy's state at the start of a chunk, and at its end the kernel writes
-back what NumPy's own state would hold: the counter of the block that
-holds the last value read, that block's four values and the position
-after that value.  One of two routines, picked at load from the CPU's
-flags (``PHILOX_ROUTINE``), refills and reads the buffer.  ``"scalar"``
-computes the eight blocks one after another and reads one value at a
-time.  ``"avx512"``, on a CPU with AVX-512F and AVX-512DQ, computes them
-side by side and takes the fast path on groups of up to eight values:
-it stores a group's values up to the first one that leaves the fast
-path, replays that draw, and starts the next group after it.  The draws
-replayed through NumPy's routine take their extra values from the buffer
-too, so the two routines draw the same values.  The kernel sums rows in
-NumPy's order only at the widths the estimator draws, d = 2^n with
-2 <= n <= ``MC_MAX_QUBITS``, and :func:`chunk_counts` refuses any other.
+stream order, tracked by the counter of the last.  NumPy's block and the
+position in it are taken over at the start of a chunk.  One of two
+routines, picked at load from the CPU's flags (``PHILOX_ROUTINE``),
+refills and reads the buffer.  ``"scalar"`` computes the eight blocks one
+after another and reads one value at a time.  ``"avx512"``, on a CPU
+with AVX-512F and AVX-512DQ, computes them side by side and takes the
+fast path on groups of up to eight values: it stores a group's values up
+to the first one that leaves the fast path, replays that draw, and starts
+the next group after it.  The draws replayed through NumPy's routine take
+their extra values from the buffer too, so the two routines draw the same
+values.  The kernel sums rows in NumPy's order only at the widths the
+estimator draws, d = 2^n with 2 <= n <= ``MC_MAX_QUBITS``, and
+:func:`chunk_counts` refuses any other.
 
 Each block is counted with only the work its families need.  Asked for
 no pair family (neither bisep_minus_fbi nor fbi), the kernel counts
@@ -44,11 +46,12 @@ families normalise every block; the ``"avx512"`` routine, and
 d >= 16.
 
 Each routine the CPU can run is checked at load bit for bit against
-``_mc_kernel_py.chunk_counts``, the NumPy kernel, on a twin stream: rows,
-hit counts and the bit generator's next draws.  Its :func:`count_hits`
-must also give the NumPy kernel's counts on rows exactly on the region
-boundaries (``BOUNDARY_HITS``), where a comparison or a flip pairing gone
-wrong shows and random rows, which never tie, cannot show it.  Any
+``_mc_kernel_py.chunk_counts``, the NumPy kernel, on a twin stream: rows
+and hit counts, from a fresh stream and from ones started mid-buffer.  Its
+:func:`count_hits` must also give the NumPy kernel's counts on rows
+exactly on the region boundaries (``BOUNDARY_HITS``), where a comparison
+or a flip pairing gone wrong shows and random rows, which never tie,
+cannot show it.  Any
 failure (no compiler, an unwritable directory, a missing library, a
 failed probe, a mismatch) raises ImportError, and ``volume`` keeps the
 NumPy kernel.  Calls go through ctypes, which releases the GIL, so chunks
@@ -122,25 +125,24 @@ def _run(lib: ctypes.CDLL, bitgen: np.random.BitGenerator, m: int, buf: np.ndarr
          families, nus) -> dict[int, tuple[int, ...]]:
     """The kernel's hits of each family code in ``families``, ``{d: hits}``,
     among m points drawn from ``bitgen`` through ``buf`` at each width d of
-    the ``{d: nu}`` mapping ``nus``; ``bitgen`` is left in the state its own
-    draw would leave."""
+    the ``{d: nu}`` mapping ``nus``; ``bitgen`` is only read."""
     mask = _mask(families)
     state = bitgen.state
     if state["bit_generator"] != "Philox" or state["has_uint32"]:
         raise ValueError("need a Philox bit generator with no buffered 32-bit value")
-    philox, buffer = state["state"], state["buffer"]
+    philox = state["state"]
     if state["buffer_pos"] < 0:
         raise ValueError(f"need a Philox buffer_pos >= 0, got {state['buffer_pos']}")
-    # NumPy's draw takes any position past its 4-value buffer as a spent buffer
-    pos = ctypes.c_int(min(state["buffer_pos"], 4))
+    counter = philox["counter"]
+    if counter[1] or counter[2] or counter[3] or counter[0] >> 63:
+        raise ValueError(f"need a Philox counter below 2^63, got {[int(c) for c in counter]}")
     k = len(nus)
     hits = (_I64 * (_FAMILIES * k))()
-    lib.chunk_counts(philox["key"].ctypes.data, philox["counter"].ctypes.data,
-                     buffer.ctypes.data, ctypes.byref(pos), m, buf.shape[1], buf.ctypes.data,
+    # NumPy's draw takes any position past its 4-value buffer as a spent buffer
+    lib.chunk_counts(philox["key"].ctypes.data, int(counter[0]), state["buffer"].ctypes.data,
+                     min(state["buffer_pos"], 4), m, buf.shape[1], buf.ctypes.data,
                      buf.shape[0], k, (_I64 * k)(*nus), (ctypes.c_double * k)(*nus.values()),
                      mask, hits)
-    state["buffer_pos"] = pos.value
-    bitgen.state = state
     return {d: tuple(hits[_FAMILIES * j + family] for family in families)
             for j, d in enumerate(nus)}
 
@@ -192,12 +194,11 @@ BOUNDARY_HITS = {3: (1, 7, 9, 0), 4: (1, 9, 12, 0), 6: (7, 7, 18, 6)}
 
 def _self_check(lib: ctypes.CDLL) -> None:
     """Raise ImportError unless the kernel writes the NumPy kernel's rows bit
-    for bit, gives its hit counts and leaves the bit generator where it does,
-    on every routine the CPU can run: a NumPy release could change its draw
-    or its summation order.  Its count_hits must also give the NumPy kernel's
-    counts on the boundary rows at d = 8, 16 and 64 (``BOUNDARY_HITS``),
-    where random rows never tie and so cannot show a comparison or a
-    pairing gone wrong."""
+    for bit and gives its hit counts, on every routine the CPU can run: a
+    NumPy release could change its draw or its summation order.  Its
+    count_hits must also give the NumPy kernel's counts on the boundary rows
+    at d = 8, 16 and 64 (``BOUNDARY_HITS``), where random rows never tie and
+    so cannot show a comparison or a pairing gone wrong."""
     # (nus, families, raw draws skipped, m, rows).  The first two draw 35
     # rows in blocks of 16: two full blocks and a ragged one of 3 rows.
     # d = 64 starts mid-buffer, and its 2240 values leave the ziggurat's
@@ -212,18 +213,18 @@ def _self_check(lib: ctypes.CDLL) -> None:
     configs = (({4: 0.0}, (0, 1, 2, 3), 0, 35, 16),
                ({64: 0.0, 4: 0.25, 32: 0.03125}, (1, 3), 3, 35, 16),
                ({16: 0.0, 4: 0.25}, (0, 3), 1, 19, 8))
-    # NumPy's rows, hits and next 8 raw draws for each, the same for every routine
+    # NumPy's rows and hits for each, the same for every routine
     expected = []
     for nus, families, skip, m, rows in configs:
         twin, ref = np.random.Philox(max(nus)), np.empty((rows, max(nus)))
         twin.random_raw(skip)
         hits = _numpy_chunk_counts(twin, m, ref, families, nus)  # m > rows: all rows written
-        expected.append((ref, hits, twin.random_raw(8)))
+        expected.append((ref, hits))
     boundary = [(_boundary_rows(n), mermin_threshold(n), hits) for n, hits in BOUNDARY_HITS.items()]
     for routine in reversed(ROUTINES):
         if _set_routine(lib, routine) != routine:
             continue
-        for (nus, families, skip, m, rows), (ref, ref_hits, ref_next) in zip(configs, expected):
+        for (nus, families, skip, m, rows), (ref, ref_hits) in zip(configs, expected):
             d = max(nus)
             where = f"at d = {d} ({routine} routine)"
             bitgen, buf = np.random.Philox(d), np.empty((rows, d))
@@ -233,8 +234,6 @@ def _self_check(lib: ctypes.CDLL) -> None:
                 raise ImportError(f"C kernel rows differ from NumPy's {where}")
             if hits != ref_hits:
                 raise ImportError(f"C kernel hit counts differ from NumPy's {where}")
-            if not np.array_equal(bitgen.random_raw(8), ref_next):
-                raise ImportError(f"C kernel leaves the bit generator off NumPy's state {where}")
         for rows, nu, ref_hits in boundary:
             hits = _HITS()
             lib.count_hits(rows.ctypes.data, rows.shape[0], rows.shape[1], _mask(range(_FAMILIES)),
@@ -254,7 +253,7 @@ def load(source: Path = _HERE / "_mc_kernel.c", cache_dir: Path = _HERE / "__pyc
         raise ImportError(f"cannot build or load the C kernel: {exc}") from exc
     lib.count_hits.argtypes = [_PTR, _I64, _I64, ctypes.c_int, ctypes.c_double, _HITS]
     lib.count_hits.restype = None
-    lib.chunk_counts.argtypes = [_PTR, _PTR, _PTR, ctypes.POINTER(ctypes.c_int), _I64, _I64,
+    lib.chunk_counts.argtypes = [_PTR, ctypes.c_uint64, _PTR, ctypes.c_int, _I64, _I64,
                                  _PTR, _I64, ctypes.c_int, ctypes.POINTER(_I64),
                                  ctypes.POINTER(ctypes.c_double), ctypes.c_int,
                                  ctypes.POINTER(_I64)]
@@ -292,12 +291,12 @@ def count_hits(p: np.ndarray, family: int, nu: float) -> int:
 def chunk_counts(bitgen: np.random.BitGenerator, m: int, buf: np.ndarray, families,
                  nus) -> dict[int, tuple[int, ...]]:
     """``_mc_kernel_py.chunk_counts`` in one pass: the same hits at each width
-    of ``nus``, the same rows left in ``buf`` and the same state left in
-    ``bitgen``.
+    of ``nus`` and the same rows left in ``buf``, but ``bitgen`` is left as
+    it was given, not advanced.
 
-    ``bitgen`` must be a Philox bit generator, ``buf`` a C-contiguous
-    (rows, D) float64 array and every width in ``nus`` one of
-    ``ROW_WIDTHS``, the widest D.
+    ``bitgen`` must be a Philox bit generator whose counter is below 2^63
+    (a fresh one's is 0), ``buf`` a C-contiguous (rows, D) float64 array
+    and every width in ``nus`` one of ``ROW_WIDTHS``, the widest D.
     """
     if buf.ndim != 2 or buf.dtype != np.float64 or not buf.flags.c_contiguous or not len(buf):
         raise ValueError("buf must be a non-empty C-contiguous (rows, d) float64 array")

@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidArgumentError
+from .indices import is_integer
+
 FAMILY_GENUINE = 0
 FAMILY_BISEP_MINUS_FBI = 1
 FAMILY_FBI = 2
@@ -112,8 +115,14 @@ def sample_simplex(
     """m points uniform on the (d-1)-simplex: normalized unit exponentials.
 
     ``out``, an (m, d) float64 array, receives the points in place of a new
-    array; the values drawn are the same either way.
+    array; the values drawn are the same either way.  Raise
+    InvalidArgumentError unless ``rng`` is a NumPy Generator, m >= 0 and
+    d >= 1 are integers.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise InvalidArgumentError(f"rng must be a numpy.random.Generator, got {rng!r}")
+    if not (is_integer(m) and is_integer(d) and m >= 0 and d >= 1):
+        raise InvalidArgumentError(f"need integers m >= 0 and d >= 1, got m={m!r}, d={d!r}")
     e = rng.standard_exponential((m, d), out=out)
     return normalise_rows(e, e)
 

@@ -17,11 +17,12 @@ is present, ``ghzpolytope._mc_kernel`` builds a C kernel once into the
 package's ``__pycache__`` that draws, normalises and counts each chunk in
 one pass without holding the GIL; it runs the chunk's Philox stream and
 the ziggurat's fast path itself and leaves only the rare other draws to
-NumPy's C routine.  Otherwise, or if
-that kernel does not reproduce ``_mc_kernel_py.chunk_counts``'s rows,
-counts and bit-generator state bit for bit, that NumPy kernel runs.  Both
-kernels take a chunk in one ``chunk_counts`` call and give identical hit
-counts for identical seeds.
+NumPy's C routine.  It reads the chunk's bit-generator state and leaves
+the bit generator as it was, which ``run_chunk`` drops after the call.
+Otherwise, or if that kernel does not reproduce
+``_mc_kernel_py.chunk_counts``'s rows and counts bit for bit, that NumPy
+kernel runs.  Both kernels take a chunk in one ``chunk_counts`` call and
+give identical hit counts for identical seeds.
 
 The kernel is chosen, and the C one built and checked, at the first
 estimate or the first read of ``KERNEL_BACKEND`` or ``KERNEL_FALLBACK_REASON``,
@@ -127,8 +128,6 @@ def _check_family(family: str, allowed, n: int | None = None) -> None:
 
 def _log_rel_vol(family: str, n: int) -> float:
     d = dimension(n)
-    if family == GHZ:
-        return 0.0
     if family == GENUINE:
         return math.log(d) - (d - 1) * math.log(2.0)
     if family == FBI:
@@ -168,17 +167,15 @@ def rel_vol_exact(family: str, n: int) -> float:
 
 
 def vol_exact(family: str, n: int) -> float:
-    """Absolute Hilbert-Schmidt volume (underflows to 0 for large n)."""
+    """Absolute Hilbert-Schmidt volume: the simplex's, sqrt(d) / (d-1)!,
+    times :func:`rel_vol_exact`.  From n = 8 the simplex's is 16 / 255!,
+    far below the least subnormal, so 0.0."""
     _check_family(family, ALL_FAMILIES, n)
     n = check_qubit_count(n, CLOSED_FORM_MAX_QUBITS)
-    d = dimension(n)
-    log_ghz = 0.5 * math.log(d) - math.lgamma(d)
-    if family == BISEP_MINUS_FBI:
-        return math.exp(log_ghz) * rel_vol_exact(BISEP_MINUS_FBI, n)
-    log_rel = _log_rel_vol(family, n)
-    if log_rel == -math.inf:
+    if n >= 8:
         return 0.0
-    return math.exp(log_ghz + log_rel)
+    d = dimension(n)
+    return math.sqrt(d) / math.factorial(d - 1) * rel_vol_exact(family, n)
 
 
 def rvr(family: str, n: int) -> float:
@@ -254,10 +251,12 @@ def mc_relative_volumes_by_n(
     kernel does all of a chunk in one ``chunk_counts`` call;
     ``kernel=_mc_kernel_py`` runs the NumPy reference.
     """
-    families = tuple(families)
+    try:
+        families, ns = tuple(families), tuple(ns)
+    except TypeError as exc:  # an int or None where a sequence belongs
+        raise InvalidArgumentError(f"families and ns must be sequences: {exc}") from None
     if not families:
         raise InvalidArgumentError("need at least one family")
-    ns = tuple(ns)
     if not ns:
         raise InvalidArgumentError("need at least one qubit count")
     for n in ns:

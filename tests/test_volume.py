@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,23 @@ def test_rel_vol_exact_is_the_correctly_rounded_ratio(family):
         assert rel_vol_exact(family, n) == num / den, n
 
 
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_vol_exact_is_within_two_ulps(family):
+    # sqrt(d) / (d-1)! times the exact ratio.  sqrt(d) is irrational at odd n,
+    # so there the squares are compared: |v - x| = |v^2 - x^2| / (v + x),
+    # taken as |v^2 - x^2| / 2v, which is off only in the second order
+    for n in range(2, 8):
+        d = 1 << n
+        num, den = rel_vol_ratio(family, n)
+        v, exact = Fraction(vol_exact(family, n)), Fraction(num, math.factorial(d - 1) * den)
+        if n % 2 == 0:
+            err = abs(v - (1 << n // 2) * exact)
+        else:
+            err = abs(v * v - d * exact * exact) / (2 * v) if v else d * exact * exact
+        assert err <= 2 * Fraction(math.ulp(float(v))), n
+    assert vol_exact(family, 8) == 0.0  # 16 / 255! is below the least subnormal
+
+
 # Quadrature oracles: the pair sums s_i = p_i + p_~i of a uniform point are
 # Dirichlet(2, ..., 2) over the h = d/2 flip pairs, and given them each pair's
 # split is uniform, so each relative volume is a one-dimensional integral that
@@ -254,6 +272,19 @@ def test_closed_forms_refuse_non_integer_qubit_counts(closed_form, n):
 
 
 # ------------------------------------------------------------- Monte Carlo
+
+
+@pytest.mark.parametrize("rng", [None, 1, np.random.Philox(1)], ids=["none", "int", "bitgen"])
+def test_sample_simplex_refuses_what_is_not_a_generator(rng):
+    with pytest.raises(InvalidArgumentError, match="Generator"):
+        sample_simplex(rng, 4, 8)
+
+
+@pytest.mark.parametrize("m, d", [(2.5, 8), (-1, 8), (True, 8), (4, 0), (4, 8.0)],
+                         ids=["m-float", "m-negative", "m-bool", "d-zero", "d-float"])
+def test_sample_simplex_refuses_bad_sizes(m, d):
+    with pytest.raises(InvalidArgumentError, match="integers"):
+        sample_simplex(np.random.default_rng(1), m, d)
 
 
 def test_sampler_marginal_means():
@@ -493,13 +524,14 @@ def test_backend_reported():
 
 KERNEL_SOURCE = Path(_mc_kernel_py.__file__).with_name("_mc_kernel.c")
 needs_c = pytest.mark.skipif(not HAVE_EXTENSION, reason="C kernel not built")
-# the tests below that take a routine run on "scalar"; their *_avx512 twins
-# run them on the wide routine where the CPU has its flags
 needs_wide = pytest.mark.skipif(
     not HAVE_EXTENSION or bool(_mc_kernel.MISSING_WIDE_FLAGS),
     reason="C kernel not built" if not HAVE_EXTENSION
     else f"CPU lacks {', '.join(_mc_kernel.MISSING_WIDE_FLAGS)} for the avx512 routine",
 )
+# the tests that take a routine run on "scalar", and on the wide routine
+# where the CPU has its flags
+ROUTINES = ["scalar", pytest.param("avx512", marks=needs_wide)]
 
 
 @contextlib.contextmanager
@@ -533,8 +565,9 @@ def test_fused_rows_equal_sample_simplex(d):
 
 
 @needs_c
+@pytest.mark.parametrize("routine", ROUTINES)
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_c_count_hits_equals_numpy_on_ties(n, routine="scalar"):
+def test_c_count_hits_equals_numpy_on_ties(n, routine):
     # the B_n and F_n vertices and the Mermin hyperplane points sit exactly
     # on the region boundaries, where a <, <= or > swap changes the count;
     # count_hits runs the routine in use, whose fold at d = 32 and 64 takes
@@ -557,15 +590,10 @@ def test_c_count_hits_equals_numpy_on_ties(n, routine="scalar"):
                 assert _mc_kernel.count_hits(p, family, nu) == _mc_kernel_py.count_hits(p, family, nu)
 
 
-@needs_wide
-@pytest.mark.parametrize("n", [3, 4, 5, 6])
-def test_c_count_hits_equals_numpy_on_ties_avx512(n):
-    test_c_count_hits_equals_numpy_on_ties(n, "avx512")
-
-
 @needs_c
+@pytest.mark.parametrize("routine", ROUTINES)
 @pytest.mark.parametrize("n", [4, 5, 6])
-def test_c_count_hits_equals_numpy_across_the_regions(n, routine="scalar"):
+def test_c_count_hits_equals_numpy_across_the_regions(n, routine):
     # Dirichlet rows, concentrated (mostly genuine), spread, and near the
     # uniform point (the FBI boundary): every region and both sides of it
     d, nu = 1 << n, mermin_threshold(n)
@@ -575,12 +603,6 @@ def test_c_count_hits_equals_numpy_across_the_regions(n, routine="scalar"):
         with philox_routine(routine):
             for family in range(4):
                 assert _mc_kernel.count_hits(p, family, nu) == _mc_kernel_py.count_hits(p, family, nu)
-
-
-@needs_wide
-@pytest.mark.parametrize("n", [4, 5, 6])
-def test_c_count_hits_equals_numpy_across_the_regions_avx512(n):
-    test_c_count_hits_equals_numpy_across_the_regions(n, "avx512")
 
 
 def _mutated_source(tmp_path, old="row[j] = in[j] / s;", new="row[j] = in[j] * (1.0 / s);"):
@@ -746,12 +768,12 @@ def test_numpy_chunk_counts_equal_counts_of_one_draw(d):
 
 
 @needs_c
+@pytest.mark.parametrize("routine", ROUTINES)
 @pytest.mark.parametrize("d", [4, 8, 16, 64])
-def test_chunk_counts_equal_numpy_counts(d, routine="scalar"):
+def test_chunk_counts_equal_numpy_counts(d, routine):
     # both kernels on twin streams, at each set of widths: the same counts
-    # at every width, the same rows written into the buffer (every row: the
-    # long chunk spans four blocks, the short one fills its buffer) and the
-    # same next draws
+    # at every width and the same rows written into the buffer (every row:
+    # the long chunk spans four blocks, the short one fills its buffer)
     for nus in _width_sets(d):
         for m in _chunk_lengths(d):
             rows = min(m, _BLOCK_BYTES // (8 * d))
@@ -763,22 +785,16 @@ def test_chunk_counts_equal_numpy_counts(d, routine="scalar"):
                         got = _mc_kernel.chunk_counts(bitgen, m, buf, codes, nus)
                     assert got == _mc_kernel_py.chunk_counts(twin, m, ref, codes, nus)
                     assert_same_bits(buf, ref)
-                    np.testing.assert_array_equal(bitgen.random_raw(8), twin.random_raw(8))
-
-
-@needs_wide
-@pytest.mark.parametrize("d", [4, 8, 16, 64])
-def test_chunk_counts_equal_numpy_counts_avx512(d):
-    test_chunk_counts_equal_numpy_counts(d, "avx512")
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [dict(seed=-1), dict(threads=0), dict(threads=-2), dict(families=()), dict(samples=20_000.0),
      dict(seed=1.5), dict(seed=None), dict(threads=1.5), dict(seed=True), dict(threads=True),
-     dict(samples=np.True_), dict(ns=(True,))],
+     dict(samples=np.True_), dict(ns=(True,)), dict(families=3), dict(ns=3)],
     ids=["seed", "threads0", "threads-2", "no-family", "samples-float", "seed-float", "seed-none",
-         "threads-float", "seed-bool", "threads-bool", "samples-numpy-bool", "n-bool"],
+         "threads-float", "seed-bool", "threads-bool", "samples-numpy-bool", "n-bool",
+         "families-int", "ns-int"],
 )
 def test_mc_relative_volumes_rejects_bad_arguments(kwargs):
     args = dict(families=(FBI,), ns=(3,), samples=20_000, seed=1) | kwargs
@@ -858,13 +874,23 @@ def _raws_drawn(bitgen, draw):
     return position(bitgen.state) - before
 
 
-def assert_same_state(bitgen, twin):
-    """Both Philox bit generators hold the same state, field by field."""
-    state, expected = bitgen.state, twin.state
-    np.testing.assert_array_equal(state["state"]["counter"], expected["state"]["counter"])
+def assert_state_is(bitgen, expected):
+    """The Philox ``bitgen`` holds the state ``expected``, field by field."""
+    state = bitgen.state
+    for field in ("key", "counter"):
+        np.testing.assert_array_equal(state["state"][field], expected["state"][field])
     np.testing.assert_array_equal(state["buffer"], expected["buffer"])
-    assert state["buffer_pos"] == expected["buffer_pos"]
-    np.testing.assert_array_equal(bitgen.random_raw(8), twin.random_raw(8))
+    for field in ("buffer_pos", "has_uint32", "uinteger"):
+        assert state[field] == expected[field], field
+
+
+def _philox_at(counter, seed=11):
+    """A fresh Philox(seed) with its 256-bit counter set to ``counter``."""
+    bitgen = np.random.Philox(seed)
+    state = bitgen.state
+    state["state"]["counter"] = np.array(counter, dtype=np.uint64)
+    bitgen.state = state
+    return bitgen
 
 
 def _philox_then(values, seed=7):
@@ -878,7 +904,8 @@ def _philox_then(values, seed=7):
 
 
 @needs_c
-def test_long_stream_equals_sample_simplex(routine="scalar"):
+@pytest.mark.parametrize("routine", ROUTINES)
+def test_long_stream_equals_sample_simplex(routine):
     # 2^22 values: every ziggurat layer, and thousands of draws off its fast path
     m, d, nu = 1 << 16, 64, 0.05
     twin = np.random.Philox(d)
@@ -894,12 +921,6 @@ def test_long_stream_equals_sample_simplex(routine="scalar"):
         got = _mc_kernel.chunk_counts(bitgen, m, buf, range(4), {d: nu})[d]
     assert_same_bits(buf, whole[-len(buf):])
     assert got == tuple(_mc_kernel_py.count_hits(whole, code, nu) for code in range(4))
-    np.testing.assert_array_equal(bitgen.random_raw(8), twin.random_raw(8))
-
-
-@needs_wide
-def test_long_stream_equals_sample_simplex_avx512():
-    test_long_stream_equals_sample_simplex("avx512")
 
 
 # Both routines read the stream through a buffer of 32 values, eight Philox
@@ -910,7 +931,8 @@ WINDOW = 256
 
 
 @needs_c
-def test_chunk_counts_end_at_every_offset_of_a_buffer(routine="scalar"):
+@pytest.mark.parametrize("routine", ROUTINES)
+def test_chunk_counts_end_at_every_offset_of_a_buffer(routine):
     # rows of 4 values, m = 1..70, in one block or in blocks of 16 rows: a
     # fresh stream's first value opens a buffer, and one started 1, 2 or 3
     # values in starts 29, 30 or 31 values into the buffer, NumPy's block
@@ -928,12 +950,6 @@ def test_chunk_counts_end_at_every_offset_of_a_buffer(routine="scalar"):
                         got = _mc_kernel.chunk_counts(bitgen, m, buf, codes, nus)
                     assert got == _mc_kernel_py.chunk_counts(twin, m, ref, codes, nus), (skip, m)
                     assert_same_bits(buf, ref)
-                    np.testing.assert_array_equal(bitgen.random_raw(8), twin.random_raw(8))
-
-
-@needs_wide
-def test_chunk_counts_end_at_every_offset_of_a_buffer_avx512():
-    test_chunk_counts_end_at_every_offset_of_a_buffer("avx512")
 
 
 # In Philox(286) the 248th exponential NumPy draws, the last of 62 rows of
@@ -943,7 +959,8 @@ PAST_WINDOW_SEED, PAST_WINDOW_ROWS = 286, 62
 
 
 @needs_c
-def test_chunk_ending_in_a_draw_that_reads_across_a_refill(routine="scalar"):
+@pytest.mark.parametrize("routine", ROUTINES)
+def test_chunk_ending_in_a_draw_that_reads_across_a_refill(routine):
     bitgen = np.random.Philox(PAST_WINDOW_SEED)
     draw = np.random.Generator(bitgen).standard_exponential
     spans = [_raws_drawn(bitgen, draw) for _ in range(4 * PAST_WINDOW_ROWS)]  # NumPy alone
@@ -956,89 +973,70 @@ def test_chunk_ending_in_a_draw_that_reads_across_a_refill(routine="scalar"):
             got = _mc_kernel.chunk_counts(bitgen, PAST_WINDOW_ROWS, buf, codes, nus)
         assert got == _mc_kernel_py.chunk_counts(twin, PAST_WINDOW_ROWS, ref, codes, nus)
         assert_same_bits(buf, ref)
-        assert_same_state(bitgen, twin)
 
 
-@needs_wide
-def test_chunk_ending_in_a_draw_that_reads_across_a_refill_avx512():
-    test_chunk_ending_in_a_draw_that_reads_across_a_refill("avx512")
-
-
-CARRY = np.array([2**64 - 2, 2**64 - 1, 0, 0], dtype=np.uint64)
-# one raw draw short of c0 = 2^64 - 5, c1 = 2^64 - 1: the low word wraps, and
-# carries into the third, inside the next group of eight blocks
-WRAP = np.array([2**64 - 6, 2**64 - 1, 0, 0], dtype=np.uint64)
-STARTS = ["fresh", "raw1", "raw2", "raw3", "carry", "wrap1", "wrap3"]
+STARTS = ["fresh", "raw1", "raw2", "raw3"]
 
 
 @needs_c
+@pytest.mark.parametrize("routine", ROUTINES)
 @pytest.mark.parametrize("start", STARTS)
 @pytest.mark.parametrize("d", [4, 64])
-def test_chunk_counts_leaves_numpys_bit_generator_state(start, d, routine="scalar"):
+def test_chunk_counts_from_a_fresh_or_started_stream_equal_sample_simplex(start, d, routine):
     def philox():
         bitgen = np.random.Philox(11)
-        if start in ("carry", "wrap1", "wrap3"):  # the counter carries into its third word
-            state = bitgen.state
-            state["state"]["counter"] = CARRY if start == "carry" else WRAP
-            bitgen.state = state
-        if start[-1].isdigit():
+        if start != "fresh":
             bitgen.random_raw(int(start[-1]))  # buffer_pos 1, 2, 3
         return bitgen
 
     m, bitgen, twin = 300, philox(), philox()
-    if start.startswith("wrap"):
-        assert list(twin.state["state"]["counter"][:2]) == [2**64 - 5, 2**64 - 1]
     buf = np.empty((64, d))
     with philox_routine(routine):
         got = _mc_kernel.chunk_counts(bitgen, m, buf, range(4), {d: 0.05})[d]
     whole = sample_simplex(np.random.Generator(twin), m, d)
     assert_same_bits(buf[:m % 64], whole[-(m % 64):])
     assert got == tuple(_mc_kernel_py.count_hits(whole, code, 0.05) for code in range(4))
-    if start in ("carry", "wrap1", "wrap3"):
-        assert twin.state["state"]["counter"][2] == 1
-    assert_same_state(bitgen, twin)
-
-
-@needs_wide
-@pytest.mark.parametrize("start", STARTS)
-@pytest.mark.parametrize("d", [4, 64])
-def test_chunk_counts_leaves_numpys_bit_generator_state_avx512(start, d):
-    test_chunk_counts_leaves_numpys_bit_generator_state(start, d, "avx512")
 
 
 @needs_c
-@pytest.mark.parametrize("pos", [1, 3, 4])
-def test_chunk_ending_just_before_a_counter_wrap_leaves_numpys_state(pos, routine="scalar"):
-    # one row of 4 values from c0 = 2^64 - 5 ends in a block whose counter
-    # lies below the wrap, which the wide routine's buffer has passed
-    def philox():
-        bitgen = np.random.Philox(11)
-        state = bitgen.state
-        state["state"]["counter"] = WRAP
-        bitgen.state = state
-        bitgen.random_raw(pos)  # c0 = 2^64 - 5, at buffer_pos 1, 3 or 4
-        return bitgen
-
-    bitgen, twin = philox(), philox()
-    buf = np.empty((1, 4))
+@pytest.mark.parametrize("routine", ROUTINES)
+@pytest.mark.parametrize("low", [0, 2**63 - 1], ids=["zero", "largest"])
+def test_c_chunk_counts_leaves_the_bit_generator_as_given(low, routine):
+    # the kernel only reads the state; from the largest counter it takes,
+    # 2^63 - 1, its blocks go on past 2^63 as NumPy's do
+    m, d = 300, 4
+    bitgen, twin = _philox_at([low, 0, 0, 0]), _philox_at([low, 0, 0, 0])
+    before, buf = bitgen.state, np.empty((64, d))
     with philox_routine(routine):
-        got = _mc_kernel.chunk_counts(bitgen, 1, buf, range(4), {4: 0.05})[4]
-    row = sample_simplex(np.random.Generator(twin), 1, 4)
-    assert_same_bits(buf, row)
-    assert got == tuple(_mc_kernel_py.count_hits(row, code, 0.05) for code in range(4))
-    assert twin.state["state"]["counter"][1] == 2**64 - 1
-    assert_same_state(bitgen, twin)
+        got = _mc_kernel.chunk_counts(bitgen, m, buf, range(4), {d: 0.05})[d]
+    whole = sample_simplex(np.random.Generator(twin), m, d)
+    assert_same_bits(buf[:m % 64], whole[-(m % 64):])
+    assert got == tuple(_mc_kernel_py.count_hits(whole, code, 0.05) for code in range(4))
+    assert_state_is(bitgen, before)
 
 
-@needs_wide
-@pytest.mark.parametrize("pos", [1, 3, 4])
-def test_chunk_ending_just_before_a_counter_wrap_leaves_numpys_state_avx512(pos):
-    test_chunk_ending_just_before_a_counter_wrap_leaves_numpys_state(pos, "avx512")
+# counters past the kernel's one word below 2^63: two with the second word
+# set whose low word wraps within eight blocks, the low word's top bit, and
+# the top word
+CARRY = [2**64 - 2, 2**64 - 1, 0, 0]
+WRAP = [2**64 - 6, 2**64 - 1, 0, 0]
 
 
 @needs_c
+@pytest.mark.parametrize("counter", [CARRY, WRAP, [2**63, 0, 0, 0], [0, 0, 0, 1]],
+                         ids=["carry", "wrap", "low-2^63", "word3"])
+def test_chunk_counts_refuses_a_counter_past_one_word(counter):
+    bitgen = _philox_at(counter)
+    before = bitgen.state
+    with pytest.raises(ValueError, match=r"counter below 2\^63"):
+        _mc_kernel.chunk_counts(bitgen, 8, np.empty((8, 4)), (2,), {4: 0.0})
+    assert_state_is(bitgen, before)
+
+
+@needs_c
+@pytest.mark.parametrize("routine", ROUTINES)
 @pytest.mark.parametrize("d", [4, 64])
-def test_chunk_counts_takes_a_buffer_pos_past_the_buffer_as_spent(d, routine="scalar"):
+def test_chunk_counts_takes_a_buffer_pos_past_the_buffer_as_spent(d, routine):
     # NumPy accepts any int as buffer_pos and draws a fresh block past 3
     def philox(pos):
         bitgen = np.random.Philox(13)
@@ -1056,16 +1054,9 @@ def test_chunk_counts_takes_a_buffer_pos_past_the_buffer_as_spent(d, routine="sc
         whole = sample_simplex(np.random.Generator(twin), m, d)
         assert_same_bits(buf[:m % 64], whole[-(m % 64):])
         assert got == tuple(_mc_kernel_py.count_hits(whole, code, 0.05) for code in range(4))
-        np.testing.assert_array_equal(bitgen.random_raw(8), twin.random_raw(8))
     bitgen = philox(-1)
     with philox_routine(routine), pytest.raises(ValueError, match="buffer_pos"):
         _mc_kernel.chunk_counts(bitgen, m, buf, range(4), {d: 0.05})
-
-
-@needs_wide
-@pytest.mark.parametrize("d", [4, 64])
-def test_chunk_counts_takes_a_buffer_pos_past_the_buffer_as_spent_avx512(d):
-    test_chunk_counts_takes_a_buffer_pos_past_the_buffer_as_spent(d, "avx512")
 
 
 @needs_c
@@ -1110,7 +1101,6 @@ def test_fast_path_boundaries_equal_numpys(idx):
         buf = np.empty((2, 4))
         _mc_kernel.chunk_counts(bitgen, 2, buf, (3,), {4: 0.0})
         assert_same_bits(buf, sample_simplex(np.random.Generator(twin), 2, 4))
-        np.testing.assert_array_equal(bitgen.random_raw(8), twin.random_raw(8))
 
 
 @needs_c
@@ -1149,17 +1139,22 @@ def test_count_hits_refuses_rows_narrower_than_two(backend, d):
 @pytest.mark.parametrize("d", [2, 12, 128])
 def test_chunk_counts_refuses_widths_the_estimator_never_draws(d):
     # only d = 2^n with 2 <= n <= MC_MAX_QUBITS; the stream is left untouched
-    bitgen, twin = np.random.Philox(1), np.random.Philox(1)
+    bitgen = np.random.Philox(1)
+    before = bitgen.state
     with pytest.raises(ValueError, match="row width"):
         _mc_kernel.chunk_counts(bitgen, 8, np.empty((8, d)), (2,), {d: 0.0})
-    assert_same_state(bitgen, twin)
+    assert_state_is(bitgen, before)
 
 
 @needs_c
 def test_build_keys_on_the_compile_command(tmp_path, monkeypatch):
-    first = _mc_kernel._build(KERNEL_SOURCE, tmp_path, "cc")
-    assert _mc_kernel._build(KERNEL_SOURCE, tmp_path, "cc") == first
+    # a one-function source is keyed as the kernel is, and builds in a
+    # fraction of the kernel's time
+    source, cache = tmp_path / "one.c", tmp_path / "cache"
+    source.write_text("int one(void) { return 1; }\n")
+    first = _mc_kernel._build(source, cache, "cc")
+    assert _mc_kernel._build(source, cache, "cc") == first
     monkeypatch.setattr(_mc_kernel, "_CFLAGS", _mc_kernel._CFLAGS + ("-DUNUSED_MACRO",))
-    second = _mc_kernel._build(KERNEL_SOURCE, tmp_path, "cc")
+    second = _mc_kernel._build(source, cache, "cc")
     assert second != first
-    assert sorted(tmp_path.iterdir()) == sorted([first, second])
+    assert sorted(cache.iterdir()) == sorted([first, second])
