@@ -117,12 +117,16 @@ def sample_simplex(
     ``out``, an (m, d) float64 array, receives the points in place of a new
     array; the values drawn are the same either way.  Raise
     InvalidArgumentError unless ``rng`` is a NumPy Generator, m >= 0 and
-    d >= 1 are integers.
+    d >= 1 are integers, and ``out`` is None or a writable, C-contiguous
+    float64 ndarray of shape (m, d).
     """
     if not isinstance(rng, np.random.Generator):
         raise InvalidArgumentError(f"rng must be a numpy.random.Generator, got {rng!r}")
     if not (is_integer(m) and is_integer(d) and m >= 0 and d >= 1):
         raise InvalidArgumentError(f"need integers m >= 0 and d >= 1, got m={m!r}, d={d!r}")
+    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == np.float64
+                                and out.shape == (m, d) and out.flags.c_contiguous and out.flags.writeable):
+        raise InvalidArgumentError(f"out must be a writable, C-contiguous float64 ({m}, {d}) array")
     e = rng.standard_exponential((m, d), out=out)
     return normalise_rows(e, e)
 

@@ -95,36 +95,41 @@ def _fmt(x: float) -> str:
 
 _encode_scalar = json.JSONEncoder().encode  # the C encoder, json's defaults
 
+# json's text of a leaf by its exact type (not a subclass, such as a NumPy scalar)
+_LEAF_TEXT = {
+    str: encode_basestring_ascii,
+    int: repr,
+    float: lambda x: repr(x) if math.isfinite(x) else _encode_scalar(x),
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
 
 def _json_text(obj, pad: str = "\n") -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` for str-keyed trees, byte for byte.
 
-    Exact ints and finite exact floats are written with ``repr`` (a flat
-    list of them in one pass) and exact strs with
-    ``encode_basestring_ascii``, which is what ``json`` writes for them;
-    every other leaf goes through the C encoder, since ``json`` leaves it
-    unused once ``indent`` is set.
+    A leaf of a type in ``_LEAF_TEXT`` is written by its writer there (a
+    dict's leaves in the dict's own pass, a flat list of ints and finite
+    floats in one pass), which is what ``json`` writes for it; every other
+    leaf goes through the C encoder, since ``json`` leaves it unused once
+    ``indent`` is set.
     """
+    leaf = _LEAF_TEXT.get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
     inner = pad + "  "
     if isinstance(obj, dict) and obj:
-        body = (
-            encode_basestring_ascii(key) + ": " + _json_text(value, inner)
-            for key, value in sorted(obj.items())
-        )
+        body = (encode_basestring_ascii(key) + ": "
+                + (leaf(value) if (leaf := _LEAF_TEXT.get(type(value))) else _json_text(value, inner))
+                for key, value in sorted(obj.items()))
         return "{" + inner + ("," + inner).join(body) + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if obj:
-            if {int, float}.issuperset(map(type, obj)):
-                text = ("," + inner).join(map(repr, obj))
-                if "n" not in text:  # no nan, inf or -inf, which json spells otherwise
-                    return "[" + inner + text + pad + "]"
-            body = ("," + inner).join(_json_text(x, inner) for x in obj)
-            return "[" + inner + body + pad + "]"
-    kind = type(obj)
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is int or (kind is float and math.isfinite(obj)):
-        return repr(obj)
+    if isinstance(obj, (list, tuple)) and obj:
+        if {int, float}.issuperset(map(type, obj)):
+            text = ("," + inner).join(map(repr, obj))
+            if "n" not in text:  # no nan, inf or -inf, which json spells otherwise
+                return "[" + inner + text + pad + "]"
+        body = ("," + inner).join(_json_text(x, inner) for x in obj)
+        return "[" + inner + body + pad + "]"
     return _encode_scalar(obj)
 
 

@@ -4,6 +4,10 @@ A GHZ-diagonal state is parameterized by a probability vector p over the
 2**n bit indices; its density matrix is real symmetric with nonzero
 entries only on the diagonal and the anti-diagonal.  ``az_from_prob``
 gives those entries and ``density_from_prob`` the matrix.
+
+A vector with entries in [-EPS_NORM, 2], all finite and with no sum past
+the largest float, is checked by its min, max and sum alone; only another
+is searched for its first bad entry, which each message names.
 """
 
 from __future__ import annotations
@@ -42,18 +46,23 @@ class GhzDiagonalState:
             raise InvalidArgumentError(
                 f"probability vector has length {p.size}, expected {d} for n={self.n}"
             )
-        bad = np.flatnonzero(~np.isfinite(p) | (p < -EPS_NORM))
-        if bad.size:
-            raise InvalidArgumentError(
-                f"probability {p[bad[0]]} at index {bad[0]} is negative or not finite"
-            )
-        with np.errstate(over="ignore"):  # finite entries can sum to inf, rejected below
+        lo, hi = p.min(), p.max()
+        if lo >= -EPS_NORM and hi <= 2.0:  # so every entry is finite, and no sum overflows
             total = p.sum()
+        else:
+            bad = np.flatnonzero(~np.isfinite(p) | (p < -EPS_NORM))
+            if bad.size:
+                raise InvalidArgumentError(
+                    f"probability {p[bad[0]]} at index {bad[0]} is negative or not finite"
+                )
+            with np.errstate(over="ignore"):  # finite entries can sum to inf, rejected below
+                total = p.sum()
         if abs(total - 1.0) > NORM_SLACK:
             raise InvalidArgumentError(
                 f"probabilities sum to {total}, off normalization by more than {NORM_SLACK}"
             )
-        p = np.clip(p, 0.0, None) / p.sum()
+        # clip only when it can change an entry: a negative one, or a zero that may be -0.0
+        p = (np.clip(p, 0.0, None) if lo <= 0.0 else p) / total
         p.flags.writeable = False
         object.__setattr__(self, "p", p)
 

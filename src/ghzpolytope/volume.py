@@ -35,7 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,7 +115,7 @@ class VolumeReport:
     backend: str | None = None  # the kernel that ran an estimate
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # every field is a scalar: no deep copy to make
 
 
 def _check_family(family: str, allowed, n: int | None = None) -> None:
@@ -268,6 +268,8 @@ def mc_relative_volumes_by_n(
     n_chunks = (samples + chunk_size - 1) // chunk_size
     if kernel is None:
         kernel = _kernel()[0]
+    elif kernel is not _mc_kernel_py and kernel is not _kernel()[0]:
+        raise InvalidArgumentError(f"kernel must be None, _mc_kernel_py or the loaded C kernel, got {kernel!r}")
     codes = tuple(_FAMILY_CODES[family] for family in families)
     nus = {dimension(n): mermin_threshold(n) for n in ns}
     wide = max(nus)

@@ -24,7 +24,7 @@ from ghzpolytope.indices import (
 )
 from ghzpolytope.mermin import mermin_threshold
 from ghzpolytope.polytopes import Facet, facet_count, iter_facets
-from ghzpolytope.states import EPS_NORM, GhzDiagonalState
+from ghzpolytope.states import EPS_NORM, NORM_SLACK, GhzDiagonalState
 from ghzpolytope.volume import BISEP_MINUS_FBI, FBI, GENUINE, GHZ, MERMIN
 
 # ---------------------------------------------------------------- indices
@@ -97,6 +97,38 @@ def prob_from_density(mat: np.ndarray) -> GhzDiagonalState:
     signs = np.ones(d)
     signs[d // 2:] = -1.0
     return GhzDiagonalState(n, a + signs * z)
+
+
+def checked_probs(n: int, p) -> np.ndarray:
+    """``GhzDiagonalState(n, p).p`` by the check that searches every entry:
+    the first negative or non-finite entry, then the sum with overflow
+    allowed, then the vector clipped at 0 and divided by its sum.  It raises
+    InvalidArgumentError with GhzDiagonalState's messages."""
+    n = check_qubit_count(n)
+    try:
+        p = np.asarray(p)
+        if p.dtype.kind == "c":
+            raise TypeError("complex entries")
+        p = p.astype(float, copy=False)  # no copy for float input
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"probability vector must be real numbers: {exc}") from None
+    d = dimension(n)
+    if p.shape != (d,):
+        raise InvalidArgumentError(
+            f"probability vector has length {p.size}, expected {d} for n={n}"
+        )
+    bad = np.flatnonzero(~np.isfinite(p) | (p < -EPS_NORM))
+    if bad.size:
+        raise InvalidArgumentError(
+            f"probability {p[bad[0]]} at index {bad[0]} is negative or not finite"
+        )
+    with np.errstate(over="ignore"):  # finite entries can sum to inf, rejected below
+        total = p.sum()
+    if abs(total - 1.0) > NORM_SLACK:
+        raise InvalidArgumentError(
+            f"probabilities sum to {total}, off normalization by more than {NORM_SLACK}"
+        )
+    return np.clip(p, 0.0, None) / p.sum()
 
 
 # ---------------------------------------------------------------- metric

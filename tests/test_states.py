@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ghzpolytope.classify import (
     classify,
@@ -13,11 +17,13 @@ from ghzpolytope.errors import InvalidArgumentError
 from ghzpolytope.indices import Bipartition
 from ghzpolytope.mermin import mermin_expectation, violates_mermin
 from ghzpolytope.states import (
+    EPS_NORM,
+    NORM_SLACK,
     GhzDiagonalState,
     az_from_prob,
     density_from_prob,
 )
-from oracles import density_from_mixture, ghz_basis_vector, prob_from_density
+from oracles import checked_probs, density_from_mixture, ghz_basis_vector, prob_from_density
 
 
 def random_state(rng, n):
@@ -179,6 +185,57 @@ def test_state_rejects_finite_entries_that_sum_past_the_largest_float():
     big = np.finfo(float).max
     with pytest.raises(InvalidArgumentError, match="sum to inf"):
         GhzDiagonalState(1, np.array([big, big]))
+
+
+# entries on and just past each edge of the check: signed zero and the
+# negative slack, kept and clipped to +0.0; then entries that are not
+# finite, at or past 2, the largest the min/max check takes, or huge, and
+# plain ones that move the sum
+SMALL_EDGES = [-0.0, 0.0, EPS_NORM, -EPS_NORM, math.nextafter(-EPS_NORM, -math.inf), -2 * EPS_NORM]
+LARGE_EDGES = [math.nan, math.inf, -math.inf, 2.0, math.nextafter(2.0, math.inf), 3.0, 1e308,
+               -1e308, 1.0, 0.5]
+SUM_TARGETS = [1.0, 1.0 + NORM_SLACK, 1.0 - NORM_SLACK, math.nextafter(1.0 + NORM_SLACK, 2.0),
+               math.nextafter(1.0 - NORM_SLACK, 0.0), 1.0 + 2 * NORM_SLACK, 1.0 - 0.5 * NORM_SLACK]
+
+
+@st.composite
+def prob_vectors(draw):
+    """(n, p): a normalised vector for n = 1..4, some entries swapped for an
+    edge entry, and its sum, through one entry, moved to a normalisation edge."""
+    n = draw(st.integers(1, 4))
+    d = 1 << n
+    weights = draw(st.lists(st.floats(-0.0, 1.0), min_size=d, max_size=d))
+    total = sum(weights)
+    p = [w / total for w in weights] if total > 0 else weights
+    edges = st.one_of(st.sampled_from(SMALL_EDGES), st.sampled_from(LARGE_EDGES))
+    for k, value in draw(st.lists(st.tuples(st.integers(0, d - 1), edges), max_size=3)):
+        p[k] = value
+    if draw(st.booleans()):
+        k = draw(st.integers(0, d - 1))
+        p[k] = draw(st.sampled_from(SUM_TARGETS)) - sum(p[:k] + p[k + 1:])
+    return n, p
+
+
+@settings(max_examples=400, deadline=None)
+@given(prob_vectors())
+@example((1, [-0.0, 1.0]))
+@example((2, [0.5, 0.5, -0.0, 0.0]))
+@example((2, [0.5, -EPS_NORM, 0.25, 0.25 + EPS_NORM]))
+@example((1, [1e308, 1e308]))
+@example((1, [2.0, -1.0]))
+@example((2, [math.nan, 0.5, math.inf, -1.0]))
+@example((2, [0.25, 0.25, 0.25, 0.25 + NORM_SLACK]))
+def test_state_accepts_exactly_what_the_full_check_accepts(case):
+    n, p = case
+    try:
+        want = checked_probs(n, np.array(p))
+    except InvalidArgumentError as exc:
+        with pytest.raises(InvalidArgumentError) as refused:
+            GhzDiagonalState(n, np.array(p))
+        assert str(refused.value) == str(exc)
+    else:
+        got = GhzDiagonalState(n, np.array(p)).p
+        assert got.tobytes() == want.tobytes()  # the same bits, -0.0 and all
 
 
 STATE_FUNCTIONS = {

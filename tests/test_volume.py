@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import importlib
 import json
 import math
@@ -28,6 +29,7 @@ from ghzpolytope.volume import (
     KERNEL_BACKEND,
     MC_FAMILIES,
     MERMIN,
+    VolumeReport,
     mc_relative_volume,
     mc_relative_volumes_by_n,
     rel_vol_exact,
@@ -285,6 +287,24 @@ def test_sample_simplex_refuses_what_is_not_a_generator(rng):
 def test_sample_simplex_refuses_bad_sizes(m, d):
     with pytest.raises(InvalidArgumentError, match="integers"):
         sample_simplex(np.random.default_rng(1), m, d)
+
+
+@pytest.mark.parametrize(
+    "out",
+    [np.empty((3, 3)), np.empty((4, 8), dtype=np.float32), [1, 2], np.empty((4, 8), order="F"),
+     np.empty((4, 16))[:, ::2], np.broadcast_to(np.empty(8), (4, 8))],
+    ids=["shape", "float32", "list", "fortran", "strided", "read-only"],
+)
+def test_sample_simplex_refuses_a_bad_out(out):
+    with pytest.raises(InvalidArgumentError, match="out must be"):
+        sample_simplex(np.random.default_rng(1), 4, 8, out=out)
+
+
+def test_sample_simplex_into_out_draws_the_same_points():
+    out = np.empty((4, 8))
+    got = sample_simplex(np.random.default_rng(1), 4, 8, out=out)
+    assert got is out
+    assert_same_bits(out, sample_simplex(np.random.default_rng(1), 4, 8))
 
 
 def test_sampler_marginal_means():
@@ -791,15 +811,25 @@ def test_chunk_counts_equal_numpy_counts(d, routine):
     "kwargs",
     [dict(seed=-1), dict(threads=0), dict(threads=-2), dict(families=()), dict(samples=20_000.0),
      dict(seed=1.5), dict(seed=None), dict(threads=1.5), dict(seed=True), dict(threads=True),
-     dict(samples=np.True_), dict(ns=(True,)), dict(families=3), dict(ns=3)],
+     dict(samples=np.True_), dict(ns=(True,)), dict(families=3), dict(ns=3), dict(kernel=3),
+     dict(kernel="c")],
     ids=["seed", "threads0", "threads-2", "no-family", "samples-float", "seed-float", "seed-none",
          "threads-float", "seed-bool", "threads-bool", "samples-numpy-bool", "n-bool",
-         "families-int", "ns-int"],
+         "families-int", "ns-int", "kernel-int", "kernel-str"],
 )
 def test_mc_relative_volumes_rejects_bad_arguments(kwargs):
     args = dict(families=(FBI,), ns=(3,), samples=20_000, seed=1) | kwargs
     with pytest.raises(InvalidArgumentError):
         mc_relative_volumes_by_n(**args)
+
+
+def test_volume_report_json_dict_is_asdict():
+    closed = VolumeReport(n=3, family=FBI, exact=rel_vol_exact(FBI, 3))
+    for report in (closed, mc_relative_volume(FBI, 3, 20_000, seed=1)):
+        got = report.to_json_dict()
+        assert got == dataclasses.asdict(report)
+        got["n"] = 0  # a copy: the report keeps its own fields
+        assert report.n == 3
 
 
 def test_numpy_integers_count_as_ints():
