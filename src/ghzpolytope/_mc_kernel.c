@@ -22,12 +22,16 @@
  * width asked for also gives the rows of every narrower width: those are the
  * draw's first values, as a draw of their own would give them.
  *
- * Each block of rows is counted with only the work its families need.  With
- * no pair family (biseparable but not fully, fully biseparable) the genuine
- * and Mermin tests read the exponentials as drawn, divided by the row sum
- * only where a test needs it, and only the rows left in the buffer at the
- * end are normalised.  Pair families normalise each block, and the wide
- * routine folds eight flip pairs at a time at d >= 16.
+ * Each block of rows is counted with only the work its families need, on the
+ * exponentials as drawn (count_raw): the genuine and Mermin tests divide by
+ * the row sum only where a test needs it, and the fully biseparable test
+ * reads the flip pairs' raw differences and sums against a rounding bound,
+ * normalising only a row too near the boundary to decide.  Only the rows
+ * left in the buffer at the end are normalised.  One exception: with a pair
+ * family (biseparable but not fully, fully biseparable) at d <= 8, the
+ * widest rows are normalised a block at a time and counted normalised,
+ * which reads faster there.  The wide routine folds eight flip pairs at a
+ * time at d >= 16.
  *
  * Built by _mc_kernel.py against NumPy's C random library.  Compile without
  * -ffast-math and without FMA contraction: every sum below must be added in
@@ -271,38 +275,77 @@ typedef int64_t v8di __attribute__((vector_size(64), aligned(8)));
         ((r_[0] + r_[1]) + (r_[2] + r_[3])) + ((r_[4] + r_[5]) + (r_[6] + r_[7])); \
     })
 
+/* The sum of a row of d = 2^n values, 2 <= n <= 6, added in NumPy's order:
+ * left to right at d = 4, eight values at a time above it. */
+INLINE double row_sum(const double *row, int64_t d)
+{
+    if (d == 4)
+        return ((row[0] + row[1]) + row[2]) + row[3];
+    v8df sum = *(const v8df *)row;
+    for (int64_t j = 8; j < d; j += 8)
+        sum += *(const v8df *)(row + j);
+    return LANES_SUM(sum);
+}
+
 /* Write into dst each of the b rows of src (both b x d; dst == src
- * normalises in place) divided by its sum, added in NumPy's order at d =
- * 2^n, 2 <= n <= 6, so the row is summed and divided eight values at a
- * time above d = 4. */
+ * normalises in place) divided by its row_sum, eight values at a time above
+ * d = 4. */
 INLINE void normalise_rows(double *dst, const double *src, int64_t b, int64_t d)
 {
     for (int64_t r = 0; r < b; r++) {
         const double *in = src + r * d;
-        double *row = dst + r * d;
+        double *row = dst + r * d, s = row_sum(in, d);
         if (d == 4) {
-            double s = ((in[0] + in[1]) + in[2]) + in[3];
             for (int j = 0; j < 4; j++)
                 row[j] = in[j] / s;
             continue;
         }
-        v8df sum = *(const v8df *)in;
-        for (int64_t j = 8; j < d; j += 8)
-            sum += *(const v8df *)(in + j);
-        double s = LANES_SUM(sum);
         for (int64_t j = 0; j < d; j += 8)
             *(v8df *)(row + j) = *(const v8df *)(in + j) / s;
+    }
+}
+
+/* Fold a row's flip pairs (i, d-1-i) into its largest value *maxp, the
+ * largest |lo - hi| *maxdiff and the smallest lo + hi *minsum; max, min and
+ * |.| are exact, so the order of the fold does not matter.  With `wide` and
+ * d a multiple of 16 it takes eight pairs at a time: lane j of step i holds
+ * pair (i + j, d-1-i-j), folded lane by lane, then across the lanes. */
+INLINE void fold_pairs(const double *row, int64_t d, int wide, double *maxp, double *maxdiff,
+                       double *minsum)
+{
+    if (wide && d % 16 == 0) {
+        v8df lo = *(const v8df *)row, hi = *(const v8df *)(row + d - 8);
+        hi = REVERSED(hi);
+        v8df top = VMAX(lo, hi), most = VABS(lo - hi), least = lo + hi;
+        for (int64_t i = 8; i < d / 2; i += 8) {
+            lo = *(const v8df *)(row + i);
+            hi = *(const v8df *)(row + d - 8 - i);
+            hi = REVERSED(hi);
+            v8df big = VMAX(lo, hi);
+            top = VMAX(top, big);
+            most = VMAX(most, VABS(lo - hi));
+            least = VMIN(least, lo + hi);
+        }
+        *maxp = LANES_MAX(top);
+        *maxdiff = LANES_MAX(most);
+        *minsum = LANES_MIN(least);
+        return;
+    }
+    *maxp = -INFINITY, *maxdiff = 0.0, *minsum = INFINITY;
+    for (int64_t i = 0; i < d / 2; i++) {
+        double lo = row[i], hi = row[d - 1 - i];
+        double big = lo > hi ? lo : hi, diff = fabs(lo - hi), sum = lo + hi;
+        *maxp = big > *maxp ? big : *maxp;
+        *maxdiff = diff > *maxdiff ? diff : *maxdiff;
+        *minsum = sum < *minsum ? sum : *minsum;
     }
 }
 
 /* Add to hits[0..2] the rows of the (m, d) matrix p that are genuine,
  * biseparable but not fully, and fully biseparable, if `pairs`; add to
  * hits[3] the Mermin-violating rows, if `mermin`.  Each test is the eps = 0
- * form of the predicate in _mc_kernel_py; the first three share one fold
- * over the flip pairs (i, d-1-i).  With `wide` and d a multiple of 16 the
- * fold takes eight pairs at a time: lane j of step i holds pair (i + j,
- * d-1-i-j), and max, |lo - hi| and lo + hi are folded lane by lane, then
- * across the lanes. */
+ * form of the predicate in _mc_kernel_py; the first three share one
+ * fold_pairs. */
 INLINE void count_rows(const double *p, int64_t m, int64_t d, int pairs, int mermin, double nu,
                        int wide, int64_t *hits)
 {
@@ -313,32 +356,8 @@ INLINE void count_rows(const double *p, int64_t m, int64_t d, int pairs, int mer
             violating += (row[0] - row[d - 1]) - nu > 0.0;
         if (!pairs)
             continue;
-        double maxp = -INFINITY, maxdiff = 0.0, minsum = INFINITY;
-        if (wide && d % 16 == 0) {
-            v8df lo = *(const v8df *)row, hi = *(const v8df *)(row + d - 8);
-            hi = REVERSED(hi);
-            v8df top = VMAX(lo, hi), most = VABS(lo - hi), least = lo + hi;
-            for (int64_t i = 8; i < d / 2; i += 8) {
-                lo = *(const v8df *)(row + i);
-                hi = *(const v8df *)(row + d - 8 - i);
-                hi = REVERSED(hi);
-                v8df big = VMAX(lo, hi);
-                top = VMAX(top, big);
-                most = VMAX(most, VABS(lo - hi));
-                least = VMIN(least, lo + hi);
-            }
-            maxp = LANES_MAX(top);
-            maxdiff = LANES_MAX(most);
-            minsum = LANES_MIN(least);
-        } else {
-            for (int64_t i = 0; i < d / 2; i++) {
-                double lo = row[i], hi = row[d - 1 - i];
-                double big = lo > hi ? lo : hi, diff = fabs(lo - hi), sum = lo + hi;
-                maxp = big > maxp ? big : maxp;
-                maxdiff = diff > maxdiff ? diff : maxdiff;
-                minsum = sum < minsum ? sum : minsum;
-            }
-        }
+        double maxp, maxdiff, minsum;
+        fold_pairs(row, d, wide, &maxp, &maxdiff, &minsum);
         int g = maxp > 0.5, f = maxdiff <= minsum;
         genuine += g;
         fully += f;
@@ -366,106 +385,102 @@ INLINE void count_normalised(const double *p, int64_t m, int64_t d, int mask, do
         count_rows(p, m, d, 1, 0, nu, wide, hits);
 }
 
-/* Add to hits[0] (if genuine) and hits[3] (if mermin) the rows of the
- * (m, d) matrix of exponentials e that are genuine and Mermin-violating
- * once normalised, without normalising them.  With s the row sum, added as
- * normalise_rows adds it, a row is genuine if fl(max_i e_i / s) > 1/2: that
- * is max_i fl(e_i / s) > 1/2, since division by s > 0 is correctly rounded
- * and monotone.  It violates if (fl(e_0 / s) - fl(e_d-1 / s)) - nu > 0. */
-INLINE void count_raw_rows(const double *e, int64_t m, int64_t d, int genuine, int mermin,
-                           double nu, int wide, int64_t *hits)
+/* 1 if the row of d exponentials e, normalised as normalise_rows does, is
+ * fully biseparable: count_raw_rows's answer for a row too near the boundary
+ * to decide raw.  Out of line, so that the row loop stays small. */
+static __attribute__((noinline, cold)) int fully_normalised(const double *e, int64_t d)
 {
-    int64_t above = 0, violating = 0;
+    double p[64];
+    int64_t hits[4] = {0};
+    normalise_rows(p, e, 1, d);
+    count_rows(p, 1, d, 1, 0, 0.0, 0, hits);
+    return hits[2] == 1;
+}
+
+/* Add to hits[0..3] count_rows's counts (genuine if `genuine`, all three
+ * pair families if `pairs` and `genuine`, Mermin if `mermin`) for the (m, d)
+ * matrix of nonnegative, finite exponentials e once normalised, without
+ * normalising it.  With s the row sum, added as normalise_rows adds it, and
+ * p_i = fl(e_i / s):
+ *   - genuine: fl(max_i e_i / s) > 1/2, which is max_i p_i > 1/2, since
+ *     division by s > 0 is correctly rounded and monotone;
+ *   - Mermin: (fl(e_0 / s) - fl(e_d-1 / s)) - nu > 0;
+ *   - fully biseparable: with D = max_i |e_i - e_~i| and S = min_i (e_i +
+ *     e_~i), fl(D - S) / s is within 8u (u = 2^-53) of maxdiff - minsum on
+ *     the p_i: each p_i and each pair difference and sum rounds once
+ *     (relative error u), a pair's p_i sum to at most 1 + 64u, and max and
+ *     min move no more than their arguments.  So |fl(D - S)| >= 2^-47 s
+ *     decides the row by its sign; a nearer row, or one with s below
+ *     2^-900 (near where 2^-47 s would lose bits), is normalised and
+ *     folded (fully_normalised). */
+INLINE void count_raw_rows(const double *e, int64_t m, int64_t d, int genuine, int pairs,
+                           int mermin, double nu, int wide, int64_t *hits)
+{
+    int64_t above = 0, middle = 0, fully = 0, violating = 0;
     for (int64_t r = 0; r < m; r++) {
         const double *row = e + r * d;
-        double s, big = 0.0;
-        if (d == 4) {
-            s = ((row[0] + row[1]) + row[2]) + row[3];
-            double a = row[0] > row[1] ? row[0] : row[1], b = row[2] > row[3] ? row[2] : row[3];
-            big = a > b ? a : b;
-        } else {
-            v8df sum = *(const v8df *)row;
-            for (int64_t j = 8; j < d; j += 8)
-                sum += *(const v8df *)(row + j);
-            s = LANES_SUM(sum);
+        double s = row_sum(row, d), big = 0.0, maxdiff = 0.0, minsum = 0.0;
+        int f = 0;
+        if (genuine)  /* the pair terms are dropped where only big is read */
+            fold_pairs(row, d, wide, &big, &maxdiff, &minsum);
+        if (pairs) {
+            double gap = maxdiff - minsum;
+            f = gap < 0.0;
+            if (__builtin_expect(!(fabs(gap) >= 0x1p-47 * s) | !(s >= 0x1p-900), 0))
+                f = fully_normalised(row, d);
         }
-        if (genuine && d > 4 && wide) {
-            v8df top = *(const v8df *)row;
-            for (int64_t j = 8; j < d; j += 8)
-                top = VMAX(top, *(const v8df *)(row + j));
-            big = LANES_MAX(top);
-        } else if (genuine && d > 4) {  /* eight running maxima, as the lanes above */
-            double top[8];
-            for (int j = 0; j < 8; j++)
-                top[j] = row[j];
-            for (int64_t i = 8; i < d; i += 8)
-                for (int j = 0; j < 8; j++)
-                    top[j] = row[i + j] > top[j] ? row[i + j] : top[j];
-            big = top[0];
-            for (int j = 1; j < 8; j++)
-                big = top[j] > big ? top[j] : big;
-        }
-        if (genuine)
-            above += big / s > 0.5;
+        int g = genuine & (big / s > 0.5);  /* & and |, not && and ||: no branch */
+        above += g;
+        fully += f;
+        middle += pairs & !(g | f);
         if (mermin)
             violating += (row[0] / s - row[d - 1] / s) - nu > 0.0;
     }
     hits[0] += above;
+    hits[1] += middle;
+    hits[2] += fully;
     hits[3] += violating;
 }
 
-/* count_normalised's counts for a mask with no pair family (bits 1 and 2
- * clear), from the rows of exponentials before they are normalised. */
+/* count_normalised's counts for mask, from the rows of exponentials before
+ * they are normalised; one inlined row loop per call, as there. */
 INLINE void count_raw(const double *e, int64_t m, int64_t d, int mask, double nu, int wide,
                       int64_t *hits)
 {
-    if (!(mask & 8))
-        count_raw_rows(e, m, d, 1, 0, nu, wide, hits);
+    if (mask & 6 && mask & 8)
+        count_raw_rows(e, m, d, 1, 1, 1, nu, wide, hits);
+    else if (mask & 6)
+        count_raw_rows(e, m, d, 1, 1, 0, nu, wide, hits);
+    else if (!(mask & 8))
+        count_raw_rows(e, m, d, 1, 0, 0, nu, wide, hits);
     else if (mask & 1)
-        count_raw_rows(e, m, d, 1, 1, nu, wide, hits);
+        count_raw_rows(e, m, d, 1, 0, 1, nu, wide, hits);
     else
-        count_raw_rows(e, m, d, 0, 1, nu, wide, hits);
+        count_raw_rows(e, m, d, 0, 0, 1, nu, wide, hits);
 }
-
-/* The values a narrower width's rows are normalised into, a few at a time,
- * so that they are counted while still in L1. */
-#define SCRATCH_VALUES 2048
 
 /* Draw m rows of d values with fill from stream in blocks of `rows` rows
  * through buf (rows x d), and count them at each of the `widths` row widths
  * w[k], each a divisor of d with Mermin threshold nu[k], into hits[4k..4k+3]
  * for the regions in mask.  Width w's m rows are the first m * w values.
- * With a pair family in mask, each block's share of those is normalised
- * into a scratch block and counted before the block is normalised in place
- * at width d and counted.  Without one, every width is counted on the
- * exponentials as drawn (count_raw), and only the last block, and the rows
- * of the block before it that it leaves in buf, are normalised, so that buf
- * ends as it would. */
+ * Each width is counted on the exponentials as drawn (count_raw), and only
+ * the last block, and the rows of the block before it that it leaves in
+ * buf, are normalised, so that buf ends as it would.  With a pair family at
+ * d <= 8, where the raw count reads slower, width d's rows are instead
+ * normalised a block at a time and counted normalised. */
 INLINE void draw_and_count(void (*fill)(void *, int64_t, double *), int wide, void *stream,
                            int64_t m, int64_t d, double *buf, int64_t rows, int widths,
                            const int64_t *w, const double *nu, int mask, int64_t *hits)
 {
-    double scratch[SCRATCH_VALUES];
-    int raw = !(mask & 6);
+    int raw = d >= 16 || !(mask & 6);
     for (int64_t start = 0; start < m; start += rows) {
         int64_t b = m - start < rows ? m - start : rows;
         fill(stream, b * d, buf);
         for (int k = 0; k < widths; k++) {
             int64_t left = m * w[k] - start * d;  /* width w[k]'s values from buf on */
-            if (left <= 0)
-                continue;
-            int64_t narrow = (left < b * d ? left : b * d) / w[k], step = SCRATCH_VALUES / w[k];
-            if (raw) {
-                count_raw(buf, narrow, w[k], mask, nu[k], wide, hits + 4 * k);
-                continue;
-            }
-            if (w[k] == d)
-                continue;
-            for (int64_t r = 0; r < narrow; r += step) {
-                int64_t c = narrow - r < step ? narrow - r : step;
-                normalise_rows(scratch, buf + r * w[k], c, w[k]);
-                count_normalised(scratch, c, w[k], mask, nu[k], wide, hits + 4 * k);
-            }
+            if (left > 0 && (raw || w[k] < d))
+                count_raw(buf, (left < b * d ? left : b * d) / w[k], w[k], mask, nu[k], wide,
+                          hits + 4 * k);
         }
         if (raw) {
             if (start + b < m)
@@ -590,10 +605,14 @@ WIDE static void draw_and_count_wide(philox8_t *s, int64_t m, int64_t d, double 
     draw_and_count(fill_exponentials8, 1, s, m, d, buf, rows, widths, w, nu, mask, hits);
 }
 
-WIDE static void count_normalised_wide(const double *p, int64_t m, int64_t d, int mask, double nu,
-                                       int64_t *hits)
+/* count_raw if raw, else count_normalised, on eight lanes of AVX-512 */
+WIDE static void count_wide(const double *p, int64_t m, int64_t d, int mask, double nu, int raw,
+                            int64_t *hits)
 {
-    count_normalised(p, m, d, mask, nu, 1, hits);
+    if (raw)
+        count_raw(p, m, d, mask, nu, 1, hits);
+    else
+        count_normalised(p, m, d, mask, nu, 1, hits);
 }
 #endif
 
@@ -620,16 +639,21 @@ int set_philox_routine(int wide)
     return philox_wide;
 }
 
-/* count_normalised on the (m, d) matrix p with the routine in use. */
-void count_hits(const double *p, int64_t m, int64_t d, int mask, double nu, int64_t *hits)
+/* count_normalised on the (m, d) matrix p with the routine in use, or, if
+ * raw, count_raw: the same counts from p's rows of exponentials before they
+ * are normalised. */
+void count_hits(const double *p, int64_t m, int64_t d, int mask, double nu, int raw, int64_t *hits)
 {
 #if WIDE_ROUTINE
     if (philox_wide) {
-        count_normalised_wide(p, m, d, mask, nu, hits);
+        count_wide(p, m, d, mask, nu, raw, hits);
         return;
     }
 #endif
-    count_normalised(p, m, d, mask, nu, 0, hits);
+    if (raw)
+        count_raw(p, m, d, mask, nu, 0, hits);
+    else
+        count_normalised(p, m, d, mask, nu, 0, hits);
 }
 
 /* Draw m rows of d values (d = 2^n with 2 <= n <= 6) from the Philox stream

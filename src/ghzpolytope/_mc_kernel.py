@@ -34,16 +34,21 @@ values.  The kernel sums rows in NumPy's order only at the widths the
 estimator draws, d = 2^n with 2 <= n <= ``MC_MAX_QUBITS``, and
 :func:`chunk_counts` refuses any other.
 
-Each block is counted with only the work its families need.  Asked for
-no pair family (neither bisep_minus_fbi nor fbi), the kernel counts
-genuine and Mermin rows on the exponentials as drawn: a row is genuine
-if its largest value divided by the row sum exceeds 1/2, which is the
-test on the normalised row since division by the sum is correctly
-rounded and monotone, and the Mermin gap needs only its two divisions.
-Only the rows left in ``buf`` at the end are normalised.  The pair
-families normalise every block; the ``"avx512"`` routine, and
+Each block is counted with only the work its families need, on the
+exponentials as drawn; only the rows left in ``buf`` at the end are
+normalised.  A row is genuine if its largest value divided by the row sum
+exceeds 1/2, which is the test on the normalised row since division by the
+sum is correctly rounded and monotone, and the Mermin gap needs only its
+two divisions.  The fully biseparable test folds the flip pairs' raw
+differences and sums into D = max |e_i - e_~i| and S = min (e_i + e_~i).
+With s the row sum, fl(D - S) / s is within 8u (u = 2^-53) of maxdiff -
+minsum on the normalised row, so |fl(D - S)| >= 2^-47 s decides the row
+by its sign.  A row nearer the boundary is normalised as NumPy
+normalises it and folded.  One exception: asked for a pair family at d <=
+8, the widest rows are normalised a block at a time and counted
+normalised, which reads faster there.  The ``"avx512"`` routine, and
 :func:`count_hits` while it is in use, fold eight flip pairs at a time at
-d >= 16.
+d >= 16.  :func:`count_raw_hits` runs the raw counter on given rows.
 
 Each routine the CPU can run is checked at load bit for bit against
 ``_mc_kernel_py.chunk_counts``, the NumPy kernel, on a twin stream: rows
@@ -51,7 +56,9 @@ and hit counts, from a fresh stream and from ones started mid-buffer.  Its
 :func:`count_hits` must also give the NumPy kernel's counts on rows
 exactly on the region boundaries (``BOUNDARY_HITS``), where a comparison
 or a flip pairing gone wrong shows and random rows, which never tie,
-cannot show it.  Any
+cannot show it, and its raw counter the same counts on those rows times
+3, which normalise back to them bit for bit: on the ties, whose raw gap
+is 0, it must take its fallback.  Any
 failure (no compiler, an unwritable directory, a missing library, a
 failed probe, a mismatch) raises ImportError, and ``volume`` keeps the
 NumPy kernel.  Calls go through ctypes, which releases the GIL, so chunks
@@ -198,7 +205,8 @@ def _self_check(lib: ctypes.CDLL) -> None:
     NumPy release could change its draw or its summation order.  Its
     count_hits must also give the NumPy kernel's counts on the boundary rows
     at d = 8, 16 and 64 (``BOUNDARY_HITS``), where random rows never tie and
-    so cannot show a comparison or a pairing gone wrong."""
+    so cannot show a comparison or a pairing gone wrong, and so must its raw
+    counter on those rows times 3."""
     # (nus, families, raw draws skipped, m, rows).  The first two draw 35
     # rows in blocks of 16: two full blocks and a ragged one of 3 rows.
     # d = 64 starts mid-buffer, and its 2240 values leave the ziggurat's
@@ -220,7 +228,11 @@ def _self_check(lib: ctypes.CDLL) -> None:
         twin.random_raw(skip)
         hits = _numpy_chunk_counts(twin, m, ref, families, nus)  # m > rows: all rows written
         expected.append((ref, hits))
-    boundary = [(_boundary_rows(n), mermin_threshold(n), hits) for n, hits in BOUNDARY_HITS.items()]
+    # the boundary rows times 3 normalise back to them bit for bit, and their
+    # pair gaps are 0 or far from it: the raw counter must decide the ties
+    # by normalising them
+    boundary = [(rows, 3.0 * rows, mermin_threshold(n), hits) for n, hits in BOUNDARY_HITS.items()
+                for rows in [_boundary_rows(n)]]
     for routine in reversed(ROUTINES):
         if _set_routine(lib, routine) != routine:
             continue
@@ -234,13 +246,14 @@ def _self_check(lib: ctypes.CDLL) -> None:
                 raise ImportError(f"C kernel rows differ from NumPy's {where}")
             if hits != ref_hits:
                 raise ImportError(f"C kernel hit counts differ from NumPy's {where}")
-        for rows, nu, ref_hits in boundary:
-            hits = _HITS()
-            lib.count_hits(rows.ctypes.data, rows.shape[0], rows.shape[1], _mask(range(_FAMILIES)),
-                           nu, hits)
-            if tuple(hits) != ref_hits:
-                raise ImportError(f"C kernel hit counts differ from NumPy's on the boundary rows "
-                                  f"at d = {rows.shape[1]} ({routine} routine)")
+        for rows, scaled, nu, ref_hits in boundary:
+            for raw, p in enumerate((rows, scaled)):
+                hits = _HITS()
+                lib.count_hits(p.ctypes.data, p.shape[0], p.shape[1], _mask(range(_FAMILIES)), nu,
+                               raw, hits)
+                if tuple(hits) != ref_hits:
+                    raise ImportError(f"C kernel {'raw ' * raw}hit counts differ from NumPy's on the "
+                                      f"boundary rows at d = {p.shape[1]} ({routine} routine)")
     _set_routine(lib, ROUTINES[-1])
 
 
@@ -251,7 +264,7 @@ def load(source: Path = _HERE / "_mc_kernel.c", cache_dir: Path = _HERE / "__pyc
         lib = ctypes.CDLL(str(_build(Path(source), Path(cache_dir), cc)))
     except OSError as exc:
         raise ImportError(f"cannot build or load the C kernel: {exc}") from exc
-    lib.count_hits.argtypes = [_PTR, _I64, _I64, ctypes.c_int, ctypes.c_double, _HITS]
+    lib.count_hits.argtypes = [_PTR, _I64, _I64, ctypes.c_int, ctypes.c_double, ctypes.c_int, _HITS]
     lib.count_hits.restype = None
     lib.chunk_counts.argtypes = [_PTR, ctypes.c_uint64, _PTR, ctypes.c_int, _I64, _I64,
                                  _PTR, _I64, ctypes.c_int, ctypes.POINTER(_I64),
@@ -284,7 +297,21 @@ def count_hits(p: np.ndarray, family: int, nu: float) -> int:
     p = np.ascontiguousarray(p, dtype=np.float64)
     check_rows(p)
     hits = _HITS()
-    _lib.count_hits(p.ctypes.data, p.shape[0], p.shape[1], mask, nu, hits)
+    _lib.count_hits(p.ctypes.data, p.shape[0], p.shape[1], mask, nu, 0, hits)
+    return hits[family]
+
+
+def count_raw_hits(e: np.ndarray, family: int, nu: float) -> int:
+    """:func:`count_hits` on the rows of the (m, d) matrix ``e`` of
+    nonnegative exponentials, normalised as the NumPy kernel normalises
+    them, counted without normalising them: the counter ``chunk_counts``
+    runs on the exponentials as drawn (d = 2^n, 2 <= n <= 6)."""
+    mask = _mask((family,))
+    e = np.ascontiguousarray(e, dtype=np.float64)
+    if e.ndim != 2 or e.shape[1] not in ROW_WIDTHS:
+        raise ValueError(f"need an (m, d) matrix with d one of {ROW_WIDTHS}, got shape {e.shape}")
+    hits = _HITS()
+    _lib.count_hits(e.ctypes.data, e.shape[0], e.shape[1], mask, nu, 1, hits)
     return hits[family]
 
 

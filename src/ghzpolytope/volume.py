@@ -14,10 +14,14 @@ for: each narrower n counts the rows that draw starts with, which are the
 values and rows its own draw would give, so no count changes.
 ``mc_relative_volume`` is its one-family, one-n case.  Where a C compiler
 is present, ``ghzpolytope._mc_kernel`` builds a C kernel once into the
-package's ``__pycache__`` that draws, normalises and counts each chunk in
-one pass without holding the GIL; it runs the chunk's Philox stream and
-the ziggurat's fast path itself and leaves only the rare other draws to
-NumPy's C routine.  It reads the chunk's bit-generator state and leaves
+package's ``__pycache__`` that draws and counts each chunk in one pass
+without holding the GIL; it runs the chunk's Philox stream and the
+ziggurat's fast path itself and leaves only the rare other draws to
+NumPy's C routine.  It counts every family on the exponentials as drawn,
+deciding the fully biseparable test within a proven rounding bound and
+normalising only a row too near the boundary (and, for a pair family at
+n <= 3, the widest rows), and normalises only the rows it leaves in the
+chunk's buffer.  It reads the chunk's bit-generator state and leaves
 the bit generator as it was, which ``run_chunk`` drops after the call.
 Otherwise, or if that kernel does not reproduce
 ``_mc_kernel_py.chunk_counts``'s rows and counts bit for bit, that NumPy
@@ -166,16 +170,43 @@ def rel_vol_exact(family: str, n: int) -> float:
     return 1.0 - rel_vol_exact(GENUINE, n) - rel_vol_exact(FBI, n)
 
 
+def _rel_vol_ratio(family: str, n: int) -> tuple[int, int]:
+    """:func:`rel_vol_exact`'s exact value as integers (num, den), with nu_n
+    = 2^-k and h^h = 2^(h (n-1)); for the small n where they stay small."""
+    d, h = 1 << n, 1 << (n - 1)
+    if family == GHZ:
+        return 1, 1
+    if family == MERMIN:
+        k = 1 - math.frexp(mermin_threshold(n))[1]
+        return ((1 << k) - 1) ** (d - 1), 2 << k * (d - 1)
+    bits = max(d - 1, h * (n - 1))  # genuine d / 2^(d-1), fbi h! / 2^(h (n-1))
+    genuine, fbi = d << bits - (d - 1), math.factorial(h) << bits - h * (n - 1)
+    num = {GENUINE: genuine, FBI: fbi, BISEP_MINUS_FBI: (1 << bits) - genuine - fbi}[family]
+    return num, 1 << bits
+
+
 def vol_exact(family: str, n: int) -> float:
-    """Absolute Hilbert-Schmidt volume: the simplex's, sqrt(d) / (d-1)!,
-    times :func:`rel_vol_exact`.  From n = 8 the simplex's is 16 / 255!,
-    far below the least subnormal, so 0.0."""
+    """Absolute Hilbert-Schmidt volume, correctly rounded: the simplex's,
+    sqrt(d) / (d-1)!, times the exact relative volume.  At even n it is a
+    ratio of integers; at odd n the root of one, taken with ``math.isqrt``
+    on the ratio scaled so that the root has 64 or more bits, and moved off
+    every rounding boundary of the final division when it is inexact.  From
+    n = 8 the simplex's volume is 16 / 255!, far below the least subnormal,
+    so 0.0."""
     _check_family(family, ALL_FAMILIES, n)
     n = check_qubit_count(n, CLOSED_FORM_MAX_QUBITS)
     if n >= 8:
         return 0.0
-    d = dimension(n)
-    return math.sqrt(d) / math.factorial(d - 1) * rel_vol_exact(family, n)
+    num, den = _rel_vol_ratio(family, n)
+    den *= math.factorial(dimension(n) - 1)
+    if n % 2 == 0:
+        return (num << n // 2) / den
+    num, den = num * num << n, den * den  # the square
+    k = max(0, 64 - (num.bit_length() - den.bit_length()) // 2)
+    root = math.isqrt((num << 2 * k) // den)
+    if root * root * den != num << 2 * k:
+        root |= 1  # strictly between two integers: an odd one rounds as the root does
+    return root / (1 << k)
 
 
 def rvr(family: str, n: int) -> float:

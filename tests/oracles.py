@@ -287,6 +287,53 @@ def rel_vol_ratio(family: str, n: int) -> tuple[int, int]:
     raise InvalidArgumentError(f"unknown family {family!r}")
 
 
+def _compare_power(v: float, p: int, num: int, den: int) -> int:
+    """The sign of v^p - num/den, for a float v > 0, in integers."""
+    m, e = math.frexp(v)
+    lhs, rhs = int(m * (1 << 53)) ** p * den, num
+    e = (e - 53) * p
+    lhs, rhs = (lhs << e, rhs) if e >= 0 else (lhs, rhs << -e)
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def vol_hs(family: str, n: int) -> float:
+    """The correctly rounded Hilbert-Schmidt volume sqrt(d) / (d-1)! times
+    :func:`rel_vol_ratio`: the ``Fraction`` itself at even n, where sqrt(d)
+    is an integer; at odd n, where the volume is 0 or irrational, the float
+    whose two midpoints with its neighbours bracket the exact square."""
+    from fractions import Fraction
+
+    d = 1 << n
+    num, den = rel_vol_ratio(family, n)
+    exact = Fraction(num, math.factorial(d - 1) * den)
+    if n % 2 == 0 or num == 0:
+        return float((1 << n // 2) * exact) if n % 2 == 0 else 0.0
+    square = d * exact * exact
+    v = math.sqrt(d) * float(exact)  # the square itself can underflow
+    while ((Fraction(v) + Fraction(math.nextafter(v, math.inf))) / 2) ** 2 < square:
+        v = math.nextafter(v, math.inf)
+    while ((Fraction(v) + Fraction(math.nextafter(v, 0.0))) / 2) ** 2 > square:
+        v = math.nextafter(v, 0.0)
+    return v
+
+
+def rvr_bracket(family: str, n: int) -> tuple[float, float]:
+    """The two adjacent floats a <= b around the exact relative volume
+    radius (num/den)^(1/(d-1)) of :func:`rel_vol_ratio` (a == b when the
+    root is a float; (0.0, 0.0) for a zero volume), found from a float
+    guess by comparing integer powers."""
+    d = 1 << n
+    num, den = rel_vol_ratio(family, n)
+    if num == 0:
+        return 0.0, 0.0
+    a = math.exp((math.log(num) - math.log(den)) / (d - 1))
+    while _compare_power(a, d - 1, num, den) > 0:
+        a = math.nextafter(a, 0.0)
+    while _compare_power(math.nextafter(a, math.inf), d - 1, num, den) <= 0:
+        a = math.nextafter(a, math.inf)
+    return a, a if _compare_power(a, d - 1, num, den) == 0 else math.nextafter(a, math.inf)
+
+
 # each family's relative volume radius as n -> infinity
 RVR_LIMITS = {
     GENUINE: 0.5,
