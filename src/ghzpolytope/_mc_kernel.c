@@ -22,16 +22,19 @@
  * width asked for also gives the rows of every narrower width: those are the
  * draw's first values, as a draw of their own would give them.
  *
- * Each block of rows is counted with only the work its families need, on the
- * exponentials as drawn (count_raw): the genuine and Mermin tests divide by
- * the row sum only where a test needs it, and the fully biseparable test
- * reads the flip pairs' raw differences and sums against a rounding bound,
- * normalising only a row too near the boundary to decide.  Only the rows
- * left in the buffer at the end are normalised.  One exception: with a pair
- * family (biseparable but not fully, fully biseparable) at d <= 8, the
- * widest rows are normalised a block at a time and counted normalised,
- * which reads faster there.  The wide routine folds eight flip pairs at a
- * time at d >= 16.
+ * One row loop (count_rows) writes each region's test once and counts a
+ * block of rows with only the work its families need, on probability rows
+ * or on the exponentials as drawn.  On the exponentials the genuine and
+ * Mermin tests divide by the row sum only where a test needs it, and the
+ * fully biseparable test reads the flip pairs' raw differences and sums
+ * against a rounding bound, normalising only a row too near the boundary to
+ * decide; on probability rows the row sum is the constant 1.  Every block
+ * is counted on the exponentials, and only the rows left in the buffer at
+ * the end are normalised.  One exception: with a pair family (biseparable
+ * but not fully, fully biseparable) at d <= 8, the widest rows are
+ * normalised a block at a time and counted as probabilities, which reads
+ * faster there.  The wide routine folds eight flip pairs at a time at d >=
+ * 16.
  *
  * Built by _mc_kernel.py against NumPy's C random library.  Compile without
  * -ffast-math and without FMA contraction: every sum below must be added in
@@ -341,92 +344,43 @@ INLINE void fold_pairs(const double *row, int64_t d, int wide, double *maxp, dou
     }
 }
 
-/* Add to hits[0..2] the rows of the (m, d) matrix p that are genuine,
- * biseparable but not fully, and fully biseparable, if `pairs`; add to
- * hits[3] the Mermin-violating rows, if `mermin`.  Each test is the eps = 0
- * form of the predicate in _mc_kernel_py; the first three share one
- * fold_pairs. */
-INLINE void count_rows(const double *p, int64_t m, int64_t d, int pairs, int mermin, double nu,
-                       int wide, int64_t *hits)
-{
-    int64_t genuine = 0, middle = 0, fully = 0, violating = 0;
-    for (int64_t r = 0; r < m; r++) {
-        const double *row = p + r * d;
-        if (mermin)
-            violating += (row[0] - row[d - 1]) - nu > 0.0;
-        if (!pairs)
-            continue;
-        double maxp, maxdiff, minsum;
-        fold_pairs(row, d, wide, &maxp, &maxdiff, &minsum);
-        int g = maxp > 0.5, f = maxdiff <= minsum;
-        genuine += g;
-        fully += f;
-        middle += !g && !f;
-    }
-    hits[0] += genuine;
-    hits[1] += middle;
-    hits[2] += fully;
-    hits[3] += violating;
-}
+static __attribute__((noinline, cold)) int fully_normalised(const double *e, int64_t d);
 
-/* Add to hits[k] the rows of the (m, d) probability matrix p in region k
- * for each bit 1 << k set in mask (0 genuine, 1 biseparable but not fully,
- * 2 fully biseparable, 3 Mermin); the counts of regions not in mask are
- * unspecified.  Each call below inlines its own copy of the row loop, so no
- * mask bit is tested per row. */
-INLINE void count_normalised(const double *p, int64_t m, int64_t d, int mask, double nu,
-                             int wide, int64_t *hits)
-{
-    if (!(mask & 7))
-        count_rows(p, m, d, 0, 1, nu, wide, hits);
-    else if (mask & 8)
-        count_rows(p, m, d, 1, 1, nu, wide, hits);
-    else
-        count_rows(p, m, d, 1, 0, nu, wide, hits);
-}
-
-/* 1 if the row of d exponentials e, normalised as normalise_rows does, is
- * fully biseparable: count_raw_rows's answer for a row too near the boundary
- * to decide raw.  Out of line, so that the row loop stays small. */
-static __attribute__((noinline, cold)) int fully_normalised(const double *e, int64_t d)
-{
-    double p[64];
-    int64_t hits[4] = {0};
-    normalise_rows(p, e, 1, d);
-    count_rows(p, 1, d, 1, 0, 0.0, 0, hits);
-    return hits[2] == 1;
-}
-
-/* Add to hits[0..3] count_rows's counts (genuine if `genuine`, all three
- * pair families if `pairs` and `genuine`, Mermin if `mermin`) for the (m, d)
- * matrix of nonnegative, finite exponentials e once normalised, without
- * normalising it.  With s the row sum, added as normalise_rows adds it, and
- * p_i = fl(e_i / s):
- *   - genuine: fl(max_i e_i / s) > 1/2, which is max_i p_i > 1/2, since
+/* Add to hits[0..3] the rows of the (m, d) matrix x that are genuine (if
+ * `genuine`), biseparable but not fully and fully biseparable (if `pairs`,
+ * which needs `genuine`), and Mermin-violating (if `mermin`).  Each test is
+ * the eps = 0 form of the predicate in _mc_kernel_py, and the first three
+ * share one fold_pairs.  The rows are probabilities, or, if `raw`,
+ * nonnegative, finite exponentials, counted as they would be once
+ * normalised by normalise_rows, without normalising them.  With s the row
+ * sum, added as normalise_rows adds it (the constant 1 for probabilities,
+ * so that the divisions by s fold away), and p_i = fl(x_i / s):
+ *   - genuine: fl(max_i x_i / s) > 1/2, which is max_i p_i > 1/2, since
  *     division by s > 0 is correctly rounded and monotone;
- *   - Mermin: (fl(e_0 / s) - fl(e_d-1 / s)) - nu > 0;
- *   - fully biseparable: with D = max_i |e_i - e_~i| and S = min_i (e_i +
- *     e_~i), fl(D - S) / s is within 8u (u = 2^-53) of maxdiff - minsum on
- *     the p_i: each p_i and each pair difference and sum rounds once
- *     (relative error u), a pair's p_i sum to at most 1 + 64u, and max and
- *     min move no more than their arguments.  So |fl(D - S)| >= 2^-47 s
- *     decides the row by its sign; a nearer row, or one with s below
- *     2^-900 (near where 2^-47 s would lose bits), is normalised and
- *     folded (fully_normalised). */
-INLINE void count_raw_rows(const double *e, int64_t m, int64_t d, int genuine, int pairs,
-                           int mermin, double nu, int wide, int64_t *hits)
+ *   - Mermin: (fl(x_0 / s) - fl(x_d-1 / s)) - nu > 0;
+ *   - fully biseparable: maxdiff <= minsum on probabilities.  On raw rows,
+ *     with D = max_i |x_i - x_~i| and S = min_i (x_i + x_~i), fl(D - S) / s
+ *     is within 8u (u = 2^-53) of maxdiff - minsum on the p_i: each p_i and
+ *     each pair difference and sum rounds once (relative error u), a pair's
+ *     p_i sum to at most 1 + 64u, and max and min move no more than their
+ *     arguments.  So |fl(D - S)| >= 2^-47 s decides the row by its sign; a
+ *     nearer row, a tie among them, or one with s below 2^-900 (near where
+ *     2^-47 s would lose bits), is normalised and folded
+ *     (fully_normalised). */
+INLINE void count_rows(const double *x, int64_t m, int64_t d, int genuine, int pairs,
+                       int mermin, int raw, double nu, int wide, int64_t *hits)
 {
     int64_t above = 0, middle = 0, fully = 0, violating = 0;
     for (int64_t r = 0; r < m; r++) {
-        const double *row = e + r * d;
-        double s = row_sum(row, d), big = 0.0, maxdiff = 0.0, minsum = 0.0;
+        const double *row = x + r * d;
+        double s = raw ? row_sum(row, d) : 1.0, big = 0.0, maxdiff = 0.0, minsum = 0.0;
         int f = 0;
         if (genuine)  /* the pair terms are dropped where only big is read */
             fold_pairs(row, d, wide, &big, &maxdiff, &minsum);
         if (pairs) {
             double gap = maxdiff - minsum;
-            f = gap < 0.0;
-            if (__builtin_expect(!(fabs(gap) >= 0x1p-47 * s) | !(s >= 0x1p-900), 0))
+            f = raw ? gap < 0.0 : maxdiff <= minsum;
+            if (raw && __builtin_expect(!(fabs(gap) >= 0x1p-47 * s) | !(s >= 0x1p-900), 0))
                 f = fully_normalised(row, d);
         }
         int g = genuine & (big / s > 0.5);  /* & and |, not && and ||: no branch */
@@ -442,32 +396,46 @@ INLINE void count_raw_rows(const double *e, int64_t m, int64_t d, int genuine, i
     hits[3] += violating;
 }
 
-/* count_normalised's counts for mask, from the rows of exponentials before
- * they are normalised; one inlined row loop per call, as there. */
-INLINE void count_raw(const double *e, int64_t m, int64_t d, int mask, double nu, int wide,
-                      int64_t *hits)
+/* count_rows for the regions in mask, bit 1 << k asking for region k (0
+ * genuine, 1 biseparable but not fully, 2 fully biseparable, 3 Mermin); the
+ * counts of regions not in mask are unspecified.  Each call below inlines
+ * its own copy of the row loop, so no mask bit is tested per row. */
+INLINE void count_block(const double *x, int64_t m, int64_t d, int mask, double nu, int raw,
+                        int wide, int64_t *hits)
 {
     if (mask & 6 && mask & 8)
-        count_raw_rows(e, m, d, 1, 1, 1, nu, wide, hits);
+        count_rows(x, m, d, 1, 1, 1, raw, nu, wide, hits);
     else if (mask & 6)
-        count_raw_rows(e, m, d, 1, 1, 0, nu, wide, hits);
+        count_rows(x, m, d, 1, 1, 0, raw, nu, wide, hits);
     else if (!(mask & 8))
-        count_raw_rows(e, m, d, 1, 0, 0, nu, wide, hits);
+        count_rows(x, m, d, 1, 0, 0, raw, nu, wide, hits);
     else if (mask & 1)
-        count_raw_rows(e, m, d, 1, 0, 1, nu, wide, hits);
+        count_rows(x, m, d, 1, 0, 1, raw, nu, wide, hits);
     else
-        count_raw_rows(e, m, d, 0, 0, 1, nu, wide, hits);
+        count_rows(x, m, d, 0, 0, 1, raw, nu, wide, hits);
+}
+
+/* 1 if the row of d exponentials e, normalised as normalise_rows does, is
+ * fully biseparable: count_rows's answer for a raw row too near the boundary
+ * to decide raw.  Out of line, so that the row loop stays small. */
+static int fully_normalised(const double *e, int64_t d)
+{
+    double p[64];
+    int64_t hits[4] = {0};
+    normalise_rows(p, e, 1, d);
+    count_block(p, 1, d, 4, 0.0, 0, 0, hits);
+    return hits[2] == 1;
 }
 
 /* Draw m rows of d values with fill from stream in blocks of `rows` rows
  * through buf (rows x d), and count them at each of the `widths` row widths
  * w[k], each a divisor of d with Mermin threshold nu[k], into hits[4k..4k+3]
  * for the regions in mask.  Width w's m rows are the first m * w values.
- * Each width is counted on the exponentials as drawn (count_raw), and only
- * the last block, and the rows of the block before it that it leaves in
- * buf, are normalised, so that buf ends as it would.  With a pair family at
+ * Each width is counted on the exponentials as drawn, and only the last
+ * block, and the rows of the block before it that it leaves in buf, are
+ * normalised, so that buf ends as it would.  With a pair family at
  * d <= 8, where the raw count reads slower, width d's rows are instead
- * normalised a block at a time and counted normalised. */
+ * normalised a block at a time and counted as probabilities. */
 INLINE void draw_and_count(void (*fill)(void *, int64_t, double *), int wide, void *stream,
                            int64_t m, int64_t d, double *buf, int64_t rows, int widths,
                            const int64_t *w, const double *nu, int mask, int64_t *hits)
@@ -479,8 +447,8 @@ INLINE void draw_and_count(void (*fill)(void *, int64_t, double *), int wide, vo
         for (int k = 0; k < widths; k++) {
             int64_t left = m * w[k] - start * d;  /* width w[k]'s values from buf on */
             if (left > 0 && (raw || w[k] < d))
-                count_raw(buf, (left < b * d ? left : b * d) / w[k], w[k], mask, nu[k], wide,
-                          hits + 4 * k);
+                count_block(buf, (left < b * d ? left : b * d) / w[k], w[k], mask, nu[k], 1,
+                            wide, hits + 4 * k);
         }
         if (raw) {
             if (start + b < m)
@@ -493,7 +461,7 @@ INLINE void draw_and_count(void (*fill)(void *, int64_t, double *), int wide, vo
         normalise_rows(buf, buf, b, d);
         for (int k = 0; k < widths; k++)
             if (w[k] == d)
-                count_normalised(buf, b, d, mask, nu[k], wide, hits + 4 * k);
+                count_block(buf, b, d, mask, nu[k], 0, wide, hits + 4 * k);
     }
 }
 
@@ -605,14 +573,11 @@ WIDE static void draw_and_count_wide(philox8_t *s, int64_t m, int64_t d, double 
     draw_and_count(fill_exponentials8, 1, s, m, d, buf, rows, widths, w, nu, mask, hits);
 }
 
-/* count_raw if raw, else count_normalised, on eight lanes of AVX-512 */
+/* count_block on eight lanes of AVX-512 */
 WIDE static void count_wide(const double *p, int64_t m, int64_t d, int mask, double nu, int raw,
                             int64_t *hits)
 {
-    if (raw)
-        count_raw(p, m, d, mask, nu, 1, hits);
-    else
-        count_normalised(p, m, d, mask, nu, 1, hits);
+    count_block(p, m, d, mask, nu, raw, 1, hits);
 }
 #endif
 
@@ -639,9 +604,9 @@ int set_philox_routine(int wide)
     return philox_wide;
 }
 
-/* count_normalised on the (m, d) matrix p with the routine in use, or, if
- * raw, count_raw: the same counts from p's rows of exponentials before they
- * are normalised. */
+/* count_block on the (m, d) matrix p with the routine in use: p's rows are
+ * probabilities, or, if raw, exponentials counted as they would be once
+ * normalised. */
 void count_hits(const double *p, int64_t m, int64_t d, int mask, double nu, int raw, int64_t *hits)
 {
 #if WIDE_ROUTINE
@@ -650,10 +615,7 @@ void count_hits(const double *p, int64_t m, int64_t d, int mask, double nu, int 
         return;
     }
 #endif
-    if (raw)
-        count_raw(p, m, d, mask, nu, 0, hits);
-    else
-        count_normalised(p, m, d, mask, nu, 0, hits);
+    count_block(p, m, d, mask, nu, raw, 0, hits);
 }
 
 /* Draw m rows of d values (d = 2^n with 2 <= n <= 6) from the Philox stream

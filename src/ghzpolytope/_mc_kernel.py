@@ -34,35 +34,40 @@ values.  The kernel sums rows in NumPy's order only at the widths the
 estimator draws, d = 2^n with 2 <= n <= ``MC_MAX_QUBITS``, and
 :func:`chunk_counts` refuses any other.
 
-Each block is counted with only the work its families need, on the
-exponentials as drawn; only the rows left in ``buf`` at the end are
-normalised.  A row is genuine if its largest value divided by the row sum
-exceeds 1/2, which is the test on the normalised row since division by the
-sum is correctly rounded and monotone, and the Mermin gap needs only its
-two divisions.  The fully biseparable test folds the flip pairs' raw
-differences and sums into D = max |e_i - e_~i| and S = min (e_i + e_~i).
-With s the row sum, fl(D - S) / s is within 8u (u = 2^-53) of maxdiff -
-minsum on the normalised row, so |fl(D - S)| >= 2^-47 s decides the row
-by its sign.  A row nearer the boundary is normalised as NumPy
-normalises it and folded.  One exception: asked for a pair family at d <=
-8, the widest rows are normalised a block at a time and counted
-normalised, which reads faster there.  The ``"avx512"`` routine, and
-:func:`count_hits` while it is in use, fold eight flip pairs at a time at
-d >= 16.  :func:`count_raw_hits` runs the raw counter on given rows.
+One counter, one row loop that writes each region's test once, counts
+rows of probabilities and rows of exponentials as drawn alike: for
+probabilities the row sum is the constant 1.  It counts each block with
+only the work its families need, on the exponentials as drawn; only the
+rows left in ``buf`` at the end are normalised.  A row is genuine if its
+largest value divided by the row sum exceeds 1/2, which is the test on
+the normalised row since division by the sum is correctly rounded and
+monotone, and the Mermin gap needs only its two divisions.  The fully
+biseparable test folds the flip pairs' raw differences and sums into D =
+max |e_i - e_~i| and S = min (e_i + e_~i).  With s the row sum, fl(D -
+S) / s is within 8u (u = 2^-53) of maxdiff - minsum on the normalised
+row, so |fl(D - S)| >= 2^-47 s decides the row by its sign.  A row
+nearer the boundary is normalised as NumPy normalises it and folded.  On
+probability rows the test is maxdiff <= minsum itself.  One exception:
+asked for a pair family at d <= 8, the widest rows are normalised a
+block at a time and counted as probabilities, which reads faster there.
+The ``"avx512"`` routine, and :func:`count_hits` while it is in use,
+fold eight flip pairs at a time at d >= 16.  :func:`count_hits` runs the
+counter on given probability rows, :func:`count_raw_hits` on given rows
+of exponentials.
 
 Each routine the CPU can run is checked at load bit for bit against
 ``_mc_kernel_py.chunk_counts``, the NumPy kernel, on a twin stream: rows
-and hit counts, from a fresh stream and from ones started mid-buffer.  Its
-:func:`count_hits` must also give the NumPy kernel's counts on rows
+and hit counts, from a fresh stream and from ones started mid-buffer.
+Its :func:`count_hits` must also give the NumPy kernel's counts on rows
 exactly on the region boundaries (``BOUNDARY_HITS``), where a comparison
 or a flip pairing gone wrong shows and random rows, which never tie,
-cannot show it, and its raw counter the same counts on those rows times
-3, which normalise back to them bit for bit: on the ties, whose raw gap
-is 0, it must take its fallback.  Any
-failure (no compiler, an unwritable directory, a missing library, a
-failed probe, a mismatch) raises ImportError, and ``volume`` keeps the
-NumPy kernel.  Calls go through ctypes, which releases the GIL, so chunks
-on a thread pool run in parallel.
+cannot show it, and the same counter the same counts on those rows times
+3, counted as exponentials, which normalise back to them bit for bit: on
+the ties, whose raw gap is 0, it must take its fallback.  Any failure
+(no compiler, an unwritable directory, a missing library, a failed
+probe, a mismatch) raises ImportError, and ``volume`` keeps the NumPy
+kernel.  Calls go through ctypes, which releases the GIL, so chunks on a
+thread pool run in parallel.
 """
 
 from __future__ import annotations
@@ -205,8 +210,8 @@ def _self_check(lib: ctypes.CDLL) -> None:
     NumPy release could change its draw or its summation order.  Its
     count_hits must also give the NumPy kernel's counts on the boundary rows
     at d = 8, 16 and 64 (``BOUNDARY_HITS``), where random rows never tie and
-    so cannot show a comparison or a pairing gone wrong, and so must its raw
-    counter on those rows times 3."""
+    so cannot show a comparison or a pairing gone wrong, and so must it on
+    those rows times 3, counted as exponentials."""
     # (nus, families, raw draws skipped, m, rows).  The first two draw 35
     # rows in blocks of 16: two full blocks and a ragged one of 3 rows.
     # d = 64 starts mid-buffer, and its 2240 values leave the ziggurat's

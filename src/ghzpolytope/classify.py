@@ -92,7 +92,10 @@ def is_fully_biseparable(state: GhzDiagonalState) -> tuple[bool, tuple[int, int]
 def partial_transpose(mat: np.ndarray, n: int, bipartition: Bipartition) -> np.ndarray:
     """Partial transpose over the S side: swap S-subsystem row/column bits."""
     d = dimension(check_qubit_count(n, DENSE_MAX_QUBITS))
-    mat = np.asarray(mat)
+    try:
+        mat = np.asarray(mat)
+    except ValueError as exc:  # a ragged nested list
+        raise InvalidArgumentError(f"matrix must be a {d} x {d} array: {exc}") from None
     if mat.shape != (d, d):
         raise InvalidArgumentError(f"matrix shape {mat.shape} does not match n={n}")
     check_bipartition(bipartition, n)

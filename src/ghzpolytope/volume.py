@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -130,19 +131,6 @@ def _check_family(family: str, allowed, n: int | None = None) -> None:
         raise InvalidArgumentError(f"family {family!r} needs n >= 2")
 
 
-def _log_rel_vol(family: str, n: int) -> float:
-    d = dimension(n)
-    if family == GENUINE:
-        return math.log(d) - (d - 1) * math.log(2.0)
-    if family == FBI:
-        h = d // 2
-        return math.lgamma(h + 1) - h * math.log(h)
-    if family == MERMIN:
-        nu = mermin_threshold(n)
-        return (d - 1) * math.log1p(-nu) - math.log(2.0) if nu < 1.0 else -math.inf
-    raise InvalidArgumentError(f"no closed log form for family {family!r}")
-
-
 def rel_vol_exact(family: str, n: int) -> float:
     """Relative volume with respect to the ambient simplex.
 
@@ -210,19 +198,25 @@ def vol_exact(family: str, n: int) -> float:
 
 
 def rvr(family: str, n: int) -> float:
-    """Relative volume radius (relative volume)^(1/(d-1)), log-space inside."""
+    """Relative volume radius (relative volume)^(1/(d-1)): the root of
+    :func:`rel_vol_exact` while that is a normal float, and past it each
+    family's closed form for the root, in which no two large terms cancel."""
     _check_family(family, MC_FAMILIES, n)
     n = check_qubit_count(n, CLOSED_FORM_MAX_QUBITS)
     d = dimension(n)
-    if family == BISEP_MINUS_FBI:
-        small = math.exp(_log_rel_vol(GENUINE, n)) + math.exp(_log_rel_vol(FBI, n))
-        if small >= 1.0:  # n = 2: the middle region has zero volume
-            return 0.0
-        return math.exp(math.log1p(-small) / (d - 1))
-    log_rel = _log_rel_vol(family, n)
-    if log_rel == -math.inf:
-        return 0.0
-    return math.exp(log_rel / (d - 1))
+    rel = rel_vol_exact(family, n)
+    if rel >= sys.float_info.min or family == BISEP_MINUS_FBI:  # bisep_minus_fbi: 0 or near 1
+        return rel ** (1.0 / (d - 1))
+    if family == GENUINE:  # (d / 2^(d-1))^(1/(d-1))
+        return 2.0 ** (n / (d - 1)) / 2.0
+    if family == MERMIN:  # ((1 - nu)^(d-1) / 2)^(1/(d-1)), with 1 - nu exact
+        return (1.0 - mermin_threshold(n)) * 2.0 ** (-1.0 / (d - 1))
+    # fbi, from n = 11: Stirling's series log h! = h log h - h + log(2 pi h) / 2
+    # + 1/(12h) - 1/(360h^3) + O(h^-5) makes log(h! / h^h) / (d-1) = -1/2 + r
+    # with r small, and h^-5 is far below an ulp of r
+    h = d // 2
+    r = (math.log(2.0 * math.pi * h) / 2.0 - 0.5 + 1.0 / (12 * h) - 1.0 / (360 * h**3)) / (d - 1)
+    return math.exp(r - 0.5)
 
 
 def check_mc_settings(seed: int, threads: int, samples: int | None = None) -> None:

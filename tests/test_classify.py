@@ -116,7 +116,9 @@ def test_ppt_bipartition_refuses_a_bipartition_of_another_qubit_count():
     (np.eye(512), 9, UnsupportedSizeError),
     ([[1]], 3, InvalidArgumentError),
     (np.eye(4), 3, InvalidArgumentError),
-], ids=["n-float", "n-text", "n-zero", "n-past-dense-cap", "nested-list", "wrong-shape"])
+    ([1, [2]], 3, InvalidArgumentError),
+], ids=["n-float", "n-text", "n-zero", "n-past-dense-cap", "nested-list", "wrong-shape",
+        "ragged-list"])
 def test_partial_transpose_refuses_bad_qubit_counts_and_matrices(mat, n, error):
     with pytest.raises(error):
         partial_transpose(mat, n, Bipartition(3, {1}))
