@@ -1,44 +1,12 @@
 /* Monte-Carlo kernel: draws, normalises and counts a chunk of points uniform
  * on the (d-1)-simplex in one pass, with the samples and decisions of the
- * NumPy kernel (_mc_kernel_py.chunk_counts).
+ * NumPy kernel (_mc_kernel_py.chunk_counts).  The docstring of _mc_kernel.py,
+ * which builds, loads and checks this file, describes the Philox stream, the
+ * two routines that run it and the row loop that counts.
  *
- * The chunk's Philox4x64-10 stream and the ziggurat's fast path run inline;
- * the rare draws off the fast path go to NumPy's own routine.  The stream is
- * one buffer of 32 values, eight consecutive blocks in stream order tracked
- * by the counter of the last, taken over from NumPy's state at the start of
- * a chunk; nothing is written back, so the bit generator is left as it was
- * given.  The counter is one 64-bit word, below 2^63, so no block of a chunk
- * (fewer than 2^21) carries out of it.  One of two routines, chosen at
- * run time from the CPU's flags, refills the buffer and reads it:
- *   - scalar: the eight blocks one after another, one value at a time;
- *   - wide (AVX-512F and AVX-512DQ): the eight blocks side by side, and the
- *     fast path eight values at a time; a group's lanes up to the first one
- *     off the fast path are kept, that draw is replayed, and the next group
- *     starts after it.
- * The draws replayed through NumPy's routine take their extra values from
- * the buffer too, so both routines hand out the same values.  Rows are d =
- * 2^n wide, 2 <= n <= 6, and are summed in NumPy's order: left to right at
- * d = 4, eight values at a time above it.  One draw of rows of the widest
- * width asked for also gives the rows of every narrower width: those are the
- * draw's first values, as a draw of their own would give them.
- *
- * One row loop (count_rows) writes each region's test once and counts a
- * block of rows with only the work its families need, on probability rows
- * or on the exponentials as drawn.  On the exponentials the genuine and
- * Mermin tests divide by the row sum only where a test needs it, and the
- * fully biseparable test reads the flip pairs' raw differences and sums
- * against a rounding bound, normalising only a row too near the boundary to
- * decide; on probability rows the row sum is the constant 1.  Every block
- * is counted on the exponentials, and only the rows left in the buffer at
- * the end are normalised.  One exception: with a pair family (biseparable
- * but not fully, fully biseparable) at d <= 8, the widest rows are
- * normalised a block at a time and counted as probabilities, which reads
- * faster there.  The wide routine folds eight flip pairs at a time at d >=
- * 16.
- *
- * Built by _mc_kernel.py against NumPy's C random library.  Compile without
- * -ffast-math and without FMA contraction: every sum below must be added in
- * the order written. */
+ * Built against NumPy's C random library.  Compile without -ffast-math and
+ * without FMA contraction: every sum below must be added in the order
+ * written. */
 #include <stdint.h>
 #include <math.h>
 #include "numpy/random/bitgen.h"
@@ -67,7 +35,8 @@ typedef struct {
 } philox8_t;
 
 /* Take over NumPy's state (key, counter, buffer, pos): its block becomes
- * buf's eighth. */
+ * buf's eighth.  The key schedule: each round's key is the last one's plus
+ * the Weyl constants. */
 static void philox8_load(philox8_t *w, const uint64_t *key, uint64_t counter,
                          const uint64_t *buffer, int pos)
 {
@@ -84,7 +53,7 @@ static void philox8_load(philox8_t *w, const uint64_t *key, uint64_t counter,
     w->pos = 28 + pos;
 }
 
-/* One Philox round on x0..x3 with key (k0, k1), then the Weyl key bump. */
+/* One Philox round on x0..x3 with round key (k0, k1). */
 #define PHILOX_ROUND(x0, x1, x2, x3, k0, k1)                                  \
     do {                                                                      \
         unsigned __int128 p0 = (unsigned __int128)0xD2E7470EE14C6C93ULL * x0; \
@@ -93,28 +62,17 @@ static void philox8_load(philox8_t *w, const uint64_t *key, uint64_t counter,
         x1 = (uint64_t)p1;                                                    \
         x2 = (uint64_t)(p0 >> 64) ^ x3 ^ k1;                                  \
         x3 = (uint64_t)p0;                                                    \
-        k0 += 0x9E3779B97F4A7C15ULL;                                          \
-        k1 += 0xBB67AE8584CAA73BULL;                                          \
     } while (0)
 
 /* Refill buf with the eight blocks after last, one after another: each bumps
- * the counter's low word and encrypts the counter in ten rounds, written out
- * so that -O2 keeps them unrolled. */
+ * the counter's low word and encrypts the counter in ten rounds. */
 static void philox8_refill_scalar(philox8_t *s)
 {
     for (int block = 0; block < 8; block++) {
         uint64_t x0 = ++s->last, x1 = 0, x2 = 0, x3 = 0;
-        uint64_t k0 = s->round_keys[0][0], k1 = s->round_keys[0][1];
-        PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
-        PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
-        PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
-        PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
-        PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
-        PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
-        PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
-        PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
-        PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
-        PHILOX_ROUND(x0, x1, x2, x3, k0, k1);
+#pragma GCC unroll 10
+        for (int round = 0; round < 10; round++)
+            PHILOX_ROUND(x0, x1, x2, x3, s->round_keys[round][0], s->round_keys[round][1]);
         s->buf[4 * block] = x0;
         s->buf[4 * block + 1] = x1;
         s->buf[4 * block + 2] = x2;
@@ -123,7 +81,9 @@ static void philox8_refill_scalar(philox8_t *s)
     s->pos = 0;
 }
 
-static uint64_t philox8_next_scalar(void *stream)
+/* The next value of the stream, a philox8_t, for a replayed draw.  It refills
+ * with the scalar routine, which writes the same 32 values as the wide one. */
+static uint64_t philox8_next(void *stream)
 {
     philox8_t *s = stream;
     if (s->pos == 32)
@@ -219,7 +179,7 @@ static void fill_exponentials(void *stream, int64_t n, double *out)
         } else {  /* about 2 %: NumPy redoes the first step, then the tail or wedge */
             int calls;
             s->pos = pos;
-            out[i] = replay_exponential(u, philox8_next_scalar, stream, &calls);
+            out[i] = replay_exponential(u, philox8_next, stream, &calls);
             pos = s->pos;
         }
     }
@@ -520,14 +480,6 @@ WIDE static void philox8_refill_wide(philox8_t *s)
     s->last += 8;
 }
 
-WIDE static uint64_t philox8_next_wide(void *stream)
-{
-    philox8_t *s = stream;
-    if (s->pos == 32)
-        philox8_refill_wide(s);
-    return s->buf[s->pos++];
-}
-
 /* fill_exponentials, eight values at a time: the lanes up to the first one
  * off the fast path are stored, that one is replayed through NumPy's
  * routine, and the next group starts after it. */
@@ -561,7 +513,7 @@ WIDE static void fill_exponentials8(void *stream, int64_t n, double *out)
         i += first_slow;
         s->pos += first_slow;
         uint64_t v = s->buf[s->pos++];
-        out[i++] = replay_exponential(v, philox8_next_wide, s, &calls);
+        out[i++] = replay_exponential(v, philox8_next, s, &calls);
     }
 }
 

@@ -28,11 +28,13 @@ after another and reads one value at a time.  ``"avx512"``, on a CPU
 with AVX-512F and AVX-512DQ, computes them side by side and takes the
 fast path on groups of up to eight values: it stores a group's values up
 to the first one that leaves the fast path, replays that draw, and starts
-the next group after it.  The draws replayed through NumPy's routine take
-their extra values from the buffer too, so the two routines draw the same
-values.  The kernel sums rows in NumPy's order only at the widths the
-estimator draws, d = 2^n with 2 <= n <= ``MC_MAX_QUBITS``, and
-:func:`chunk_counts` refuses any other.
+the next group after it.  The draws replayed through NumPy's routine read
+their extra values from the buffer too, refilled by the scalar routine,
+which writes the values the wide one would.  Rows are summed in NumPy's
+order (left to right at d = 4, eight values at a time above it) only at
+the widths the estimator draws, d = 2^n with 2 <= n <= ``MC_MAX_QUBITS``,
+and :func:`chunk_counts` refuses any other.  The rows of a narrower width
+are the first values of the widest width's draw, as their own draw gives.
 
 One counter, one row loop that writes each region's test once, counts
 rows of probabilities and rows of exponentials as drawn alike: for
@@ -55,19 +57,20 @@ fold eight flip pairs at a time at d >= 16.  :func:`count_hits` runs the
 counter on given probability rows, :func:`count_raw_hits` on given rows
 of exponentials.
 
-Each routine the CPU can run is checked at load bit for bit against
-``_mc_kernel_py.chunk_counts``, the NumPy kernel, on a twin stream: rows
-and hit counts, from a fresh stream and from ones started mid-buffer.
-Its :func:`count_hits` must also give the NumPy kernel's counts on rows
-exactly on the region boundaries (``BOUNDARY_HITS``), where a comparison
-or a flip pairing gone wrong shows and random rows, which never tie,
-cannot show it, and the same counter the same counts on those rows times
-3, counted as exponentials, which normalise back to them bit for bit: on
-the ties, whose raw gap is 0, it must take its fallback.  Any failure
-(no compiler, an unwritable directory, a missing library, a failed
-probe, a mismatch) raises ImportError, and ``volume`` keeps the NumPy
-kernel.  Calls go through ctypes, which releases the GIL, so chunks on a
-thread pool run in parallel.
+The routine picked at load, the only one a process counts with, is
+checked then bit for bit against ``_mc_kernel_py.chunk_counts``, the
+NumPy kernel: rows and hit counts, from a fresh stream and from ones
+started mid-buffer.  Its :func:`count_hits` must also give the NumPy
+kernel's counts on rows exactly on the region boundaries
+(``BOUNDARY_HITS``), where a comparison or a flip pairing gone wrong
+shows and random rows, which never tie, cannot show it, and the same
+counter the same counts on those rows times 3, counted as exponentials,
+which normalise back to them bit for bit: on the ties, whose raw gap is
+0, it must take its fallback.  Any failure (no compiler, an unwritable
+directory, a missing library, a failed probe, a mismatch) raises
+ImportError, and ``volume`` keeps the NumPy kernel.  Calls go through
+ctypes, which releases the GIL, so chunks on a thread pool run in
+parallel.
 """
 
 from __future__ import annotations
@@ -204,14 +207,22 @@ def _boundary_rows(n: int) -> np.ndarray:
 BOUNDARY_HITS = {3: (1, 7, 9, 0), 4: (1, 9, 12, 0), 6: (7, 7, 18, 6)}
 
 
+def _count(lib: ctypes.CDLL, x: np.ndarray, mask: int, nu: float, raw: int) -> _HITS:
+    """The C ``count_hits`` on the float64 rows of ``x``, raw or not."""
+    hits = _HITS()
+    lib.count_hits(x.ctypes.data, x.shape[0], x.shape[1], mask, nu, raw, hits)
+    return hits
+
+
 def _self_check(lib: ctypes.CDLL) -> None:
-    """Raise ImportError unless the kernel writes the NumPy kernel's rows bit
-    for bit and gives its hit counts, on every routine the CPU can run: a
+    """Raise ImportError unless the kernel, on the routine it will run,
+    writes the NumPy kernel's rows bit for bit and gives its hit counts: a
     NumPy release could change its draw or its summation order.  Its
     count_hits must also give the NumPy kernel's counts on the boundary rows
     at d = 8, 16 and 64 (``BOUNDARY_HITS``), where random rows never tie and
     so cannot show a comparison or a pairing gone wrong, and so must it on
     those rows times 3, counted as exponentials."""
+    routine = _set_routine(lib, ROUTINES[-1])
     # (nus, families, raw draws skipped, m, rows).  The first two draw 35
     # rows in blocks of 16: two full blocks and a ragged one of 3 rows.
     # d = 64 starts mid-buffer, and its 2240 values leave the ziggurat's
@@ -226,40 +237,26 @@ def _self_check(lib: ctypes.CDLL) -> None:
     configs = (({4: 0.0}, (0, 1, 2, 3), 0, 35, 16),
                ({64: 0.0, 4: 0.25, 32: 0.03125}, (1, 3), 3, 35, 16),
                ({16: 0.0, 4: 0.25}, (0, 3), 1, 19, 8))
-    # NumPy's rows and hits for each, the same for every routine
-    expected = []
     for nus, families, skip, m, rows in configs:
-        twin, ref = np.random.Philox(max(nus)), np.empty((rows, max(nus)))
-        twin.random_raw(skip)
-        hits = _numpy_chunk_counts(twin, m, ref, families, nus)  # m > rows: all rows written
-        expected.append((ref, hits))
+        d = max(nus)
+        where = f"at d = {d} ({routine} routine)"
+        bitgen, buf, ref = np.random.Philox(d), np.empty((rows, d)), np.empty((rows, d))
+        bitgen.random_raw(skip)
+        hits = _run(lib, bitgen, m, buf, families, nus)  # only reads bitgen
+        ref_hits = _numpy_chunk_counts(bitgen, m, ref, families, nus)  # m > rows: all rows written
+        if not np.array_equal(buf.view(np.uint64), ref.view(np.uint64)):
+            raise ImportError(f"C kernel rows differ from NumPy's {where}")
+        if hits != ref_hits:
+            raise ImportError(f"C kernel hit counts differ from NumPy's {where}")
     # the boundary rows times 3 normalise back to them bit for bit, and their
     # pair gaps are 0 or far from it: the raw counter must decide the ties
     # by normalising them
-    boundary = [(rows, 3.0 * rows, mermin_threshold(n), hits) for n, hits in BOUNDARY_HITS.items()
-                for rows in [_boundary_rows(n)]]
-    for routine in reversed(ROUTINES):
-        if _set_routine(lib, routine) != routine:
-            continue
-        for (nus, families, skip, m, rows), (ref, ref_hits) in zip(configs, expected):
-            d = max(nus)
-            where = f"at d = {d} ({routine} routine)"
-            bitgen, buf = np.random.Philox(d), np.empty((rows, d))
-            bitgen.random_raw(skip)
-            hits = _run(lib, bitgen, m, buf, families, nus)
-            if not np.array_equal(buf.view(np.uint64), ref.view(np.uint64)):
-                raise ImportError(f"C kernel rows differ from NumPy's {where}")
-            if hits != ref_hits:
-                raise ImportError(f"C kernel hit counts differ from NumPy's {where}")
-        for rows, scaled, nu, ref_hits in boundary:
-            for raw, p in enumerate((rows, scaled)):
-                hits = _HITS()
-                lib.count_hits(p.ctypes.data, p.shape[0], p.shape[1], _mask(range(_FAMILIES)), nu,
-                               raw, hits)
-                if tuple(hits) != ref_hits:
-                    raise ImportError(f"C kernel {'raw ' * raw}hit counts differ from NumPy's on the "
-                                      f"boundary rows at d = {p.shape[1]} ({routine} routine)")
-    _set_routine(lib, ROUTINES[-1])
+    for n, ref_hits in BOUNDARY_HITS.items():
+        rows = _boundary_rows(n)
+        for raw, p in enumerate((rows, 3.0 * rows)):
+            if tuple(_count(lib, p, _mask(range(_FAMILIES)), mermin_threshold(n), raw)) != ref_hits:
+                raise ImportError(f"C kernel {'raw ' * raw}hit counts differ from NumPy's on the "
+                                  f"boundary rows at d = {p.shape[1]} ({routine} routine)")
 
 
 def load(source: Path = _HERE / "_mc_kernel.c", cache_dir: Path = _HERE / "__pycache__",
@@ -301,9 +298,7 @@ def count_hits(p: np.ndarray, family: int, nu: float) -> int:
     mask = _mask((family,))
     p = np.ascontiguousarray(p, dtype=np.float64)
     check_rows(p)
-    hits = _HITS()
-    _lib.count_hits(p.ctypes.data, p.shape[0], p.shape[1], mask, nu, 0, hits)
-    return hits[family]
+    return _count(_lib, p, mask, nu, 0)[family]
 
 
 def count_raw_hits(e: np.ndarray, family: int, nu: float) -> int:
@@ -315,9 +310,7 @@ def count_raw_hits(e: np.ndarray, family: int, nu: float) -> int:
     e = np.ascontiguousarray(e, dtype=np.float64)
     if e.ndim != 2 or e.shape[1] not in ROW_WIDTHS:
         raise ValueError(f"need an (m, d) matrix with d one of {ROW_WIDTHS}, got shape {e.shape}")
-    hits = _HITS()
-    _lib.count_hits(e.ctypes.data, e.shape[0], e.shape[1], mask, nu, 1, hits)
-    return hits[family]
+    return _count(_lib, e, mask, nu, 1)[family]
 
 
 def chunk_counts(bitgen: np.random.BitGenerator, m: int, buf: np.ndarray, families,

@@ -81,35 +81,21 @@ def certify_midpoint(n: int, i: int, j: int) -> SeparabilityCertificate:
 def cube_vertex_decomposition(n: int, sigma, bipartition: Bipartition) -> SeparabilityCertificate:
     """Decompose v_sigma into midpoints separable across the bipartition.
 
-    Walks sigma lexicographically and pairs each unpaired index with its
-    S-flip if present in sigma, else its T-flip (one of the two must be
-    there since sigma holds exactly one index of each flip pair).
+    Pairs each index i of sigma with its S-flip i ^ S if that is in sigma,
+    else with its T-flip i ^ T, and keeps each pair once, from its smaller
+    index.  i ^ S and i ^ T are flips of each other, so sigma, which holds
+    exactly one index of each flip pair, holds exactly one of them, and
+    that one's partner is i again.
     """
     n = check_qubit_count(n)
     check_bipartition(bipartition, n)
     sigma = list(sigma)  # read twice, so a one-pass iterator works too
     state = cube_vertex(n, sigma)  # validates sigma
-    members = sorted(set(sigma))
-    d = dimension(n)
+    members = set(sigma)
     s_mask = bipartition.mask
-    t_mask = (d - 1) ^ s_mask
-
-    remaining = set(members)
-    pairs = []
-    for i in members:
-        if i not in remaining:
-            continue
-        remaining.discard(i)
-        for partner in (i ^ s_mask, i ^ t_mask):
-            if partner in remaining:
-                remaining.discard(partner)
-                pairs.append((i, partner))
-                break
-        else:
-            raise AssertionError(
-                f"index {to_bits(i, n)} has neither flip inside the selection; "
-                "this contradicts the pairing invariant"
-            )
+    t_mask = (dimension(n) - 1) ^ s_mask
+    partners = ((i, i ^ s_mask if i ^ s_mask in members else i ^ t_mask) for i in sorted(members))
+    pairs = [(i, j) for i, j in partners if i < j]
 
     weight = 1.0 / len(pairs)
     components = []

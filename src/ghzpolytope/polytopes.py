@@ -159,12 +159,11 @@ def facet_blocks_bisep(n: int, stop: int | None = None) -> Iterator[FacetBlock]:
     """The d facets p_i <= 1/2, then the d facets p_i >= 0, in blocks."""
     n = check_qubit_count(n)
     d = dimension(n)
-    for half, (sign, relation, offset) in enumerate(((-1.0, "<=1/2", -0.5), (1.0, ">=0", 0.0))):
-        half_stop = None if stop is None else max(0, stop - half * d)
-        for start, end in _row_ranges(d, d, half_stop):
-            i = np.arange(start, end)
-            yield FacetBlock(_labels(n, "p_", i, relation), np.full(end - start, offset),
-                             _sparse(d, i[:, None], sign))
+    for start, end in _row_ranges(d, d, stop):
+        i = np.arange(start, end)
+        yield FacetBlock(_labels(n, "p_", i, "<=1/2"), np.full(end - start, -0.5),
+                         _sparse(d, i[:, None], -1.0))
+    yield from facet_blocks_ghz(n, None if stop is None else max(0, stop - d))
 
 
 def facet_blocks_fbi(n: int, stop: int | None = None) -> Iterator[FacetBlock]:

@@ -1,37 +1,26 @@
 """Closed-form volumes, relative volumes, relative volume radii, and the
 seeded Monte-Carlo estimator that cross-checks each closed form.
 
-The estimator splits its samples into chunks, each drawn from its own
-Philox stream in cache-sized row blocks that reuse one buffer; the samples
-are those of a single draw per chunk.  ``mc_relative_volumes_by_n``
-estimates several families at several qubit counts from one such draw,
-counting each family on every block, so their hit counts are those of
-separate seeded estimates and the three regions genuine, bisep_minus_fbi
-and fbi partition the samples.  Chunk k's stream does not depend on n, and
-its m points at n are the first m * 2^n values it draws, so the rows of
-``report --mc`` share one draw per chunk, as wide as the largest n asks
-for: each narrower n counts the rows that draw starts with, which are the
-values and rows its own draw would give, so no count changes.
-``mc_relative_volume`` is its one-family, one-n case.  Where a C compiler
-is present, ``ghzpolytope._mc_kernel`` builds a C kernel once into the
-package's ``__pycache__`` that draws and counts each chunk in one pass
-without holding the GIL; it runs the chunk's Philox stream and the
-ziggurat's fast path itself and leaves only the rare other draws to
-NumPy's C routine.  It counts every family on the exponentials as drawn,
-deciding the fully biseparable test within a proven rounding bound and
-normalising only a row too near the boundary (and, for a pair family at
-n <= 3, the widest rows), and normalises only the rows it leaves in the
-chunk's buffer.  It reads the chunk's bit-generator state and leaves
-the bit generator as it was, which ``run_chunk`` drops after the call.
-Otherwise, or if that kernel does not reproduce
-``_mc_kernel_py.chunk_counts``'s rows and counts bit for bit, that NumPy
-kernel runs.  Both kernels take a chunk in one ``chunk_counts`` call and
-give identical hit counts for identical seeds.
+The estimator splits its samples into chunks of a fixed size, each drawn
+from its own Philox stream spawned from the seed, in cache-sized row
+blocks that reuse one buffer; the samples are those of a single draw per
+chunk.  So a fixed seed gives the same hit counts for any thread count and
+on either kernel.  ``mc_relative_volumes_by_n`` estimates several
+families at several qubit counts from one such draw per chunk, as wide as
+the largest n asks for: chunk k's stream does not depend on n, and its m
+points at n are the first m * 2^n values it draws, so each family and n
+gets the hit counts of its own seeded estimate, and the three regions
+genuine, bisep_minus_fbi and fbi partition the samples.
+``mc_relative_volume`` is its one-family, one-n case.
 
-The kernel is chosen, and the C one built and checked, at the first
-estimate or the first read of ``KERNEL_BACKEND`` or ``KERNEL_FALLBACK_REASON``,
-not at import, so the closed forms never pay for it: a closed-form
-``VolumeReport`` has no ``backend``.
+Each chunk is one ``chunk_counts`` call to a kernel: the C one of
+``ghzpolytope._mc_kernel``, which draws and counts a chunk in one pass
+without holding the GIL, where a C compiler is present and the kernel
+reproduces ``_mc_kernel_py.chunk_counts``'s rows and counts bit for bit,
+else that NumPy kernel.  The kernel is chosen, and the C one built and
+checked, at the first estimate or the first read of ``KERNEL_BACKEND`` or
+``KERNEL_FALLBACK_REASON``, not at import, so the closed forms never pay
+for it: a closed-form ``VolumeReport`` has no ``backend``.
 """
 
 from __future__ import annotations

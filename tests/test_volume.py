@@ -692,6 +692,29 @@ def test_c_raw_counts_equal_numpy_near_the_fbi_boundary(n, routine):
             assert _mc_kernel.count_raw_hits(e, family, nu) == _mc_kernel_py.count_hits(p, family, nu)
 
 
+@needs_c
+@pytest.mark.parametrize("routine", ROUTINES)
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_c_raw_mermin_counts_equal_numpy_near_the_threshold(n, routine):
+    # rows whose gap (e_0 - e_d-1)/s lies within a few ulps of nu_n: the raw
+    # counter must divide each end by the row sum s before subtracting, as
+    # NumPy's normalised rows do.  (e_0 - e_d-1)/s rounds differently on
+    # some of them, so each row is counted on its own.  At n = 2, nu = 1 and
+    # no row violates.
+    d, nu = 1 << n, mermin_threshold(n)
+    rng = np.random.default_rng(n)
+    e = rng.exponential(size=(256, d))
+    e[:, 0] = (e[:, -1] + nu * e[:, 1:].sum(axis=1)) / (1 - nu)
+    e[:, 0] += rng.integers(-4, 5, len(e)) * np.spacing(e[:, 0])
+    p = _mc_kernel_py.normalise_rows(e, np.empty_like(e))
+    one_division = (e[:, 0] - e[:, -1]) / e.sum(axis=1) - nu > 0.0
+    assert (one_division != ((p[:, 0] - p[:, -1]) - nu > 0.0)).any()
+    code = _mc_kernel_py.FAMILY_MERMIN
+    with philox_routine(routine):
+        got = [_mc_kernel.count_raw_hits(e[r:r + 1], code, nu) for r in range(len(e))]
+    assert got == [_mc_kernel_py.count_hits(p[r:r + 1], code, nu) for r in range(len(p))]
+
+
 def _mutated_source(tmp_path, old="row[j] = in[j] / s;", new="row[j] = in[j] * (1.0 / s);"):
     # by default, divide by multiplying with the reciprocal: the rows differ
     # in the last bit
