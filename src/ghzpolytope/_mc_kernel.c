@@ -304,43 +304,51 @@ INLINE void fold_pairs(const double *row, int64_t d, int wide, double *maxp, dou
     }
 }
 
-static __attribute__((noinline, cold)) int fully_normalised(const double *e, int64_t d);
+/* 1 if the row of d nonnegative values e, normalised as normalise_rows does,
+ * is fully biseparable (maxdiff <= minsum): count_rows's answer for a row
+ * too near the boundary to decide unnormalised.  Out of line, so that the
+ * row loop stays small. */
+static __attribute__((noinline, cold)) int fully_normalised(const double *e, int64_t d)
+{
+    double p[64], big, maxdiff, minsum;
+    normalise_rows(p, e, 1, d);
+    fold_pairs(p, d, 0, &big, &maxdiff, &minsum);
+    return maxdiff <= minsum;
+}
 
 /* Add to hits[0..3] the rows of the (m, d) matrix x that are genuine (if
  * `genuine`), biseparable but not fully and fully biseparable (if `pairs`,
  * which needs `genuine`), and Mermin-violating (if `mermin`).  Each test is
  * the eps = 0 form of the predicate in _mc_kernel_py, and the first three
- * share one fold_pairs.  The rows are probabilities, or, if `raw`,
- * nonnegative, finite exponentials, counted as they would be once
- * normalised by normalise_rows, without normalising them.  With s the row
- * sum, added as normalise_rows adds it (the constant 1 for probabilities,
- * so that the divisions by s fold away), and p_i = fl(x_i / s):
+ * share one fold_pairs.  The rows are nonnegative and finite, such as
+ * exponentials as drawn, and are counted as they would be once normalised
+ * by normalise_rows, without normalising them.  With s the row sum, added
+ * as normalise_rows adds it, and p_i = fl(x_i / s):
  *   - genuine: fl(max_i x_i / s) > 1/2, which is max_i p_i > 1/2, since
  *     division by s > 0 is correctly rounded and monotone;
  *   - Mermin: (fl(x_0 / s) - fl(x_d-1 / s)) - nu > 0;
- *   - fully biseparable: maxdiff <= minsum on probabilities.  On raw rows,
- *     with D = max_i |x_i - x_~i| and S = min_i (x_i + x_~i), fl(D - S) / s
- *     is within 8u (u = 2^-53) of maxdiff - minsum on the p_i: each p_i and
- *     each pair difference and sum rounds once (relative error u), a pair's
- *     p_i sum to at most 1 + 64u, and max and min move no more than their
- *     arguments.  So |fl(D - S)| >= 2^-47 s decides the row by its sign; a
- *     nearer row, a tie among them, or one with s below 2^-900 (near where
- *     2^-47 s would lose bits), is normalised and folded
- *     (fully_normalised). */
+ *   - fully biseparable: with D = max_i |x_i - x_~i| and S = min_i (x_i +
+ *     x_~i), fl(D - S) / s is within 8u (u = 2^-53) of maxdiff - minsum on
+ *     the p_i: each p_i and each pair difference and sum rounds once
+ *     (relative error u), a pair's p_i sum to at most 1 + 64u, and max and
+ *     min move no more than their arguments.  So |fl(D - S)| >= 2^-47 s
+ *     decides the row by its sign; a nearer row, a tie among them, or one
+ *     with s below 2^-900 (near where 2^-47 s would lose bits), is
+ *     normalised and folded (fully_normalised). */
 INLINE void count_rows(const double *x, int64_t m, int64_t d, int genuine, int pairs,
-                       int mermin, int raw, double nu, int wide, int64_t *hits)
+                       int mermin, double nu, int wide, int64_t *hits)
 {
     int64_t above = 0, middle = 0, fully = 0, violating = 0;
     for (int64_t r = 0; r < m; r++) {
         const double *row = x + r * d;
-        double s = raw ? row_sum(row, d) : 1.0, big = 0.0, maxdiff = 0.0, minsum = 0.0;
+        double s = row_sum(row, d), big = 0.0, maxdiff = 0.0, minsum = 0.0;
         int f = 0;
         if (genuine)  /* the pair terms are dropped where only big is read */
             fold_pairs(row, d, wide, &big, &maxdiff, &minsum);
         if (pairs) {
             double gap = maxdiff - minsum;
-            f = raw ? gap < 0.0 : maxdiff <= minsum;
-            if (raw && __builtin_expect(!(fabs(gap) >= 0x1p-47 * s) | !(s >= 0x1p-900), 0))
+            f = gap < 0.0;
+            if (__builtin_expect(!(fabs(gap) >= 0x1p-47 * s) | !(s >= 0x1p-900), 0))
                 f = fully_normalised(row, d);
         }
         int g = genuine & (big / s > 0.5);  /* & and |, not && and ||: no branch */
@@ -360,31 +368,19 @@ INLINE void count_rows(const double *x, int64_t m, int64_t d, int genuine, int p
  * genuine, 1 biseparable but not fully, 2 fully biseparable, 3 Mermin); the
  * counts of regions not in mask are unspecified.  Each call below inlines
  * its own copy of the row loop, so no mask bit is tested per row. */
-INLINE void count_block(const double *x, int64_t m, int64_t d, int mask, double nu, int raw,
-                        int wide, int64_t *hits)
+INLINE void count_block(const double *x, int64_t m, int64_t d, int mask, double nu, int wide,
+                        int64_t *hits)
 {
     if (mask & 6 && mask & 8)
-        count_rows(x, m, d, 1, 1, 1, raw, nu, wide, hits);
+        count_rows(x, m, d, 1, 1, 1, nu, wide, hits);
     else if (mask & 6)
-        count_rows(x, m, d, 1, 1, 0, raw, nu, wide, hits);
+        count_rows(x, m, d, 1, 1, 0, nu, wide, hits);
     else if (!(mask & 8))
-        count_rows(x, m, d, 1, 0, 0, raw, nu, wide, hits);
+        count_rows(x, m, d, 1, 0, 0, nu, wide, hits);
     else if (mask & 1)
-        count_rows(x, m, d, 1, 0, 1, raw, nu, wide, hits);
+        count_rows(x, m, d, 1, 0, 1, nu, wide, hits);
     else
-        count_rows(x, m, d, 0, 0, 1, raw, nu, wide, hits);
-}
-
-/* 1 if the row of d exponentials e, normalised as normalise_rows does, is
- * fully biseparable: count_rows's answer for a raw row too near the boundary
- * to decide raw.  Out of line, so that the row loop stays small. */
-static int fully_normalised(const double *e, int64_t d)
-{
-    double p[64];
-    int64_t hits[4] = {0};
-    normalise_rows(p, e, 1, d);
-    count_block(p, 1, d, 4, 0.0, 0, 0, hits);
-    return hits[2] == 1;
+        count_rows(x, m, d, 0, 0, 1, nu, wide, hits);
 }
 
 /* Draw m rows of d values with fill from stream in blocks of `rows` rows
@@ -393,35 +389,25 @@ static int fully_normalised(const double *e, int64_t d)
  * for the regions in mask.  Width w's m rows are the first m * w values.
  * Each width is counted on the exponentials as drawn, and only the last
  * block, and the rows of the block before it that it leaves in buf, are
- * normalised, so that buf ends as it would.  With a pair family at
- * d <= 8, where the raw count reads slower, width d's rows are instead
- * normalised a block at a time and counted as probabilities. */
+ * normalised, so that buf ends as it would. */
 INLINE void draw_and_count(void (*fill)(void *, int64_t, double *), int wide, void *stream,
                            int64_t m, int64_t d, double *buf, int64_t rows, int widths,
                            const int64_t *w, const double *nu, int mask, int64_t *hits)
 {
-    int raw = d >= 16 || !(mask & 6);
     for (int64_t start = 0; start < m; start += rows) {
         int64_t b = m - start < rows ? m - start : rows;
         fill(stream, b * d, buf);
         for (int k = 0; k < widths; k++) {
             int64_t left = m * w[k] - start * d;  /* width w[k]'s values from buf on */
-            if (left > 0 && (raw || w[k] < d))
-                count_block(buf, (left < b * d ? left : b * d) / w[k], w[k], mask, nu[k], 1,
-                            wide, hits + 4 * k);
+            if (left > 0)
+                count_block(buf, (left < b * d ? left : b * d) / w[k], w[k], mask, nu[k], wide,
+                            hits + 4 * k);
         }
-        if (raw) {
-            if (start + b < m)
-                continue;
-            normalise_rows(buf, buf, b, d);
-            if (start > 0)
-                normalise_rows(buf + b * d, buf + b * d, rows - b, d);
+        if (start + b < m)
             continue;
-        }
         normalise_rows(buf, buf, b, d);
-        for (int k = 0; k < widths; k++)
-            if (w[k] == d)
-                count_block(buf, b, d, mask, nu[k], 0, wide, hits + 4 * k);
+        if (start > 0)
+            normalise_rows(buf + b * d, buf + b * d, rows - b, d);
     }
 }
 
@@ -526,10 +512,10 @@ WIDE static void draw_and_count_wide(philox8_t *s, int64_t m, int64_t d, double 
 }
 
 /* count_block on eight lanes of AVX-512 */
-WIDE static void count_wide(const double *p, int64_t m, int64_t d, int mask, double nu, int raw,
+WIDE static void count_wide(const double *x, int64_t m, int64_t d, int mask, double nu,
                             int64_t *hits)
 {
-    count_block(p, m, d, mask, nu, raw, 1, hits);
+    count_block(x, m, d, mask, nu, 1, hits);
 }
 #endif
 
@@ -556,18 +542,18 @@ int set_philox_routine(int wide)
     return philox_wide;
 }
 
-/* count_block on the (m, d) matrix p with the routine in use: p's rows are
- * probabilities, or, if raw, exponentials counted as they would be once
- * normalised. */
-void count_hits(const double *p, int64_t m, int64_t d, int mask, double nu, int raw, int64_t *hits)
+/* count_block on the (m, d) matrix x of nonnegative rows, d = 2^n with
+ * 2 <= n <= 6, with the routine in use: each row is counted as it would be
+ * once normalised. */
+void count_hits(const double *x, int64_t m, int64_t d, int mask, double nu, int64_t *hits)
 {
 #if WIDE_ROUTINE
     if (philox_wide) {
-        count_wide(p, m, d, mask, nu, raw, hits);
+        count_wide(x, m, d, mask, nu, hits);
         return;
     }
 #endif
-    count_block(p, m, d, mask, nu, raw, 0, hits);
+    count_block(x, m, d, mask, nu, 0, hits);
 }
 
 /* Draw m rows of d values (d = 2^n with 2 <= n <= 6) from the Philox stream

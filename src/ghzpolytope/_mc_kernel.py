@@ -37,10 +37,9 @@ and :func:`chunk_counts` refuses any other.  The rows of a narrower width
 are the first values of the widest width's draw, as their own draw gives.
 
 One counter, one row loop that writes each region's test once, counts
-rows of probabilities and rows of exponentials as drawn alike: for
-probabilities the row sum is the constant 1.  It counts each block with
-only the work its families need, on the exponentials as drawn; only the
-rows left in ``buf`` at the end are normalised.  A row is genuine if its
+every width's rows on the exponentials as drawn, each as it would count
+once normalised, with only the work its families need; only the rows
+left in ``buf`` at the end are normalised.  A row is genuine if its
 largest value divided by the row sum exceeds 1/2, which is the test on
 the normalised row since division by the sum is correctly rounded and
 monotone, and the Mermin gap needs only its two divisions.  The fully
@@ -48,29 +47,25 @@ biseparable test folds the flip pairs' raw differences and sums into D =
 max |e_i - e_~i| and S = min (e_i + e_~i).  With s the row sum, fl(D -
 S) / s is within 8u (u = 2^-53) of maxdiff - minsum on the normalised
 row, so |fl(D - S)| >= 2^-47 s decides the row by its sign.  A row
-nearer the boundary is normalised as NumPy normalises it and folded.  On
-probability rows the test is maxdiff <= minsum itself.  One exception:
-asked for a pair family at d <= 8, the widest rows are normalised a
-block at a time and counted as probabilities, which reads faster there.
+nearer the boundary is normalised as NumPy normalises it and folded.
 The ``"avx512"`` routine, and :func:`count_hits` while it is in use,
 fold eight flip pairs at a time at d >= 16.  :func:`count_hits` runs the
-counter on given probability rows, :func:`count_raw_hits` on given rows
-of exponentials.
+counter on given nonnegative rows, counted as normalised, where the
+NumPy kernel's ``count_hits`` counts rows as given.
 
 The routine picked at load, the only one a process counts with, is
 checked then bit for bit against ``_mc_kernel_py.chunk_counts``, the
 NumPy kernel: rows and hit counts, from a fresh stream and from ones
 started mid-buffer.  Its :func:`count_hits` must also give the NumPy
 kernel's counts on rows exactly on the region boundaries
-(``BOUNDARY_HITS``), where a comparison or a flip pairing gone wrong
-shows and random rows, which never tie, cannot show it, and the same
-counter the same counts on those rows times 3, counted as exponentials,
-which normalise back to them bit for bit: on the ties, whose raw gap is
-0, it must take its fallback.  Any failure (no compiler, an unwritable
-directory, a missing library, a failed probe, a mismatch) raises
-ImportError, and ``volume`` keeps the NumPy kernel.  Calls go through
-ctypes, which releases the GIL, so chunks on a thread pool run in
-parallel.
+(``BOUNDARY_HITS``), times 3, which normalise back to them bit for bit:
+there a comparison or a flip pairing gone wrong shows and random rows,
+which never tie, cannot show it, and on the ties, whose raw gap is 0,
+the counter must take its fallback.  Any failure (no compiler, an
+unwritable directory, a missing library, a failed probe, a mismatch)
+raises ImportError, and ``volume`` keeps the NumPy kernel.  Calls go
+through ctypes, which releases the GIL, so chunks on a thread pool run
+in parallel.
 """
 
 from __future__ import annotations
@@ -207,10 +202,10 @@ def _boundary_rows(n: int) -> np.ndarray:
 BOUNDARY_HITS = {3: (1, 7, 9, 0), 4: (1, 9, 12, 0), 6: (7, 7, 18, 6)}
 
 
-def _count(lib: ctypes.CDLL, x: np.ndarray, mask: int, nu: float, raw: int) -> _HITS:
-    """The C ``count_hits`` on the float64 rows of ``x``, raw or not."""
+def _count(lib: ctypes.CDLL, x: np.ndarray, mask: int, nu: float) -> _HITS:
+    """The C ``count_hits`` on the float64 rows of ``x``."""
     hits = _HITS()
-    lib.count_hits(x.ctypes.data, x.shape[0], x.shape[1], mask, nu, raw, hits)
+    lib.count_hits(x.ctypes.data, x.shape[0], x.shape[1], mask, nu, hits)
     return hits
 
 
@@ -219,9 +214,8 @@ def _self_check(lib: ctypes.CDLL) -> None:
     writes the NumPy kernel's rows bit for bit and gives its hit counts: a
     NumPy release could change its draw or its summation order.  Its
     count_hits must also give the NumPy kernel's counts on the boundary rows
-    at d = 8, 16 and 64 (``BOUNDARY_HITS``), where random rows never tie and
-    so cannot show a comparison or a pairing gone wrong, and so must it on
-    those rows times 3, counted as exponentials."""
+    at d = 8, 16 and 64 (``BOUNDARY_HITS``) times 3, where random rows never
+    tie and so cannot show a comparison or a pairing gone wrong."""
     routine = _set_routine(lib, ROUTINES[-1])
     # (nus, families, raw draws skipped, m, rows).  The first two draw 35
     # rows in blocks of 16: two full blocks and a ragged one of 3 rows.
@@ -230,10 +224,10 @@ def _self_check(lib: ctypes.CDLL) -> None:
     # the rows of width 4 and 32 those values start with, the latter
     # ending 3 rows into the second block; bisep_minus_fbi reads both
     # pair predicates, which keeps NumPy's side of the check as short
-    # as with one width.  The third asks for no pair family, so it is
-    # counted on the exponentials as drawn: 19 rows of 16 in blocks of 8,
-    # two full and a ragged one of 3 rows, which leaves 5 rows of the block
-    # before in the buffer; its rows of width 4 give genuine hits.
+    # as with one width.  The third, with no pair family, draws 19 rows of
+    # 16 in blocks of 8, two full and a ragged one of 3 rows, which leaves
+    # 5 rows of the block before in the buffer; its rows of width 4 give
+    # genuine hits.
     configs = (({4: 0.0}, (0, 1, 2, 3), 0, 35, 16),
                ({64: 0.0, 4: 0.25, 32: 0.03125}, (1, 3), 3, 35, 16),
                ({16: 0.0, 4: 0.25}, (0, 3), 1, 19, 8))
@@ -249,14 +243,13 @@ def _self_check(lib: ctypes.CDLL) -> None:
         if hits != ref_hits:
             raise ImportError(f"C kernel hit counts differ from NumPy's {where}")
     # the boundary rows times 3 normalise back to them bit for bit, and their
-    # pair gaps are 0 or far from it: the raw counter must decide the ties
-    # by normalising them
+    # pair gaps are 0 or far from it: the counter must decide the ties by
+    # normalising them
     for n, ref_hits in BOUNDARY_HITS.items():
-        rows = _boundary_rows(n)
-        for raw, p in enumerate((rows, 3.0 * rows)):
-            if tuple(_count(lib, p, _mask(range(_FAMILIES)), mermin_threshold(n), raw)) != ref_hits:
-                raise ImportError(f"C kernel {'raw ' * raw}hit counts differ from NumPy's on the "
-                                  f"boundary rows at d = {p.shape[1]} ({routine} routine)")
+        if tuple(_count(lib, 3.0 * _boundary_rows(n), _mask(range(_FAMILIES)),
+                        mermin_threshold(n))) != ref_hits:
+            raise ImportError(f"C kernel hit counts differ from NumPy's on the boundary rows "
+                              f"at d = {1 << n} ({routine} routine)")
 
 
 def load(source: Path = _HERE / "_mc_kernel.c", cache_dir: Path = _HERE / "__pycache__",
@@ -266,7 +259,7 @@ def load(source: Path = _HERE / "_mc_kernel.c", cache_dir: Path = _HERE / "__pyc
         lib = ctypes.CDLL(str(_build(Path(source), Path(cache_dir), cc)))
     except OSError as exc:
         raise ImportError(f"cannot build or load the C kernel: {exc}") from exc
-    lib.count_hits.argtypes = [_PTR, _I64, _I64, ctypes.c_int, ctypes.c_double, ctypes.c_int, _HITS]
+    lib.count_hits.argtypes = [_PTR, _I64, _I64, ctypes.c_int, ctypes.c_double, _HITS]
     lib.count_hits.restype = None
     lib.chunk_counts.argtypes = [_PTR, ctypes.c_uint64, _PTR, ctypes.c_int, _I64, _I64,
                                  _PTR, _I64, ctypes.c_int, ctypes.POINTER(_I64),
@@ -292,25 +285,17 @@ MISSING_WIDE_FLAGS = tuple(flag for bit, flag in enumerate(WIDE_CPU_FLAGS)
 PHILOX_ROUTINE = _set_routine(_lib, ROUTINES[-1])  # the routine chunk_counts runs
 
 
-def count_hits(p: np.ndarray, family: int, nu: float) -> int:
-    """Count rows of the (m, d) probability matrix falling in the region,
-    with the counter of the routine in use."""
-    mask = _mask((family,))
-    p = np.ascontiguousarray(p, dtype=np.float64)
-    check_rows(p)
-    return _count(_lib, p, mask, nu, 0)[family]
-
-
-def count_raw_hits(e: np.ndarray, family: int, nu: float) -> int:
-    """:func:`count_hits` on the rows of the (m, d) matrix ``e`` of
-    nonnegative exponentials, normalised as the NumPy kernel normalises
-    them, counted without normalising them: the counter ``chunk_counts``
-    runs on the exponentials as drawn (d = 2^n, 2 <= n <= 6)."""
-    mask = _mask((family,))
+def count_hits(e: np.ndarray, family: int, nu: float) -> int:
+    """Count rows of the (m, d) matrix ``e`` of nonnegative values falling
+    in the region once normalised as the NumPy kernel normalises them,
+    without normalising them, with the counter ``chunk_counts`` runs on the
+    exponentials as drawn (d one of ``ROW_WIDTHS``).  The NumPy kernel's
+    ``count_hits`` counts its rows as given."""
     e = np.ascontiguousarray(e, dtype=np.float64)
-    if e.ndim != 2 or e.shape[1] not in ROW_WIDTHS:
+    check_rows(e)
+    if e.shape[1] not in ROW_WIDTHS:
         raise ValueError(f"need an (m, d) matrix with d one of {ROW_WIDTHS}, got shape {e.shape}")
-    return _count(_lib, e, mask, nu, 1)[family]
+    return _count(_lib, e, _mask((family,)), nu)[family]
 
 
 def chunk_counts(bitgen: np.random.BitGenerator, m: int, buf: np.ndarray, families,

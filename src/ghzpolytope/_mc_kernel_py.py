@@ -88,7 +88,8 @@ def check_rows(p: np.ndarray) -> None:
 
 
 def count_hits(p: np.ndarray, family: int, nu: float) -> int:
-    """Count rows of the (m, d) probability matrix falling in the region."""
+    """Count rows of the (m, d) probability matrix falling in the region, as
+    given: the C kernel's ``count_hits`` counts rows as normalised."""
     check_rows(p)
     if family == FAMILY_GENUINE:
         hits = genuine(max_prob(p))

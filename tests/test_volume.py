@@ -357,9 +357,10 @@ def test_mc_deterministic_across_backends():
 def test_kernels_agree_rowwise():
     rng = np.random.default_rng(5)
     p = sample_simplex(rng, 50_000, 16)
+    normalised = _mc_kernel_py.normalise_rows(p, np.empty_like(p))
     for code in range(4):
         nu = 0.5
-        assert _mc_kernel.count_hits(p, code, nu) == _mc_kernel_py.count_hits(p, code, nu)
+        assert _mc_kernel.count_hits(p, code, nu) == _mc_kernel_py.count_hits(normalised, code, nu)
 
 
 # Seeded hit counts of both kernels, for any thread count.  A change to a
@@ -604,7 +605,8 @@ def test_c_count_hits_equals_numpy_on_ties(n, routine):
     # diagonal midpoints, then cube vertices that vary only their first
     # twelve pairs), cube vertices at random vary every pair.  The load
     # check's boundary rows moved a few ulps no longer sum to exactly 1:
-    # count_hits counts them as given, never divided by their sum.
+    # count_hits counts each row as normalise_rows would leave it, and so
+    # must match the NumPy kernel on the normalised rows.
     d = 1 << n
     pair = np.arange(d // 2)
     sigmas = np.where(np.random.default_rng(n).integers(0, 2, (64, d // 2)) == 1, d - 1 - pair, pair)
@@ -618,13 +620,15 @@ def test_c_count_hits_equals_numpy_on_ties(n, routine):
     nu = mermin_threshold(n)
     with philox_routine(routine):
         for p in rows:
+            normalised = _mc_kernel_py.normalise_rows(p, np.empty_like(p))
             for family in range(4):
-                assert _mc_kernel.count_hits(p, family, nu) == _mc_kernel_py.count_hits(p, family, nu)
+                assert _mc_kernel.count_hits(p, family, nu) \
+                    == _mc_kernel_py.count_hits(normalised, family, nu)
 
 
 @needs_c
 @pytest.mark.parametrize("routine", ROUTINES)
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_c_count_hits_equals_numpy_across_the_regions(n, routine):
     # Dirichlet rows, concentrated (mostly genuine), spread, and near the
     # uniform point (the FBI boundary): every region and both sides of it
@@ -632,9 +636,11 @@ def test_c_count_hits_equals_numpy_across_the_regions(n, routine):
     rng = np.random.default_rng(n)
     for alpha in (0.05, 0.3, 10.0):
         p = rng.dirichlet(np.full(d, alpha), 2000)
+        normalised = _mc_kernel_py.normalise_rows(p, np.empty_like(p))
         with philox_routine(routine):
             for family in range(4):
-                assert _mc_kernel.count_hits(p, family, nu) == _mc_kernel_py.count_hits(p, family, nu)
+                assert _mc_kernel.count_hits(p, family, nu) \
+                    == _mc_kernel_py.count_hits(normalised, family, nu)
 
 
 def _nudged(rows, ulps):
@@ -658,7 +664,7 @@ def test_c_raw_counts_equal_numpy_on_scaled_and_nudged_boundary_rows(n, routine)
     # count as NumPy counts them once normalised
     nu = mermin_threshold(n)
     base = _mc_kernel._boundary_rows(n)
-    for scale in (3.0, 0.75, 2.0**-30, 2.0**-1040):
+    for scale in (1.0, 3.0, 0.75, 2.0**-30, 2.0**-1040):
         exact = scale * base
         if scale > 2.0**-1000:  # these normalise back to the boundary rows bit for bit
             assert_same_bits(_mc_kernel_py.normalise_rows(exact, np.empty_like(exact)), base)
@@ -666,7 +672,7 @@ def test_c_raw_counts_equal_numpy_on_scaled_and_nudged_boundary_rows(n, routine)
             p = _mc_kernel_py.normalise_rows(e, np.empty_like(e))
             with philox_routine(routine):
                 for family in range(4):
-                    assert _mc_kernel.count_raw_hits(e, family, nu) \
+                    assert _mc_kernel.count_hits(e, family, nu) \
                         == _mc_kernel_py.count_hits(p, family, nu), (scale, family)
 
 
@@ -689,7 +695,7 @@ def test_c_raw_counts_equal_numpy_near_the_fbi_boundary(n, routine):
     p = _mc_kernel_py.normalise_rows(e, np.empty_like(e))
     with philox_routine(routine):
         for family in range(4):
-            assert _mc_kernel.count_raw_hits(e, family, nu) == _mc_kernel_py.count_hits(p, family, nu)
+            assert _mc_kernel.count_hits(e, family, nu) == _mc_kernel_py.count_hits(p, family, nu)
 
 
 @needs_c
@@ -711,7 +717,7 @@ def test_c_raw_mermin_counts_equal_numpy_near_the_threshold(n, routine):
     assert (one_division != ((p[:, 0] - p[:, -1]) - nu > 0.0)).any()
     code = _mc_kernel_py.FAMILY_MERMIN
     with philox_routine(routine):
-        got = [_mc_kernel.count_raw_hits(e[r:r + 1], code, nu) for r in range(len(e))]
+        got = [_mc_kernel.count_hits(e[r:r + 1], code, nu) for r in range(len(e))]
     assert got == [_mc_kernel_py.count_hits(p[r:r + 1], code, nu) for r in range(len(p))]
 
 
@@ -734,10 +740,9 @@ def test_loader_failures_raise_import_error(tmp_path):
     rows = _mutated_source(tmp_path)
     # a fold that takes the F_n vertices (maxdiff = minsum) as outside: random
     # rows never tie, the boundary rows do, on either routine
-    tie = _mutated_source(tmp_path / "tie", "f = raw ? gap < 0.0 : maxdiff <= minsum;",
-                          "f = raw ? gap < 0.0 : maxdiff < minsum;")
-    # a raw counter with no rounding margin decides the ties (gap 0) itself,
-    # as outside F_n, instead of normalising them
+    tie = _mutated_source(tmp_path / "tie", "return maxdiff <= minsum;", "return maxdiff < minsum;")
+    # a counter with no rounding margin decides the ties (gap 0) itself, as
+    # outside F_n, instead of normalising them
     margin = _mutated_source(tmp_path / "margin", "0x1p-47 * s", "0.0 * s")
     builds = {rows: tmp_path / "c", tie: tmp_path / "tie",
               margin: tmp_path / "margin", _mc_kernel._HERE / "_mc_kernel.c": tmp_path / "d"}
@@ -759,7 +764,7 @@ def test_loader_failures_raise_import_error(tmp_path):
         _mc_kernel.load(source=rows, cache_dir=tmp_path / "c")
     with pytest.raises(ImportError, match="differ from NumPy's on the boundary rows at d = 8"):
         _mc_kernel.load(source=tie, cache_dir=tmp_path / "tie")
-    with pytest.raises(ImportError, match="raw hit counts differ from NumPy's on the boundary rows at d = 8"):
+    with pytest.raises(ImportError, match="hit counts differ from NumPy's on the boundary rows at d = 8"):
         _mc_kernel.load(source=margin, cache_dir=tmp_path / "margin")
     assert not list((tmp_path / "b").iterdir())  # no partial library left behind
     assert _mc_kernel.load(cache_dir=tmp_path / "d") is not None
@@ -1282,6 +1287,9 @@ def test_chunk_counts_refuses_widths_the_estimator_never_draws(d):
     with pytest.raises(ValueError, match="row width"):
         _mc_kernel.chunk_counts(bitgen, 8, np.empty((8, d)), (2,), {d: 0.0})
     assert_state_is(bitgen, before)
+    # so does the counter, whose row sums read the rows eight values at a time
+    with pytest.raises(ValueError, match=rf"d one of .*, got shape \(8, {d}\)"):
+        _mc_kernel.count_hits(np.ones((8, d)), 2, 0.0)
 
 
 @needs_c
