@@ -2,7 +2,8 @@
  * on the (d-1)-simplex in one pass, with the samples and decisions of the
  * NumPy kernel (_mc_kernel_py.chunk_counts).  The docstring of _mc_kernel.py,
  * which builds, loads and checks this file, describes the Philox stream, the
- * two routines that run it and the row loop that counts.
+ * two routines that run it and the row loop that counts.  read_tables, the
+ * one call made at load, fixes the routine; no later call changes it.
  *
  * Built against NumPy's C random library.  Compile without -ffast-math and
  * without FMA contraction: every sum below must be added in the order
@@ -133,9 +134,17 @@ static double replay_exponential(uint64_t first, uint64_t (*next)(void *), void 
     return x;
 }
 
+#if WIDE_ROUTINE
+/* 1 if chunk_counts and count_hits run the wide routine; read_tables sets it
+ * at load, and nothing else writes it. */
+static int philox_wide;
+#endif
+
 /* Fill ke and we from NumPy's routine: we[idx] is its value for ri = 1, and
- * ke[idx] the least ri in [0, 2^53] that takes more than one draw.  Return 0,
- * or -1 if the values found do not behave as a ziggurat's fast path. */
+ * ke[idx] the least ri in [0, 2^53] that takes more than one draw.  Then fix
+ * the routine from the CPU's flags: the wide one needs AVX-512F and
+ * AVX-512DQ.  Return it, 1 wide or 0 scalar, or -1 if the values found do
+ * not behave as a ziggurat's fast path. */
 int read_tables(void)
 {
     for (uint64_t idx = 0; idx < 256; idx++) {
@@ -157,7 +166,13 @@ int read_tables(void)
                        != (lo - 1) * we[idx] || calls != 1))
             return -1;
     }
+#if WIDE_ROUTINE
+    __builtin_cpu_init();
+    philox_wide = __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq");
+    return philox_wide;
+#else
     return 0;
+#endif
 }
 
 /* n of NumPy's standard exponentials from the Philox stream, a philox8_t.
@@ -519,32 +534,9 @@ WIDE static void count_wide(const double *x, int64_t m, int64_t d, int mask, dou
 }
 #endif
 
-/* Bit 0: the CPU has AVX-512F, bit 1: AVX-512DQ; the wide routine needs both. */
-int cpu_wide_flags(void)
-{
-#if WIDE_ROUTINE
-    __builtin_cpu_init();
-    return (__builtin_cpu_supports("avx512f") != 0) | (__builtin_cpu_supports("avx512dq") != 0) << 1;
-#else
-    return 0;
-#endif
-}
-
-/* 1 while chunk_counts and count_hits run the wide routine.
- * set_philox_routine(1) picks it where the CPU has both flags,
- * set_philox_routine(0) forces the scalar one (for tests); either returns
- * the routine now in use. */
-static int philox_wide;
-
-int set_philox_routine(int wide)
-{
-    philox_wide = wide && cpu_wide_flags() == 3;
-    return philox_wide;
-}
-
 /* count_block on the (m, d) matrix x of nonnegative rows, d = 2^n with
- * 2 <= n <= 6, with the routine in use: each row is counted as it would be
- * once normalised. */
+ * 2 <= n <= 6, with the routine fixed at load: each row is counted as it
+ * would be once normalised. */
 void count_hits(const double *x, int64_t m, int64_t d, int mask, double nu, int64_t *hits)
 {
 #if WIDE_ROUTINE

@@ -22,13 +22,13 @@ private, so at load the kernel reads them back by probing that routine
 The stream is one buffer of 32 values: eight consecutive Philox blocks in
 stream order, tracked by the counter of the last.  NumPy's block and the
 position in it are taken over at the start of a chunk.  One of two
-routines, picked at load from the CPU's flags (``PHILOX_ROUTINE``),
-refills and reads the buffer.  ``"scalar"`` computes the eight blocks one
-after another and reads one value at a time.  ``"avx512"``, on a CPU
-with AVX-512F and AVX-512DQ, computes them side by side and takes the
-fast path on groups of up to eight values: it stores a group's values up
-to the first one that leaves the fast path, replays that draw, and starts
-the next group after it.  The draws replayed through NumPy's routine read
+routines, fixed at load from the CPU's flags (``PHILOX_ROUTINE``), refills
+and reads the buffer; no later call changes it.  ``"scalar"`` computes
+the eight blocks one after another and reads one value at a time.
+``"avx512"``, on a CPU with AVX-512F and AVX-512DQ, computes them side by
+side and takes the fast path on groups of up to eight values: it stores a
+group's values up to the first one that leaves the fast path, replays
+that draw, and starts the next group after it.  The draws replayed through NumPy's routine read
 their extra values from the buffer too, refilled by the scalar routine,
 which writes the values the wide one would.  Rows are summed in NumPy's
 order (left to right at d = 4, eight values at a time above it) only at
@@ -48,12 +48,12 @@ max |e_i - e_~i| and S = min (e_i + e_~i).  With s the row sum, fl(D -
 S) / s is within 8u (u = 2^-53) of maxdiff - minsum on the normalised
 row, so |fl(D - S)| >= 2^-47 s decides the row by its sign.  A row
 nearer the boundary is normalised as NumPy normalises it and folded.
-The ``"avx512"`` routine, and :func:`count_hits` while it is in use,
-fold eight flip pairs at a time at d >= 16.  :func:`count_hits` runs the
-counter on given nonnegative rows, counted as normalised, where the
+The ``"avx512"`` routine, and :func:`count_hits` in a library that runs
+it, fold eight flip pairs at a time at d >= 16.  :func:`count_hits` runs
+the counter on given nonnegative rows, counted as normalised, where the
 NumPy kernel's ``count_hits`` counts rows as given.
 
-The routine picked at load, the only one a process counts with, is
+The routine fixed at load, the only one a process counts with, is
 checked then bit for bit against ``_mc_kernel_py.chunk_counts``, the
 NumPy kernel: rows and hit counts, from a fresh stream and from ones
 started mid-buffer.  Its :func:`count_hits` must also give the NumPy
@@ -90,8 +90,7 @@ _I64, _PTR = ctypes.c_int64, ctypes.c_void_p
 _FAMILIES = FAMILY_MERMIN + 1
 _HITS = _I64 * _FAMILIES  # one counter per family code
 _CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-ROUTINES = ("scalar", "avx512")  # set_philox_routine's codes 0 and 1
-WIDE_CPU_FLAGS = ("avx512f", "avx512dq")  # bits 0 and 1 of cpu_wide_flags()
+ROUTINES = ("scalar", "avx512")  # read_tables' codes 0 and 1
 ROW_WIDTHS = tuple(1 << n for n in range(2, MC_MAX_QUBITS + 1))  # the widths chunk_counts draws
 
 
@@ -157,12 +156,6 @@ def _run(lib: ctypes.CDLL, bitgen: np.random.BitGenerator, m: int, buf: np.ndarr
             for j, d in enumerate(nus)}
 
 
-def _set_routine(lib: ctypes.CDLL, routine: str) -> str:
-    """Make ``lib`` run ``routine`` if the CPU can, else the scalar one; the
-    routine now in use.  Only the loader and tests switch routines."""
-    return ROUTINES[lib.set_philox_routine(ROUTINES.index(routine))]
-
-
 def _boundary_rows(n: int) -> np.ndarray:
     """Rows at d = 2^n that sit exactly on the region boundaries, where a <,
     <= or > swap, or a flip pair folded with the wrong partner, changes a
@@ -209,14 +202,13 @@ def _count(lib: ctypes.CDLL, x: np.ndarray, mask: int, nu: float) -> _HITS:
     return hits
 
 
-def _self_check(lib: ctypes.CDLL) -> None:
-    """Raise ImportError unless the kernel, on the routine it will run,
+def _self_check(lib: ctypes.CDLL, routine: str) -> None:
+    """Raise ImportError unless the kernel, on ``routine``, the one it runs,
     writes the NumPy kernel's rows bit for bit and gives its hit counts: a
     NumPy release could change its draw or its summation order.  Its
     count_hits must also give the NumPy kernel's counts on the boundary rows
     at d = 8, 16 and 64 (``BOUNDARY_HITS``) times 3, where random rows never
     tie and so cannot show a comparison or a pairing gone wrong."""
-    routine = _set_routine(lib, ROUTINES[-1])
     # (nus, families, raw draws skipped, m, rows).  The first two draw 35
     # rows in blocks of 16: two full blocks and a ragged one of 3 rows.
     # d = 64 starts mid-buffer, and its 2240 values leave the ziggurat's
@@ -253,8 +245,9 @@ def _self_check(lib: ctypes.CDLL) -> None:
 
 
 def load(source: Path = _HERE / "_mc_kernel.c", cache_dir: Path = _HERE / "__pycache__",
-         cc: str = "cc") -> ctypes.CDLL:
-    """Build (once) and load the kernel library, checked against NumPy."""
+         cc: str = "cc") -> tuple[ctypes.CDLL, str]:
+    """Build (once) and load the kernel library, checked against NumPy; the
+    library and the routine, of ``ROUTINES``, that it fixed at load."""
     try:
         lib = ctypes.CDLL(str(_build(Path(source), Path(cache_dir), cc)))
     except OSError as exc:
@@ -268,21 +261,14 @@ def load(source: Path = _HERE / "_mc_kernel.c", cache_dir: Path = _HERE / "__pyc
     lib.chunk_counts.restype = None
     lib.read_tables.argtypes = []
     lib.read_tables.restype = ctypes.c_int
-    lib.cpu_wide_flags.argtypes = []
-    lib.cpu_wide_flags.restype = ctypes.c_int
-    lib.set_philox_routine.argtypes = [ctypes.c_int]
-    lib.set_philox_routine.restype = ctypes.c_int
-    if lib.read_tables() != 0:
+    code = lib.read_tables()
+    if code < 0:
         raise ImportError("cannot read the ziggurat tables back from NumPy's exponential")
-    _self_check(lib)
-    return lib
+    _self_check(lib, ROUTINES[code])
+    return lib, ROUTINES[code]
 
 
-_lib = load()
-# the CPU flags the "avx512" routine needs that this CPU lacks
-MISSING_WIDE_FLAGS = tuple(flag for bit, flag in enumerate(WIDE_CPU_FLAGS)
-                           if not _lib.cpu_wide_flags() >> bit & 1)
-PHILOX_ROUTINE = _set_routine(_lib, ROUTINES[-1])  # the routine chunk_counts runs
+_lib, PHILOX_ROUTINE = load()  # PHILOX_ROUTINE: the routine chunk_counts runs
 
 
 def count_hits(e: np.ndarray, family: int, nu: float) -> int:

@@ -149,10 +149,11 @@ def chunk_counts(bitgen: np.random.BitGenerator, m: int, buf: np.ndarray, famili
 
     The m points of width d are the first m*d values of one stream, so one
     draw serves every width: m rows as wide as ``buf``, a (rows, D) float64
-    array, drawn a block at a time through it.  Each narrower width counts
-    the rows among the chunk's first m*d values in each block, normalised
-    into a scratch block, before the block is normalised in place; ``buf``
-    holds the last block's rows of width D on return.
+    array, drawn a block at a time through it.  Each block counts the
+    widths in ascending order, each on its rows among the chunk's first m*d
+    values: a narrower width normalised into a scratch block, and last the
+    widest, D, normalised in place, so ``buf`` holds the last block's rows
+    of width D on return.
     """
     check_widths(buf, nus)
     rng = np.random.Generator(bitgen)
@@ -161,16 +162,13 @@ def chunk_counts(bitgen: np.random.BitGenerator, m: int, buf: np.ndarray, famili
     for start in range(0, m, rows):
         b = min(rows, m - start)
         e = rng.standard_exponential((b, wide), out=buf[:b])
-        for d, nu in nus.items():
+        for d in sorted(nus):
             # width d's values in this block: those before m*d, in whole rows
             k = min(b * wide, m * d - start * wide) // d
-            if d == wide or k <= 0:
+            if k <= 0:
                 continue
-            narrow = e.reshape(-1, d)[:k]
-            p = normalise_rows(narrow, np.empty_like(narrow))
+            x = e.reshape(-1, d)[:k]
+            p = normalise_rows(x, x if d == wide else np.empty_like(x))
             for j, family in enumerate(families):
-                hits[d][j] += count_hits(p, family, nu)
-        p = normalise_rows(e, e)
-        for j, family in enumerate(families):
-            hits[wide][j] += count_hits(p, family, nus[wide])
+                hits[d][j] += count_hits(p, family, nus[d])
     return {d: tuple(counts) for d, counts in hits.items()}

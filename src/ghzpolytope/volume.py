@@ -89,9 +89,9 @@ _FAMILY_CODES = {
 
 MC_MIN_SAMPLES = 10_000
 DEFAULT_CHUNK = 1 << 16
-# Each chunk is sampled and counted in blocks of at most this many bytes, so
-# a block stays in cache between the sampler and the counter.  Smaller
-# blocks run the counter's per-pair Python loop too often.
+# Each chunk is sampled and counted in blocks of at most this many bytes: in
+# the C kernel a block stays in cache between fill and count, and in the
+# NumPy kernel a larger block runs the per-pair Python loop less often.
 _BLOCK_BYTES = 1 << 20
 RNG_ALGORITHM = "philox4x64"  # numpy.random.Philox, chunk streams spawned from the seed
 

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import functools
 import importlib
 import json
 import math
@@ -7,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -555,23 +557,38 @@ def test_backend_reported():
 KERNEL_SOURCE = Path(_mc_kernel_py.__file__).with_name("_mc_kernel.c")
 needs_c = pytest.mark.skipif(not HAVE_EXTENSION, reason="C kernel not built")
 needs_wide = pytest.mark.skipif(
-    not HAVE_EXTENSION or bool(_mc_kernel.MISSING_WIDE_FLAGS),
+    not HAVE_EXTENSION or _mc_kernel.PHILOX_ROUTINE != "avx512",
     reason="C kernel not built" if not HAVE_EXTENSION
-    else f"CPU lacks {', '.join(_mc_kernel.MISSING_WIDE_FLAGS)} for the avx512 routine",
+    else "CPU lacks AVX-512F or AVX-512DQ for the avx512 routine",
 )
 # the tests that take a routine run on "scalar", and on the wide routine
 # where the CPU has its flags
 ROUTINES = ["scalar", pytest.param("avx512", marks=needs_wide)]
+WIDE_ROUTINE = ("#define WIDE_ROUTINE 1", "#define WIDE_ROUTINE 0")  # compiles it out
+
+
+@functools.cache
+def _scalar_build():
+    """The C kernel with the wide routine compiled out, as non-x86 hosts
+    build it, loaded once: the library and the routine it fixed at load."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return _mc_kernel.load(source=_mutated_source(Path(tmp), WIDE_ROUTINE), cache_dir=tmp)
 
 
 @contextlib.contextmanager
 def philox_routine(routine):
-    """Run the C kernel's Philox stream on ``routine`` inside the block."""
-    assert _mc_kernel._set_routine(_mc_kernel._lib, routine) == routine
+    """Run the C kernel's Philox stream on ``routine`` inside the block: the
+    library loaded at import, or else the scalar build in its place."""
+    if routine == _mc_kernel.PHILOX_ROUTINE:
+        yield
+        return
+    lib, built = _scalar_build()
+    assert built == routine
+    loaded, _mc_kernel._lib = _mc_kernel._lib, lib
     try:
         yield
     finally:
-        _mc_kernel._set_routine(_mc_kernel._lib, _mc_kernel.PHILOX_ROUTINE)
+        _mc_kernel._lib = loaded
 
 
 @needs_c
@@ -721,31 +738,41 @@ def test_c_raw_mermin_counts_equal_numpy_near_the_threshold(n, routine):
     assert got == [_mc_kernel_py.count_hits(p[r:r + 1], code, nu) for r in range(len(p))]
 
 
-def _mutated_source(tmp_path, old="row[j] = in[j] / s;", new="row[j] = in[j] * (1.0 / s);"):
-    # by default, divide by multiplying with the reciprocal: the rows differ
-    # in the last bit
+# divide by multiplying with the reciprocal: the rows differ in the last bit
+RECIPROCAL = ("row[j] = in[j] / s;", "row[j] = in[j] * (1.0 / s);")
+# a fold that takes the F_n vertices (maxdiff = minsum) as outside: random
+# rows never tie, the boundary rows do, on either routine
+TIE = ("return maxdiff <= minsum;", "return maxdiff < minsum;")
+# a counter with no rounding margin decides the ties (gap 0) itself, as
+# outside F_n, instead of normalising them
+MARGIN = ("0x1p-47 * s", "0.0 * s")
+
+
+def _mutated_source(tmp_path, *changes):
+    # the kernel source with each (old, new) change made, by default RECIPROCAL
     text = KERNEL_SOURCE.read_text()
-    assert old in text
+    for old, new in changes or [RECIPROCAL]:
+        assert old in text
+        text = text.replace(old, new)
     path = tmp_path / "_mc_kernel.c"
-    path.write_text(text.replace(old, new))
+    path.write_text(text)
     return path
 
 
 @needs_c
 def test_loader_failures_raise_import_error(tmp_path):
     # a compile takes about a second, so the libraries that compile are built
-    # side by side while the failures to build run, and loaded after
-    for name in ("tie", "margin"):
+    # side by side while the failures to build run, and loaded after.  The
+    # tie and margin mutants are built on the routine in use and with the
+    # wide routine compiled out, the scalar one that hosts without AVX-512 run
+    mutants = {"tie": (TIE,), "margin": (MARGIN,), "tie-scalar": (TIE, WIDE_ROUTINE),
+               "margin-scalar": (MARGIN, WIDE_ROUTINE)}
+    for name in mutants:
         (tmp_path / name).mkdir()
     rows = _mutated_source(tmp_path)
-    # a fold that takes the F_n vertices (maxdiff = minsum) as outside: random
-    # rows never tie, the boundary rows do, on either routine
-    tie = _mutated_source(tmp_path / "tie", "return maxdiff <= minsum;", "return maxdiff < minsum;")
-    # a counter with no rounding margin decides the ties (gap 0) itself, as
-    # outside F_n, instead of normalising them
-    margin = _mutated_source(tmp_path / "margin", "0x1p-47 * s", "0.0 * s")
-    builds = {rows: tmp_path / "c", tie: tmp_path / "tie",
-              margin: tmp_path / "margin", _mc_kernel._HERE / "_mc_kernel.c": tmp_path / "d"}
+    sources = {name: _mutated_source(tmp_path / name, *changes) for name, changes in mutants.items()}
+    builds = {rows: tmp_path / "c", _mc_kernel._HERE / "_mc_kernel.c": tmp_path / "d",
+              **{source: source.parent for source in sources.values()}}
     with ThreadPoolExecutor(len(builds)) as pool:
         built = [pool.submit(_mc_kernel._build, source, cache_dir, "cc")
                  for source, cache_dir in builds.items()]
@@ -762,12 +789,13 @@ def test_loader_failures_raise_import_error(tmp_path):
         future.result()
     with pytest.raises(ImportError, match="rows differ"):
         _mc_kernel.load(source=rows, cache_dir=tmp_path / "c")
-    with pytest.raises(ImportError, match="differ from NumPy's on the boundary rows at d = 8"):
-        _mc_kernel.load(source=tie, cache_dir=tmp_path / "tie")
-    with pytest.raises(ImportError, match="hit counts differ from NumPy's on the boundary rows at d = 8"):
-        _mc_kernel.load(source=margin, cache_dir=tmp_path / "margin")
+    for name, source in sources.items():
+        routine = r" \(scalar routine\)" if name.endswith("-scalar") else ""
+        with pytest.raises(ImportError, match="hit counts differ from NumPy's on the boundary "
+                                              f"rows at d = 8{routine}"):
+            _mc_kernel.load(source=source, cache_dir=source.parent)
     assert not list((tmp_path / "b").iterdir())  # no partial library left behind
-    assert _mc_kernel.load(cache_dir=tmp_path / "d") is not None
+    assert _mc_kernel.load(cache_dir=tmp_path / "d")[1] == _mc_kernel.PHILOX_ROUTINE
 
 
 def test_failed_kernel_check_keeps_numpy_path(tmp_path):
@@ -1204,17 +1232,14 @@ def test_chunk_counts_takes_a_buffer_pos_past_the_buffer_as_spent(d, routine):
 
 @needs_c
 def test_philox_routine_follows_the_cpu_flags():
-    wide = not _mc_kernel.MISSING_WIDE_FLAGS
-    assert _mc_kernel.PHILOX_ROUTINE == ("avx512" if wide else "scalar")
+    assert _mc_kernel.PHILOX_ROUTINE in _mc_kernel.ROUTINES
     cpuinfo = Path("/proc/cpuinfo")
     if cpuinfo.exists() and "flags" in cpuinfo.read_text():
         flags = set(next(line for line in cpuinfo.read_text().splitlines()
                          if line.startswith("flags")).split(":", 1)[1].split())
-        assert wide == ({"avx512f", "avx512dq"} <= flags)
-    # the scalar routine can always be forced, and the wide one only with its flags
-    with philox_routine("scalar"):
-        assert _mc_kernel._set_routine(_mc_kernel._lib, "avx512") == _mc_kernel.PHILOX_ROUTINE
-    assert _mc_kernel._set_routine(_mc_kernel._lib, "avx512") == _mc_kernel.PHILOX_ROUTINE
+        assert (_mc_kernel.PHILOX_ROUTINE == "avx512") == ({"avx512f", "avx512dq"} <= flags)
+    # with the wide routine compiled out, the library runs the scalar one
+    assert _scalar_build()[1] == "scalar"
 
 
 def _numpy_fast_path_end(idx):
